@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lintdefs build test race bench benchsmoke faults crash smoke clustersmoke chaossmoke ratchet
+.PHONY: check fmt vet lint lintdefs build test race bench benchsmoke faults crash smoke clustersmoke chaossmoke ratchet fuzzsmoke loc
 
 # check is the CI gate: formatting, static analysis (go vet plus the
 # repo's own dralint rules and the workflow-definition lint over every
@@ -54,11 +54,22 @@ benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/dsig/... ./internal/xmltree/...
 
 # faults is the relay reliability gate: fault-injection workflows (20% of
-# hops dropped/duplicated), crash recovery from the outbox WAL, and
-# receiver-side idempotency, all under the race detector. The race target
-# covers these too; the split keeps the gate visible and fast to re-run.
+# hops dropped/duplicated, 10% un-acked, judged by internal/chaos), crash
+# recovery from the outbox journal (torn tail, flipped byte, mid-file
+# damage, compaction that loses its handle), and receiver-side
+# idempotency, all under the race detector. The race target covers these
+# too; the split keeps the gate visible and fast to re-run.
 faults:
-	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestReceiverIdempotency|TestOutboxTornTail' ./internal/relay/ ./internal/httpapi/
+	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestReceiverIdempotency|TestOutbox' ./internal/relay/ ./internal/httpapi/ ./internal/wal/
+
+# fuzzsmoke runs the one log-format fuzz target for ten seconds; plain
+# `go test` already replays its seed corpus on every run.
+fuzzsmoke:
+	$(GO) test -run=NONE -fuzz=FuzzOpen -fuzztime=10s ./internal/wal/
+
+# loc prints the non-test, non-comment Go line count ROADMAP tracks.
+loc:
+	@./scripts/loc.sh
 
 # lint runs the project's domain analyzers (discarded crypto errors,
 # variable-time digest comparisons, nondeterministic verification inputs,

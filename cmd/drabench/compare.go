@@ -65,7 +65,7 @@ func metricsOf(traj *trajectory) []benchMetric {
 		add(fmt.Sprintf("verifycache/cers=%d/warm_hop", r.CERs), r.WarmHop)
 	}
 	for _, r := range traj.PoolScale {
-		base := fmt.Sprintf("poolscale/servers=%d,docs=%d", r.Servers, r.Documents)
+		base := fmt.Sprintf("poolscale/docs=%d", r.Documents)
 		add(base+"/store_doc", time.Duration(r.StoreMicrosPerDoc*float64(time.Microsecond)))
 		add(base+"/query_doc", time.Duration(r.QueryMicrosPerDoc*float64(time.Microsecond)))
 	}

@@ -33,6 +33,9 @@ func cmdDLQ(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if rec := ob.Recovery(); rec.DamagedBytes > 0 {
+		log.Printf("WARNING: outbox %s: quarantined %d damaged bytes to %s (%s); deliveries journaled there are lost", *wal, rec.DamagedBytes, rec.QuarantineFile, rec.Reason)
+	}
 	defer ob.Close()
 
 	switch verb := fs.Arg(0); verb {

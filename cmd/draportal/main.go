@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	draportal -listen :8080 -trust deploy/trust.json [-servers 3]
+//	draportal -listen :8080 -trust deploy/trust.json
 //	          [-data-dir ./data] [-fsync=true] [-checkpoint-interval 5m]
 //	          [-grace 15s]
 //	          [-cluster-nodes n1=http://…,n2=http://…] [-replicas 2]
@@ -30,7 +30,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -66,7 +65,6 @@ func main() {
 	log.SetPrefix("draportal: ")
 	listen := flag.String("listen", ":8080", "listen address")
 	trust := flag.String("trust", "deploy/trust.json", "trust bundle path")
-	servers := flag.Int("servers", 3, "pool region servers")
 	keyPath := flag.String("key", "", "portal private-key PEM; enables signed webhook notifications")
 	webhookWAL := flag.String("webhook-wal", "", "outbox WAL file for webhook deliveries; pending notifications survive restarts (requires -key)")
 	dataDir := flag.String("data-dir", "", "durable pool directory (WAL + checkpoints); empty keeps the pool memory-only")
@@ -150,11 +148,7 @@ func main() {
 		docs = pc.NewSession()
 		log.Printf("clustered pool: %d nodes, %d replicas per region", len(refs), pc.Replicas())
 	} else {
-		ids := make([]string, *servers)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("rs-%d", i+1)
-		}
-		cluster, err := pool.NewCluster(ids, 1<<20)
+		cluster, err := pool.NewCluster([]string{"local"}, 1<<20)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,7 +7,7 @@
 // The example:
 //
 //  1. runs N instances of the Figure 9A workflow through two portals
-//     sharing an HBase-like pool (small region-split threshold so splits
+//     sharing one document pool (small region-split threshold so splits
 //     actually happen);
 //  2. prints pool statistics computed by map-reduce over the pool;
 //  3. replays one instance on the engine-based baseline and demonstrates
@@ -33,7 +33,6 @@ const instances = 8
 func main() {
 	sys, err := core.NewSystem(core.Config{
 		Portals:            2,
-		PoolServers:        []string{"rs-1", "rs-2", "rs-3", "rs-4"},
 		PoolSplitThreshold: 64 << 10, // 64 KiB: force region splits
 	})
 	if err != nil {
@@ -84,9 +83,7 @@ func main() {
 
 	// --- pool state --------------------------------------------------------
 	fmt.Println("\n=== document pool ===")
-	fmt.Printf("region servers: %v\n", sys.Cluster.Servers())
 	fmt.Printf("region splits on the documents table: %d\n", sys.Cluster.Splits("dra4wfms_documents"))
-	fmt.Printf("region distribution: %v\n", sys.Cluster.RegionDistribution())
 
 	stats, err := sys.Monitor.Statistics()
 	if err != nil {

@@ -339,11 +339,11 @@ func TestRunScalabilityDistributedShape(t *testing.T) {
 }
 
 func TestRunPoolScale(t *testing.T) {
-	rows, err := RunPoolScale(bits, []int{1, 4}, []int{200, 1000})
+	rows, err := RunPoolScale(bits, []int{200, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
+	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
@@ -358,10 +358,10 @@ func TestRunPoolScale(t *testing.T) {
 	// routing + binary search, not linear scan): allow generous slack.
 	var q200, q1000 float64
 	for _, r := range rows {
-		if r.Servers == 4 && r.Documents == 200 {
+		if r.Documents == 200 {
 			q200 = r.QueryMicrosPerDoc
 		}
-		if r.Servers == 4 && r.Documents == 1000 {
+		if r.Documents == 1000 {
 			q1000 = r.QueryMicrosPerDoc
 		}
 	}

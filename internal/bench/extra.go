@@ -827,10 +827,11 @@ func RunPool(n int, valueBytes int, splitThreshold int) (*PoolResult, error) {
 // PoolScaleRow measures the document-pool operations the paper lists in
 // its conclusion as future work — "measuring the performance of querying,
 // storing, monitoring, and statistical analyses when the pool of DRA4WfMS
-// documents contains a huge number of documents" — across pool sizes and
-// region-server counts.
+// documents contains a huge number of documents" — across pool sizes.
+// The pool here is one process; what adding nodes does is measured
+// against real daemons by benchmarks/system (basic-cluster,
+// monitor-mixed).
 type PoolScaleRow struct {
-	Servers   int
 	Documents int
 	Regions   int
 	// StoreMicrosPerDoc is the mean per-document store cost.
@@ -844,11 +845,11 @@ type PoolScaleRow struct {
 }
 
 // RunPoolScale loads synthetic DRA4WfMS-sized documents through a real
-// portal into pools of varying size and server count, then measures
+// portal into pools of varying size, then measures
 // retrieval, monitoring and statistics. One real Figure 9A document is
 // built with actual crypto and replicated with distinct process ids so
 // document parsing/verification costs in the monitor stay realistic.
-func RunPoolScale(bits int, servers []int, docCounts []int) ([]PoolScaleRow, error) {
+func RunPoolScale(bits int, docCounts []int) ([]PoolScaleRow, error) {
 	env := testenv.Fig9(bits)
 	def := wfdef.Fig9A()
 
@@ -872,71 +873,64 @@ func RunPoolScale(bits int, servers []int, docCounts []int) ([]PoolScaleRow, err
 	payload := cur.Bytes()
 
 	var rows []PoolScaleRow
-	for _, ns := range servers {
-		ids := make([]string, ns)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("rs-%02d", i+1)
+	for _, n := range docCounts {
+		cluster, err := pool.NewCluster([]string{"local"}, 1<<20)
+		if err != nil {
+			return nil, err
 		}
-		for _, n := range docCounts {
-			cluster, err := pool.NewCluster(ids, 1<<20)
-			if err != nil {
-				return nil, err
-			}
-			tbl, err := cluster.CreateTable("dra4wfms_documents",
-				pool.FamilySpec{Name: "doc", MaxVersions: 3},
-				pool.FamilySpec{Name: "meta", MaxVersions: 1},
-				pool.FamilySpec{Name: "idx", MaxVersions: 1})
-			if err != nil {
-				return nil, err
-			}
-
-			t0 := time.Now()
-			for i := 0; i < n; i++ {
-				row := fmt.Sprintf("proc-%08d", i)
-				if err := tbl.Put(row, "doc", "content", payload); err != nil {
-					return nil, err
-				}
-				tbl.Put(row, "meta", "definition", []byte(def.Name))
-				tbl.Put(row, "meta", "state", []byte("completed"))
-				tbl.Put(row, "meta", "cers", []byte("5"))
-			}
-			storePer := float64(time.Since(t0).Microseconds()) / float64(n)
-
-			t1 := time.Now()
-			const queries = 2000
-			for i := 0; i < queries; i++ {
-				row := fmt.Sprintf("proc-%08d", (i*7919)%n)
-				if _, ok := tbl.Get(row, "doc", "content"); !ok {
-					return nil, fmt.Errorf("bench: row %s lost", row)
-				}
-			}
-			queryPer := float64(time.Since(t1).Microseconds()) / float64(queries)
-
-			mon := monitor.New(tbl)
-			t2 := time.Now()
-			if _, err := mon.InstanceStatus(fmt.Sprintf("proc-%08d", n/2)); err != nil {
-				return nil, err
-			}
-			monMicros := float64(time.Since(t2).Microseconds())
-
-			t3 := time.Now()
-			stats, err := mon.Statistics()
-			if err != nil {
-				return nil, err
-			}
-			if stats.InstancesByState["completed"] != n {
-				return nil, fmt.Errorf("bench: statistics saw %d docs, want %d", stats.InstancesByState["completed"], n)
-			}
-			rows = append(rows, PoolScaleRow{
-				Servers:           ns,
-				Documents:         n,
-				Regions:           len(tbl.Regions()),
-				StoreMicrosPerDoc: storePer,
-				QueryMicrosPerDoc: queryPer,
-				MonitorMicros:     monMicros,
-				StatsMillis:       float64(time.Since(t3).Microseconds()) / 1000,
-			})
+		tbl, err := cluster.CreateTable("dra4wfms_documents",
+			pool.FamilySpec{Name: "doc", MaxVersions: 3},
+			pool.FamilySpec{Name: "meta", MaxVersions: 1},
+			pool.FamilySpec{Name: "idx", MaxVersions: 1})
+		if err != nil {
+			return nil, err
 		}
+
+		t0 := time.Now()
+		for i := 0; i < n; i++ {
+			row := fmt.Sprintf("proc-%08d", i)
+			if err := tbl.Put(row, "doc", "content", payload); err != nil {
+				return nil, err
+			}
+			tbl.Put(row, "meta", "definition", []byte(def.Name))
+			tbl.Put(row, "meta", "state", []byte("completed"))
+			tbl.Put(row, "meta", "cers", []byte("5"))
+		}
+		storePer := float64(time.Since(t0).Microseconds()) / float64(n)
+
+		t1 := time.Now()
+		const queries = 2000
+		for i := 0; i < queries; i++ {
+			row := fmt.Sprintf("proc-%08d", (i*7919)%n)
+			if _, ok := tbl.Get(row, "doc", "content"); !ok {
+				return nil, fmt.Errorf("bench: row %s lost", row)
+			}
+		}
+		queryPer := float64(time.Since(t1).Microseconds()) / float64(queries)
+
+		mon := monitor.New(tbl)
+		t2 := time.Now()
+		if _, err := mon.InstanceStatus(fmt.Sprintf("proc-%08d", n/2)); err != nil {
+			return nil, err
+		}
+		monMicros := float64(time.Since(t2).Microseconds())
+
+		t3 := time.Now()
+		stats, err := mon.Statistics()
+		if err != nil {
+			return nil, err
+		}
+		if stats.InstancesByState["completed"] != n {
+			return nil, fmt.Errorf("bench: statistics saw %d docs, want %d", stats.InstancesByState["completed"], n)
+		}
+		rows = append(rows, PoolScaleRow{
+			Documents:         n,
+			Regions:           len(tbl.Regions()),
+			StoreMicrosPerDoc: storePer,
+			QueryMicrosPerDoc: queryPer,
+			MonitorMicros:     monMicros,
+			StatsMillis:       float64(time.Since(t3).Microseconds()) / 1000,
+		})
 	}
 	return rows, nil
 }

@@ -1,7 +1,8 @@
 // Package chaos is the deterministic fault-injection layer for the
 // DRA4WfMS cluster. It models the network between named nodes as a
 // shared Network: every hop (src → dst) is judged against a fault
-// profile — latency, drops, duplicates, byte corruption — plus an N×N
+// profile — latency, drops, duplicates, lost acknowledgements, byte
+// corruption — plus an N×N
 // reachability matrix for asymmetric partitions, per-node slowness, and
 // whole-node crash/restart. The same Network drives three injection
 // points so in-process benches and real daemons share one fault model:
@@ -38,6 +39,10 @@ type LinkFaults struct {
 	Drop float64 `json:"drop,omitempty"`
 	// Dup is the probability the message is delivered twice.
 	Dup float64 `json:"dup,omitempty"`
+	// AckLoss is the probability the message is delivered but its
+	// response is lost: the receiver applied it, the sender sees a
+	// transport error and retries into the receiver's dedup.
+	AckLoss float64 `json:"ack_loss,omitempty"`
 	// Corrupt is the probability the payload is bit-flipped in flight.
 	Corrupt float64 `json:"corrupt,omitempty"`
 	// Latency is the base injected one-way delay.
@@ -53,6 +58,8 @@ type Verdict struct {
 	Drop bool
 	// Dup: deliver the message twice (exercises idempotency/dedup).
 	Dup bool
+	// AckLoss: deliver the message, then fail the response.
+	AckLoss bool
 	// Corrupt: flip a byte of the payload in flight.
 	Corrupt bool
 	// Delay: sleep this long before delivering.
@@ -265,6 +272,9 @@ func (n *Network) Judge(src, dst string) Verdict {
 	}
 	if f.Dup > 0 && n.rng.Float64() < f.Dup {
 		v.Dup = true
+	}
+	if f.AckLoss > 0 && n.rng.Float64() < f.AckLoss {
+		v.AckLoss = true
 	}
 	if f.Corrupt > 0 && n.rng.Float64() < f.Corrupt {
 		v.Corrupt = true

@@ -139,6 +139,17 @@ func TestRoundTripperDropDupCorrupt(t *testing.T) {
 		t.Fatalf("dup hop hit the server %d times, want 2", got)
 	}
 
+	// Ack loss: the server handles the request, the client sees a
+	// transport error.
+	n.SetLink("cli", "srv", LinkFaults{AckLoss: 1})
+	before = hits.Load()
+	if _, err := client.Get(srv.URL); err == nil || !strings.Contains(err.Error(), "chaos: lost response") {
+		t.Fatalf("ack-loss hop error = %v, want the injected lost response", err)
+	}
+	if got := hits.Load() - before; got != 1 {
+		t.Fatalf("ack-loss hop hit the server %d times, want 1", got)
+	}
+
 	// Corrupt: the body differs from what the server sent.
 	n.SetLink("cli", "srv", LinkFaults{Corrupt: 1})
 	resp, err = client.Get(srv.URL)
@@ -278,6 +289,24 @@ func TestNodeRefPartitionAndDedup(t *testing.T) {
 	if seq, _ := node.AppliedSeq("region-0001"); seq != 1 {
 		t.Fatalf("applied seq %d after dup delivery, want 1", seq)
 	}
+
+	// Ack loss: the node applies the record, the caller is told it is down.
+	frame2, err := pool.EncodeMutationFrame(2, pool.Mutation{KV: pool.KeyValue{
+		Row: "r", Family: "doc", Qualifier: "q",
+		Cell: pool.Cell{Value: []byte("v2"), Version: 2},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetLink("coord", "n1", LinkFaults{AckLoss: 1})
+	rec2 := poolcluster.Record{Region: "region-0001", Seq: 2, Frame: frame2}
+	if err := ref.Apply(context.Background(), rec2); !errors.Is(err, poolcluster.ErrNodeDown) {
+		t.Fatalf("ack-loss apply error %v, want ErrNodeDown", err)
+	}
+	if seq, _ := node.AppliedSeq("region-0001"); seq != 2 {
+		t.Fatalf("applied seq %d after ack-loss delivery, want 2", seq)
+	}
+	n.ClearLink("coord", "n1")
 
 	// Partition: every call fails with ErrNodeDown so the coordinator's
 	// failover path fires exactly as for a dead process.

@@ -69,7 +69,10 @@ func (r *nodeRef) Apply(ctx context.Context, rec poolcluster.Record) error {
 			return err
 		}
 	}
-	return r.ref.Apply(ctx, rec)
+	if err := r.ref.Apply(ctx, rec); err != nil || !v.AckLoss {
+		return err
+	}
+	return fmt.Errorf("%w: chaos lost the ack of hop %s → %s", poolcluster.ErrNodeDown, r.src, r.ref.ID())
 }
 
 func (r *nodeRef) AppliedSeq(region string) (uint64, error) {

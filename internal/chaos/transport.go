@@ -14,8 +14,9 @@ import (
 //
 // Judged faults surface exactly like the real thing: drops become
 // transport errors (the sender cannot tell a chaos drop from a refused
-// connection), duplicates re-send the request before returning the
-// second response (exercising receiver idempotency), corruption flips a
+// connection), duplicates send the request a second time and discard
+// that response (exercising receiver replay guards and idempotency), ack
+// loss sends the request and then fails the response, corruption flips a
 // byte of the response body in flight, and delays are ctx-aware sleeps
 // charged before the request leaves.
 func (n *Network) RoundTripper(src string, resolve func(*http.Request) string, base http.RoundTripper) http.RoundTripper {
@@ -50,24 +51,24 @@ func (t *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	if v.Drop {
 		return nil, injectedf("dropped %s %s → %s", req.Method, t.src, dst)
 	}
-	if v.Dup && req.GetBody != nil {
-		// First delivery: send a clone, discard its response, then let
-		// the real send proceed. The receiver sees the request twice —
-		// its idempotency layer must make that invisible.
-		dup := req.Clone(req.Context())
-		body, err := req.GetBody()
-		if err == nil {
+	resp, err := t.base.RoundTrip(req)
+	if err == nil && v.Dup && req.GetBody != nil {
+		// Second delivery of the same bytes, its response discarded: the
+		// sender keeps the answer to its own request, and the receiver's
+		// replay guard and idempotency layer must make the copy invisible.
+		if body, berr := req.GetBody(); berr == nil {
+			dup := req.Clone(req.Context())
 			dup.Body = body
-			if resp, err := t.base.RoundTrip(dup); err == nil {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-				resp.Body.Close()
-			}
-			if fresh, err := req.GetBody(); err == nil {
-				req.Body = fresh
+			if dresp, derr := t.base.RoundTrip(dup); derr == nil {
+				io.Copy(io.Discard, io.LimitReader(dresp.Body, 1<<20))
+				dresp.Body.Close()
 			}
 		}
 	}
-	resp, err := t.base.RoundTrip(req)
+	if err == nil && v.AckLoss {
+		resp.Body.Close()
+		return nil, injectedf("lost response to %s %s → %s", req.Method, t.src, dst)
+	}
 	if err != nil || !v.Corrupt {
 		return resp, err
 	}

@@ -38,8 +38,6 @@ type Config struct {
 	// KeyBits is the RSA modulus size for enrolled principals (default
 	// pki.DefaultKeyBits).
 	KeyBits int
-	// PoolServers are the region-server IDs (default 3 servers).
-	PoolServers []string
 	// PoolSplitThreshold triggers region splits (default 1 MiB; 0 keeps
 	// the default, negative disables splitting).
 	PoolSplitThreshold int
@@ -75,9 +73,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.KeyBits == 0 {
 		cfg.KeyBits = pki.DefaultKeyBits
 	}
-	if len(cfg.PoolServers) == 0 {
-		cfg.PoolServers = []string{"rs-1", "rs-2", "rs-3"}
-	}
 	if cfg.PoolSplitThreshold == 0 {
 		cfg.PoolSplitThreshold = 1 << 20
 	}
@@ -95,7 +90,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := pool.NewCluster(cfg.PoolServers, cfg.PoolSplitThreshold)
+	cluster, err := pool.NewCluster([]string{"local"}, cfg.PoolSplitThreshold)
 	if err != nil {
 		return nil, err
 	}

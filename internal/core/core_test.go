@@ -251,8 +251,8 @@ func TestSystemDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.Portals) != 2 || len(sys.Cluster.Servers()) != 3 {
-		t.Fatalf("defaults: portals=%d servers=%d", len(sys.Portals), len(sys.Cluster.Servers()))
+	if len(sys.Portals) != 2 {
+		t.Fatalf("defaults: portals=%d", len(sys.Portals))
 	}
 	if sys.Cluster.SplitThresholdBytes != 1<<20 {
 		t.Fatalf("split threshold = %d", sys.Cluster.SplitThresholdBytes)

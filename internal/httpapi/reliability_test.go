@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dra4wfms/internal/aea"
+	"dra4wfms/internal/chaos"
 	"dra4wfms/internal/document"
 	"dra4wfms/internal/relay"
 	"dra4wfms/internal/testenv"
@@ -118,21 +119,24 @@ func TestReceiverIdempotency(t *testing.T) {
 	}
 }
 
-// faultyWorld builds forwarders whose every hop passes through a seeded
-// FaultInjector dropping, duplicating, and un-acking deliveries.
+// faultyWorld builds forwarders whose every hop passes through one
+// seeded chaos network dropping, duplicating, and un-acking deliveries.
 type faultyWorld struct {
-	w         *world
-	rnd       func() float64
-	injectors []*relay.FaultInjector
-	fwds      []*Forwarder
+	w    *world
+	net  *chaos.Network
+	rnd  func() float64
+	fwds []*Forwarder
 }
 
 func newFaultyWorld(t *testing.T, seed int64) *faultyWorld {
 	t.Helper()
 	src := rand.New(rand.NewSource(seed))
 	var mu sync.Mutex
+	net := chaos.NewNetwork(seed)
+	net.SetDefault(chaos.LinkFaults{Drop: 0.2, Dup: 0.2, AckLoss: 0.1})
 	return &faultyWorld{
-		w: newWorld(t),
+		w:   newWorld(t),
+		net: net,
 		rnd: func() float64 {
 			mu.Lock()
 			defer mu.Unlock()
@@ -145,12 +149,6 @@ func newFaultyWorld(t *testing.T, seed int64) *faultyWorld {
 // hops dropped, 20% duplicated, and 10% delivered-but-unacknowledged.
 func (fw *faultyWorld) forwarderFor(t *testing.T, id string) *Forwarder {
 	t.Helper()
-	inj := &relay.FaultInjector{
-		DropRate:    0.2,
-		DupRate:     0.2,
-		AckLossRate: 0.1,
-		Rand:        fw.rnd,
-	}
 	cfg := relay.Config{
 		Workers:        2,
 		MaxAttempts:    50,
@@ -159,16 +157,13 @@ func (fw *faultyWorld) forwarderFor(t *testing.T, id string) *Forwarder {
 		Breaker:        relay.BreakerPolicy{Threshold: -1},
 		Rand:           fw.rnd,
 	}
-	f, err := NewForwarder("", fw.w.env.KeyOf(id), cfg, func(tr relay.Transport) relay.Transport {
-		inj.Inner = tr
-		return inj
-	})
+	f, err := NewForwarder("", fw.w.env.KeyOf(id), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.SetHTTP(&http.Client{Transport: fw.net.RoundTripper(id, nil, nil)})
 	f.SetClock(fw.w.clock)
 	t.Cleanup(func() { _ = f.Close() })
-	fw.injectors = append(fw.injectors, inj)
 	fw.fwds = append(fw.fwds, f)
 	return f
 }
@@ -195,20 +190,18 @@ func (fw *faultyWorld) verify(t *testing.T, pid string, wantSigs int) {
 	if n, err := final.VerifyAll(fw.w.env.Registry); err != nil || n != wantSigs {
 		t.Fatalf("VerifyAll = %d, %v — want %d (exactly one CER per activity)", n, err, wantSigs)
 	}
+	var attempts, delivered uint64
 	for _, f := range fw.fwds {
-		if s := f.Relay().Stats(); s.Pending != 0 || s.Dead != 0 {
+		s := f.Relay().Stats()
+		if s.Pending != 0 || s.Dead != 0 {
 			t.Fatalf("deliveries stuck outside the DLQ: %+v", s)
 		}
+		attempts, delivered = attempts+uint64(s.Attempts), delivered+uint64(s.Delivered)
 	}
-	var drops, acks, dups int64
-	for _, inj := range fw.injectors {
-		d, a, du := inj.Injected()
-		drops, acks, dups = drops+d, acks+a, dups+du
+	if attempts <= delivered {
+		t.Fatalf("no delivery was ever retried (%d attempts, %d delivered): no fault fired; the run proved nothing", attempts, delivered)
 	}
-	if drops+acks+dups == 0 {
-		t.Fatal("fault injector never fired; the run proved nothing")
-	}
-	t.Logf("faults injected: %d drops, %d ack losses, %d dups", drops, acks, dups)
+	t.Logf("faults forced %d retries over %d deliveries", attempts-delivered, delivered)
 
 	metrics, err := designer.Metrics()
 	if err != nil {

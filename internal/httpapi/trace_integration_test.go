@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,26 +18,16 @@ import (
 	"dra4wfms/internal/wfdef"
 )
 
-// failFirstProcess drops the first KindProcess delivery so the relay is
-// forced into a retry; both attempts must land in the same trace.
-type failFirstProcess struct {
-	inner relay.Transport
+// failFirst fails the first round trip — the forwarder's KindProcess
+// delivery — so the relay is forced into a retry; both attempts must land
+// in the same trace.
+type failFirst struct{ failed atomic.Bool }
 
-	mu     sync.Mutex
-	failed bool
-}
-
-func (f *failFirstProcess) Deliver(ctx context.Context, e relay.Entry) error {
-	f.mu.Lock()
-	first := e.Kind == KindProcess && !f.failed
-	if first {
-		f.failed = true
+func (f *failFirst) RoundTrip(req *http.Request) (*http.Response, error) {
+	if f.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("injected: first process delivery dropped")
 	}
-	f.mu.Unlock()
-	if first {
-		return errors.New("injected: first process delivery dropped")
-	}
-	return f.inner.Deliver(ctx, e)
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // TestDistributedTraceAcrossTiers is the acceptance test for the tracing
@@ -72,21 +63,18 @@ func TestDistributedTraceAcrossTiers(t *testing.T) {
 
 	// Activity A's TFC hop goes through a relay forwarder with an injected
 	// first-attempt failure: at-least-once delivery, same trace.
-	inj := &failFirstProcess{}
 	fwd, err := NewForwarder("", w.env.KeyOf(wfdef.Fig9Participants["A"]), relay.Config{
 		Workers:        2,
 		MaxAttempts:    4,
 		AttemptTimeout: 5 * time.Second,
 		Backoff:        relay.BackoffPolicy{Base: time.Millisecond, Cap: 5 * time.Millisecond},
 		Breaker:        relay.BreakerPolicy{Threshold: -1},
-	}, func(tr relay.Transport) relay.Transport {
-		inj.inner = tr
-		return inj
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = fwd.Close() })
+	fwd.SetHTTP(&http.Client{Transport: &failFirst{}})
 	fwd.SetClock(w.clock)
 
 	steps := []struct {

@@ -189,15 +189,10 @@ type Forwarder struct {
 	waiters map[string]chan error
 }
 
-// TransportDecorator wraps the forwarder's HTTP transport — fault
-// injection in tests and drabench.
-type TransportDecorator func(relay.Transport) relay.Transport
-
 // NewForwarder opens (or replays) the outbox WAL at walPath — "" keeps
 // it in memory — and starts a relay delivering as keys.Owner. cfg tunes
-// the relay; its OnSettle hook is owned by the forwarder. Decorators
-// wrap the transport innermost-first.
-func NewForwarder(walPath string, keys *pki.KeyPair, cfg relay.Config, decorate ...TransportDecorator) (*Forwarder, error) {
+// the relay; its OnSettle hook is owned by the forwarder.
+func NewForwarder(walPath string, keys *pki.KeyPair, cfg relay.Config) (*Forwarder, error) {
 	ob, err := relay.OpenOutbox(walPath)
 	if err != nil {
 		return nil, err
@@ -206,12 +201,8 @@ func NewForwarder(walPath string, keys *pki.KeyPair, cfg relay.Config, decorate 
 		tr:      &HTTPTransport{Keys: keys},
 		waiters: map[string]chan error{},
 	}
-	var tr relay.Transport = f.tr
-	for _, d := range decorate {
-		tr = d(tr)
-	}
 	cfg.OnSettle = f.settled
-	f.r = relay.New(ob, tr, cfg)
+	f.r = relay.New(ob, f.tr, cfg)
 	return f, nil
 }
 

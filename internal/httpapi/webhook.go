@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -112,6 +113,9 @@ func (d *WebhookDispatcher) ensureRelay() (*relay.Relay, error) {
 	ob, err := relay.OpenOutbox(d.WALPath)
 	if err != nil {
 		return nil, err
+	}
+	if rec := ob.Recovery(); rec.DamagedBytes > 0 {
+		log.Printf("WARNING: webhook outbox %s: quarantined %d damaged bytes to %s (%s); notifications journaled there are lost, worklists remain the source of truth", d.WALPath, rec.DamagedBytes, rec.QuarantineFile, rec.Reason)
 	}
 	cfg := d.RelayConfig
 	if cfg.MaxAttempts <= 0 {

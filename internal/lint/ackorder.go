@@ -15,6 +15,7 @@ var ackDurablePkgs = []string{
 	"internal/poolcluster",
 	"internal/relay",
 	"internal/tfc",
+	"internal/wal",
 }
 
 // ackDurableWords are the identifier words marking a durable-write call
@@ -63,7 +64,7 @@ var ackWords = map[string]bool{
 var AckOrder = &Analyzer{
 	Name: "ackorder",
 	Doc: "reports paths where a success acknowledgement executes before the " +
-		"corresponding pool/poolcluster/relay/tfc WAL append or sync; journal " +
+		"corresponding pool/poolcluster/relay/tfc/wal append or sync; journal " +
 		"first, then ack (exempt in _test.go files)",
 	Run: runAckOrder,
 }

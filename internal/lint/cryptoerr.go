@@ -32,12 +32,13 @@ var cryptoErrFunc = regexp.MustCompile(`^(Sign|Verify|Encrypt|Decrypt|Reveal|Aud
 var durabilityPkgs = []string{
 	"internal/relay",
 	"internal/pool",
+	"internal/wal",
 }
 
 // durabilityFunc matches the journal-mutating operations within those
 // packages (exact names: the relay and pool APIs have no prefix
 // convention).
-var durabilityFunc = regexp.MustCompile(`^(Enqueue|Append|Ack|Fail|DeadLetter|Requeue|Drop|Deliver|Sync|Checkpoint)$`)
+var durabilityFunc = regexp.MustCompile(`^(Enqueue|Append|Ack|Fail|DeadLetter|Requeue|Drop|Deliver|Sync|Checkpoint|Rewrite)$`)
 
 // CryptoErr flags discarded or unchecked error returns from the document
 // crypto path and the relay delivery journal. In an engine-less WfMS the
@@ -49,7 +50,7 @@ var CryptoErr = &Analyzer{
 	Name: "cryptoerr",
 	Doc: "reports discarded error results of dsig/xmlenc/pki/aea/document " +
 		"sign, verify, encrypt and decrypt calls, of relay outbox/delivery " +
-		"operations, and of pool/os durability syncs and checkpoints " +
+		"operations, and of pool/wal/os durability syncs, checkpoints and rewrites " +
 		"(exempt in _test.go files)",
 	Run: runCryptoErr,
 }

@@ -32,6 +32,7 @@ var verifyName = regexp.MustCompile(`(?i)verify`)
 var recoveryPkgs = []string{
 	"internal/pool",
 	"internal/relay",
+	"internal/wal",
 }
 
 // recoveryName seeds the reachability walk in recovery packages.
@@ -52,7 +53,7 @@ var NonDeterminism = &Analyzer{
 	Name: "nondeterminism",
 	Doc: "reports time.Now and math/rand reachable from signature-verification " +
 		"paths in the crypto packages (dsig, aea, tfc, document, …) and from " +
-		"recovery/replay paths in the durability packages (pool, relay)",
+		"recovery/replay paths in the durability packages (pool, relay, wal)",
 	Run: runNonDeterminism,
 }
 

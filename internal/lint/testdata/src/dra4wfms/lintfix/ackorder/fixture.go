@@ -12,6 +12,7 @@ import (
 	"dra4wfms/internal/pool"
 	"dra4wfms/internal/poolcluster"
 	"dra4wfms/internal/relay"
+	"dra4wfms/internal/wal"
 )
 
 // responder stands in for the HTTP layer that promises success to the
@@ -58,6 +59,16 @@ func badSkippedBranch(s *pool.Store, dirty bool) error {
 	}
 	resp.respond(200, "compacted") // want "acknowledges success before"
 	return s.Sync()
+}
+
+// badAckBeforeLogAppend is the same shape one layer down, against the log
+// every journal sits on: the response leaves before the frame is appended.
+func badAckBeforeLogAppend(l *wal.Log, payload []byte) error {
+	resp.respond(200, "recorded") // want "acknowledges success before (wal.Log).Append"
+	if err := l.Append(payload); err != nil {
+		return err
+	}
+	return l.Sync()
 }
 
 // goodJournalFirst is the protocol order: append → sync → ack. The

@@ -2,14 +2,21 @@
 // cryptoerr analyzer's WAL coverage: a dropped pool Sync or Checkpoint
 // error — or a dropped (os.File).Sync under any hand-rolled journal —
 // means the caller believes state is on disk when the kernel may have
-// refused it.
+// refused it. The same holds one layer down: a dropped wal Append or
+// Rewrite error acknowledges a record the log never took.
 package pool
 
 import (
 	"os"
 
 	"dra4wfms/internal/pool"
+	"dra4wfms/internal/wal"
 )
+
+func badLog(l *wal.Log, payload []byte) {
+	l.Append(payload)  // want "error returned by (wal.Log).Append is unchecked"
+	_ = l.Rewrite(nil) // want "error returned by (wal.Log).Rewrite is assigned to _"
+}
 
 func bad(s *pool.Store, f *os.File) {
 	s.Sync()           // want "error returned by (pool.Store).Sync is unchecked"

@@ -1,25 +1,23 @@
-// Package pool implements the pool of DRA4WfMS documents: a distributed,
-// column-oriented key-value store modeled on HBase, which the paper's
-// prototype used on top of Hadoop (Section 4.2). A DRA4WfMS document is
-// stored as a cell in a row of a table; portals perform random reads and
-// writes by row key and prefix scans for worklists, and the mapreduce
-// package runs statistics over scans.
+// Package pool implements the pool of DRA4WfMS documents: a versioned,
+// column-oriented key-value store with the data model of the HBase table
+// the paper's prototype kept its documents in (Section 4.2). A DRA4WfMS
+// document is stored as a cell in a row of a table; portals perform
+// random reads and writes by row key and prefix scans for worklists, and
+// the mapreduce package runs statistics over scans.
 //
-// The store reproduces the HBase mechanics that matter for those access
-// patterns:
+// What the package provides is what those callers use:
 //
 //   - tables with declared column families and bounded cell versions;
-//   - range-sharded regions, each with a write-ahead log, an in-memory
-//     memstore, and immutable flushed segments (HFiles);
-//   - region flush, compaction, and splitting when a region grows past a
-//     threshold;
-//   - a cluster of region servers with master-directed region assignment
-//     and client-side routing by key range;
-//   - ordered scans with family/prefix/limit filtering, merging memstore
-//     and segments with latest-version-wins and delete tombstones.
+//   - delete tombstones and latest-version-wins reads;
+//   - ordered scans with family/prefix/limit filtering;
+//   - range regions — contiguous key ranges of one table, each a versioned
+//     in-memory map under its own lock — that split at their median row
+//     when they grow past a threshold.
 //
-// Everything is in-memory and protected by per-region locks; Crash and
-// Recover simulate a region server failure with WAL replay.
+// A Table is in-memory. Durability is Store (store.go): a write-ahead log
+// on internal/wal plus checkpoints, attached with Open. Distribution,
+// replication and failover across processes are internal/poolcluster.
+// Nothing in this package emulates either.
 package pool
 
 import (
@@ -94,10 +92,6 @@ var (
 
 // --- region ------------------------------------------------------------------
 
-type walEntry struct {
-	kv KeyValue
-}
-
 // versions is a cell's version list, newest first.
 type versions []Cell
 
@@ -116,42 +110,19 @@ func (v versions) insert(c Cell, max int) versions {
 	return v
 }
 
-type memstore map[string]map[string]map[string]versions // row -> family -> qualifier
-
-// segment is an immutable flushed snapshot, sorted by coordinates with the
-// newest version per coordinate.
-type segment struct {
-	kvs []KeyValue
-}
-
-func (s *segment) get(row, family, qualifier string) (Cell, bool) {
-	i := sort.Search(len(s.kvs), func(i int) bool {
-		kv := s.kvs[i]
-		target := KeyValue{Row: row, Family: family, Qualifier: qualifier}
-		return !kv.coordLess(target)
-	})
-	if i < len(s.kvs) {
-		kv := s.kvs[i]
-		if kv.Row == row && kv.Family == family && kv.Qualifier == qualifier {
-			return kv.Cell, true
-		}
-	}
-	return Cell{}, false
-}
+// rowCells holds a region's cells: row -> family -> qualifier -> versions.
+type rowCells map[string]map[string]map[string]versions
 
 // Region is one contiguous key range [Start, End) of a table. End == ""
 // means unbounded.
 type Region struct {
-	mu       sync.RWMutex
-	table    *Table
-	start    string
-	end      string
-	mem      memstore
-	memBytes int
-	segments []*segment
-	wal      []walEntry
-	server   string // owning region server ID
-	offline  bool   // set while the region is being split; writes must retry
+	mu      sync.RWMutex
+	table   *Table
+	start   string
+	end     string
+	rows    rowCells
+	bytes   int  // approximate bytes written to the region
+	offline bool // set while the region is being split; writes must retry
 }
 
 // Start returns the inclusive start key of the region's range.
@@ -160,33 +131,18 @@ func (r *Region) Start() string { return r.start }
 // End returns the exclusive end key ("" = unbounded).
 func (r *Region) End() string { return r.end }
 
-// Server returns the ID of the region server hosting this region.
-func (r *Region) Server() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.server
-}
-
-func (r *Region) contains(row string) bool {
-	return row >= r.start && (r.end == "" || row < r.end)
-}
-
 // put stores kv in the region. It reports false when the region has been
-// taken offline by a split — the caller must re-route and retry, mirroring
-// HBase's NotServingRegionException.
-func (r *Region) put(kv KeyValue, logWAL bool) bool {
+// taken offline by a split — the caller must re-route and retry.
+func (r *Region) put(kv KeyValue) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.offline {
 		return false
 	}
-	if logWAL {
-		r.wal = append(r.wal, walEntry{kv: kv})
-	}
-	fam, ok := r.mem[kv.Row]
+	fam, ok := r.rows[kv.Row]
 	if !ok {
 		fam = map[string]map[string]versions{}
-		r.mem[kv.Row] = fam
+		r.rows[kv.Row] = fam
 	}
 	quals, ok := fam[kv.Family]
 	if !ok {
@@ -195,7 +151,7 @@ func (r *Region) put(kv KeyValue, logWAL bool) bool {
 	}
 	max := r.table.maxVersions(kv.Family)
 	quals[kv.Qualifier] = quals[kv.Qualifier].insert(kv.Cell, max)
-	r.memBytes += len(kv.Row) + len(kv.Family) + len(kv.Qualifier) + len(kv.Value) + 16
+	r.bytes += len(kv.Row) + len(kv.Family) + len(kv.Qualifier) + len(kv.Value) + 16
 	return true
 }
 
@@ -203,30 +159,14 @@ func (r *Region) put(kv KeyValue, logWAL bool) bool {
 func (r *Region) get(row, family, qualifier string) (Cell, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if fam, ok := r.mem[row]; ok {
-		if quals, ok := fam[family]; ok {
-			if vs, ok := quals[qualifier]; ok && len(vs) > 0 {
-				c := vs[0]
-				if c.IsTombstone() {
-					return Cell{}, false
-				}
-				return c, true
-			}
-		}
+	vs := r.rows[row][family][qualifier]
+	if len(vs) == 0 || vs[0].IsTombstone() {
+		return Cell{}, false
 	}
-	// Newest segment first.
-	for i := len(r.segments) - 1; i >= 0; i-- {
-		if c, ok := r.segments[i].get(row, family, qualifier); ok {
-			if c.IsTombstone() {
-				return Cell{}, false
-			}
-			return c, true
-		}
-	}
-	return Cell{}, false
+	return vs[0], true
 }
 
-// snapshot returns the merged latest live cells of the region, sorted.
+// snapshot returns the latest live cells of the region, sorted.
 func (r *Region) snapshot() []KeyValue {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -234,143 +174,27 @@ func (r *Region) snapshot() []KeyValue {
 }
 
 func (r *Region) snapshotLocked() []KeyValue {
-	latest := map[[3]string]Cell{}
-	// Oldest segments first, then memstore, so newer layers override.
-	for _, seg := range r.segments {
-		for _, kv := range seg.kvs {
-			key := [3]string{kv.Row, kv.Family, kv.Qualifier}
-			if cur, ok := latest[key]; !ok || kv.Version > cur.Version {
-				latest[key] = kv.Cell
-			}
-		}
-	}
-	for row, fams := range r.mem {
+	var out []KeyValue
+	for row, fams := range r.rows {
 		for family, quals := range fams {
 			for qual, vs := range quals {
-				if len(vs) == 0 {
+				if len(vs) == 0 || vs[0].IsTombstone() {
 					continue
 				}
-				key := [3]string{row, family, qual}
-				if cur, ok := latest[key]; !ok || vs[0].Version > cur.Version {
-					latest[key] = vs[0]
-				}
+				out = append(out, KeyValue{Row: row, Family: family, Qualifier: qual, Cell: vs[0]})
 			}
 		}
-	}
-	out := make([]KeyValue, 0, len(latest))
-	for key, c := range latest {
-		if c.IsTombstone() {
-			continue
-		}
-		out = append(out, KeyValue{Row: key[0], Family: key[1], Qualifier: key[2], Cell: c})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].coordLess(out[j]) })
 	return out
 }
 
-// Flush writes the memstore into a new immutable segment and truncates the
-// WAL (the data is now durable in the segment).
-func (r *Region) Flush() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.mem) == 0 {
-		return
-	}
-	// Build a segment holding the newest version per coordinate (including
-	// tombstones, which must mask older segment data).
-	var kvs []KeyValue
-	for row, fams := range r.mem {
-		for family, quals := range fams {
-			for qual, vs := range quals {
-				if len(vs) == 0 {
-					continue
-				}
-				kvs = append(kvs, KeyValue{Row: row, Family: family, Qualifier: qual, Cell: vs[0]})
-			}
-		}
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].coordLess(kvs[j]) })
-	r.segments = append(r.segments, &segment{kvs: kvs})
-	r.mem = memstore{}
-	r.memBytes = 0
-	r.wal = nil
-}
-
-// Compact merges all segments into one, dropping masked versions and
-// purging tombstones.
-func (r *Region) Compact() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.segments) <= 1 {
-		// A single segment may still hold tombstones worth purging.
-		if len(r.segments) == 1 {
-			r.segments = []*segment{compactSegments(r.segments)}
-			if len(r.segments[0].kvs) == 0 {
-				r.segments = nil
-			}
-		}
-		return
-	}
-	merged := compactSegments(r.segments)
-	if len(merged.kvs) == 0 {
-		r.segments = nil
-	} else {
-		r.segments = []*segment{merged}
-	}
-}
-
-func compactSegments(segs []*segment) *segment {
-	latest := map[[3]string]Cell{}
-	for _, seg := range segs {
-		for _, kv := range seg.kvs {
-			key := [3]string{kv.Row, kv.Family, kv.Qualifier}
-			if cur, ok := latest[key]; !ok || kv.Version > cur.Version {
-				latest[key] = kv.Cell
-			}
-		}
-	}
-	var kvs []KeyValue
-	for key, c := range latest {
-		if c.IsTombstone() {
-			continue
-		}
-		kvs = append(kvs, KeyValue{Row: key[0], Family: key[1], Qualifier: key[2], Cell: c})
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].coordLess(kvs[j]) })
-	return &segment{kvs: kvs}
-}
-
-// Crash simulates a region server failure: the memstore is lost; the WAL
-// and flushed segments survive.
-func (r *Region) Crash() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.mem = memstore{}
-	r.memBytes = 0
-}
-
-// Recover replays the WAL into the memstore after a Crash.
-func (r *Region) Recover() {
-	r.mu.Lock()
-	wal := r.wal
-	r.wal = nil
-	r.mu.Unlock()
-	for _, e := range wal {
-		r.put(e.kv, true)
-	}
-}
-
-// SizeBytes returns the approximate in-memory size of the region.
+// SizeBytes returns the approximate size of the region: the bytes written
+// to it since it was created (by CreateTable or a split).
 func (r *Region) SizeBytes() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	size := r.memBytes
-	for _, seg := range r.segments {
-		for _, kv := range seg.kvs {
-			size += len(kv.Row) + len(kv.Family) + len(kv.Qualifier) + len(kv.Value) + 16
-		}
-	}
-	return size
+	return r.bytes
 }
 
 // --- table -------------------------------------------------------------------
@@ -447,7 +271,7 @@ func (t *Table) applyDurable(kv KeyValue, del bool) (*Region, error) {
 	return t.putKV(kv), nil
 }
 
-// regionFor routes a row key to its region (client-side meta lookup).
+// regionFor routes a row key to its region.
 func (t *Table) regionFor(row string) *Region {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -501,7 +325,7 @@ func (t *Table) PutCtx(ctx context.Context, row, family, qualifier string, value
 func (t *Table) putKV(kv KeyValue) *Region {
 	for {
 		region := t.regionFor(kv.Row)
-		if region.put(kv, true) {
+		if region.put(kv) {
 			return region
 		}
 		runtime.Gosched()
@@ -544,9 +368,8 @@ func (t *Table) GetCtx(ctx context.Context, row, family, qualifier string) ([]by
 }
 
 // GetVersions returns up to the family's retained versions of a cell,
-// newest first, including only live (non-tombstone) values. It merges
-// memstore and segment versions; segments keep one version per flush, so
-// history depth depends on flush cadence, as in HBase.
+// newest first, stopping at the first tombstone (older versions are
+// logically deleted).
 func (t *Table) GetVersions(row, family, qualifier string) []Cell {
 	if row == "" {
 		return nil
@@ -554,35 +377,12 @@ func (t *Table) GetVersions(row, family, qualifier string) []Cell {
 	r := t.regionFor(row)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []Cell
-	if fam, ok := r.mem[row]; ok {
-		if quals, ok := fam[family]; ok {
-			out = append(out, quals[qualifier]...)
-		}
-	}
-	for i := len(r.segments) - 1; i >= 0; i-- {
-		if c, ok := r.segments[i].get(row, family, qualifier); ok {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Version > out[j].Version })
-	// Deduplicate by version and stop at the first tombstone (older
-	// versions are logically deleted).
-	max := t.maxVersions(family)
 	var live []Cell
-	var lastVer int64 = -1
-	for _, c := range out {
-		if c.Version == lastVer {
-			continue
-		}
-		lastVer = c.Version
+	for _, c := range r.rows[row][family][qualifier] {
 		if c.IsTombstone() {
 			break
 		}
 		live = append(live, c)
-		if len(live) >= max {
-			break
-		}
 	}
 	return live
 }
@@ -657,23 +457,8 @@ func (t *Table) ScanCtx(ctx context.Context, opts ScanOptions) []KeyValue {
 	return out
 }
 
-// FlushAll flushes every region's memstore.
-func (t *Table) FlushAll() {
-	for _, r := range t.Regions() {
-		r.Flush()
-	}
-}
-
-// CompactAll compacts every region.
-func (t *Table) CompactAll() {
-	for _, r := range t.Regions() {
-		r.Compact()
-	}
-}
-
 // maybeSplit splits the region at its median row when it exceeds the
-// cluster's split threshold, assigning the new daughter region to the
-// least-loaded server.
+// cluster's split threshold.
 func (t *Table) maybeSplit(r *Region) {
 	if t.cluster == nil || t.cluster.SplitThresholdBytes <= 0 {
 		return
@@ -681,9 +466,6 @@ func (t *Table) maybeSplit(r *Region) {
 	if r.SizeBytes() < t.cluster.SplitThresholdBytes {
 		return
 	}
-	// Resolve the daughter's server before taking t.mu: leastLoadedServer
-	// reads t.Regions() and must not run under this table's write lock.
-	daughterServer := t.cluster.leastLoadedServer()
 	split := false
 	defer func() {
 		if split {
@@ -695,21 +477,12 @@ func (t *Table) maybeSplit(r *Region) {
 		r.mu.Unlock()
 		return
 	}
-	rows := map[string]bool{}
-	for _, seg := range r.segments {
-		for _, kv := range seg.kvs {
-			rows[kv.Row] = true
-		}
-	}
-	for row := range r.mem {
-		rows[row] = true
-	}
-	if len(rows) < 2 {
+	if len(r.rows) < 2 {
 		r.mu.Unlock()
 		return
 	}
-	sorted := make([]string, 0, len(rows))
-	for row := range rows {
+	sorted := make([]string, 0, len(r.rows))
+	for row := range r.rows {
 		sorted = append(sorted, row)
 	}
 	sort.Strings(sorted)
@@ -724,14 +497,14 @@ func (t *Table) maybeSplit(r *Region) {
 	// parent's (now frozen) state until then.
 	r.offline = true
 	all := r.snapshotLocked()
-	left := &Region{table: t, start: r.start, end: mid, mem: memstore{}, server: r.server}
-	right := &Region{table: t, start: mid, end: r.end, mem: memstore{}, server: daughterServer}
+	left := &Region{table: t, start: r.start, end: mid, rows: rowCells{}}
+	right := &Region{table: t, start: mid, end: r.end, rows: rowCells{}}
 	r.mu.Unlock()
 	for _, kv := range all {
 		if kv.Row < mid {
-			left.put(kv, true)
+			left.put(kv)
 		} else {
-			right.put(kv, true)
+			right.put(kv)
 		}
 	}
 	t.mu.Lock()
@@ -747,28 +520,28 @@ func (t *Table) maybeSplit(r *Region) {
 
 // --- cluster -----------------------------------------------------------------
 
-// Cluster is the document-pool deployment: a master directing region
-// assignment across a set of region servers.
+// Cluster is the set of tables of one document pool, with the split
+// threshold they share.
 type Cluster struct {
 	// SplitThresholdBytes triggers a region split when a region grows past
 	// it (0 disables splitting).
 	SplitThresholdBytes int
 
-	mu      sync.RWMutex
-	servers []string
-	tables  map[string]*Table
-	splits  map[string]int
+	mu     sync.RWMutex
+	tables map[string]*Table
+	splits map[string]int
 }
 
-// NewCluster creates a cluster with the given region server IDs (at least
-// one) and split threshold.
+// NewCluster creates a cluster with the given split threshold. servers
+// must be non-empty and is otherwise unused: it named the emulated region
+// servers this package no longer has, and the parameter leaves with the
+// next benchmark PR (benchmarks/ is frozen in this one).
 func NewCluster(servers []string, splitThreshold int) (*Cluster, error) {
 	if len(servers) == 0 {
 		return nil, errors.New("pool: cluster needs at least one region server")
 	}
 	return &Cluster{
 		SplitThresholdBytes: splitThreshold,
-		servers:             append([]string(nil), servers...),
 		tables:              map[string]*Table{},
 		splits:              map[string]int{},
 	}, nil
@@ -796,7 +569,7 @@ func (c *Cluster) CreateTable(name string, families ...FamilySpec) (*Table, erro
 	for _, f := range families {
 		t.families[f.Name] = f
 	}
-	t.regions = []*Region{{table: t, mem: memstore{}, server: c.servers[0]}}
+	t.regions = []*Region{{table: t, rows: rowCells{}}}
 	c.tables[name] = t
 	return t, nil
 }
@@ -812,35 +585,6 @@ func (c *Cluster) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// Servers returns the region server IDs.
-func (c *Cluster) Servers() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]string(nil), c.servers...)
-}
-
-// leastLoadedServer picks the server hosting the fewest regions.
-func (c *Cluster) leastLoadedServer() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	load := map[string]int{}
-	for _, s := range c.servers {
-		load[s] = 0
-	}
-	for _, t := range c.tables {
-		for _, r := range t.Regions() {
-			load[r.Server()]++
-		}
-	}
-	best := c.servers[0]
-	for _, s := range c.servers[1:] {
-		if load[s] < load[best] {
-			best = s
-		}
-	}
-	return best
-}
-
 func (c *Cluster) noteSplit(table string) {
 	mSplits.Inc()
 	c.mu.Lock()
@@ -853,74 +597,6 @@ func (c *Cluster) Splits(table string) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.splits[table]
-}
-
-// FailServer simulates the crash of one region server: every region it
-// hosts loses its memstore (the crash), is reassigned by the master to the
-// least-loaded surviving server, and replays its write-ahead log there —
-// the HBase recovery path. The failed server leaves the cluster. Failing
-// the last server is refused.
-func (c *Cluster) FailServer(serverID string) error {
-	c.mu.Lock()
-	idx := -1
-	for i, s := range c.servers {
-		if s == serverID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("pool: no such server %q", serverID)
-	}
-	if len(c.servers) == 1 {
-		c.mu.Unlock()
-		return errors.New("pool: cannot fail the last region server")
-	}
-	c.servers = append(c.servers[:idx], c.servers[idx+1:]...)
-	tables := make([]*Table, 0, len(c.tables))
-	for _, t := range c.tables {
-		tables = append(tables, t)
-	}
-	c.mu.Unlock()
-
-	for _, t := range tables {
-		for _, r := range t.Regions() {
-			if r.Server() != serverID {
-				continue
-			}
-			r.Crash()
-			target := c.leastLoadedServer()
-			r.mu.Lock()
-			r.server = target
-			r.mu.Unlock()
-			r.Recover()
-		}
-	}
-	return nil
-}
-
-// RegionDistribution returns server ID → hosted region count across all
-// tables, the master's load-balancing view.
-func (c *Cluster) RegionDistribution() map[string]int {
-	c.mu.RLock()
-	tables := make([]*Table, 0, len(c.tables))
-	for _, t := range c.tables {
-		tables = append(tables, t)
-	}
-	servers := append([]string(nil), c.servers...)
-	c.mu.RUnlock()
-
-	dist := map[string]int{}
-	for _, s := range servers {
-		dist[s] = 0
-	}
-	for _, t := range tables {
-		for _, r := range t.Regions() {
-			dist[r.Server()]++
-		}
-	}
-	return dist
 }
 
 // Equal reports whether two values are byte-identical (test helper).

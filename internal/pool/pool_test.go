@@ -91,9 +91,6 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := c.Table("nope"); err == nil {
 		t.Fatal("unknown table found")
 	}
-	if got := len(c.Servers()); got != 1 {
-		t.Fatalf("Servers = %d", got)
-	}
 }
 
 func TestOverwriteLatestWins(t *testing.T) {
@@ -165,90 +162,6 @@ func TestScanOrderingAndFilters(t *testing.T) {
 	}
 }
 
-func TestFlushAndGetFromSegment(t *testing.T) {
-	tbl := newTable(t, 0)
-	tbl.Put("r1", "doc", "q", []byte("flushed"))
-	tbl.FlushAll()
-	got, ok := tbl.Get("r1", "doc", "q")
-	if !ok || string(got) != "flushed" {
-		t.Fatalf("Get after flush = %q, %v", got, ok)
-	}
-	// Newer memstore write shadows the segment.
-	tbl.Put("r1", "doc", "q", []byte("newer"))
-	got, _ = tbl.Get("r1", "doc", "q")
-	if string(got) != "newer" {
-		t.Fatalf("memstore should shadow segment: %q", got)
-	}
-	// Scan merges both layers with latest-wins.
-	kvs := tbl.Scan(ScanOptions{})
-	if len(kvs) != 1 || string(kvs[0].Value) != "newer" {
-		t.Fatalf("merged scan = %v", kvs)
-	}
-}
-
-func TestDeleteTombstoneMasksSegment(t *testing.T) {
-	tbl := newTable(t, 0)
-	tbl.Put("r", "doc", "q", []byte("old"))
-	tbl.FlushAll() // "old" now in a segment
-	tbl.Delete("r", "doc", "q")
-	if _, ok := tbl.Get("r", "doc", "q"); ok {
-		t.Fatal("tombstone did not mask segment value")
-	}
-	tbl.FlushAll() // tombstone flushed into a second segment
-	if _, ok := tbl.Get("r", "doc", "q"); ok {
-		t.Fatal("flushed tombstone did not mask")
-	}
-	tbl.CompactAll()
-	if _, ok := tbl.Get("r", "doc", "q"); ok {
-		t.Fatal("compaction resurrected deleted cell")
-	}
-	if kvs := tbl.Scan(ScanOptions{}); len(kvs) != 0 {
-		t.Fatalf("scan after compact = %v", kvs)
-	}
-}
-
-func TestCompactMergesSegments(t *testing.T) {
-	tbl := newTable(t, 0)
-	for i := 0; i < 5; i++ {
-		tbl.Put(fmt.Sprintf("r%d", i), "doc", "q", []byte{byte('0' + byte(i))})
-		tbl.FlushAll()
-	}
-	region := tbl.Regions()[0]
-	if len(region.segments) != 5 {
-		t.Fatalf("segments before compact = %d", len(region.segments))
-	}
-	tbl.CompactAll()
-	if len(region.segments) != 1 {
-		t.Fatalf("segments after compact = %d", len(region.segments))
-	}
-	for i := 0; i < 5; i++ {
-		if _, ok := tbl.Get(fmt.Sprintf("r%d", i), "doc", "q"); !ok {
-			t.Fatalf("row r%d lost in compaction", i)
-		}
-	}
-}
-
-func TestCrashRecoveryViaWAL(t *testing.T) {
-	tbl := newTable(t, 0)
-	tbl.Put("durable", "doc", "q", []byte("flushed"))
-	tbl.FlushAll()
-	tbl.Put("recent", "doc", "q", []byte("unflushed"))
-
-	region := tbl.Regions()[0]
-	region.Crash()
-	if _, ok := tbl.Get("recent", "doc", "q"); ok {
-		t.Fatal("memstore data survived crash without recovery")
-	}
-	if _, ok := tbl.Get("durable", "doc", "q"); !ok {
-		t.Fatal("segment data lost in crash")
-	}
-	region.Recover()
-	got, ok := tbl.Get("recent", "doc", "q")
-	if !ok || string(got) != "unflushed" {
-		t.Fatalf("WAL replay failed: %q, %v", got, ok)
-	}
-}
-
 func TestRegionSplitAndRouting(t *testing.T) {
 	tbl := newTable(t, 4096)
 	val := make([]byte, 256)
@@ -283,20 +196,9 @@ func TestRegionSplitAndRouting(t *testing.T) {
 	if len(kvs) != 64 {
 		t.Fatalf("scan after splits = %d", len(kvs))
 	}
-	// Splits were recorded and daughters spread across servers.
-	c := tbl.cluster
-	if c.Splits("documents") == 0 {
+	// Splits were recorded.
+	if tbl.cluster.Splits("documents") == 0 {
 		t.Fatal("no splits recorded")
-	}
-	dist := c.RegionDistribution()
-	usedServers := 0
-	for _, n := range dist {
-		if n > 0 {
-			usedServers++
-		}
-	}
-	if usedServers < 2 {
-		t.Fatalf("regions not distributed: %v", dist)
 	}
 }
 
@@ -333,7 +235,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 // TestPropScanEqualsModel: random operations against the store and a flat
-// model map must agree, across random flush/compact/crash-recover events.
+// model map must agree.
 func TestPropScanEqualsModel(t *testing.T) {
 	tbl := newTable(t, 0)
 	model := map[[3]string]string{}
@@ -347,14 +249,6 @@ func TestPropScanEqualsModel(t *testing.T) {
 		case 0:
 			tbl.Delete(row, "doc", qual)
 			delete(model, [3]string{row, "doc", qual})
-		case 1:
-			tbl.FlushAll()
-		case 2:
-			tbl.CompactAll()
-		case 3:
-			reg := tbl.Regions()[0]
-			reg.Crash()
-			reg.Recover()
 		default:
 			v := fmt.Sprintf("v%d", i)
 			tbl.Put(row, "doc", qual, []byte(v))
@@ -373,20 +267,6 @@ func TestPropScanEqualsModel(t *testing.T) {
 	}
 }
 
-func TestCrashLosesOnlyUnloggedNothing(t *testing.T) {
-	// Crash+Recover must be lossless because every put is WAL-logged.
-	tbl := newTable(t, 0)
-	for i := 0; i < 50; i++ {
-		tbl.Put(fmt.Sprintf("r%02d", i), "doc", "q", []byte{byte(i)})
-	}
-	reg := tbl.Regions()[0]
-	reg.Crash()
-	reg.Recover()
-	if got := len(tbl.Scan(ScanOptions{})); got != 50 {
-		t.Fatalf("after recovery scan = %d", got)
-	}
-}
-
 func TestMaxVersionsBound(t *testing.T) {
 	tbl := newTable(t, 0)
 	region := tbl.Regions()[0]
@@ -394,7 +274,7 @@ func TestMaxVersionsBound(t *testing.T) {
 		tbl.Put("r", "doc", "q", []byte(fmt.Sprintf("v%d", i)))
 	}
 	region.mu.RLock()
-	nVersions := len(region.mem["r"]["doc"]["q"])
+	nVersions := len(region.rows["r"]["doc"]["q"])
 	region.mu.RUnlock()
 	if nVersions != 3 { // doc family declares MaxVersions 3
 		t.Fatalf("retained versions = %d, want 3", nVersions)
@@ -410,65 +290,6 @@ func TestEmptyValueStoredNotNil(t *testing.T) {
 	}
 }
 
-func TestFailServerRecoversViaWAL(t *testing.T) {
-	c, err := NewCluster([]string{"rs1", "rs2", "rs3"}, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := c.CreateTable("documents", FamilySpec{Name: "doc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	val := make([]byte, 256)
-	for i := 0; i < 64; i++ {
-		if err := tbl.Put(fmt.Sprintf("row-%03d", i), "doc", "content", val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Ensure at least two servers actually host regions.
-	dist := c.RegionDistribution()
-	victim := ""
-	for s, n := range dist {
-		if n > 0 {
-			victim = s
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no loaded server to fail")
-	}
-
-	if err := c.FailServer(victim); err != nil {
-		t.Fatal(err)
-	}
-	// The server is gone from the cluster.
-	for _, s := range c.Servers() {
-		if s == victim {
-			t.Fatal("failed server still listed")
-		}
-	}
-	// No region is hosted by the dead server and all data survives (WAL
-	// replay covered the unflushed memstores).
-	for _, r := range tbl.Regions() {
-		if r.Server() == victim {
-			t.Fatalf("region [%q,%q) still on failed server", r.Start(), r.End())
-		}
-	}
-	for i := 0; i < 64; i++ {
-		if _, ok := tbl.Get(fmt.Sprintf("row-%03d", i), "doc", "content"); !ok {
-			t.Fatalf("row %d lost in failover", i)
-		}
-	}
-	// Error paths.
-	if err := c.FailServer("ghost"); err == nil {
-		t.Fatal("failing unknown server succeeded")
-	}
-	c.FailServer(c.Servers()[0])
-	if err := c.FailServer(c.Servers()[0]); err == nil {
-		t.Fatal("failing the last server succeeded")
-	}
-}
-
 func TestGetVersions(t *testing.T) {
 	tbl := newTable(t, 0) // doc family keeps 3 versions
 	for i := 1; i <= 5; i++ {
@@ -481,12 +302,10 @@ func TestGetVersions(t *testing.T) {
 	if string(vs[0].Value) != "v5" || string(vs[2].Value) != "v3" {
 		t.Fatalf("version order: %q ... %q", vs[0].Value, vs[2].Value)
 	}
-	// Versions survive a flush (one per segment snapshot).
-	tbl.FlushAll()
 	tbl.Put("r", "doc", "q", []byte("v6"))
 	vs = tbl.GetVersions("r", "doc", "q")
 	if len(vs) < 2 || string(vs[0].Value) != "v6" || string(vs[1].Value) != "v5" {
-		t.Fatalf("after flush: %v", vs)
+		t.Fatalf("after one more put: %v", vs)
 	}
 	// A tombstone cuts history.
 	tbl.Delete("r", "doc", "q")

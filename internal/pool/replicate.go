@@ -1,10 +1,10 @@
 package pool
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+
+	"dra4wfms/internal/wal"
 )
 
 // Replication support: the clustered pool (internal/poolcluster) ships
@@ -26,58 +26,28 @@ type Mutation struct {
 
 // EncodeMutationFrame frames m as a checksummed WAL record carrying seq
 // as its sequence number. The frame is self-validating: DecodeMutationFrame
-// (and store recovery's scanner) refuse it on any header, length, or
+// (and store recovery's scan) refuse it on any header, length, or
 // checksum damage.
 func EncodeMutationFrame(seq uint64, m Mutation) ([]byte, error) {
-	op := walOpPut
-	if m.Del {
-		op = walOpDel
+	payload, err := json.Marshal(newWALRec(seq, m))
+	if err != nil {
+		return nil, fmt.Errorf("pool: encoding replication frame: %w", err)
 	}
-	rec := walRec{
-		Op:        op,
-		LSN:       seq,
-		Row:       m.KV.Row,
-		Family:    m.KV.Family,
-		Qualifier: m.KV.Qualifier,
-		Version:   m.KV.Version,
-	}
-	if !m.Del {
-		v := m.KV.Value
-		if v == nil {
-			v = []byte{}
-		}
-		rec.Value = v
-	}
-	return encodeWALRecord(rec)
+	return wal.EncodeFrame(payload)
 }
 
 // DecodeMutationFrame validates and decodes one replication frame,
-// returning the sequence number it was encoded with. The checks mirror
-// scanWAL: framed length, CRC-32 of the payload, JSON shape, known op.
+// returning the sequence number it was encoded with.
 func DecodeMutationFrame(frame []byte) (uint64, Mutation, error) {
-	if len(frame) < walFrameHeader {
-		return 0, Mutation{}, fmt.Errorf("pool: replication frame too short (%d bytes)", len(frame))
+	payload, err := wal.DecodeFrame(frame)
+	if err != nil {
+		return 0, Mutation{}, fmt.Errorf("pool: replication frame: %w", err)
 	}
-	length := binary.LittleEndian.Uint32(frame[0:4])
-	sum := binary.LittleEndian.Uint32(frame[4:8])
-	if length > maxWALRecordBytes {
-		return 0, Mutation{}, fmt.Errorf("pool: replication frame declares implausible length %d", length)
+	rec, err := decodeWALRec(payload)
+	if err != nil {
+		return 0, Mutation{}, fmt.Errorf("pool: replication frame: %w", err)
 	}
-	payload := frame[walFrameHeader:]
-	if int(length) != len(payload) {
-		return 0, Mutation{}, fmt.Errorf("pool: replication frame length %d does not match payload %d", length, len(payload))
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, Mutation{}, fmt.Errorf("pool: replication frame checksum mismatch")
-	}
-	var rec walRec
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return 0, Mutation{}, fmt.Errorf("pool: undecodable replication frame: %w", err)
-	}
-	if rec.Op != walOpPut && rec.Op != walOpDel {
-		return 0, Mutation{}, fmt.Errorf("pool: replication frame has unknown op %q", rec.Op)
-	}
-	return rec.LSN, Mutation{Del: rec.Op == walOpDel, KV: rec.keyValue()}, nil
+	return rec.LSN, rec.mutation(), nil
 }
 
 // ApplyReplicated applies a mutation that carries a coordinator-assigned

@@ -1,9 +1,9 @@
 package pool
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,6 +12,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"dra4wfms/internal/wal"
 )
 
 // Store attaches crash-consistent persistence to one Table, closing the
@@ -22,8 +24,8 @@ import (
 //
 // The design is the classic log-structured recovery pair:
 //
-//   - every mutation is appended to a CRC-checksummed WAL (wal.go) before
-//     the table acknowledges it;
+//   - every mutation is appended to a CRC-checksummed log (internal/wal,
+//     payload: a JSON walRec) before the table acknowledges it;
 //   - Checkpoint writes the table's full live state as a snapshot file
 //     (the Export format plus a WAL watermark) and compacts the WAL down
 //     to the suffix not yet covered by a retained checkpoint;
@@ -47,17 +49,9 @@ var (
 // leave them undurable.
 var ErrStoreClosed = errors.New("pool: durable store is closed")
 
-// ErrStoreFailed is returned for mutations after the store lost its WAL
-// append handle (the compacted WAL could not be reopened after the swap).
-// Accepting writes in that state would send them to an unlinked inode —
-// acknowledged, then gone on the next boot — so the store fails hard and
-// stays failed until the process restarts and recovers.
-var ErrStoreFailed = errors.New("pool: durable store failed: compacted WAL could not be reopened, restart to recover")
-
 // Store file names inside a data directory.
 const (
 	walFileName        = "wal.log"
-	walQuarantineName  = "wal.quarantine"
 	lockFileName       = "LOCK"
 	checkpointExt      = ".ckpt"
 	corruptSuffix      = ".corrupt"
@@ -158,13 +152,14 @@ type Store struct {
 	// compaction) against each other.
 	ckMu sync.Mutex
 
-	mu     sync.Mutex // guards f, lsn, closed, failed
-	f      *os.File
+	// log refuses appends with wal.ErrFailed once it loses its append handle
+	// (a compaction that failed after the swap), so no acknowledged write
+	// can land on a dead file; the store stays failed until a restart.
+	log *wal.Log
+
+	mu     sync.Mutex // guards lsn, closed; orders appends by LSN
 	lsn    uint64
 	closed bool
-	// failed latches when the WAL append handle is lost (see ErrStoreFailed);
-	// mutations are refused so no acknowledged write can land on a dead file.
-	failed bool
 
 	// lockF holds the exclusive advisory lock on the data dir for the
 	// store's lifetime, keeping a second process (another daemon, or
@@ -207,8 +202,7 @@ func Open(t *Table, dir string, opts StoreOptions) (*Store, *RecoveryReport, err
 		return nil, nil, errors.Join(err, unlockDataDir(lockF))
 	}
 	if err := t.attachStore(s); err != nil {
-		cerr := s.f.Close()
-		return nil, nil, errors.Join(err, cerr, unlockDataDir(lockF))
+		return nil, nil, errors.Join(err, s.log.Close(), unlockDataDir(lockF))
 	}
 	if s.opts.CheckpointInterval > 0 {
 		s.tickerStop = make(chan struct{})
@@ -248,46 +242,33 @@ func (s *Store) recoverCheckpoint(rep *RecoveryReport) (uint64, error) {
 	return 0, nil
 }
 
-// recoverWAL replays the intact WAL suffix past the checkpoint watermark,
-// quarantining any damaged tail, and leaves the file open for appends.
+// recoverWAL replays the intact WAL suffix past the checkpoint watermark
+// (the log quarantines any damaged tail) and leaves it open for appends.
 func (s *Store) recoverWAL(watermark uint64, rep *RecoveryReport) error {
-	f, err := os.OpenFile(filepath.Join(s.dir, walFileName), os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("pool: opening WAL: %w", err)
-	}
-	scan, err := scanWAL(f)
-	if err != nil {
-		cerr := f.Close()
-		return errors.Join(err, cerr)
-	}
-	if scan.damaged > 0 {
-		qpath := filepath.Join(s.dir, walQuarantineName)
-		if err := quarantineWALTail(f, scan, qpath); err != nil {
-			cerr := f.Close()
-			return errors.Join(err, cerr)
-		}
-		mWALQuarantined.Add(scan.damaged)
-		rep.QuarantinedBytes = scan.damaged
-		rep.QuarantineFile = qpath
-		rep.DamageReason = scan.reason
-	}
 	s.lsn = watermark
-	for _, rec := range scan.recs {
-		if rec.LSN > s.lsn {
-			s.lsn = rec.LSN
+	log, rec, err := wal.Open(filepath.Join(s.dir, walFileName), func(payload []byte) error {
+		r, err := decodeWALRec(payload)
+		if err != nil {
+			return err
 		}
-		if rec.LSN <= watermark {
-			continue // already contained in the checkpoint
+		if r.LSN > s.lsn {
+			s.lsn = r.LSN
 		}
-		s.table.applyReplay(rec.keyValue())
-		rep.ReplayedRecords++
+		if r.LSN > watermark { // else already contained in the checkpoint
+			s.table.applyReplay(r.mutation().KV)
+			rep.ReplayedRecords++
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("pool: recovering WAL: %w", err)
 	}
+	mWALQuarantined.Add(rec.DamagedBytes)
+	rep.QuarantinedBytes = rec.DamagedBytes
+	rep.QuarantineFile = rec.QuarantineFile
+	rep.DamageReason = rec.Reason
 	mReplayedRecords.Add(int64(rep.ReplayedRecords))
-	if _, err := f.Seek(scan.intact, io.SeekStart); err != nil {
-		cerr := f.Close()
-		return errors.Join(fmt.Errorf("pool: seeking WAL to append position: %w", err), cerr)
-	}
-	s.f = f
+	s.log = log
 	return nil
 }
 
@@ -310,7 +291,7 @@ func (s *Store) checkpointFiles() ([]string, error) {
 
 // logMutation journals one mutation and applies it to the table. It is
 // the table-mutator entry point: the record is durable (per the fsync
-// policy) before the memstore sees it.
+// policy) before the table sees it.
 func (s *Store) logMutation(kv KeyValue, del bool) (*Region, error) {
 	s.applyMu.RLock()
 	defer s.applyMu.RUnlock()
@@ -321,40 +302,23 @@ func (s *Store) logMutation(kv KeyValue, del bool) (*Region, error) {
 }
 
 func (s *Store) appendRec(kv KeyValue, del bool) error {
-	op := walOpPut
-	var value []byte
-	if del {
-		op = walOpDel
-	} else {
-		value = kv.Value
-		if value == nil {
-			value = []byte{}
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrStoreClosed
 	}
-	if s.failed {
-		return ErrStoreFailed
-	}
 	s.lsn++
-	frame, err := encodeWALRecord(walRec{
-		Op: op, LSN: s.lsn,
-		Row: kv.Row, Family: kv.Family, Qualifier: kv.Qualifier,
-		Value: value, Version: kv.Version,
-	})
+	payload, err := json.Marshal(newWALRec(s.lsn, Mutation{Del: del, KV: kv}))
 	if err != nil {
-		return err
+		return fmt.Errorf("pool: encoding WAL record: %w", err)
 	}
-	if _, err := s.f.Write(frame); err != nil {
+	if err := s.log.Append(payload); err != nil {
 		return fmt.Errorf("pool: appending to WAL: %w", err)
 	}
 	mWALAppends.Inc()
-	mWALBytes.Add(int64(len(frame)))
+	mWALBytes.Add(int64(wal.HeaderBytes + len(payload)))
 	if !s.opts.NoFsync {
-		if err := s.f.Sync(); err != nil {
+		if err := s.log.Sync(); err != nil {
 			return fmt.Errorf("pool: fsyncing WAL: %w", err)
 		}
 		mWALFsyncs.Inc()
@@ -370,10 +334,7 @@ func (s *Store) Sync() error {
 	if s.closed {
 		return ErrStoreClosed
 	}
-	if s.failed {
-		return ErrStoreFailed
-	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("pool: fsyncing WAL: %w", err)
 	}
 	mWALFsyncs.Inc()
@@ -457,88 +418,26 @@ func (s *Store) compactWAL(watermark uint64) error {
 	if s.closed {
 		return ErrStoreClosed
 	}
-	if s.failed {
-		return ErrStoreFailed
-	}
-	// scanWAL moves the file offset; every return that keeps the current
-	// handle must first put the offset back at EOF, or the next append
-	// would overwrite framed records mid-file.
-	restoreOffset := func() error {
-		if _, serr := s.f.Seek(0, io.SeekEnd); serr != nil {
-			return fmt.Errorf("pool: restoring WAL append offset: %w", serr)
-		}
-		return nil
-	}
-	scan, err := scanWAL(s.f)
-	if err != nil {
-		return errors.Join(err, restoreOffset())
-	}
-	if scan.damaged > 0 {
-		// Cannot happen for frames this process wrote; refuse to rewrite a
-		// log we cannot fully read and keep the original intact.
-		return errors.Join(
-			fmt.Errorf("pool: WAL damaged during compaction (%s); keeping original", scan.reason),
-			restoreOffset())
-	}
-	tmpPath := filepath.Join(s.dir, walFileName+".compact")
-	//lint:ignore lockio compaction swaps the append handle, so it must hold the append mutex across the rewrite; the post-checkpoint suffix is small and the pause bounded
-	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("pool: compacting WAL: %w", err)
-	}
-	werr := func() error {
-		for _, rec := range scan.recs {
-			if rec.LSN <= watermark {
-				continue
-			}
-			frame, err := encodeWALRecord(rec)
-			if err != nil {
+	path := filepath.Join(s.dir, walFileName)
+	err := s.log.Rewrite(func(put func(payload []byte) error) error {
+		rec, err := wal.Scan(path, func(payload []byte) error {
+			r, err := decodeWALRec(payload)
+			if err != nil || r.LSN <= watermark {
 				return err
 			}
-			if _, err := tmp.Write(frame); err != nil {
-				return err
-			}
+			return put(payload)
+		})
+		if err == nil && rec.DamagedBytes > 0 {
+			// Cannot happen for frames this process wrote; refuse to
+			// rewrite a log we cannot fully read and keep the original.
+			err = fmt.Errorf("WAL damaged (%s); keeping original", rec.Reason)
 		}
-		return tmp.Sync()
-	}()
-	if werr != nil {
-		cerr := tmp.Close()
-		//lint:ignore lockio error-path cleanup of the tmp file; see the OpenFile above for why the mutex is held
-		rerr := os.Remove(tmpPath)
-		return fmt.Errorf("pool: compacting WAL: %w", errors.Join(werr, cerr, rerr))
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("pool: compacting WAL: %w", err)
-	}
-	walPath := filepath.Join(s.dir, walFileName)
-	//lint:ignore lockio the rename IS the swap appends must not interleave with; see the OpenFile above
-	if err := os.Rename(tmpPath, walPath); err != nil {
-		return fmt.Errorf("pool: swapping compacted WAL: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
 		return err
-	}
-	//lint:ignore lockio the fresh append handle must be installed before any append can run; see the OpenFile above
-	nf, err := os.OpenFile(walPath, os.O_RDWR, 0o644)
+	})
 	if err != nil {
-		// The rename already happened: s.f points at the old, now-unlinked
-		// inode. Accepting appends there would acknowledge writes that
-		// vanish on the next restart, so fail the store hard — mutations
-		// return ErrStoreFailed until a restart recovers from the (intact)
-		// compacted WAL on disk.
-		s.failed = true
-		cerr := s.f.Close()
-		return errors.Join(fmt.Errorf("pool: reopening compacted WAL: %w", err), cerr, ErrStoreFailed)
+		return fmt.Errorf("pool: compacting WAL: %w", err)
 	}
-	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
-		s.failed = true
-		cerr := nf.Close()
-		oerr := s.f.Close()
-		return errors.Join(fmt.Errorf("pool: seeking compacted WAL: %w", err), cerr, oerr, ErrStoreFailed)
-	}
-	old := s.f
-	s.f = nf
-	return old.Close()
+	return nil
 }
 
 // checkpointLoop runs periodic checkpoints until Close.
@@ -574,14 +473,9 @@ func (s *Store) doClose() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
-	if s.failed {
-		// The WAL handle was already closed when the store failed; the
-		// snapshot half of the checkpoint above still preserved live state.
-		return errors.Join(ckErr, unlockDataDir(s.lockF))
-	}
-	serr := s.f.Sync()
-	cerr := s.f.Close()
-	return errors.Join(ckErr, serr, cerr, unlockDataDir(s.lockF))
+	// On a failed log the sync reports wal.ErrFailed; the snapshot half of
+	// the checkpoint above still preserved live state.
+	return errors.Join(ckErr, s.log.Sync(), s.log.Close(), unlockDataDir(s.lockF))
 }
 
 // Abandon releases the store the way a killed process would: the WAL
@@ -599,11 +493,7 @@ func (s *Store) Abandon() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.closed = true
-		var cerr error
-		if !s.failed { // a failed store already closed its WAL handle
-			cerr = s.f.Close()
-		}
-		s.closeErr = errors.Join(cerr, unlockDataDir(s.lockF))
+		s.closeErr = errors.Join(s.log.Close(), unlockDataDir(s.lockF))
 	})
 	return s.closeErr
 }
@@ -652,7 +542,7 @@ func writeCheckpointFile(dir, name string, info *SnapshotInfo) error {
 	if err := os.Rename(tmpPath, filepath.Join(dir, name)); err != nil {
 		return fmt.Errorf("pool: publishing checkpoint: %w", err)
 	}
-	return syncDir(dir)
+	return wal.SyncDir(dir)
 }
 
 // WriteCheckpointFile publishes info as a durable checkpoint file in dir
@@ -698,20 +588,6 @@ func unlockDataDir(f *os.File) error {
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("pool: releasing data dir lock: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("pool: opening data dir for sync: %w", err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if err := errors.Join(serr, cerr); err != nil {
-		return fmt.Errorf("pool: fsyncing data dir: %w", err)
 	}
 	return nil
 }

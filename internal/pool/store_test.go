@@ -3,13 +3,17 @@ package pool
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"dra4wfms/internal/wal"
 )
 
 // newDurableTable creates a fresh table bound to a Store in dir.
@@ -201,7 +205,7 @@ func TestStoreBitFlippedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[sizeBefore+walFrameHeader+4] ^= 0x01 // flip one payload byte of the last record
+	raw[sizeBefore+wal.HeaderBytes+4] ^= 0x01 // flip one payload byte of the last record
 	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +475,7 @@ func TestStoreRejectsOversizedWALRecordAtAppend(t *testing.T) {
 		t.Fatalf("Put error = %v, want the WAL size-limit rejection", err)
 	}
 	if _, ok := tbl.Get("doc|huge", "doc", "xml"); ok {
-		t.Fatal("rejected record reached the memstore")
+		t.Fatal("rejected record reached the table")
 	}
 	crash(t, s)
 
@@ -521,7 +525,7 @@ func TestStoreCheckpointOnDamagedWALKeepsAppendOffset(t *testing.T) {
 	}
 	// Flip a payload byte early in the log so the compaction scan stops
 	// far from EOF.
-	raw[walFrameHeader+4] ^= 0x01
+	raw[wal.HeaderBytes+4] ^= 0x01
 	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -547,4 +551,88 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return st.Size()
+}
+
+// TestStoreRecoversParentFormatDataDir opens a data dir written by the
+// commit before internal/wal existed (testdata/parent-datadir: eight
+// mutations, no checkpoint, abandoned like a kill -9). The frame format
+// is frozen: recovery must rebuild exactly the state that commit scanned,
+// and re-encoding every record must reproduce its wal.log byte for byte.
+func TestStoreRecoversParentFormatDataDir(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-datadir", walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "parent-datadir", "expected.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []KeyValue
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, walFileName)
+	if err := os.WriteFile(walPath, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tbl, s, rep := newDurableTable(t, dir, StoreOptions{})
+	if rep.Damaged() || rep.ReplayedRecords != 8 {
+		t.Fatalf("parent-format WAL not recovered cleanly: %s", rep.Summary())
+	}
+	assertSameState(t, want, scanAll(tbl))
+
+	// Compacting from watermark 0 rewrites every record through this
+	// commit's encoder.
+	if err := s.compactWAL(0); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, s)
+	rewritten, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fixture, rewritten) {
+		t.Fatalf("rewritten WAL differs from the parent's bytes (%d vs %d bytes)", len(rewritten), len(fixture))
+	}
+}
+
+// heapGrowth runs f and returns how much live heap it left behind.
+func heapGrowth(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestOverwritesDoNotPinOldVersions: a MaxVersions-1 cell overwritten 200
+// times with 1 MiB must retain about one value, in memory and through a
+// durable store. The in-memory region WAL this package used to keep pinned
+// every version ever written (~200 MiB here) for the life of the process.
+func TestOverwritesDoNotPinOldVersions(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		tbl := newTable(t, 0) // meta family: MaxVersions 1
+		if durable {
+			s, _, err := Open(tbl, t.TempDir(), StoreOptions{NoFsync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { crash(t, s) })
+		}
+		grew := heapGrowth(func() {
+			for i := 0; i < 200; i++ {
+				if err := tbl.Put("row", "meta", "blob", bytes.Repeat([]byte{byte(i)}, 1<<20)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if grew >= 16<<20 {
+			t.Fatalf("durable=%v: heap grew by %d MiB over 200 overwrites of one 1 MiB cell, want < 16", durable, grew>>20)
+		}
+		runtime.KeepAlive(tbl)
+	}
 }

@@ -1,45 +1,14 @@
 package pool
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 )
 
 // The mutation WAL is the durability backbone of a Store: every Put and
-// Delete is framed, checksummed, and appended to wal.log before the
-// mutation is acknowledged, mirroring the write-ahead discipline the
-// paper's BigTable-style pool inherits from HBase. The framing is
-// deliberately paranoid about partial writes:
-//
-//	uint32 LE payload length | uint32 LE CRC-32 (IEEE) of payload | payload
-//
-// with the payload a JSON walRec. A crash mid-append leaves a torn tail
-// (short header, short payload, or a CRC that no longer matches); replay
-// stops at the first damaged frame, quarantines the damaged suffix to a
-// sidecar file for forensics, and truncates the log back to its intact
-// prefix — the damage is surfaced in the RecoveryReport, never silently
-// dropped.
-
-// walFrameHeader is the fixed per-record prefix: length + CRC.
-const walFrameHeader = 8
-
-// maxWALRecordBytes bounds one record's payload, enforced symmetrically:
-// encodeWALRecord rejects an oversized record before it is appended (and
-// before the mutation is acknowledged), and scanWAL treats an oversized
-// length field as corruption, keeping a flipped length byte from driving
-// a giant allocation. The bound must exceed the largest payload a legal
-// mutation can produce: httpapi caps documents at 64 MiB, json.Marshal
-// base64-encodes walRec.Value (4/3 inflation, ~85.4 MiB), and the other
-// JSON fields add a small envelope on top — so 96 MiB with headroom. If
-// the append-side bound were smaller than a legal record, the write would
-// be acknowledged and then quarantined as "implausible" on the next boot,
-// silently losing durable data.
-const maxWALRecordBytes = 96 << 20
+// Delete is appended to wal.log as one internal/wal frame before the
+// mutation is acknowledged. The frame's payload is a JSON walRec; the
+// clustered pool ships the same frames between nodes (replicate.go).
 
 // WAL record operations.
 const (
@@ -61,142 +30,48 @@ type walRec struct {
 	Version   int64  `json:"version"`
 }
 
-// cell rebuilds the stored cell; a del record becomes a tombstone.
-func (r walRec) cell() Cell {
-	if r.Op == walOpDel {
-		return Cell{Value: nil, Version: r.Version}
+// newWALRec builds the record journaling m under sequence number lsn. A
+// nil and an empty put value encode alike (omitempty drops both);
+// mutation restores the non-nil empty value that tells a put from a
+// tombstone.
+func newWALRec(lsn uint64, m Mutation) walRec {
+	rec := walRec{
+		Op: walOpPut, LSN: lsn,
+		Row: m.KV.Row, Family: m.KV.Family, Qualifier: m.KV.Qualifier,
+		Version: m.KV.Version,
 	}
-	v := r.Value
-	if v == nil {
-		v = []byte{}
+	if m.Del {
+		rec.Op = walOpDel
+	} else {
+		rec.Value = m.KV.Value
 	}
-	return Cell{Value: v, Version: r.Version}
+	return rec
 }
 
-// keyValue rebuilds the full mutation coordinate.
-func (r walRec) keyValue() KeyValue {
-	return KeyValue{Row: r.Row, Family: r.Family, Qualifier: r.Qualifier, Cell: r.cell()}
+// decodeWALRec parses one frame payload, refusing shapes no writer
+// produces so the log treats them as damage.
+func decodeWALRec(payload []byte) (walRec, error) {
+	var rec walRec
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return walRec{}, fmt.Errorf("undecodable payload: %v", err)
+	}
+	if rec.Op != walOpPut && rec.Op != walOpDel {
+		return walRec{}, fmt.Errorf("unknown op %q", rec.Op)
+	}
+	return rec, nil
 }
 
-// encodeWALRecord frames one record: header and payload in a single
-// buffer so the append is one write call, shrinking the torn-write window
-// to what the filesystem itself can tear.
-func encodeWALRecord(rec walRec) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("pool: encoding WAL record: %w", err)
+// mutation rebuilds the journaled write; a del record becomes a tombstone.
+func (r walRec) mutation() Mutation {
+	m := Mutation{
+		Del: r.Op == walOpDel,
+		KV:  KeyValue{Row: r.Row, Family: r.Family, Qualifier: r.Qualifier, Cell: Cell{Version: r.Version}},
 	}
-	if len(payload) > maxWALRecordBytes {
-		// Reject before the append: a record the scanner would refuse to
-		// read back must never be acknowledged as durable.
-		return nil, fmt.Errorf("pool: WAL record payload is %d bytes, above the %d-byte limit", len(payload), maxWALRecordBytes)
-	}
-	buf := make([]byte, walFrameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[walFrameHeader:], payload)
-	return buf, nil
-}
-
-// walScan is the result of one pass over a WAL file.
-type walScan struct {
-	// recs are the intact records in append order.
-	recs []walRec
-	// intact is the byte length of the undamaged prefix.
-	intact int64
-	// damaged is the byte count from the first bad frame to EOF (0 when
-	// the log is clean).
-	damaged int64
-	// reason describes why scanning stopped early ("" when clean).
-	reason string
-}
-
-// scanWAL reads every intact record from the start of f. I/O errors are
-// returned as errors; framing damage (torn tail, checksum mismatch) is
-// reported in the walScan instead, because after a crash it is expected.
-func scanWAL(f *os.File) (walScan, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return walScan{}, fmt.Errorf("pool: seeking WAL: %w", err)
-	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return walScan{}, fmt.Errorf("pool: sizing WAL: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return walScan{}, fmt.Errorf("pool: seeking WAL: %w", err)
-	}
-	var (
-		scan   walScan
-		header [walFrameHeader]byte
-	)
-	stop := func(reason string) (walScan, error) {
-		scan.reason = reason
-		scan.damaged = size - scan.intact
-		return scan, nil
-	}
-	for scan.intact < size {
-		n, err := io.ReadFull(f, header[:])
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return stop(fmt.Sprintf("torn frame header (%d of %d bytes)", n, walFrameHeader))
+	if !m.Del {
+		m.KV.Value = r.Value
+		if m.KV.Value == nil {
+			m.KV.Value = []byte{}
 		}
-		if err != nil {
-			return walScan{}, fmt.Errorf("pool: reading WAL header: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length > maxWALRecordBytes {
-			return stop(fmt.Sprintf("implausible record length %d", length))
-		}
-		payload := make([]byte, length)
-		n, err = io.ReadFull(f, payload)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return stop(fmt.Sprintf("torn payload (%d of %d bytes)", n, length))
-		}
-		if err != nil {
-			return walScan{}, fmt.Errorf("pool: reading WAL payload: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return stop("payload checksum mismatch")
-		}
-		var rec walRec
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return stop(fmt.Sprintf("undecodable payload: %v", err))
-		}
-		if rec.Op != walOpPut && rec.Op != walOpDel {
-			return stop(fmt.Sprintf("unknown op %q", rec.Op))
-		}
-		scan.recs = append(scan.recs, rec)
-		scan.intact += int64(walFrameHeader) + int64(length)
 	}
-	return scan, nil
-}
-
-// quarantineWALTail copies the damaged suffix of the WAL to a sidecar
-// file (overwriting a previous quarantine) and truncates the log back to
-// its intact prefix, so the next append starts on a clean frame boundary.
-func quarantineWALTail(f *os.File, scan walScan, quarantinePath string) error {
-	if scan.damaged == 0 {
-		return nil
-	}
-	if _, err := f.Seek(scan.intact, io.SeekStart); err != nil {
-		return fmt.Errorf("pool: seeking to damaged WAL tail: %w", err)
-	}
-	tail, err := io.ReadAll(f)
-	if err != nil {
-		return fmt.Errorf("pool: reading damaged WAL tail: %w", err)
-	}
-	q, err := os.OpenFile(quarantinePath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("pool: creating quarantine file: %w", err)
-	}
-	_, werr := q.Write(tail)
-	serr := q.Sync()
-	cerr := q.Close()
-	if err := errors.Join(werr, serr, cerr); err != nil {
-		return fmt.Errorf("pool: writing quarantine file: %w", err)
-	}
-	if err := f.Truncate(scan.intact); err != nil {
-		return fmt.Errorf("pool: truncating torn WAL tail: %w", err)
-	}
-	return nil
+	return m
 }

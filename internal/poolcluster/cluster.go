@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,6 +181,9 @@ func New(refs []NodeRef, cfg Config) (*Cluster, error) {
 	ob, err := relay.OpenOutbox(cfg.RelayDir)
 	if err != nil {
 		return nil, fmt.Errorf("poolcluster: opening replication outbox: %w", err)
+	}
+	if rec := ob.Recovery(); rec.DamagedBytes > 0 {
+		log.Printf("WARNING: replication outbox %s: quarantined %d damaged bytes to %s (%s); replication intents journaled there are lost", cfg.RelayDir, rec.DamagedBytes, rec.QuarantineFile, rec.Reason)
 	}
 	c.rly = relay.New(ob, relay.TransportFunc(c.deliver), cfg.Relay)
 

@@ -1,12 +1,12 @@
 package relay
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
+
+	"dra4wfms/internal/wal"
 )
 
 // The outbox is the durability half of the relay: every delivery is
@@ -16,7 +16,9 @@ import (
 // exact pending/dead sets, so no accepted delivery is ever lost and no
 // acknowledged one is attempted again.
 //
-// The log is a line-oriented JSON journal:
+// The journal is an internal/wal log — the same CRC-framed format, torn-
+// tail quarantine and atomic rewrite the pool's WAL uses — whose frame
+// payloads are JSON records:
 //
 //	{"op":"enq","seq":7,"dest":"http://...","kind":"store","key":"ab12...","payload":"...base64..."}
 //	{"op":"fail","seq":7}                      one attempt failed (attempt count survives restart)
@@ -29,7 +31,7 @@ import (
 // the journal with only live state. Ack triggers compaction automatically
 // every compactEvery acknowledgements.
 
-// walRecord is one journal line.
+// walRecord is one journal record.
 type walRecord struct {
 	Op       string `json:"op"`
 	Seq      uint64 `json:"seq"`
@@ -78,12 +80,12 @@ const maxAckedKeys = 8192
 // Outbox is the persistent pending-delivery log. The zero value is not
 // usable; open one with OpenOutbox. Safe for concurrent use.
 type Outbox struct {
-	mu      sync.Mutex
-	path    string   // "" = memory-only (tests, ephemeral relays)
-	f       *os.File // nil when memory-only
-	nextSeq uint64
-	pending map[uint64]*Entry
-	dead    map[uint64]*Entry
+	mu       sync.Mutex
+	log      *wal.Log     // nil when memory-only (tests, ephemeral relays)
+	recovery wal.Recovery // what OpenOutbox found in the journal
+	nextSeq  uint64
+	pending  map[uint64]*Entry
+	dead     map[uint64]*Entry
 	// liveKeys maps an idempotency key to its live (pending or dead)
 	// entry; ackedKeys remembers recently completed keys so redundant
 	// enqueues of an already-delivered message are dropped at the source.
@@ -94,11 +96,12 @@ type Outbox struct {
 }
 
 // OpenOutbox opens (creating if needed) the journal at path and replays
-// it. An empty path keeps the outbox in memory only — no durability, but
-// the same semantics.
+// it. A damaged suffix — a torn final record, a flipped bit, a journal in
+// the pre-wal line format — is quarantined to path+".quarantine" and the
+// intact prefix replayed; Recovery reports it. An empty path keeps the
+// outbox in memory only — no durability, but the same semantics.
 func OpenOutbox(path string) (*Outbox, error) {
 	o := &Outbox{
-		path:      path,
 		pending:   map[uint64]*Entry{},
 		dead:      map[uint64]*Entry{},
 		liveKeys:  map[string]uint64{},
@@ -107,78 +110,25 @@ func OpenOutbox(path string) (*Outbox, error) {
 	if path == "" {
 		return o, nil
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	var err error
+	o.log, o.recovery, err = wal.Open(path, func(payload []byte) error {
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return fmt.Errorf("undecodable payload: %v", err)
+		}
+		o.apply(rec)
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("relay: opening outbox: %w", err)
 	}
-	keep, err := o.replay(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	// An intact final line with no trailing newline still counts its
-	// would-be newline in keep; never truncate past the real size, and
-	// re-terminate the line so the next append starts fresh.
-	missingNewline := false
-	if st, err := f.Stat(); err == nil && keep > st.Size() {
-		keep = st.Size()
-		missingNewline = keep > 0
-	}
-	// Drop a torn tail (crash mid-append) so new records start clean.
-	if err := f.Truncate(keep); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(keep, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if missingNewline {
-		if _, err := f.Write([]byte("\n")); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	o.f = f
 	return o, nil
 }
 
-// replay reconstructs the live state from the journal and returns the
-// byte offset up to which the journal is intact.
-func (o *Outbox) replay(f *os.File) (int64, error) {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	var (
-		torn     error // a torn FINAL line is expected after a crash mid-append
-		tornLine int
-		line     int
-		offset   int64 // start of the current line
-		keep     int64 // end of the last intact line
-	)
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		lineStart := offset
-		offset += int64(len(raw)) + 1
-		if len(raw) == 0 {
-			keep = offset
-			continue
-		}
-		if torn != nil {
-			// The bad line was not the last one: real corruption.
-			return 0, fmt.Errorf("relay: outbox journal line %d corrupt: %w", tornLine, torn)
-		}
-		var rec walRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			torn, tornLine = err, line
-			offset = lineStart
-			continue
-		}
-		o.apply(rec)
-		keep = offset
-	}
-	return keep, sc.Err()
-}
+// Recovery reports what OpenOutbox found in the journal. DamagedBytes > 0
+// means deliveries journaled in the damaged suffix were lost to the
+// quarantine file; operators must hear about it.
+func (o *Outbox) Recovery() wal.Recovery { return o.recovery }
 
 // apply folds one journal record into the in-memory state.
 func (o *Outbox) apply(rec walRecord) {
@@ -244,18 +194,30 @@ func (o *Outbox) rememberAcked(key string) {
 	}
 }
 
-// write appends one record to the journal (no-op in memory mode). The
-// caller holds o.mu; journal appends are serialized by design — the WAL
-// is the ordering authority for replay.
-func (o *Outbox) write(rec walRecord) error {
-	if o.f == nil {
-		return nil
-	}
+// journal marshals rec and hands it to put: the log's Append, or the put
+// of a rewrite.
+func journal(rec walRecord, put func(payload []byte) error) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	if _, err := o.f.Write(append(b, '\n')); err != nil {
+	return put(b)
+}
+
+// enqRecord is the record that (re)creates e on replay.
+func enqRecord(e Entry) walRecord {
+	return walRecord{Op: "enq", Seq: e.Seq, Dest: e.Dest, Kind: e.Kind,
+		Key: e.Key, Payload: e.Payload, Attempts: e.Attempts, Trace: e.Trace}
+}
+
+// write appends one record to the journal (no-op in memory mode). The
+// caller holds o.mu; journal appends are serialized by design — the WAL
+// is the ordering authority for replay.
+func (o *Outbox) write(rec walRecord) error {
+	if o.log == nil {
+		return nil
+	}
+	if err := journal(rec, o.log.Append); err != nil {
 		return fmt.Errorf("relay: appending to outbox: %w", err)
 	}
 	return nil
@@ -284,8 +246,7 @@ func (o *Outbox) Append(dest, kind, key, trace string, payload []byte) (Entry, b
 	}
 	e := &Entry{Seq: o.nextSeq, Dest: dest, Kind: kind, Key: key, Trace: trace,
 		Payload: append([]byte(nil), payload...)}
-	rec := walRecord{Op: "enq", Seq: e.Seq, Dest: dest, Kind: kind, Key: key, Payload: e.Payload, Trace: trace}
-	if err := o.write(rec); err != nil {
+	if err := o.write(enqRecord(*e)); err != nil {
 		return Entry{}, false, err
 	}
 	o.nextSeq++
@@ -425,69 +386,28 @@ func (o *Outbox) Compact() error {
 
 func (o *Outbox) compactLocked() error {
 	o.acks = 0
-	if o.f == nil {
+	if o.log == nil {
 		return nil
 	}
-	tmp := o.path + ".compact"
-	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	err := o.log.Rewrite(func(put func(payload []byte) error) error {
+		for _, e := range sortedCopies(o.pending) {
+			if err := journal(enqRecord(e), put); err != nil {
+				return err
+			}
+		}
+		for _, e := range sortedCopies(o.dead) {
+			if err := journal(enqRecord(e), put); err != nil {
+				return err
+			}
+			if err := journal(walRecord{Op: "dead", Seq: e.Seq, Reason: e.Reason}, put); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("relay: compacting outbox: %w", err)
 	}
-	w := bufio.NewWriter(nf)
-	writeRec := func(rec walRecord) error {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(append(b, '\n'))
-		return err
-	}
-	var fail error
-	for _, e := range sortedCopies(o.pending) {
-		if fail == nil {
-			fail = writeRec(walRecord{Op: "enq", Seq: e.Seq, Dest: e.Dest, Kind: e.Kind,
-				Key: e.Key, Payload: e.Payload, Attempts: e.Attempts, Trace: e.Trace})
-		}
-	}
-	for _, e := range sortedCopies(o.dead) {
-		if fail == nil {
-			fail = writeRec(walRecord{Op: "enq", Seq: e.Seq, Dest: e.Dest, Kind: e.Kind,
-				Key: e.Key, Payload: e.Payload, Attempts: e.Attempts, Trace: e.Trace})
-		}
-		if fail == nil {
-			fail = writeRec(walRecord{Op: "dead", Seq: e.Seq, Reason: e.Reason})
-		}
-	}
-	if fail == nil {
-		fail = w.Flush()
-	}
-	if fail == nil {
-		fail = nf.Sync()
-	}
-	if fail != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("relay: compacting outbox: %w", fail)
-	}
-	if err := nf.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, o.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	old := o.f
-	nf, err = os.OpenFile(o.path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := nf.Seek(0, 2); err != nil {
-		nf.Close()
-		return err
-	}
-	o.f = nf
-	old.Close()
 	return nil
 }
 
@@ -495,10 +415,10 @@ func (o *Outbox) compactLocked() error {
 func (o *Outbox) Close() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.f == nil {
+	if o.log == nil {
 		return nil
 	}
-	err := o.f.Close()
-	o.f = nil
+	err := o.log.Close()
+	o.log = nil
 	return err
 }

@@ -1,14 +1,20 @@
 package relay
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"dra4wfms/internal/wal"
 )
 
 // receiver is a fake peer that applies deliveries exactly once per
@@ -156,12 +162,16 @@ func TestOutboxTornTailRecovery(t *testing.T) {
 	if err := o.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: a partial record with no newline.
+	// Simulate a crash mid-append: a frame cut off inside its payload.
+	frame, err := wal.EncodeFrame([]byte(`{"op":"enq","seq":3,"dest":"d","kind":"store","key":"k3"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"enq","seq":3,"de`); err != nil {
+	if _, err := f.Write(frame[:len(frame)-20]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -169,6 +179,9 @@ func TestOutboxTornTailRecovery(t *testing.T) {
 	o2, err := OpenOutbox(path)
 	if err != nil {
 		t.Fatalf("reopen with torn tail: %v", err)
+	}
+	if rec := o2.Recovery(); rec.DamagedBytes != int64(len(frame)-20) || rec.Reason == "" {
+		t.Fatalf("torn tail not reported: %+v", rec)
 	}
 	if p, d := o2.Counts(); p != 3 || d != 0 {
 		t.Fatalf("counts after torn-tail replay = (%d,%d), want (3,0)", p, d)
@@ -190,18 +203,103 @@ func TestOutboxTornTailRecovery(t *testing.T) {
 	}
 }
 
+// journalOf frames records the way the outbox does.
+func journalOf(t *testing.T, recs ...walRecord) []byte {
+	t.Helper()
+	var out []byte
+	for _, rec := range recs {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wal.EncodeFrame(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, frame...)
+	}
+	return out
+}
+
 // TestOutboxRejectsMidFileCorruption: a mangled record that is NOT the
-// final line is real corruption and must fail loudly, not be skipped.
+// final one must not be skipped over. The policy is the pool's: the
+// damaged suffix (the mangled record and everything behind it) is
+// quarantined byte for byte, the intact prefix replays, the outbox boots,
+// and Recovery says what happened.
 func TestOutboxRejectsMidFileCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "outbox.wal")
-	content := `{"op":"enq","seq":0,"dest":"d","kind":"store","key":"a"}
-not json at all
-{"op":"enq","seq":1,"dest":"d","kind":"store","key":"b"}
-`
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	head := journalOf(t, walRecord{Op: "enq", Seq: 0, Dest: "d", Kind: "store", Key: "a"})
+	tail := append([]byte("not a frame at all\n"),
+		journalOf(t, walRecord{Op: "enq", Seq: 1, Dest: "d", Kind: "store", Key: "b"})...)
+	if err := os.WriteFile(path, append(append([]byte(nil), head...), tail...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenOutbox(path); err == nil {
-		t.Fatal("mid-file corruption must be an error")
+	o, err := OpenOutbox(path)
+	if err != nil {
+		t.Fatalf("mid-file corruption must quarantine, not refuse to boot: %v", err)
+	}
+	defer o.Close()
+	rec := o.Recovery()
+	if rec.DamagedBytes != int64(len(tail)) || rec.IntactBytes != int64(len(head)) || rec.Reason == "" {
+		t.Fatalf("Recovery = %+v, want %d damaged bytes after a %d-byte intact prefix", rec, len(tail), len(head))
+	}
+	if q, err := os.ReadFile(rec.QuarantineFile); err != nil || !bytes.Equal(q, tail) {
+		t.Fatalf("quarantine file does not hold the damaged suffix: %v", err)
+	}
+	if got := o.Pending(); len(got) != 1 || got[0].Key != "a" {
+		t.Fatalf("pending after quarantine = %+v, want only the intact prefix (key a)", got)
+	}
+}
+
+// TestOutboxTornTailDetectsFlippedPayloadByte flips one byte inside the
+// base64 payload of a MIDDLE enq record. The record is still valid JSON
+// and still valid base64, so a journal without a checksum replays it and
+// delivers the corrupted payload silently; the frame CRC must catch it,
+// quarantine the suffix, replay the intact prefix, and report.
+func TestOutboxTornTailDetectsFlippedPayloadByte(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "outbox.wal")
+	o, err := OpenOutbox(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := o.Append("d", "store", fmt.Sprintf("k%d", i), "", []byte("payload-payload-payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := o.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b64 := []byte(base64.StdEncoding.EncodeToString([]byte("payload-payload-payload")))
+	first := bytes.Index(raw, b64)
+	second := first + len(b64) + bytes.Index(raw[first+len(b64):], b64)
+	if first < 0 || second <= first {
+		t.Fatal("journal does not hold the base64 payloads where expected")
+	}
+	raw[second+4] ^= 0x01 // 'b' <-> 'c': still base64, different bytes
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	o2, err := OpenOutbox(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o2.Close()
+	for _, e := range o2.Pending() {
+		if string(e.Payload) != "payload-payload-payload" {
+			t.Fatalf("entry %d replayed with a corrupted payload %q", e.Seq, e.Payload)
+		}
+	}
+	rec := o2.Recovery()
+	if rec.DamagedBytes == 0 || rec.Records != 1 || !strings.Contains(rec.Reason, "checksum") {
+		t.Fatalf("Recovery = %+v, want the flipped byte caught by the checksum after 1 intact record", rec)
+	}
+	if got := o2.Pending(); len(got) != 1 || got[0].Key != "k0" {
+		t.Fatalf("pending = %+v, want only the intact prefix (k0)", got)
 	}
 }

@@ -335,43 +335,6 @@ func TestIdempotencyKeyDistinguishesHops(t *testing.T) {
 	}
 }
 
-func TestFaultInjector(t *testing.T) {
-	var delivered atomic.Int64
-	inner := TransportFunc(func(ctx context.Context, e Entry) error {
-		delivered.Add(1)
-		return nil
-	})
-	draws := []float64{0.1, 0.9, 0.05, 0.9, 0.9, 0.9, 0.02}
-	i := 0
-	f := &FaultInjector{
-		Inner: inner, DropRate: 0.2, DupRate: 0.1, AckLossRate: 0.05,
-		Rand: func() float64 { v := draws[i%len(draws)]; i++; return v },
-	}
-	ctx := context.Background()
-	// draw 0.1 < DropRate 0.2 → dropped before delivery.
-	if err := f.Deliver(ctx, Entry{}); !errors.Is(err, ErrInjectedDrop) {
-		t.Fatalf("want injected drop, got %v", err)
-	}
-	// draws 0.9 (no drop), 0.05 < DupRate → delivered twice, then 0.9 no ack loss.
-	if err := f.Deliver(ctx, Entry{}); err != nil {
-		t.Fatalf("Deliver = %v", err)
-	}
-	if got := delivered.Load(); got != 2 {
-		t.Fatalf("deliveries = %d, want 2 (dup)", got)
-	}
-	// draws 0.9, 0.9, 0.02 < AckLossRate → delivered but reported failed.
-	if err := f.Deliver(ctx, Entry{}); !errors.Is(err, ErrInjectedDrop) {
-		t.Fatalf("want ack loss, got %v", err)
-	}
-	if got := delivered.Load(); got != 3 {
-		t.Fatalf("deliveries = %d, want 3", got)
-	}
-	drops, acks, dups := f.Injected()
-	if drops != 1 || acks != 1 || dups != 1 {
-		t.Fatalf("Injected = (%d,%d,%d)", drops, acks, dups)
-	}
-}
-
 func TestOutboxCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "outbox.wal")
 	o, err := OpenOutbox(path)
