@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lintdefs build test race bench benchsmoke faults crash smoke clustersmoke chaossmoke ratchet fuzzsmoke loc
+.PHONY: check fmt vet lint lintdefs build test race bench benchsmoke benchquick faults crash smoke clustersmoke chaossmoke fuzzsmoke loc
 
 # check is the CI gate: formatting, static analysis (go vet plus the
 # repo's own dralint rules and the workflow-definition lint over every
 # shipped definition), build, the benchmark smoke run for the
 # verification fast path, the relay reliability gate, the pool
 # crash-recovery gate, the daemon lifecycle smokes (single-node,
-# clustered failover, and chaos partition), and the full test suite
-# under the race detector.
-check: fmt vet lint build lintdefs benchsmoke faults crash smoke clustersmoke chaossmoke race
+# clustered failover, and chaos partition), one quick round of the system
+# benchmark against real daemons, and the full test suite under the race
+# detector.
+check: fmt vet lint build lintdefs benchsmoke faults crash smoke clustersmoke chaossmoke benchquick race
 
 # crash is the pool durability gate: kill-mid-write recovery (torn and
 # bit-flipped WAL tails), checkpoint fallback, and concurrent
@@ -40,12 +41,15 @@ clustersmoke:
 chaossmoke:
 	./scripts/chaos_smoke.sh
 
-# ratchet compares the two newest BENCH_<n>.json trajectories in the
-# repo root and fails on >10% regressions in the recorded α/β/γ timings
-# (record runs with `drabench -json`). CI runs the same comparator on
-# two fresh scratch runs with a looser threshold.
-ratchet:
-	$(GO) run ./cmd/drabench -compare
+# benchquick keeps the instrument that defends performance wired: the
+# system benchmark's own tests, then one quick round of every workload
+# against freshly built drapool/draportal/dratfc, which fails on any
+# failed operation, unverifiable stored document or unclean daemon exit.
+# Comparing two commits is `bash benchmarks/run.sh` on each (see
+# benchmarks/system/README.md); this target only proves the loop runs.
+benchquick:
+	cd benchmarks/system && $(GO) test -short ./...
+	bash benchmarks/run.sh -quick
 
 # benchsmoke compiles and runs every dsig/xmltree benchmark once, so the
 # fast-path benchmarks (BenchmarkVerifyAll, BenchmarkCanonicalMemo) cannot

@@ -10,15 +10,14 @@
 //	drabench [-experiment all|table1|table2|cascade|verifycache|elementwise|
 //	          multirecipient|tfc|scalability|dos|engine|poolscale|pool|faults]
 //	         [-bits 2048] [-reps 5] [-json] [-faults]
-//	drabench -compare [-bench-dir DIR] [-threshold 0.10] [-floor 5ms]
 //
 // After the experiments it prints the run's telemetry — crypto op counts
 // and latency histograms accumulated by the instrumented packages — as a
-// table, or as a JSON metrics section with -json. With -json the α/β/Σ
-// tables of the run are additionally written to a BENCH_<n>.json
-// trajectory file in the current directory (n auto-increments), so future
-// changes can diff performance against recorded runs; see EXPERIMENTS.md
-// "Raw outputs" for the format.
+// table. With -json the human tables move to stderr and stdout carries one
+// JSON document: the rows of every table that ran plus the telemetry as
+// its "metrics" section (see EXPERIMENTS.md "Raw outputs"). drabench
+// writes nothing to the working directory; performance is defended by
+// benchmarks/system, not by diffing these rows.
 package main
 
 import (
@@ -40,19 +39,12 @@ func main() {
 	experiment := flag.String("experiment", "all", "which experiment to run")
 	bits := flag.Int("bits", 2048, "RSA modulus size")
 	reps := flag.Int("reps", 5, "repetitions to average over (tables)")
-	jsonOut := flag.Bool("json", false, "emit the closing telemetry snapshot as JSON on stdout (tables move to stderr)")
+	jsonOut := flag.Bool("json", false, "emit the run's table rows and closing telemetry snapshot as one JSON document on stdout (tables move to stderr)")
 	faultsOnly := flag.Bool("faults", false, "shorthand for -experiment faults")
-	compare := flag.Bool("compare", false, "compare the two newest BENCH_<n>.json trajectories instead of running experiments; exits 1 on regression")
-	benchDir := flag.String("bench-dir", ".", "directory holding the BENCH_<n>.json trajectories (-compare)")
-	threshold := flag.Float64("threshold", 0.10, "relative slowdown that counts as a regression (-compare; 0.10 = 10%)")
-	floor := flag.Duration("floor", 5*time.Millisecond, "ignore regressions whose absolute times are both below this (-compare noise damping)")
 	chaosSeed := flag.Int64("chaos-seed", 42, "PRNG seed for the chaos experiment's fault schedule")
 	flag.Parse()
 	if *faultsOnly {
 		*experiment = "faults"
-	}
-	if *compare {
-		os.Exit(runCompare(*benchDir, *threshold, *floor))
 	}
 
 	// With -json, stdout must stay machine-readable: divert the human
@@ -63,9 +55,10 @@ func main() {
 		os.Stdout = os.Stderr
 	}
 
-	// traj collects the rows of the tables that ran, for the BENCH_<n>.json
-	// trajectory file written with -json.
-	traj := &trajectory{Bits: *bits, Reps: *reps, Experiment: *experiment}
+	// doc is the -json document: the run's parameters, the rows of every
+	// table that ran under the experiment's name, and the telemetry.
+	// Durations serialize as integer nanoseconds.
+	doc := map[string]any{"bits": *bits, "reps": *reps, "experiment": *experiment}
 
 	run := func(name string, fn func() error) {
 		switch *experiment {
@@ -83,7 +76,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		traj.Table1 = rows
+		doc["table1"] = rows
 		fmt.Print(bench.FormatTable1(rows))
 		fmt.Println("expected shape: alpha grows ~linearly with #sigs; beta ~constant; Sigma linear.")
 		return nil
@@ -95,7 +88,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		traj.Table2 = rows
+		doc["table2"] = rows
 		fmt.Print(bench.FormatTable2(rows))
 		fmt.Println("expected shape: alpha grows with #CERs on both AEA and TFC sides; beta, gamma ~constant;")
 		fmt.Println("documents larger than Table 1 (intermediate CERs + timestamps).")
@@ -110,7 +103,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		traj.Cascade = rows
+		doc["cascade"] = rows
 		fmt.Printf("%6s %14s %14s %10s %14s %8s\n", "CERs", "verify", "verify(warm)", "bytes", "scope(Alg.1)", "|scope|")
 		for _, r := range rows {
 			fmt.Printf("%6d %14v %14v %10d %14v %8d\n", r.CERs, r.VerifyTime.Round(time.Microsecond),
@@ -127,7 +120,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		traj.VerifyCache = rows
+		doc["verifycache"] = rows
 		fmt.Printf("%6s %6s %14s %14s %14s\n", "CERs", "sigs", "cold-serial", "cold-fast", "warm-hop")
 		for _, r := range rows {
 			fmt.Printf("%6d %6d %14v %14v %14v\n", r.CERs, r.Sigs,
@@ -234,7 +227,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		traj.Crypto = rows
+		doc["crypto"] = rows
 		fmt.Printf("%-12s %6s %6s %12s %12s %12s %10s\n",
 			"suite", "mode", "sigs", "verify", "sign", "hop", "docs/s")
 		var seedHop time.Duration
@@ -278,7 +271,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		traj.PoolScale = rows
+		doc["poolscale"] = rows
 		fmt.Printf("%10s %8s %12s %12s %12s %12s\n",
 			"docs", "regions", "store/doc", "query/doc", "monitor", "stats(MR)")
 		for _, r := range rows {
@@ -295,7 +288,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		traj.PoolFailover = fo
+		doc["poolfailover"] = fo
 		fmt.Printf("killed %s (primary of %s) at write %d/%d: %d acked, %d lost\n",
 			fo.KilledNode, fo.KilledRegion, fo.AckedWrites/2, fo.AckedWrites,
 			fo.AckedWrites, fo.LostWrites)
@@ -314,7 +307,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		traj.Chaos = rows
+		doc["chaos"] = rows
 		fmt.Printf("%-18s %8s %6s %12s %12s %12s %12s %8s %8s %8s\n",
 			"scenario", "acked", "lost", "failover", "recovery", "mean", "max", "served", "shed", "goodput")
 		for _, r := range rows {
@@ -371,83 +364,26 @@ func main() {
 		os.Exit(2)
 	}
 
-	printTelemetry(*jsonOut, jsonDst)
-
-	if *jsonOut {
-		path, err := writeTrajectory(traj)
-		if err != nil {
-			log.Fatalf("writing trajectory file: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "trajectory written to %s\n", path)
-	}
-}
-
-// trajectory is the schema of the BENCH_<n>.json file: the α/β/Σ tables
-// (and the fast-path ablations) of one drabench run, for diffing
-// performance across changes. Durations serialize as integer nanoseconds
-// (Go's time.Duration JSON encoding).
-type trajectory struct {
-	Timestamp   string                 `json:"timestamp"`
-	Bits        int                    `json:"bits"`
-	Reps        int                    `json:"reps"`
-	Experiment  string                 `json:"experiment"`
-	Table1      []bench.Table1Row      `json:"table1,omitempty"`
-	Table2      []bench.Table2Row      `json:"table2,omitempty"`
-	Cascade     []bench.CascadeRow     `json:"cascade,omitempty"`
-	VerifyCache []bench.VerifyCacheRow `json:"verifycache,omitempty"`
-	// PoolScale/PoolFailover record the clustered-pool experiments: the
-	// scale-out table and the kill-a-node run (zero acked-write loss plus
-	// its failover latency). Baselines without these fields compare
-	// cleanly: metricsOf skips metrics the baseline lacks.
-	PoolScale    []bench.PoolScaleRow      `json:"poolscale,omitempty"`
-	PoolFailover *bench.PoolFailoverResult `json:"poolfailover,omitempty"`
-	// Crypto records the signature-suite throughput ablation: per suite,
-	// the seed/cold/warm hop cost on the Figure 9A cascade.
-	Crypto []bench.CryptoRow `json:"crypto,omitempty"`
-	// Chaos records the deterministic fault-injection scenarios: per
-	// scenario, the zero-loss verdict and its failover/recovery costs.
-	Chaos []bench.ChaosRow `json:"chaos,omitempty"`
-}
-
-// writeTrajectory writes traj to BENCH_<n>.json in the current directory,
-// where n is one more than the highest existing trajectory number — runs
-// accumulate instead of overwriting, so the sequence forms a perf history.
-func writeTrajectory(traj *trajectory) (string, error) {
-	traj.Timestamp = time.Now().UTC().Format(time.RFC3339)
-	max := 0
-	entries, err := os.ReadDir(".")
-	if err != nil {
-		return "", err
-	}
-	for _, e := range entries {
-		var n int
-		if _, err := fmt.Sscanf(e.Name(), "BENCH_%d.json", &n); err == nil && n > max {
-			max = n
-		}
-	}
-	path := fmt.Sprintf("BENCH_%d.json", max+1)
-	data, err := json.MarshalIndent(traj, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return path, os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// printTelemetry dumps the process-wide registry accumulated while the
-// experiments ran: every dsig/xmlenc/aea/tfc/pool operation the harness
-// performed in-process is in here, so the numbers contextualize the
-// tables above (e.g. how many signature verifications Table 1 cost).
-func printTelemetry(asJSON bool, jsonDst *os.File) {
+	// The process-wide registry accumulated while the experiments ran:
+	// every dsig/xmlenc/aea/tfc/pool operation the harness performed
+	// in-process is in here, so the numbers contextualize the tables above
+	// (e.g. how many signature verifications Table 1 cost).
 	snap := telemetry.Default().Snapshot()
-	if asJSON {
-		enc := json.NewEncoder(jsonDst)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]telemetry.Snapshot{"metrics": snap}); err != nil {
-			log.Fatal(err)
-		}
+	if !*jsonOut {
+		printTelemetry(snap)
 		return
 	}
+	doc["timestamp"] = time.Now().UTC().Format(time.RFC3339)
+	doc["metrics"] = snap
+	enc := json.NewEncoder(jsonDst)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// printTelemetry renders the run's telemetry snapshot as tables.
+func printTelemetry(snap telemetry.Snapshot) {
 	fmt.Printf("\n================ telemetry ================\n")
 	if len(snap.Counters) > 0 {
 		fmt.Printf("%-44s %12s\n", "counter", "value")

@@ -22,120 +22,15 @@
 // after recovery completes. On SIGINT/SIGTERM the node drains, writes a
 // final checkpoint, and exits 0 — rejoin is then just restarting it: the
 // coordinator's repair loop replays whatever the node missed.
+//
+// Flags shared with the other daemons, boot order and shutdown order live
+// in internal/daemon (README "Daemon flags"); -h lists every flag.
 package main
 
 import (
-	"context"
-	"flag"
-	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
-	"dra4wfms/internal/chaos"
-	"dra4wfms/internal/httpapi"
-	"dra4wfms/internal/pool"
-	"dra4wfms/internal/poolcluster"
-	"dra4wfms/internal/portal"
-	"dra4wfms/internal/telemetry"
+	"dra4wfms/internal/daemon"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("drapool: ")
-	listen := flag.String("listen", ":9201", "listen address")
-	nodeID := flag.String("node-id", "", "cluster-unique node ID (required; must match the coordinator's -cluster-nodes entry)")
-	dataDir := flag.String("data-dir", "", "durable table directory (WAL + checkpoints); empty keeps the node memory-only")
-	fsync := flag.Bool("fsync", true, "fsync the WAL on every mutation (requires -data-dir; disable only for benchmarks)")
-	ckInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "periodic checkpoint interval (0 disables periodic checkpoints)")
-	grace := flag.Duration("grace", 15*time.Second, "shutdown grace period for draining in-flight requests")
-	pprofOn := flag.Bool("pprof", false, "serve /debug/pprof/* on the listen address")
-	slowOps := flag.Duration("slowops", 0, "log spans slower than this duration (0 disables)")
-	chaosOn := flag.Bool("chaos", false, "serve the "+chaos.AdminPath+" fault-injection control plane (TEST ONLY: unauthenticated)")
-	chaosSeed := flag.Int64("chaos-seed", 42, "deterministic seed for the chaos fault PRNG (requires -chaos)")
-	flag.Parse()
-
-	if *nodeID == "" {
-		log.Fatal("missing -node-id")
-	}
-	if *slowOps > 0 {
-		telemetry.Default().SetSlowOpThreshold(*slowOps)
-		telemetry.Default().SetSlowOpLogger(log.Default())
-	}
-
-	cluster, err := pool.NewCluster([]string{*nodeID + "-rs"}, 1<<20)
-	if err != nil {
-		log.Fatal(err)
-	}
-	families := append(append([]pool.FamilySpec{}, portal.Families...),
-		pool.FamilySpec{Name: "rec", MaxVersions: 1})
-	table, err := cluster.CreateTable(portal.TableName, families...)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	var store *pool.Store
-	if *dataDir != "" {
-		var rep *pool.RecoveryReport
-		store, rep, err = pool.Open(table, *dataDir, pool.StoreOptions{
-			NoFsync:            !*fsync,
-			CheckpointInterval: *ckInterval,
-		})
-		if err != nil {
-			log.Fatalf("opening durable table in %s: %v", *dataDir, err)
-		}
-		log.Printf("durable table in %s: %s", *dataDir, rep.Summary())
-		if rep.Damaged() {
-			log.Printf("WARNING: recovery quarantined damaged WAL data (%s); inspect %s", rep.DamageReason, rep.QuarantineFile)
-		}
-	}
-
-	node := poolcluster.NewNode(*nodeID, table)
-	srv := httpapi.NewPoolNodeServer(node)
-	srv.EnablePprof = *pprofOn
-	probes := httpapi.NewProbes()
-	srv.Probes = probes
-	probes.SetReady(true)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	handler := http.Handler(srv.Handler())
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("listening on %s: %v", *listen, err)
-	}
-	if *chaosOn {
-		// Chaos mode: the node's own traffic passes through the fault
-		// model (crash/slow at the listener, partitions at the handler
-		// gate), and the control plane that drives it is served on
-		// AdminPath — exempt from the gate so drills can heal what they
-		// injected. Test-only: the control plane is unauthenticated.
-		cnet := chaos.NewNetwork(*chaosSeed)
-		mux := http.NewServeMux()
-		mux.Handle(chaos.AdminPath, cnet.Handler())
-		mux.Handle("/", handler)
-		handler = cnet.Gate(*nodeID, mux)
-		ln = cnet.WrapListener(*nodeID, ln)
-		log.Printf("CHAOS MODE: fault injection enabled (seed %d, control plane on %s)", *chaosSeed, chaos.AdminPath)
-	}
-
-	log.Printf("pool node %s serving on %s", *nodeID, *listen)
-	if err := httpapi.ServeListener(ctx, ln, handler, *grace, func() {
-		log.Printf("shutdown requested, draining in-flight requests (grace %s)", *grace)
-		probes.StartDraining()
-	}); err != nil {
-		log.Fatalf("serving: %v", err)
-	}
-
-	if store != nil {
-		if err := store.Close(); err != nil {
-			log.Fatalf("final checkpoint: %v", err)
-		}
-		log.Printf("final checkpoint written to %s", store.Dir())
-	}
-	log.Print("shutdown complete")
-}
+func main() { os.Exit(daemon.Main(daemon.PoolNode)) }

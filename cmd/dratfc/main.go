@@ -15,290 +15,15 @@
 // log is restored so already-notarized intermediates stay rejected across
 // restarts. GET /v1/readyz reports 200 only after restore completes; on
 // SIGINT/SIGTERM the server drains, writes a final checkpoint, and exits 0.
+//
+// Flags shared with the other daemons, boot order and shutdown order live
+// in internal/daemon (README "Daemon flags"); -h lists every flag.
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"flag"
-	"fmt"
-	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"sync/atomic"
-	"syscall"
-	"time"
 
-	"dra4wfms/internal/chaos"
-	"dra4wfms/internal/dsig"
-	"dra4wfms/internal/httpapi"
-	"dra4wfms/internal/pki"
-	"dra4wfms/internal/pool"
-	"dra4wfms/internal/poolcluster"
-	"dra4wfms/internal/telemetry"
-	"dra4wfms/internal/tfc"
-	"dra4wfms/internal/trace"
+	"dra4wfms/internal/daemon"
 )
 
-// The persisted forwarding log lives in one durable pool table: one row
-// per record, keyed by append index so scan order is append order.
-const (
-	stateTable  = "tfcstate"
-	stateFamily = "rec"
-	stateQual   = "json"
-)
-
-func stateRow(n uint64) string { return fmt.Sprintf("rec|%020d", n) }
-
-// parseStateRow inverts stateRow, recovering the append index a persisted
-// forwarding record was stored under.
-func parseStateRow(row string) (uint64, error) {
-	digits, ok := strings.CutPrefix(row, "rec|")
-	if !ok {
-		return 0, fmt.Errorf("not a forwarding-log row")
-	}
-	n, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad index: %w", err)
-	}
-	return n, nil
-}
-
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("dratfc: ")
-	listen := flag.String("listen", ":8081", "listen address")
-	trust := flag.String("trust", "deploy/trust.json", "trust bundle path")
-	keyPath := flag.String("key", "", "this server's private-key PEM")
-	dataDir := flag.String("data-dir", "", "durable state directory (WAL + checkpoints) for the forwarding log; empty keeps it memory-only")
-	clusterNodes := flag.String("cluster-nodes", "", "store the forwarding log on a clustered pool: comma-separated id=url list of drapool nodes (mutually exclusive with -data-dir)")
-	replicas := flag.Int("replicas", 2, "copies of each region across the drapool fleet, primary included (requires -cluster-nodes)")
-	clusterWAL := flag.String("cluster-wal", "", "replication outbox WAL file; journaled replication intents survive restarts (requires -cluster-nodes)")
-	fsync := flag.Bool("fsync", true, "fsync the state WAL on every record (requires -data-dir)")
-	ckInterval := flag.Duration("checkpoint-interval", 5*time.Minute, "periodic state checkpoint interval (0 disables periodic checkpoints)")
-	grace := flag.Duration("grace", 15*time.Second, "shutdown grace period for draining in-flight requests")
-	pprofOn := flag.Bool("pprof", false, "serve /debug/pprof/* on the listen address")
-	slowOps := flag.Duration("slowops", 0, "log spans slower than this duration (0 disables)")
-	verifyWorkers := flag.Int("verify-workers", 0, "max concurrent signature verifications per document (0 = all cores, 1 = serial)")
-	verifyCache := flag.Int("verify-cache", dsig.DefaultCacheSize, "verified-prefix cache entries (0 disables the cache)")
-	suite := flag.String("suite", dsig.SignatureAlg, "signature suite for locally produced signatures; verification always honors each signature's recorded algorithm")
-	traceOut := flag.String("trace-out", "", "append finished trace spans to this file as JSONL (empty disables the export; GET /v1/traces always serves the in-memory ring)")
-	traceSample := flag.Float64("trace-sample", 1, "fraction of locally rooted traces to record, 0..1; hops continuing an inbound traceparent honor its sampled flag instead")
-	maxInflight := flag.Int("max-inflight", 0, "admission control: shed requests beyond this many in flight with 429 (0 disables; probes always pass, writes shed before reads)")
-	chaosOn := flag.Bool("chaos", false, "serve the "+chaos.AdminPath+" fault-injection control plane (TEST ONLY: unauthenticated)")
-	chaosSeed := flag.Int64("chaos-seed", 42, "deterministic seed for the chaos fault PRNG (requires -chaos)")
-	flag.Parse()
-
-	dsig.Configure(*verifyWorkers, *verifyCache)
-	if err := dsig.ConfigureSuite(*suite); err != nil {
-		log.Fatalf("-suite: %v", err)
-	}
-	if *traceSample < 1 {
-		trace.Default().SetSampler(trace.RatioSample(*traceSample))
-		log.Printf("sampling %.0f%% of trace roots", *traceSample*100)
-	}
-	var traceFile *os.File
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatalf("opening -trace-out: %v", err)
-		}
-		traceFile = f
-		trace.Default().SetOutput(f)
-		log.Printf("exporting trace spans to %s", *traceOut)
-	}
-	if *slowOps > 0 {
-		telemetry.Default().SetSlowOpThreshold(*slowOps)
-		telemetry.Default().SetSlowOpLogger(log.Default())
-		log.Printf("logging operations slower than %s", *slowOps)
-	}
-
-	if *keyPath == "" {
-		log.Fatal("missing -key (the TFC's private key PEM)")
-	}
-	keyPEM, err := os.ReadFile(*keyPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	keys, err := pki.DecodePrivateKeyPEM(keyPEM)
-	if err != nil {
-		log.Fatal(err)
-	}
-	data, err := os.ReadFile(*trust)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bundle, err := pki.ParseBundle(data)
-	if err != nil {
-		log.Fatal(err)
-	}
-	reg, err := bundle.BuildRegistry(time.Now())
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	server := tfc.New(keys, reg, time.Now)
-
-	// Durable forwarding log: recover, restore into the server (re-arming
-	// the replay guard), then journal every new record before the HTTP
-	// response leaves the process. The log lives either in a local
-	// crash-safe store (-data-dir) or on a clustered pool (-cluster-nodes),
-	// where it shares the drapool fleet's table under the "rec|" prefix.
-	var store *pool.Store
-	var pc *poolcluster.Cluster
-	var stateTab pool.DocTable
-	if *clusterNodes != "" {
-		if *dataDir != "" {
-			log.Fatal("-cluster-nodes and -data-dir are mutually exclusive: with a clustered pool, durability lives on the drapool nodes")
-		}
-		refs, err := httpapi.ParseClusterNodes(*clusterNodes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		pc, err = poolcluster.New(refs, poolcluster.Config{
-			Replicas: *replicas,
-			RelayDir: *clusterWAL,
-		})
-		if err != nil {
-			log.Fatalf("joining pool cluster: %v", err)
-		}
-		stateTab = pc.NewSession()
-		log.Printf("clustered forwarding log: %d nodes, %d replicas per region", len(refs), pc.Replicas())
-	} else if *dataDir != "" {
-		cluster, err := pool.NewCluster([]string{"tfc-rs"}, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		table, err := cluster.CreateTable(stateTable, pool.FamilySpec{Name: stateFamily, MaxVersions: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
-		var rep *pool.RecoveryReport
-		store, rep, err = pool.Open(table, *dataDir, pool.StoreOptions{
-			NoFsync:            !*fsync,
-			CheckpointInterval: *ckInterval,
-		})
-		if err != nil {
-			log.Fatalf("opening durable state in %s: %v", *dataDir, err)
-		}
-		log.Printf("durable state in %s: %s", *dataDir, rep.Summary())
-		if rep.Damaged() {
-			log.Printf("WARNING: recovery quarantined damaged WAL data (%s); inspect %s", rep.DamageReason, rep.QuarantineFile)
-		}
-		stateTab = table
-	}
-	if stateTab != nil {
-		// seq is the next free row index. It must come from the highest
-		// restored index, not the row count: a failed Put can leave a gap in
-		// the rec|NNN sequence, and counting rows across such a gap would
-		// make a future record overwrite an existing persisted row
-		// (stateFamily keeps one version) and silently drop its replay-guard
-		// entry.
-		var restored []tfc.ForwardRecord
-		var seq atomic.Uint64
-		// The prefix scan matters on a clustered pool, where the table is
-		// shared with portal document rows.
-		for _, kv := range stateTab.Scan(pool.ScanOptions{Prefix: "rec|", Family: stateFamily}) {
-			var rec tfc.ForwardRecord
-			if err := json.Unmarshal(kv.Value, &rec); err != nil {
-				log.Fatalf("decoding persisted record %s: %v", kv.Row, err)
-			}
-			restored = append(restored, rec)
-			idx, err := parseStateRow(kv.Row)
-			if err != nil {
-				log.Fatalf("persisted record key %s: %v", kv.Row, err)
-			}
-			if idx+1 > seq.Load() {
-				seq.Store(idx + 1)
-			}
-		}
-		server.Restore(restored)
-		if len(restored) > 0 {
-			log.Printf("restored %d forwarding records (replay guard re-armed)", len(restored))
-		}
-
-		// A persistence failure fails the whole Process call (the client
-		// sees an error and can retry) instead of acknowledging a response
-		// whose replay guard would be disarmed by the next restart.
-		server.OnRecord = func(rec tfc.ForwardRecord) error {
-			raw, err := json.Marshal(rec)
-			if err != nil {
-				return fmt.Errorf("encoding forwarding record: %w", err)
-			}
-			return stateTab.Put(stateRow(seq.Add(1)-1), stateFamily, stateQual, raw)
-		}
-	}
-
-	srv := httpapi.NewTFCServer(server, httpapi.NewAuthenticator(reg, time.Now))
-	srv.EnablePprof = *pprofOn
-	probes := httpapi.NewProbes()
-	srv.Probes = probes
-	if pc != nil {
-		probes.AddCheck("cluster", pc.HealthCheck)
-		probes.AddDegradedCheck("replication-lag", pc.LagCheck(1_000))
-	}
-	if *maxInflight > 0 {
-		// The TFC's work is verify-bound: shed notarizations (writes) early
-		// when the shared verify pool saturates, before the RSA is bought.
-		srv.Admission = httpapi.NewAdmission(httpapi.AdmissionConfig{
-			MaxInFlight: *maxInflight,
-			VerifyDepth: dsig.PoolDepth,
-		})
-		log.Printf("admission control: max %d in-flight requests", *maxInflight)
-	}
-	probes.SetReady(true)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	handler := http.Handler(srv.Handler())
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("listening on %s: %v", *listen, err)
-	}
-	if *chaosOn {
-		cnet := chaos.NewNetwork(*chaosSeed)
-		mux := http.NewServeMux()
-		mux.Handle(chaos.AdminPath, cnet.Handler())
-		mux.Handle("/", handler)
-		handler = cnet.Gate("tfc", mux)
-		ln = cnet.WrapListener("tfc", ln)
-		log.Printf("CHAOS MODE: fault injection enabled (seed %d, control plane on %s)", *chaosSeed, chaos.AdminPath)
-	}
-
-	log.Printf("TFC %s serving on %s", keys.Owner, *listen)
-	if err := httpapi.ServeListener(ctx, ln, handler, *grace, func() {
-		log.Printf("shutdown requested, draining in-flight requests (grace %s)", *grace)
-		probes.StartDraining()
-	}); err != nil {
-		log.Fatalf("serving: %v", err)
-	}
-
-	if pc != nil {
-		qctx, qcancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := pc.Quiesce(qctx); err != nil {
-			log.Printf("cluster quiesce: %v", err)
-		}
-		qcancel()
-		if err := pc.Close(); err != nil {
-			log.Printf("closing cluster coordinator: %v", err)
-		}
-	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			log.Fatalf("final checkpoint: %v", err)
-		}
-		log.Printf("final checkpoint written to %s", store.Dir())
-	}
-	if traceFile != nil {
-		trace.Default().SetOutput(nil)
-		if err := traceFile.Close(); err != nil {
-			log.Printf("closing trace export: %v", err)
-		}
-	}
-	log.Print("shutdown complete")
-}
+func main() { os.Exit(daemon.Main(daemon.TFC)) }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -791,10 +792,12 @@ func RunPool(n int, valueBytes int, splitThreshold int) (*PoolResult, error) {
 	t0 := time.Now()
 	for i := 0; i < n; i++ {
 		row := fmt.Sprintf("proc-%08d", i)
-		if err := tbl.Put(row, "doc", "content", val); err != nil {
+		if err := errors.Join(
+			tbl.Put(row, "doc", "content", val),
+			tbl.Put(row, "meta", "state", []byte("running")),
+		); err != nil {
 			return nil, err
 		}
-		tbl.Put(row, "meta", "state", []byte("running"))
 	}
 	putDur := time.Since(t0)
 
@@ -889,12 +892,14 @@ func RunPoolScale(bits int, docCounts []int) ([]PoolScaleRow, error) {
 		t0 := time.Now()
 		for i := 0; i < n; i++ {
 			row := fmt.Sprintf("proc-%08d", i)
-			if err := tbl.Put(row, "doc", "content", payload); err != nil {
+			if err := errors.Join(
+				tbl.Put(row, "doc", "content", payload),
+				tbl.Put(row, "meta", "definition", []byte(def.Name)),
+				tbl.Put(row, "meta", "state", []byte("completed")),
+				tbl.Put(row, "meta", "cers", []byte("5")),
+			); err != nil {
 				return nil, err
 			}
-			tbl.Put(row, "meta", "definition", []byte(def.Name))
-			tbl.Put(row, "meta", "state", []byte("completed"))
-			tbl.Put(row, "meta", "cers", []byte("5"))
 		}
 		storePer := float64(time.Since(t0).Microseconds()) / float64(n)
 

@@ -14,7 +14,7 @@ import (
 // PoolFailoverResult measures the clustered pool's headline guarantee:
 // killing a pool node mid-run loses no acknowledged write, and exactly
 // one write pays the failover stall (suspicion + promotion + retry).
-// Durations serialize as integer nanoseconds for the trajectory ratchet.
+// Durations serialize as integer nanoseconds in `drabench -json`.
 type PoolFailoverResult struct {
 	Nodes       int `json:"nodes"`
 	Replicas    int `json:"replicas"`
@@ -22,8 +22,8 @@ type PoolFailoverResult struct {
 	AckedWrites int `json:"ackedWrites"`
 	// LostWrites counts acknowledged rows that failed to read back after
 	// the kill and repair settled. RunPoolFailover errors when it is
-	// nonzero, so a recorded trajectory always carries 0 here — the field
-	// exists to make the guarantee visible in BENCH_<n>.json.
+	// nonzero, so a recorded run always carries 0 here — the field exists
+	// to make the guarantee visible in the -json document.
 	LostWrites   int    `json:"lostWrites"`
 	KilledNode   string `json:"killedNode"`
 	KilledRegion string `json:"killedRegion"`

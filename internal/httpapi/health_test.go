@@ -183,19 +183,3 @@ func TestServeGraceDeadline(t *testing.T) {
 		t.Fatalf("Serve past grace deadline = %v, want DeadlineExceeded", err)
 	}
 }
-
-func TestListenAndServeTreatsServerClosedAsClean(t *testing.T) {
-	// Occupy a port so ListenAndServe fails fast: real listener errors
-	// must still surface...
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if err := ListenAndServe(ln.Addr().String(), http.NewServeMux()); err == nil {
-		t.Fatal("ListenAndServe on an occupied port returned nil")
-	}
-	// ...while the graceful-shutdown sentinel is filtered by the same
-	// helper ServeListener delegates to (exercised in TestServeGracefulDrain,
-	// which asserts a nil return after Shutdown).
-}

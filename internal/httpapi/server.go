@@ -484,38 +484,14 @@ func (s *TFCServer) handleRecords(w http.ResponseWriter, r *http.Request, princi
 	writeJSON(w, recs)
 }
 
-// ListenAndServe runs handler on addr; it exists for the cmd binaries
-// (tests use httptest). http.ErrServerClosed — the sentinel a graceful
-// Shutdown makes ListenAndServe return — is a clean exit, not an error.
-func ListenAndServe(addr string, handler http.Handler) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
-
-// Serve runs handler on addr until ctx is canceled, then shuts down
+// ServeListener runs handler on ln until ctx is canceled, then shuts down
 // gracefully: onDrain (if non-nil) runs first — daemons flip their
 // readiness probe there so load balancers stop routing — and in-flight
 // requests get up to grace to complete before the listener is torn down.
-// Serve returns nil on a clean drain; a non-nil error means either the
-// listener failed or the grace deadline expired with requests still
-// in flight.
-func Serve(ctx context.Context, addr string, handler http.Handler, grace time.Duration, onDrain func()) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return ServeListener(ctx, ln, handler, grace, onDrain)
-}
-
-// ServeListener is Serve on an existing listener (tests use ephemeral
-// ports; Serve wraps it with net.Listen).
+// It returns nil on a clean drain; a non-nil error means either the
+// listener failed or the grace deadline expired with requests still in
+// flight, whose connections are then cut so that the caller's cleanup
+// does not race them.
 func ServeListener(ctx context.Context, ln net.Listener, handler http.Handler, grace time.Duration, onDrain func()) error {
 	srv := &http.Server{
 		Handler:           handler,
@@ -537,6 +513,9 @@ func ServeListener(ctx context.Context, ln net.Listener, handler http.Handler, g
 	shutCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	err := srv.Shutdown(shutCtx)
+	if err != nil {
+		_ = srv.Close()
+	}
 	// Collect the Serve goroutine's ErrServerClosed so nothing leaks.
 	if serr := <-serveErr; !errors.Is(serr, http.ErrServerClosed) && serr != nil && err == nil {
 		err = serr

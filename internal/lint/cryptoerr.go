@@ -28,17 +28,21 @@ var cryptoErrFunc = regexp.MustCompile(`^(Sign|Verify|Encrypt|Decrypt|Reveal|Aud
 // document hop was silently lost or will be replayed forever, and a
 // discarded pool Sync or Checkpoint error means the caller believes
 // state is on disk when it is not — both break the durability contract
-// just as surely as a discarded Verify error breaks the trust chain.
+// just as surely as a discarded Verify error breaks the trust chain. The
+// same goes for a table write (pool.DocTable, a *pool.Table or a
+// poolcluster session): a discarded Put error acknowledges a hop whose
+// cell the pool refused.
 var durabilityPkgs = []string{
 	"internal/relay",
 	"internal/pool",
+	"internal/poolcluster",
 	"internal/wal",
 }
 
 // durabilityFunc matches the journal-mutating operations within those
 // packages (exact names: the relay and pool APIs have no prefix
 // convention).
-var durabilityFunc = regexp.MustCompile(`^(Enqueue|Append|Ack|Fail|DeadLetter|Requeue|Drop|Deliver|Sync|Checkpoint|Rewrite)$`)
+var durabilityFunc = regexp.MustCompile(`^(Enqueue|Append|Ack|Fail|DeadLetter|Requeue|Drop|Deliver|Sync|Checkpoint|Rewrite|Put|PutCtx|Delete)$`)
 
 // CryptoErr flags discarded or unchecked error returns from the document
 // crypto path and the relay delivery journal. In an engine-less WfMS the
@@ -50,7 +54,8 @@ var CryptoErr = &Analyzer{
 	Name: "cryptoerr",
 	Doc: "reports discarded error results of dsig/xmlenc/pki/aea/document " +
 		"sign, verify, encrypt and decrypt calls, of relay outbox/delivery " +
-		"operations, and of pool/wal/os durability syncs, checkpoints and rewrites " +
+		"operations, of pool/wal/os durability syncs, checkpoints and rewrites, " +
+		"and of pool/poolcluster table writes " +
 		"(exempt in _test.go files)",
 	Run: runCryptoErr,
 }

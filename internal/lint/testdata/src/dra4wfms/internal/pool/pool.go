@@ -7,6 +7,7 @@
 package pool
 
 import (
+	"context"
 	"math/rand"
 	"time"
 )
@@ -19,6 +20,14 @@ func (s *Store) Sync() error { return nil }
 
 // Checkpoint mirrors pool.(*Store).Checkpoint.
 func (s *Store) Checkpoint() error { return nil }
+
+// DocTable mirrors the write half of pool.DocTable, the table surface the
+// portal and the TFC journal write through.
+type DocTable interface {
+	Put(row, family, qualifier string, value []byte) error
+	PutCtx(ctx context.Context, row, family, qualifier string, value []byte) error
+	Delete(row, family, qualifier string) error
+}
 
 // KeyValue mirrors pool.KeyValue.
 type KeyValue struct {

@@ -15,3 +15,9 @@ func (c *Coordinator) ApplyPrimary(region string, frame []byte) error { return n
 // JournalReplication mirrors journaling a backup's replication intent
 // into the coordinator outbox — the durability point of the backup copy.
 func (c *Coordinator) JournalReplication(region, backup string, frame []byte) error { return nil }
+
+// Session mirrors the clustered pool.DocTable implementation.
+type Session struct{}
+
+// Put mirrors poolcluster.(*Session).Put.
+func (s *Session) Put(row, family, qualifier string, value []byte) error { return nil }

@@ -3,15 +3,31 @@
 // error — or a dropped (os.File).Sync under any hand-rolled journal —
 // means the caller believes state is on disk when the kernel may have
 // refused it. The same holds one layer down: a dropped wal Append or
-// Rewrite error acknowledges a record the log never took.
+// Rewrite error acknowledges a record the log never took. And one layer
+// up: a dropped table Put, PutCtx or Delete error — through pool.DocTable
+// or a clustered session — acknowledges a hop whose cell the pool refused
+// (portal.persist did exactly that for every cell after doc:content).
 package pool
 
 import (
+	"context"
 	"os"
 
 	"dra4wfms/internal/pool"
+	"dra4wfms/internal/poolcluster"
 	"dra4wfms/internal/wal"
 )
+
+func badPersist(ctx context.Context, t pool.DocTable, s *poolcluster.Session, doc []byte) error {
+	if err := t.PutCtx(ctx, "proc-1", "doc", "content", doc); err != nil {
+		return err
+	}
+	t.PutCtx(ctx, "proc-1", "meta", "state", nil) // want "error returned by (pool.DocTable).PutCtx is unchecked"
+	t.Delete("proc-1", "idx", "alice")            // want "error returned by (pool.DocTable).Delete is unchecked"
+	_ = t.Put("tpl#x", "meta", "designer", nil)   // want "error returned by (pool.DocTable).Put is assigned to _"
+	s.Put("rec|0", "rec", "json", nil)            // want "error returned by (poolcluster.Session).Put is unchecked"
+	return nil
+}
 
 func badLog(l *wal.Log, payload []byte) {
 	l.Append(payload)  // want "error returned by (wal.Log).Append is unchecked"

@@ -198,17 +198,27 @@ func (p *Portal) persist(ctx context.Context, doc *document.Document) ([]Notific
 		return nil, err
 	}
 	row := doc.ProcessID()
-	if err := p.Table.PutCtx(ctx, row, "doc", "content", doc.Bytes()); err != nil {
-		return nil, err
-	}
 	state := "running"
 	if completed {
 		state = "completed"
 	}
-	p.Table.PutCtx(ctx, row, "meta", "definition", []byte(def.Name))
-	p.Table.PutCtx(ctx, row, "meta", "state", []byte(state))
-	p.Table.PutCtx(ctx, row, "meta", "cers", []byte(strconv.Itoa(len(doc.FinalCERs()))))
-	p.Table.PutCtx(ctx, row, "meta", "updated", []byte(p.Clock().UTC().Format(time.RFC3339Nano)))
+	// One put per cell until the pool has row mutations (ROADMAP item 1);
+	// the first failure fails the store. A retried Store re-merges and
+	// rewrites every cell, so the retry heals a half-written hop.
+	for _, cell := range []struct {
+		family, qualifier string
+		value             []byte
+	}{
+		{"doc", "content", doc.Bytes()},
+		{"meta", "definition", []byte(def.Name)},
+		{"meta", "state", []byte(state)},
+		{"meta", "cers", []byte(strconv.Itoa(len(doc.FinalCERs())))},
+		{"meta", "updated", []byte(p.Clock().UTC().Format(time.RFC3339Nano))},
+	} {
+		if err := p.Table.PutCtx(ctx, row, cell.family, cell.qualifier, cell.value); err != nil {
+			return nil, err
+		}
+	}
 
 	// Rebuild the worklist index: one idx cell per assignee with their
 	// enabled activities; stale cells from prior states are deleted.
@@ -230,14 +240,18 @@ func (p *Portal) persist(ctx context.Context, doc *document.Document) ([]Notific
 	for _, kv := range p.Table.GetRow(row) {
 		if kv.Family == "idx" {
 			if _, still := byParticipant[kv.Qualifier]; !still {
-				p.Table.Delete(row, "idx", kv.Qualifier)
+				if err := p.Table.Delete(row, "idx", kv.Qualifier); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
 	var notes []Notification
 	for participant, acts := range byParticipant {
 		sort.Strings(acts)
-		p.Table.PutCtx(ctx, row, "idx", participant, []byte(strings.Join(acts, ",")))
+		if err := p.Table.PutCtx(ctx, row, "idx", participant, []byte(strings.Join(acts, ","))); err != nil {
+			return nil, err
+		}
 		for _, a := range acts {
 			notes = append(notes, Notification{Participant: participant, ProcessID: row, Activity: a})
 		}
@@ -422,7 +436,9 @@ func (p *Portal) StoreTemplate(tpl *xmltree.Node) (string, error) {
 	if err := p.Table.Put(row, "doc", "template", tpl.Canonical()); err != nil {
 		return "", err
 	}
-	p.Table.Put(row, "meta", "designer", []byte(def.Designer))
+	if err := p.Table.Put(row, "meta", "designer", []byte(def.Designer)); err != nil {
+		return "", err
+	}
 	return def.Name, nil
 }
 

@@ -90,9 +90,9 @@ type Server struct {
 	Clock func() time.Time
 	// OnRecord, when non-nil, is called once for every ForwardRecord,
 	// outside the server's lock and before the record is appended or the
-	// outcome returned — the journaling hook cmd/dratfc uses to persist
-	// the forwarding log (and the replay guard it implies) across
-	// restarts. A non-nil error fails the whole Process call: the caller
+	// outcome returned — the hook Journal installs to persist the
+	// forwarding log (and the replay guard it implies) across restarts. A
+	// non-nil error fails the whole Process call: the caller
 	// never sees an acknowledged outcome whose record is not durable, and
 	// the replay guard for the intermediate is disarmed so the client can
 	// retry once persistence recovers.
@@ -314,20 +314,6 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	s.records = append(s.records, rec)
 	s.mu.Unlock()
 	return out, nil
-}
-
-// Restore preloads the forwarding log — typically read back from durable
-// storage on daemon boot — and re-arms the replay guard for every restored
-// record, so an intermediate document already processed before a restart
-// is still rejected with ErrReplay afterwards. Restore is meant to run
-// before the server takes traffic; it appends to whatever is already held.
-func (s *Server) Restore(records []ForwardRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rec := range records {
-		s.records = append(s.records, rec)
-		s.seen[fmt.Sprintf("%s|%s|%d", rec.ProcessID, rec.Activity, rec.Iteration)] = true
-	}
 }
 
 // Records returns a copy of the forwarding log, the data source for
