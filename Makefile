@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lintdefs build test race bench benchsmoke benchquick faults crash smoke clustersmoke chaossmoke fuzzsmoke loc
+.PHONY: check fmt vet lint lintdefs build test race bench benchsmoke benchquick benchpairs faults crash smoke clustersmoke chaossmoke fuzzsmoke loc
 
 # check is the CI gate: formatting, static analysis (go vet plus the
 # repo's own dralint rules and the workflow-definition lint over every
@@ -51,6 +51,14 @@ benchquick:
 	cd benchmarks/system && $(GO) test -short ./...
 	bash benchmarks/run.sh -quick
 
+# benchpairs measures a change against a base revision the way a gain has
+# to be shown: alternating pairs of one workload, medians, quartiles and
+# the win count per metric (scripts/benchpairs.sh). Minutes per pair, so
+# not part of check.
+#   make benchpairs BASE=HEAD~1 WORKLOAD=monitor-mixed [PAIRS=10]
+benchpairs:
+	./scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
+
 # benchsmoke compiles and runs every dsig/xmltree benchmark once, so the
 # fast-path benchmarks (BenchmarkVerifyAll, BenchmarkCanonicalMemo) cannot
 # rot between perf-focused PRs.
@@ -66,10 +74,12 @@ benchsmoke:
 faults:
 	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestReceiverIdempotency|TestOutbox' ./internal/relay/ ./internal/httpapi/ ./internal/wal/
 
-# fuzzsmoke runs the one log-format fuzz target for ten seconds; plain
-# `go test` already replays its seed corpus on every run.
+# fuzzsmoke runs the log-format fuzz target and the pool's record-payload
+# target for ten seconds each; plain `go test` already replays their seed
+# corpora on every run.
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpen -fuzztime=10s ./internal/wal/
+	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRec -fuzztime=10s ./internal/pool/
 
 # loc prints the non-test, non-comment Go line count ROADMAP tracks.
 loc:

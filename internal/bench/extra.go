@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"dra4wfms/internal/aea"
@@ -892,12 +894,13 @@ func RunPoolScale(bits int, docCounts []int) ([]PoolScaleRow, error) {
 		t0 := time.Now()
 		for i := 0; i < n; i++ {
 			row := fmt.Sprintf("proc-%08d", i)
-			if err := errors.Join(
-				tbl.Put(row, "doc", "content", payload),
-				tbl.Put(row, "meta", "definition", []byte(def.Name)),
-				tbl.Put(row, "meta", "state", []byte("completed")),
-				tbl.Put(row, "meta", "cers", []byte("5")),
-			); err != nil {
+			if err := tbl.Mutate(context.Background(), row, []pool.CellMutation{
+				{Family: "doc", Qualifier: "content", Value: payload},
+				{Family: "meta", Qualifier: "definition", Value: []byte(def.Name)},
+				{Family: "meta", Qualifier: "state", Value: []byte("completed")},
+				{Family: "meta", Qualifier: "cers", Value: []byte("5")},
+				{Family: "meta", Qualifier: "bytes", Value: []byte(strconv.Itoa(len(payload)))},
+			}); err != nil {
 				return nil, err
 			}
 		}

@@ -272,9 +272,8 @@ func TestNodeRefPartitionAndDedup(t *testing.T) {
 	n := NewNetwork(13)
 	ref := n.NodeRef("coord", node)
 
-	frame, err := pool.EncodeMutationFrame(1, pool.Mutation{KV: pool.KeyValue{
-		Row: "r", Family: "doc", Qualifier: "q",
-		Cell: pool.Cell{Value: []byte("v"), Version: 1},
+	frame, err := pool.EncodeMutationFrame(1, pool.Mutation{Row: "r", Version: 1, Cells: []pool.CellMutation{
+		{Family: "doc", Qualifier: "q", Value: []byte("v")},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -291,9 +290,8 @@ func TestNodeRefPartitionAndDedup(t *testing.T) {
 	}
 
 	// Ack loss: the node applies the record, the caller is told it is down.
-	frame2, err := pool.EncodeMutationFrame(2, pool.Mutation{KV: pool.KeyValue{
-		Row: "r", Family: "doc", Qualifier: "q",
-		Cell: pool.Cell{Value: []byte("v2"), Version: 2},
+	frame2, err := pool.EncodeMutationFrame(2, pool.Mutation{Row: "r", Version: 2, Cells: []pool.CellMutation{
+		{Family: "doc", Qualifier: "q", Value: []byte("v2")},
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -110,32 +110,32 @@ func (r *nodeRef) Status() (poolcluster.NodeStatus, error) {
 	return r.ref.Status()
 }
 
-func (r *nodeRef) Get(ctx context.Context, row, family, qualifier string) ([]byte, bool, error) {
+func (r *nodeRef) Get(ctx context.Context, at poolcluster.Barrier, row, family, qualifier string) ([]byte, bool, error) {
 	if _, err := r.judge(ctx); err != nil {
 		return nil, false, err
 	}
-	return r.ref.Get(ctx, row, family, qualifier)
+	return r.ref.Get(ctx, at, row, family, qualifier)
 }
 
-func (r *nodeRef) GetRow(row string) ([]pool.KeyValue, error) {
+func (r *nodeRef) GetRow(at poolcluster.Barrier, row string) ([]pool.KeyValue, error) {
 	if _, err := r.judge(nil); err != nil {
 		return nil, err
 	}
-	return r.ref.GetRow(row)
+	return r.ref.GetRow(at, row)
 }
 
-func (r *nodeRef) GetVersions(row, family, qualifier string) ([]pool.Cell, error) {
+func (r *nodeRef) GetVersions(at poolcluster.Barrier, row, family, qualifier string) ([]pool.Cell, error) {
 	if _, err := r.judge(nil); err != nil {
 		return nil, err
 	}
-	return r.ref.GetVersions(row, family, qualifier)
+	return r.ref.GetVersions(at, row, family, qualifier)
 }
 
-func (r *nodeRef) Scan(ctx context.Context, opts pool.ScanOptions) ([]pool.KeyValue, error) {
+func (r *nodeRef) Scan(ctx context.Context, at poolcluster.Barrier, opts pool.ScanOptions) ([]pool.KeyValue, error) {
 	if _, err := r.judge(ctx); err != nil {
 		return nil, err
 	}
-	return r.ref.Scan(ctx, opts)
+	return r.ref.Scan(ctx, at, opts)
 }
 
 var _ poolcluster.NodeRef = (*nodeRef)(nil)

@@ -51,6 +51,7 @@ const maxClusterBody = 64 << 20
 //	POST /v1/cluster/import      ← snapshot seed
 //	GET  /v1/cluster/node-status → replication progress per region
 //	POST /v1/cluster/get|getrow|versions|scan → reads from the local table
+//	                               (409 while short of the read's barrier)
 //
 // plus the standard observability routes (/v1/metrics, /v1/healthz, …).
 type PoolNodeServer struct {
@@ -118,9 +119,10 @@ type (
 		Seq    uint64          `json:"seq"`
 	}
 	clusterCellReq struct {
-		Row       string `json:"row"`
-		Family    string `json:"family,omitempty"`
-		Qualifier string `json:"qualifier,omitempty"`
+		At        poolcluster.Barrier `json:"at"`
+		Row       string              `json:"row"`
+		Family    string              `json:"family,omitempty"`
+		Qualifier string              `json:"qualifier,omitempty"`
 	}
 	clusterGetResp struct {
 		Value []byte `json:"value"`
@@ -133,11 +135,12 @@ type (
 		Cells []pool.Cell `json:"cells"`
 	}
 	clusterScanReq struct {
-		StartRow []byte `json:"start_row,omitempty"`
-		EndRow   []byte `json:"end_row,omitempty"`
-		Prefix   string `json:"prefix,omitempty"`
-		Family   string `json:"family,omitempty"`
-		Limit    int    `json:"limit,omitempty"`
+		At       poolcluster.Barrier `json:"at"`
+		StartRow []byte              `json:"start_row,omitempty"`
+		EndRow   []byte              `json:"end_row,omitempty"`
+		Prefix   string              `json:"prefix,omitempty"`
+		Family   string              `json:"family,omitempty"`
+		Limit    int                 `json:"limit,omitempty"`
 	}
 )
 
@@ -157,12 +160,16 @@ func decodeClusterBody(w http.ResponseWriter, r *http.Request, v interface{}) bo
 }
 
 // clusterError maps a node error onto the wire: a down node is 503 (the
-// relay retries), anything else is an application-level rejection the
-// client must treat as permanent.
+// relay retries), a read the node is too far behind to serve is 409 (the
+// session looks for a caught-up replica), anything else is an
+// application-level rejection the client must treat as permanent.
 func clusterError(w http.ResponseWriter, err error) {
 	status := http.StatusUnprocessableEntity
-	if errors.Is(err, poolcluster.ErrNodeDown) {
+	switch {
+	case errors.Is(err, poolcluster.ErrNodeDown):
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, poolcluster.ErrBehind):
+		status = http.StatusConflict
 	}
 	w.Header().Set("Content-Type", ContentJSON)
 	w.WriteHeader(status)
@@ -252,7 +259,7 @@ func (s *PoolNodeServer) handleClusterGet(w http.ResponseWriter, r *http.Request
 	if !decodeClusterBody(w, r, &req) {
 		return
 	}
-	v, found, err := s.Node.Get(r.Context(), req.Row, req.Family, req.Qualifier)
+	v, found, err := s.Node.Get(r.Context(), req.At, req.Row, req.Family, req.Qualifier)
 	if err != nil {
 		clusterError(w, err)
 		return
@@ -265,7 +272,7 @@ func (s *PoolNodeServer) handleClusterGetRow(w http.ResponseWriter, r *http.Requ
 	if !decodeClusterBody(w, r, &req) {
 		return
 	}
-	kvs, err := s.Node.GetRow(req.Row)
+	kvs, err := s.Node.GetRow(req.At, req.Row)
 	if err != nil {
 		clusterError(w, err)
 		return
@@ -281,7 +288,7 @@ func (s *PoolNodeServer) handleClusterVersions(w http.ResponseWriter, r *http.Re
 	if !decodeClusterBody(w, r, &req) {
 		return
 	}
-	cells, err := s.Node.GetVersions(req.Row, req.Family, req.Qualifier)
+	cells, err := s.Node.GetVersions(req.At, req.Row, req.Family, req.Qualifier)
 	if err != nil {
 		clusterError(w, err)
 		return
@@ -297,7 +304,7 @@ func (s *PoolNodeServer) handleClusterScan(w http.ResponseWriter, r *http.Reques
 	if !decodeClusterBody(w, r, &req) {
 		return
 	}
-	kvs, err := s.Node.Scan(r.Context(), pool.ScanOptions{
+	kvs, err := s.Node.Scan(r.Context(), req.At, pool.ScanOptions{
 		StartRow: string(req.StartRow),
 		EndRow:   string(req.EndRow),
 		Prefix:   req.Prefix,
@@ -320,7 +327,8 @@ func (s *PoolNodeServer) handleClusterScan(w http.ResponseWriter, r *http.Reques
 // crashed, or refusing — comes back wrapped in poolcluster.ErrNodeDown
 // so the cluster suspects the node and the relay retries; a 4xx is an
 // application-level rejection wrapped relay.Permanent so replication
-// dead-letters it instead of retrying a write that can never succeed.
+// dead-letters it instead of retrying a write that can never succeed —
+// except 409, a read's poolcluster.ErrBehind, which comes back as itself.
 type RemoteNode struct {
 	id   string
 	base string
@@ -391,6 +399,8 @@ func (n *RemoteNode) call(ctx context.Context, method, path string, in, out inte
 			return fmt.Errorf("%w: %s: undecodable %s response: %v", poolcluster.ErrNodeDown, n.id, path, err)
 		}
 		return nil
+	case resp.StatusCode == http.StatusConflict:
+		return fmt.Errorf("%w: %s: %s", poolcluster.ErrBehind, n.id, strings.TrimSpace(string(raw)))
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		return relay.Permanent(fmt.Errorf("httpapi: node %s rejected %s: %s", n.id, path, strings.TrimSpace(string(raw))))
 	default:
@@ -446,9 +456,9 @@ func (n *RemoteNode) Status() (poolcluster.NodeStatus, error) {
 }
 
 // Get reads the newest value of one cell from the node's table.
-func (n *RemoteNode) Get(ctx context.Context, row, family, qualifier string) ([]byte, bool, error) {
+func (n *RemoteNode) Get(ctx context.Context, at poolcluster.Barrier, row, family, qualifier string) ([]byte, bool, error) {
 	var resp clusterGetResp
-	req := clusterCellReq{Row: row, Family: family, Qualifier: qualifier}
+	req := clusterCellReq{At: at, Row: row, Family: family, Qualifier: qualifier}
 	if err := n.call(ctx, http.MethodPost, "/v1/cluster/get", req, &resp); err != nil {
 		return nil, false, err
 	}
@@ -456,18 +466,18 @@ func (n *RemoteNode) Get(ctx context.Context, row, family, qualifier string) ([]
 }
 
 // GetRow reads every live cell of a row.
-func (n *RemoteNode) GetRow(row string) ([]pool.KeyValue, error) {
+func (n *RemoteNode) GetRow(at poolcluster.Barrier, row string) ([]pool.KeyValue, error) {
 	var resp clusterKVsResp
-	if err := n.call(nil, http.MethodPost, "/v1/cluster/getrow", clusterCellReq{Row: row}, &resp); err != nil {
+	if err := n.call(nil, http.MethodPost, "/v1/cluster/getrow", clusterCellReq{At: at, Row: row}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.KVs, nil
 }
 
 // GetVersions reads the retained versions of a cell, newest first.
-func (n *RemoteNode) GetVersions(row, family, qualifier string) ([]pool.Cell, error) {
+func (n *RemoteNode) GetVersions(at poolcluster.Barrier, row, family, qualifier string) ([]pool.Cell, error) {
 	var resp clusterVersionsResp
-	req := clusterCellReq{Row: row, Family: family, Qualifier: qualifier}
+	req := clusterCellReq{At: at, Row: row, Family: family, Qualifier: qualifier}
 	if err := n.call(nil, http.MethodPost, "/v1/cluster/versions", req, &resp); err != nil {
 		return nil, err
 	}
@@ -477,12 +487,13 @@ func (n *RemoteNode) GetVersions(row, family, qualifier string) ([]pool.Cell, er
 // Scan runs a bounded range scan on the node's table. Filter cannot
 // cross the wire and must be nil (poolcluster.Session applies filters
 // client-side before delegating here).
-func (n *RemoteNode) Scan(ctx context.Context, opts pool.ScanOptions) ([]pool.KeyValue, error) {
+func (n *RemoteNode) Scan(ctx context.Context, at poolcluster.Barrier, opts pool.ScanOptions) ([]pool.KeyValue, error) {
 	if opts.Filter != nil {
 		return nil, relay.Permanent(errors.New("httpapi: scan filter cannot cross the wire"))
 	}
 	var resp clusterKVsResp
 	req := clusterScanReq{
+		At:       at,
 		StartRow: []byte(opts.StartRow),
 		EndRow:   []byte(opts.EndRow),
 		Prefix:   opts.Prefix,

@@ -156,6 +156,20 @@ func TestRemoteNodeErrorClassification(t *testing.T) {
 		t.Fatalf("bad-frame apply misclassified as node-down: %v", err)
 	}
 
+	// A read whose barrier the node has not reached is 409 and must
+	// round-trip to ErrBehind — neither a liveness verdict nor permanent.
+	ahead := poolcluster.Barrier{Region: "region-0000", Seq: 1}
+	_, err = remote.GetRow(ahead, "a-1")
+	if !errors.Is(err, poolcluster.ErrBehind) || errors.Is(err, poolcluster.ErrNodeDown) || relay.IsPermanent(err) {
+		t.Fatalf("read ahead of the applied mark = %v, want ErrBehind", err)
+	}
+	if _, err := remote.Scan(context.Background(), ahead, pool.ScanOptions{}); !errors.Is(err, poolcluster.ErrBehind) {
+		t.Fatalf("scan ahead of the applied mark = %v, want ErrBehind", err)
+	}
+	if _, _, err := remote.Get(context.Background(), poolcluster.Barrier{Region: "region-0000"}, "a-1", "doc", "content"); err != nil {
+		t.Fatalf("read with an empty barrier = %v", err)
+	}
+
 	// A dead listener is a transport failure → ErrNodeDown.
 	srv.Close()
 	if _, err := remote.AppliedSeq("region-0000"); !errors.Is(err, poolcluster.ErrNodeDown) {
@@ -170,8 +184,8 @@ func TestRemoteNodeSnapshotImport(t *testing.T) {
 	_, _, src := newPoolNode(t, "src")
 	_, _, dst := newPoolNode(t, "dst")
 
-	frame1, err := pool.EncodeMutationFrame(1, pool.Mutation{KV: pool.KeyValue{
-		Row: "a-1", Family: "doc", Qualifier: "content", Cell: pool.Cell{Value: []byte("x"), Version: 7}}})
+	frame1, err := pool.EncodeMutationFrame(1, pool.Mutation{Row: "a-1", Version: 7, Cells: []pool.CellMutation{
+		{Family: "doc", Qualifier: "content", Value: []byte("x")}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +203,7 @@ func TestRemoteNodeSnapshotImport(t *testing.T) {
 	if err != nil || applied != 1 {
 		t.Fatalf("imported applied = %d err=%v, want 1", applied, err)
 	}
-	cells, err := dst.GetVersions("a-1", "doc", "content")
+	cells, err := dst.GetVersions(poolcluster.Barrier{}, "a-1", "doc", "content")
 	if err != nil || len(cells) != 1 || cells[0].Version != 7 || string(cells[0].Value) != "x" {
 		t.Fatalf("imported cell = %+v err=%v, want version 7 value x", cells, err)
 	}

@@ -28,6 +28,7 @@ var ackDurableWords = map[string]bool{
 	"persist":    true,
 	"flush":      true,
 	"wal":        true,
+	"mutate":     true,
 }
 
 // ackWords are the identifier words marking a call that signals success

@@ -42,7 +42,7 @@ var durabilityPkgs = []string{
 // durabilityFunc matches the journal-mutating operations within those
 // packages (exact names: the relay and pool APIs have no prefix
 // convention).
-var durabilityFunc = regexp.MustCompile(`^(Enqueue|Append|Ack|Fail|DeadLetter|Requeue|Drop|Deliver|Sync|Checkpoint|Rewrite|Put|PutCtx|Delete)$`)
+var durabilityFunc = regexp.MustCompile(`^(Enqueue|Append|Ack|Fail|DeadLetter|Requeue|Drop|Deliver|Sync|Checkpoint|Rewrite|Mutate|Put|PutCtx|Delete)$`)
 
 // CryptoErr flags discarded or unchecked error returns from the document
 // crypto path and the relay delivery journal. In an engine-less WfMS the

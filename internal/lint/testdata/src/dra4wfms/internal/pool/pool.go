@@ -24,9 +24,17 @@ func (s *Store) Checkpoint() error { return nil }
 // DocTable mirrors the write half of pool.DocTable, the table surface the
 // portal and the TFC journal write through.
 type DocTable interface {
+	Mutate(ctx context.Context, row string, cells []CellMutation) error
 	Put(row, family, qualifier string, value []byte) error
 	PutCtx(ctx context.Context, row, family, qualifier string, value []byte) error
 	Delete(row, family, qualifier string) error
+}
+
+// CellMutation mirrors pool.CellMutation.
+type CellMutation struct {
+	Family, Qualifier string
+	Value             []byte
+	Del               bool
 }
 
 // KeyValue mirrors pool.KeyValue.

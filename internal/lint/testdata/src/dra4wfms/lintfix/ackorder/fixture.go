@@ -6,6 +6,7 @@
 package ackorder
 
 import (
+	"context"
 	"errors"
 
 	"dra4wfms/internal/chaos"
@@ -166,6 +167,26 @@ func goodHealJournalFirst(n *chaos.Network, c *poolcluster.Coordinator, frame []
 		return err
 	}
 	resp.respond(200, "healed")
+	return nil
+}
+
+// badAckBeforeRowRecord freezes the portal shape: the storing AEA is told
+// "stored" before the hop's row mutation — document, meta and index cells
+// in one record — is journaled. A crash in the gap loses a hop whose
+// sender has already moved on.
+func badAckBeforeRowRecord(ctx context.Context, t pool.DocTable, cells []pool.CellMutation) error {
+	resp.respond(200, "stored") // want "acknowledges success before (pool.DocTable).Mutate"
+	return t.Mutate(ctx, "proc-1", cells)
+}
+
+// goodRowRecordFirst is the portal's order: the one row record is
+// journaled (and, clustered, queued for every backup) before the answer.
+func goodRowRecordFirst(ctx context.Context, t pool.DocTable, cells []pool.CellMutation) error {
+	if err := t.Mutate(ctx, "proc-1", cells); err != nil {
+		resp.respond(500, "store failed")
+		return err
+	}
+	resp.respond(200, "stored")
 	return nil
 }
 

@@ -3,11 +3,13 @@
 package lockio
 
 import (
+	"context"
 	"net/http"
 	"os"
 	"sync"
 
 	"dra4wfms/internal/httpapi"
+	"dra4wfms/internal/pool"
 )
 
 type cache struct {
@@ -59,4 +61,35 @@ func (c *cache) suppressed(path string) error {
 	defer c.mu.Unlock()
 	//lint:ignore lockio fixture demo: startup-only write before any request traffic
 	return os.WriteFile(path, nil, 0o600)
+}
+
+// portal mirrors the portal's per-instance exclusion: one mutex per
+// stripe of process IDs, held across an instance's read-merge-write.
+type portal struct {
+	stripes [4]sync.Mutex
+	table   pool.DocTable
+	hooks   *httpapi.Client
+}
+
+// goodStripeAcrossMutate holds the instance's stripe across the row
+// mutation. That is the design, not a violation: the mutation is what the
+// lock orders, only stores of the same stripe queue behind it, and reads
+// take no portal lock at all.
+func (p *portal) goodStripeAcrossMutate(ctx context.Context, pid string, cells []pool.CellMutation) error {
+	mu := &p.stripes[len(pid)%len(p.stripes)]
+	mu.Lock()
+	defer mu.Unlock()
+	return p.table.Mutate(ctx, pid, cells)
+}
+
+// badStripeAcrossNotify keeps the stripe through the notification
+// webhook: a slow subscriber now stalls every instance on the stripe.
+func (p *portal) badStripeAcrossNotify(ctx context.Context, pid string, cells []pool.CellMutation, note []byte) error {
+	mu := &p.stripes[len(pid)%len(p.stripes)]
+	mu.Lock()
+	defer mu.Unlock()
+	if err := p.table.Mutate(ctx, pid, cells); err != nil {
+		return err
+	}
+	return p.hooks.Store(note) // want "(httpapi.Client).Store performs I/O while mu is locked"
 }

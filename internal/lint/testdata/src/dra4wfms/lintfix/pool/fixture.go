@@ -4,9 +4,10 @@
 // means the caller believes state is on disk when the kernel may have
 // refused it. The same holds one layer down: a dropped wal Append or
 // Rewrite error acknowledges a record the log never took. And one layer
-// up: a dropped table Put, PutCtx or Delete error — through pool.DocTable
-// or a clustered session — acknowledges a hop whose cell the pool refused
-// (portal.persist did exactly that for every cell after doc:content).
+// up: a dropped table Mutate, Put, PutCtx or Delete error — through
+// pool.DocTable or a clustered session — acknowledges a hop the pool
+// refused (portal.persist did exactly that for every cell after
+// doc:content, back when a hop was one write per cell).
 package pool
 
 import (
@@ -26,6 +27,8 @@ func badPersist(ctx context.Context, t pool.DocTable, s *poolcluster.Session, do
 	t.Delete("proc-1", "idx", "alice")            // want "error returned by (pool.DocTable).Delete is unchecked"
 	_ = t.Put("tpl#x", "meta", "designer", nil)   // want "error returned by (pool.DocTable).Put is assigned to _"
 	s.Put("rec|0", "rec", "json", nil)            // want "error returned by (poolcluster.Session).Put is unchecked"
+	t.Mutate(ctx, "proc-1", nil)                  // want "error returned by (pool.DocTable).Mutate is unchecked"
+	_ = t.Mutate(ctx, "proc-1", nil)              // want "error returned by (pool.DocTable).Mutate is assigned to _"
 	return nil
 }
 

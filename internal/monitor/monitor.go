@@ -1,8 +1,10 @@
 // Package monitor implements workflow monitoring over the document pool:
 // per-instance status tracking (which activities ran, when, what is
-// enabled) and pool-wide statistics computed with the mapreduce layer —
-// the paper's "perform workflow monitoring or statistical analyses"
-// portal operation (Section 4.2).
+// enabled) and pool-wide statistics — counts and sizes folded from the
+// columns the portal derives at store time, activity durations computed
+// with the mapreduce layer over the documents — the paper's "perform
+// workflow monitoring or statistical analyses" portal operation
+// (Section 4.2).
 //
 // Monitoring needs no decryption: execution structure (CER metadata,
 // routing decisions, timestamps) is public document structure; only
@@ -110,60 +112,40 @@ func (m *Monitor) InstanceStatus(processID string) (*Status, error) {
 	return st, nil
 }
 
-// Statistics runs mapreduce jobs over the pool metadata.
+// Statistics folds one scan of the meta family into the pool-wide
+// aggregates. Every number comes from columns the portal derives from the
+// document in the same row mutation that stores it, so no document crosses
+// the wire to be counted or measured — except for a row last stored
+// before meta:bytes existed, whose document is fetched for its length
+// (its next store writes the column).
 func (m *Monitor) Statistics() (*Statistics, error) {
-	byState, err := mapreduce.Count(m.Table, pool.ScanOptions{Family: "meta"}, func(kv pool.KeyValue) string {
-		if kv.Qualifier != "state" {
-			return ""
-		}
-		return string(kv.Value)
-	})
-	if err != nil {
-		return nil, err
-	}
-	byDef, err := mapreduce.Count(m.Table, pool.ScanOptions{Family: "meta"}, func(kv pool.KeyValue) string {
-		if kv.Qualifier != "definition" {
-			return ""
-		}
-		return string(kv.Value)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	sums := &mapreduce.Job{
-		Table: m.Table,
-		Scan:  pool.ScanOptions{},
-		Map: func(kv pool.KeyValue, emit func(string, string)) {
-			switch {
-			case kv.Family == "meta" && kv.Qualifier == "cers":
-				emit("cers", string(kv.Value))
-			case kv.Family == "doc" && kv.Qualifier == "content":
-				emit("bytes", strconv.Itoa(len(kv.Value)))
-				emit("docs", "1")
+	stats := &Statistics{InstancesByState: map[string]int{}, InstancesByDefinition: map[string]int{}}
+	docs, totalBytes := 0, 0
+	sized := "" // the row whose meta:bytes was just seen
+	// A scan is ordered by (row, qualifier): a row's bytes cell, when it
+	// has one, arrives just before its cers cell.
+	for _, kv := range m.Table.Scan(pool.ScanOptions{Family: "meta"}) {
+		switch kv.Qualifier {
+		case "state":
+			stats.InstancesByState[string(kv.Value)]++
+		case "definition":
+			stats.InstancesByDefinition[string(kv.Value)]++
+		case "bytes":
+			n, _ := strconv.Atoi(string(kv.Value))
+			totalBytes += n
+			sized = kv.Row
+		case "cers":
+			n, _ := strconv.Atoi(string(kv.Value))
+			stats.TotalFinalCERs += n
+			if kv.Row != sized {
+				raw, ok := m.Table.Get(kv.Row, "doc", "content")
+				if !ok {
+					continue
+				}
+				totalBytes += len(raw)
 			}
-		},
-		Reduce: func(key string, values []string) string {
-			total := 0
-			for _, v := range values {
-				n, _ := strconv.Atoi(v)
-				total += n
-			}
-			return strconv.Itoa(total)
-		},
-	}
-	sumRes, err := sums.Run()
-	if err != nil {
-		return nil, err
-	}
-	totalCERs, _ := strconv.Atoi(sumRes["cers"])
-	totalBytes, _ := strconv.Atoi(sumRes["bytes"])
-	docs, _ := strconv.Atoi(sumRes["docs"])
-
-	stats := &Statistics{
-		InstancesByState:      byState,
-		InstancesByDefinition: byDef,
-		TotalFinalCERs:        totalCERs,
+			docs++
+		}
 	}
 	if docs > 0 {
 		stats.MeanDocumentBytes = totalBytes / docs

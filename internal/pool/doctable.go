@@ -8,6 +8,9 @@ import "context"
 // implement it, so a portal can be pointed at a local pool or a multi-node
 // clustered pool without changing any call site.
 type DocTable interface {
+	// Mutate applies puts and deletes on one row as one atomic, durable
+	// write; Put, PutCtx and Delete are its one-cell forms.
+	Mutate(ctx context.Context, row string, cells []CellMutation) error
 	Put(row, family, qualifier string, value []byte) error
 	PutCtx(ctx context.Context, row, family, qualifier string, value []byte) error
 	Delete(row, family, qualifier string) error

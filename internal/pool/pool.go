@@ -88,6 +88,8 @@ var (
 	ErrNoFamily = errors.New("pool: no such column family")
 	// ErrEmptyRow is returned for operations with an empty row key.
 	ErrEmptyRow = errors.New("pool: empty row key")
+	// ErrNoCells is returned for a mutation that carries no cell.
+	ErrNoCells = errors.New("pool: mutation without cells")
 )
 
 // --- region ------------------------------------------------------------------
@@ -131,27 +133,37 @@ func (r *Region) Start() string { return r.start }
 // End returns the exclusive end key ("" = unbounded).
 func (r *Region) End() string { return r.end }
 
-// put stores kv in the region. It reports false when the region has been
-// taken offline by a split — the caller must re-route and retry.
-func (r *Region) put(kv KeyValue) bool {
+// apply installs every cell of m under one acquisition of the region's
+// lock, so a concurrent reader sees all of the mutation or none of it. It
+// reports false when the region has been taken offline by a split — the
+// caller must re-route and retry.
+func (r *Region) apply(m Mutation) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.offline {
 		return false
 	}
-	fam, ok := r.rows[kv.Row]
+	fams, ok := r.rows[m.Row]
 	if !ok {
-		fam = map[string]map[string]versions{}
-		r.rows[kv.Row] = fam
+		fams = map[string]map[string]versions{}
+		r.rows[m.Row] = fams
 	}
-	quals, ok := fam[kv.Family]
-	if !ok {
-		quals = map[string]versions{}
-		fam[kv.Family] = quals
+	for _, c := range m.Cells {
+		quals, ok := fams[c.Family]
+		if !ok {
+			quals = map[string]versions{}
+			fams[c.Family] = quals
+		}
+		cell := Cell{Value: c.Value, Version: m.Version}
+		switch {
+		case c.Del:
+			cell.Value = nil
+		case cell.Value == nil:
+			cell.Value = []byte{} // nil is the tombstone; a put of nothing stores empty bytes
+		}
+		quals[c.Qualifier] = quals[c.Qualifier].insert(cell, r.table.maxVersions(c.Family))
+		r.bytes += len(m.Row) + len(c.Family) + len(c.Qualifier) + len(c.Value) + 16
 	}
-	max := r.table.maxVersions(kv.Family)
-	quals[kv.Qualifier] = quals[kv.Qualifier].insert(kv.Cell, max)
-	r.bytes += len(kv.Row) + len(kv.Family) + len(kv.Qualifier) + len(kv.Value) + 16
 	return true
 }
 
@@ -164,6 +176,22 @@ func (r *Region) get(row, family, qualifier string) (Cell, bool) {
 		return Cell{}, false
 	}
 	return vs[0], true
+}
+
+// row returns the latest live cells of one row, sorted.
+func (r *Region) row(row string) []KeyValue {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var out []KeyValue
+	for family, quals := range r.rows[row] {
+		for qual, vs := range quals {
+			if len(vs) > 0 && !vs[0].IsTombstone() {
+				out = append(out, KeyValue{Row: row, Family: family, Qualifier: qual, Cell: vs[0]})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].coordLess(out[j]) })
+	return out
 }
 
 // snapshot returns the latest live cells of the region, sorted.
@@ -228,8 +256,8 @@ func (t *Table) nextVersion() int64 {
 	return t.seq
 }
 
-// attachStore binds a durable store to the table; every subsequent Put
-// and Delete is journaled to its WAL before being acknowledged.
+// attachStore binds a durable store to the table; every subsequent
+// mutation is journaled to its WAL before being acknowledged.
 func (t *Table) attachStore(s *Store) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -250,25 +278,53 @@ func (t *Table) durableStore() *Store {
 // Durable reports whether the table is backed by a Store.
 func (t *Table) Durable() bool { return t.durableStore() != nil }
 
-// applyReplay reinserts a recovered cell with its original version and
-// advances the table's version clock past it. Recovery-only: the mutation
-// is not re-journaled, and re-applying a cell that is already present is
-// idempotent because latest-wins resolves by version, not apply order.
-func (t *Table) applyReplay(kv KeyValue) {
+// advanceClock moves the version clock to at least v, so versions minted
+// here afterwards stay above every version installed from elsewhere.
+func (t *Table) advanceClock(v int64) {
 	t.mu.Lock()
-	if kv.Version > t.seq {
-		t.seq = kv.Version
+	if v > t.seq {
+		t.seq = v
 	}
 	t.mu.Unlock()
-	t.putKV(kv)
 }
 
-// applyDurable journals kv (when a store is attached) and applies it.
-func (t *Table) applyDurable(kv KeyValue, del bool) (*Region, error) {
-	if s := t.durableStore(); s != nil {
-		return s.logMutation(kv, del)
+// applyReplay reinstalls a recovered mutation with its original version
+// and advances the table's version clock past it. Recovery-only: the
+// mutation is not re-journaled, and re-applying cells that are already
+// present is idempotent because latest-wins resolves by version, not
+// apply order.
+func (t *Table) applyReplay(m Mutation) {
+	t.advanceClock(m.Version)
+	t.applyMem(m)
+}
+
+// commit is the one write path: validate m, journal it as one record
+// (when a store is attached), install its cells together, and split the
+// region if it outgrew the threshold. Nothing is journaled or installed
+// unless every cell is valid.
+func (t *Table) commit(m Mutation) error {
+	if m.Row == "" {
+		return ErrEmptyRow
 	}
-	return t.putKV(kv), nil
+	if len(m.Cells) == 0 {
+		return ErrNoCells
+	}
+	for _, c := range m.Cells {
+		if _, ok := t.families[c.Family]; !ok {
+			return fmt.Errorf("%w: %s.%s", ErrNoFamily, t.name, c.Family)
+		}
+	}
+	var region *Region
+	if s := t.durableStore(); s != nil {
+		var err error
+		if region, err = s.logMutation(m); err != nil {
+			return err
+		}
+	} else {
+		region = t.applyMem(m)
+	}
+	t.maybeSplit(region)
+	return nil
 }
 
 // regionFor routes a row key to its region.
@@ -291,61 +347,42 @@ func (t *Table) Regions() []*Region {
 	return out
 }
 
+// Mutate applies puts and deletes on one row as one atomic write: the
+// cells share a fresh version, are journaled as one WAL record and become
+// visible together. Inside a sampled distributed trace the write lands as
+// a pool-tier span.
+func (t *Table) Mutate(ctx context.Context, row string, cells []CellMutation) error {
+	_, span := tel.StartSpanCtx(ctx, "pool_put_seconds")
+	defer span.End()
+	return t.commit(Mutation{Row: row, Version: t.nextVersion(), Cells: cells})
+}
+
 // Put stores value at (row, family, qualifier) with a fresh version.
 func (t *Table) Put(row, family, qualifier string, value []byte) error {
 	return t.PutCtx(context.Background(), row, family, qualifier, value)
 }
 
-// PutCtx is Put carrying the caller's trace context: inside a sampled
-// distributed trace the pool write lands as a pool-tier span.
+// PutCtx is Put carrying the caller's trace context: a one-cell Mutate.
 func (t *Table) PutCtx(ctx context.Context, row, family, qualifier string, value []byte) error {
-	_, span := tel.StartSpanCtx(ctx, "pool_put_seconds")
-	defer span.End()
-	if row == "" {
-		return ErrEmptyRow
-	}
-	if _, ok := t.families[family]; !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNoFamily, t.name, family)
-	}
-	if value == nil {
-		value = []byte{}
-	}
-	kv := KeyValue{Row: row, Family: family, Qualifier: qualifier,
-		Cell: Cell{Value: value, Version: t.nextVersion()}}
-	region, err := t.applyDurable(kv, false)
-	if err != nil {
-		return err
-	}
-	t.maybeSplit(region)
-	return nil
+	return t.Mutate(ctx, row, []CellMutation{{Family: family, Qualifier: qualifier, Value: value}})
 }
 
-// putKV routes and stores kv, retrying when the target region goes offline
-// mid-flight because of a concurrent split.
-func (t *Table) putKV(kv KeyValue) *Region {
+// Delete writes a tombstone for (row, family, qualifier): a one-cell
+// Mutate.
+func (t *Table) Delete(row, family, qualifier string) error {
+	return t.Mutate(context.Background(), row, []CellMutation{{Family: family, Qualifier: qualifier, Del: true}})
+}
+
+// applyMem routes m and installs it in memory, retrying when the target
+// region goes offline mid-flight because of a concurrent split.
+func (t *Table) applyMem(m Mutation) *Region {
 	for {
-		region := t.regionFor(kv.Row)
-		if region.put(kv) {
+		region := t.regionFor(m.Row)
+		if region.apply(m) {
 			return region
 		}
 		runtime.Gosched()
 	}
-}
-
-// Delete writes a tombstone for (row, family, qualifier).
-func (t *Table) Delete(row, family, qualifier string) error {
-	if row == "" {
-		return ErrEmptyRow
-	}
-	if _, ok := t.families[family]; !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNoFamily, t.name, family)
-	}
-	kv := KeyValue{Row: row, Family: family, Qualifier: qualifier,
-		Cell: Cell{Value: nil, Version: t.nextVersion()}}
-	if _, err := t.applyDurable(kv, true); err != nil {
-		return err
-	}
-	return nil
 }
 
 // Get returns the newest live value at (row, family, qualifier).
@@ -389,13 +426,7 @@ func (t *Table) GetVersions(row, family, qualifier string) []Cell {
 
 // GetRow returns every live cell of a row.
 func (t *Table) GetRow(row string) []KeyValue {
-	var out []KeyValue
-	for _, kv := range t.regionFor(row).snapshot() {
-		if kv.Row == row {
-			out = append(out, kv)
-		}
-	}
-	return out
+	return t.regionFor(row).row(row)
 }
 
 // ScanOptions filter a Scan.
@@ -502,9 +533,9 @@ func (t *Table) maybeSplit(r *Region) {
 	r.mu.Unlock()
 	for _, kv := range all {
 		if kv.Row < mid {
-			left.put(kv)
+			left.apply(kv.Mutation())
 		} else {
-			right.put(kv)
+			right.apply(kv.Mutation())
 		}
 	}
 	t.mu.Lock()

@@ -14,14 +14,34 @@ import (
 // second, subtly different codec. A frame carries the coordinator's
 // replication sequence number in the LSN slot and the coordinator's
 // version-clock value in Version, so every replica that applies it ends
-// up with a byte-identical cell — latest-wins conflict resolution then
+// up with byte-identical cells — latest-wins conflict resolution then
 // needs no per-node tie-breaking.
 
-// Mutation is one table write in transportable form: a Put of KV, or,
-// when Del is set, a tombstone at KV's coordinates.
+// CellMutation is one cell of a row mutation: a put of Value at
+// (Family, Qualifier) or, when Del is set, a tombstone there.
+type CellMutation struct {
+	Family    string `json:"family"`
+	Qualifier string `json:"qualifier"`
+	Value     []byte `json:"value,omitempty"`
+	Del       bool   `json:"del,omitempty"`
+}
+
+// Mutation is one table write in transportable form: puts and deletes
+// on one row that share one version and take effect together — in the
+// WAL, on every replica and in memory, all of Cells or none.
 type Mutation struct {
-	Del bool
-	KV  KeyValue
+	Row     string
+	Version int64
+	Cells   []CellMutation
+}
+
+// Mutation is the write that installs kv with its version preserved —
+// how snapshots and checkpoints, whose cells each carry their own
+// version, go back into a table.
+func (kv KeyValue) Mutation() Mutation {
+	return Mutation{Row: kv.Row, Version: kv.Version, Cells: []CellMutation{
+		{Family: kv.Family, Qualifier: kv.Qualifier, Value: kv.Value, Del: kv.IsTombstone()},
+	}}
 }
 
 // EncodeMutationFrame frames m as a checksummed WAL record carrying seq
@@ -52,33 +72,15 @@ func DecodeMutationFrame(frame []byte) (uint64, Mutation, error) {
 
 // ApplyReplicated applies a mutation that carries a coordinator-assigned
 // version: the table's logical clock is advanced past it (so locally
-// minted versions can never collide with replicated ones) and the cell
-// is stored with its version preserved — replicas converge to identical
+// minted versions can never collide with replicated ones) and the cells
+// are stored with that version preserved — replicas converge to identical
 // state regardless of apply order, because latest-wins resolves by
 // version. When the table has a durable store attached the mutation is
 // journaled to the local WAL before this call returns, exactly like a
-// local Put.
+// local Mutate.
 func (t *Table) ApplyReplicated(m Mutation) error {
-	if m.KV.Row == "" {
-		return ErrEmptyRow
-	}
-	if _, ok := t.families[m.KV.Family]; !ok {
-		return fmt.Errorf("%w: %s.%s", ErrNoFamily, t.name, m.KV.Family)
-	}
-	t.mu.Lock()
-	if m.KV.Version > t.seq {
-		t.seq = m.KV.Version
-	}
-	t.mu.Unlock()
-	if !m.Del && m.KV.Value == nil {
-		m.KV.Value = []byte{}
-	}
-	region, err := t.applyDurable(m.KV, m.Del)
-	if err != nil {
-		return err
-	}
-	t.maybeSplit(region)
-	return nil
+	t.advanceClock(m.Version)
+	return t.commit(m)
 }
 
 // VersionClock returns the table's current logical version clock. A

@@ -233,7 +233,7 @@ func (s *Store) recoverCheckpoint(rep *RecoveryReport) (uint64, error) {
 			continue
 		}
 		for _, kv := range info.Cells {
-			s.table.applyReplay(kv)
+			s.table.applyReplay(kv.Mutation())
 		}
 		rep.Checkpoint = name
 		rep.CheckpointCells = len(info.Cells)
@@ -255,7 +255,7 @@ func (s *Store) recoverWAL(watermark uint64, rep *RecoveryReport) error {
 			s.lsn = r.LSN
 		}
 		if r.LSN > watermark { // else already contained in the checkpoint
-			s.table.applyReplay(r.mutation().KV)
+			s.table.applyReplay(r.mutation())
 			rep.ReplayedRecords++
 		}
 		return nil
@@ -292,23 +292,25 @@ func (s *Store) checkpointFiles() ([]string, error) {
 // logMutation journals one mutation and applies it to the table. It is
 // the table-mutator entry point: the record is durable (per the fsync
 // policy) before the table sees it.
-func (s *Store) logMutation(kv KeyValue, del bool) (*Region, error) {
+func (s *Store) logMutation(m Mutation) (*Region, error) {
 	s.applyMu.RLock()
 	defer s.applyMu.RUnlock()
-	if err := s.appendRec(kv, del); err != nil {
+	if err := s.appendRec(m); err != nil {
 		return nil, err
 	}
-	return s.table.putKV(kv), nil
+	return s.table.applyMem(m), nil
 }
 
-func (s *Store) appendRec(kv KeyValue, del bool) error {
+// appendRec journals m as one frame: one append and, unless NoFsync, one
+// fsync however many cells it carries.
+func (s *Store) appendRec(m Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrStoreClosed
 	}
 	s.lsn++
-	payload, err := json.Marshal(newWALRec(s.lsn, Mutation{Del: del, KV: kv}))
+	payload, err := json.Marshal(newWALRec(s.lsn, m))
 	if err != nil {
 		return fmt.Errorf("pool: encoding WAL record: %w", err)
 	}

@@ -168,12 +168,24 @@ func New(refs []NodeRef, cfg Config) (*Cluster, error) {
 		}
 	}
 	// Seed the version clock past every node's table clock, so versions
-	// minted here never collide with pre-existing cells. Unreachable
-	// nodes are skipped; they catch up on rejoin.
+	// minted here never collide with pre-existing cells, and every
+	// region's sequence from the highest applied mark any node reports: a
+	// coordinator restarted over nodes that stayed up must number its next
+	// record above theirs, or they acknowledge it as a duplicate and drop
+	// it. Unreachable nodes are skipped; they catch up on rejoin.
 	var maxVer int64
 	for _, ref := range refs {
-		if st, err := ref.Status(); err == nil && st.MaxVersion > maxVer {
+		st, err := ref.Status()
+		if err != nil {
+			continue
+		}
+		if st.MaxVersion > maxVer {
 			maxVer = st.MaxVersion
+		}
+		for _, ra := range st.Regions {
+			if e, ok := c.entryByID(ra.Region); ok && ra.Applied > e.seq {
+				e.seq = ra.Applied
+			}
 		}
 	}
 	c.clock.Store(maxVer)
@@ -249,20 +261,24 @@ func (c *Cluster) aliveIDs() []string {
 }
 
 // write is the replicated write path. Under the region's lock it assigns
-// a global version and the next replication sequence number, applies the
-// framed record synchronously on the primary, then — still before the
-// caller sees success — journals one replication intent per backup into
-// the relay's durable outbox. "Acknowledged" therefore means: applied on
-// the primary AND queued durably for every backup; a backup that dies
-// before applying it gets the record again from the outbox or from the
-// repair loop, so no acknowledged write is lost while any replica
+// the row mutation one global version and the next replication sequence
+// number, applies the one framed record synchronously on the primary,
+// then — still before the caller sees success — journals one replication
+// intent per backup into the relay's durable outbox. "Acknowledged"
+// therefore means: every cell applied on the primary AND the record
+// queued durably for every backup; a backup that dies before applying it
+// gets the record again from the outbox or from the repair loop, so no
+// acknowledged write is lost, whole or in part, while any replica
 // survives. A failed primary apply marks the node suspect, triggers
 // failover, and retries against the promoted primary.
-func (c *Cluster) write(ctx context.Context, row, family, qualifier string, value []byte, del bool) (string, uint64, error) {
+func (c *Cluster) write(ctx context.Context, row string, cells []pool.CellMutation) (string, uint64, error) {
 	ctx, span := tel.StartSpanCtx(ctx, "poolcluster_put_seconds")
 	defer span.End()
 	if row == "" {
 		return "", 0, pool.ErrEmptyRow
+	}
+	if len(cells) == 0 {
+		return "", 0, pool.ErrNoCells
 	}
 	e := c.entryFor(row)
 	deadline := time.Now().Add(c.cfg.WriteTimeout)
@@ -283,10 +299,7 @@ func (c *Cluster) write(ctx context.Context, row, family, qualifier string, valu
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		version := c.clock.Add(1)
-		kv := pool.KeyValue{Row: row, Family: family, Qualifier: qualifier,
-			Cell: pool.Cell{Value: value, Version: version}}
-		frame, err := pool.EncodeMutationFrame(e.seq+1, pool.Mutation{Del: del, KV: kv})
+		frame, err := pool.EncodeMutationFrame(e.seq+1, pool.Mutation{Row: row, Version: c.clock.Add(1), Cells: cells})
 		if err != nil {
 			e.mu.Unlock()
 			return "", 0, err

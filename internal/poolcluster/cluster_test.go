@@ -2,10 +2,12 @@ package poolcluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -464,5 +466,186 @@ func assertReplicasConverged(t *testing.T, c *Cluster, nodes map[string]*Node) {
 					r.ID, rep.Node, primary, len(got), len(want))
 			}
 		}
+	}
+}
+
+// TestMutateIsOneReplicatedRecord: a row mutation of several cells is one
+// acknowledged write, one region sequence number and one version; every
+// replica ends up with all of its cells, the deletion included.
+func TestMutateIsOneReplicatedRecord(t *testing.T) {
+	c, nodes := testCluster(t, 3, Config{Replicas: 3, Boundaries: testBoundaries})
+	s := c.NewSession()
+	if err := s.Put("a-1", "meta", "stale", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	writes := mWrites.Value()
+	region, _ := c.PrimaryFor("a-1")
+	before := s.need(region)
+	if err := s.Mutate(context.Background(), "a-1", []pool.CellMutation{
+		{Family: "doc", Qualifier: "content", Value: []byte("hop")},
+		{Family: "meta", Qualifier: "cers", Value: []byte("1")},
+		{Family: "meta", Qualifier: "stale", Del: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := mWrites.Value() - writes; got != 1 {
+		t.Fatalf("one mutation counted as %d replicated writes", got)
+	}
+	if got := s.need(region) - before; got != 1 {
+		t.Fatalf("one mutation consumed %d sequence numbers", got)
+	}
+	if err := s.Mutate(context.Background(), "a-1", nil); err == nil {
+		t.Fatal("empty mutation acknowledged")
+	}
+	quiesce(t, c)
+	for id, n := range nodes {
+		row := n.Table().GetRow("a-1")
+		if len(row) != 2 || row[0].Version != row[1].Version {
+			t.Fatalf("node %s holds %+v, want doc:content and meta:cers at one version", id, row)
+		}
+	}
+}
+
+// TestCoordinatorRestartContinuesRegionSequences: a coordinator restarted
+// over nodes that stayed up must number its writes above what they have
+// applied. Starting every region at zero, its first writes per region were
+// acknowledged by the nodes as duplicates and dropped.
+func TestCoordinatorRestartContinuesRegionSequences(t *testing.T) {
+	c, nodes := testCluster(t, 3, Config{Replicas: 2, Boundaries: testBoundaries})
+	s := c.NewSession()
+	for i := 0; i < 3; i++ {
+		if err := s.Put("a-1", "doc", "content", []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiesce(t, c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	refs := []NodeRef{nodes["n1"], nodes["n2"], nodes["n3"]}
+	c2, err := New(refs, Config{Replicas: 2, Boundaries: testBoundaries, Relay: fastRelay()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	s2 := c2.NewSession()
+	if err := s2.Mutate(context.Background(), "a-1", []pool.CellMutation{
+		{Family: "doc", Qualifier: "content", Value: []byte("after restart")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s2.Get("a-1", "doc", "content"); !ok || string(got) != "after restart" {
+		t.Fatalf("write acknowledged by the restarted coordinator reads back %q, %v", got, ok)
+	}
+	quiesce(t, c2)
+	assertReplicasConverged(t, c2, nodes)
+}
+
+// gatedRef is a Node whose replication inlet can be shut (Apply then
+// fails like a partitioned node's) and which reports the applied-mark
+// probes it serves and the reads it refuses with ErrBehind.
+type gatedRef struct {
+	*Node
+	shut   atomic.Bool
+	probes atomic.Int64
+	behind chan struct{} // one token per ErrBehind answer, never blocking
+}
+
+func (g *gatedRef) Apply(ctx context.Context, rec Record) error {
+	if g.shut.Load() {
+		return fmt.Errorf("%w: %s inlet shut", ErrNodeDown, g.ID())
+	}
+	return g.Node.Apply(ctx, rec)
+}
+
+func (g *gatedRef) AppliedSeq(region string) (uint64, error) {
+	g.probes.Add(1)
+	return g.Node.AppliedSeq(region)
+}
+
+func (g *gatedRef) Get(ctx context.Context, at Barrier, row, family, qualifier string) ([]byte, bool, error) {
+	v, ok, err := g.Node.Get(ctx, at, row, family, qualifier)
+	if errors.Is(err, ErrBehind) {
+		select {
+		case g.behind <- struct{}{}:
+		default:
+		}
+	}
+	return v, ok, err
+}
+
+// TestSessionReadStatesItsBarrier: on a healthy cluster a session read is
+// one call to the primary with no applied-mark probe before it; a backup
+// promoted before the relay has brought it the session's last write
+// answers that call with ErrBehind, and the session then waits the gap
+// out and still returns its own write.
+func TestSessionReadStatesItsBarrier(t *testing.T) {
+	refs := map[string]*gatedRef{}
+	for _, id := range []string{"n1", "n2"} {
+		refs[id] = &gatedRef{Node: testNode(t, id), behind: make(chan struct{}, 1)}
+	}
+	c, err := New([]NodeRef{refs["n1"], refs["n2"]}, Config{
+		Replicas:       2,
+		Boundaries:     testBoundaries,
+		Relay:          fastRelay(),
+		RepairInterval: -1, // only the relay may converge this test
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := c.NewSession()
+	region, primary := c.PrimaryFor("a-1")
+	backup := "n1"
+	if primary == "n1" {
+		backup = "n2"
+	}
+
+	if err := s.Put("a-1", "doc", "content", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if got, ok := s.Get("a-1", "doc", "content"); !ok || string(got) != "first" {
+			t.Fatalf("read %q ok=%v", got, ok)
+		}
+		if kvs := s.Scan(pool.ScanOptions{Family: "doc"}); len(kvs) != 1 {
+			t.Fatalf("scan = %+v", kvs)
+		}
+	}
+	if n := refs[primary].probes.Load() + refs[backup].probes.Load(); n != 0 {
+		t.Fatalf("reads of a caught-up primary made %d applied-mark probes, want 0", n)
+	}
+
+	// The next write reaches the primary only; then the primary dies and
+	// the backup is promoted short of it.
+	refs[backup].shut.Store(true)
+	if err := s.Put("a-1", "doc", "content", []byte("pinned")); err != nil {
+		t.Fatal(err)
+	}
+	refs[primary].Down()
+	if err := c.FailNode(primary); err != nil {
+		t.Fatal(err)
+	}
+	if _, p := c.PrimaryFor("a-1"); p != backup {
+		t.Fatalf("expected %s promoted for %s, got %s", backup, region, p)
+	}
+	type result struct {
+		v  []byte
+		ok bool
+	}
+	read := make(chan result, 1)
+	go func() {
+		v, ok := s.Get("a-1", "doc", "content")
+		read <- result{v, ok}
+	}()
+	select {
+	case <-refs[backup].behind:
+	case r := <-read:
+		t.Fatalf("lagging promotee served %q ok=%v instead of answering ErrBehind", r.v, r.ok)
+	}
+	refs[backup].shut.Store(false) // the relay's next redelivery gets through
+	if r := <-read; !r.ok || string(r.v) != "pinned" {
+		t.Fatalf("session read after ErrBehind: got %q ok=%v", r.v, r.ok)
 	}
 }

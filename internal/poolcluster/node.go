@@ -22,13 +22,18 @@ import (
 // as a failover trigger.
 var ErrNodeDown = errors.New("poolcluster: node is down")
 
+// ErrBehind is a node's answer to a read whose Barrier it has not reached:
+// the node is healthy, but serving the read would show the caller a state
+// older than its own acknowledged writes.
+var ErrBehind = errors.New("poolcluster: replica is behind the read barrier")
+
 // errBadFrame marks an undecodable replication frame; the transport maps
 // it to a permanent relay failure (retrying corruption is pointless).
 var errBadFrame = errors.New("poolcluster: bad replication frame")
 
-// Record is one replicated mutation: the coordinator's per-region
+// Record is one replicated row mutation: the coordinator's per-region
 // sequence number plus the CRC-framed WAL record (pool.EncodeMutationFrame)
-// carrying the cell and its coordinator-assigned version.
+// carrying the row's cells and their coordinator-assigned version.
 type Record struct {
 	Region string `json:"region"`
 	Seq    uint64 `json:"seq"`
@@ -78,11 +83,21 @@ type NodeRef interface {
 	Import(region string, kvs []pool.KeyValue, seq uint64) error
 	Status() (NodeStatus, error)
 
-	// Reads, served from the node's local table.
-	Get(ctx context.Context, row, family, qualifier string) ([]byte, bool, error)
-	GetRow(row string) ([]pool.KeyValue, error)
-	GetVersions(row, family, qualifier string) ([]pool.Cell, error)
-	Scan(ctx context.Context, opts pool.ScanOptions) ([]pool.KeyValue, error)
+	// Reads, served from the node's local table once it has reached the
+	// barrier; a node short of it answers ErrBehind instead of stale data.
+	Get(ctx context.Context, at Barrier, row, family, qualifier string) ([]byte, bool, error)
+	GetRow(at Barrier, row string) ([]pool.KeyValue, error)
+	GetVersions(at Barrier, row, family, qualifier string) ([]pool.Cell, error)
+	Scan(ctx context.Context, at Barrier, opts pool.ScanOptions) ([]pool.KeyValue, error)
+}
+
+// Barrier is what a read needs of the node serving it: Region's applied
+// mark at or past Seq. It rides with the read, so a caught-up node — the
+// common case — answers in one round trip with no applied-mark probe
+// before it. The zero Barrier asks for nothing.
+type Barrier struct {
+	Region string `json:"region,omitempty"`
+	Seq    uint64 `json:"seq,omitempty"`
 }
 
 // nodeRegionLog bounds the per-region catch-up log a node retains: a
@@ -257,8 +272,7 @@ func (n *Node) Import(region string, kvs []pool.KeyValue, seq uint64) error {
 		return ErrNodeDown
 	}
 	for _, kv := range kvs {
-		m := pool.Mutation{Del: kv.IsTombstone(), KV: kv}
-		if err := n.table.ApplyReplicated(m); err != nil {
+		if err := n.table.ApplyReplicated(kv.Mutation()); err != nil {
 			return err
 		}
 	}
@@ -297,42 +311,53 @@ func (n *Node) Status() (NodeStatus, error) {
 }
 
 // Get serves a read from the local table.
-func (n *Node) Get(ctx context.Context, row, family, qualifier string) ([]byte, bool, error) {
-	if n.isDown() {
-		return nil, false, ErrNodeDown
+func (n *Node) Get(ctx context.Context, at Barrier, row, family, qualifier string) ([]byte, bool, error) {
+	if err := n.readable(at); err != nil {
+		return nil, false, err
 	}
 	v, ok := n.table.GetCtx(ctx, row, family, qualifier)
 	return v, ok, nil
 }
 
 // GetRow serves a whole-row read from the local table.
-func (n *Node) GetRow(row string) ([]pool.KeyValue, error) {
-	if n.isDown() {
-		return nil, ErrNodeDown
+func (n *Node) GetRow(at Barrier, row string) ([]pool.KeyValue, error) {
+	if err := n.readable(at); err != nil {
+		return nil, err
 	}
 	return n.table.GetRow(row), nil
 }
 
 // GetVersions serves a versioned read from the local table.
-func (n *Node) GetVersions(row, family, qualifier string) ([]pool.Cell, error) {
-	if n.isDown() {
-		return nil, ErrNodeDown
+func (n *Node) GetVersions(at Barrier, row, family, qualifier string) ([]pool.Cell, error) {
+	if err := n.readable(at); err != nil {
+		return nil, err
 	}
 	return n.table.GetVersions(row, family, qualifier), nil
 }
 
 // Scan serves a range scan from the local table.
-func (n *Node) Scan(ctx context.Context, opts pool.ScanOptions) ([]pool.KeyValue, error) {
-	if n.isDown() {
-		return nil, ErrNodeDown
+func (n *Node) Scan(ctx context.Context, at Barrier, opts pool.ScanOptions) ([]pool.KeyValue, error) {
+	if err := n.readable(at); err != nil {
+		return nil, err
 	}
 	return n.table.ScanCtx(ctx, opts), nil
 }
 
-func (n *Node) isDown() bool {
+// readable reports whether the node may serve a read at the barrier:
+// ErrNodeDown when it is down, ErrBehind when its applied mark is short.
+func (n *Node) readable(at Barrier) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.down
+	if n.down {
+		return ErrNodeDown
+	}
+	if at.Seq == 0 {
+		return nil
+	}
+	if applied := n.region(at.Region).applied; applied < at.Seq {
+		return fmt.Errorf("%w: %s applied %d of %d in %s", ErrBehind, n.id, applied, at.Seq, at.Region)
+	}
+	return nil
 }
 
 var _ NodeRef = (*Node)(nil)

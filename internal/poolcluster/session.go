@@ -2,6 +2,7 @@ package poolcluster
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -42,45 +43,76 @@ func (s *Session) need(region string) uint64 {
 	return s.seen[region]
 }
 
-// Put stores value at (row, family, qualifier) through the replicated
-// write path.
+// Mutate applies puts and deletes on one row through the replicated
+// write path as one record: one version, one region sequence number, all
+// cells or none on every replica. The replication intents inherit the
+// caller's traceparent, so the cross-node fan-out shows up as one trace.
+func (s *Session) Mutate(ctx context.Context, row string, cells []pool.CellMutation) error {
+	region, seq, err := s.c.write(ctx, row, cells)
+	if err != nil {
+		return err
+	}
+	s.noteWrite(region, seq)
+	return nil
+}
+
+// Put stores value at (row, family, qualifier): a one-cell Mutate.
 func (s *Session) Put(row, family, qualifier string, value []byte) error {
 	return s.PutCtx(context.Background(), row, family, qualifier, value)
 }
 
-// PutCtx is Put carrying the caller's trace context; the replication
-// intents inherit the traceparent, so the cross-node fan-out shows up
-// as one trace.
+// PutCtx is Put carrying the caller's trace context.
 func (s *Session) PutCtx(ctx context.Context, row, family, qualifier string, value []byte) error {
-	if value == nil {
-		value = []byte{}
-	}
-	region, seq, err := s.c.write(ctx, row, family, qualifier, value, false)
-	if err != nil {
-		return err
-	}
-	s.noteWrite(region, seq)
-	return nil
+	return s.Mutate(ctx, row, []pool.CellMutation{{Family: family, Qualifier: qualifier, Value: value}})
 }
 
-// Delete writes a tombstone through the replicated write path.
+// Delete writes a tombstone at (row, family, qualifier): a one-cell
+// Mutate.
 func (s *Session) Delete(row, family, qualifier string) error {
-	region, seq, err := s.c.write(context.Background(), row, family, qualifier, nil, true)
-	if err != nil {
-		return err
-	}
-	s.noteWrite(region, seq)
-	return nil
+	return s.Mutate(context.Background(), row, []pool.CellMutation{{Family: family, Qualifier: qualifier, Del: true}})
 }
 
-// replicaFor picks a live replica of row's region that has applied at
-// least this session's own writes, preferring the primary. When none
-// has caught up yet it waits (the failover window), and past the read
-// timeout it degrades to the most caught-up live replica rather than
-// failing the read outright.
-func (s *Session) replicaFor(row string) (NodeRef, bool) {
-	e := s.c.entryFor(row)
-	need := s.need(e.id)
+// read runs one read of region e against a replica that has applied this
+// session's own writes there. The barrier rides with the read: the
+// primary, caught up in the common case, answers in one round trip. Only
+// when it is dead or answers ErrBehind (a fresh promotee still receiving
+// its gap) does the session fall back to probing every holder. After
+// three failed replicas, or with no live replica left, it gives up and
+// do's results stay as the last failed attempt left them.
+func (s *Session) read(e *regionEntry, do func(NodeRef, Barrier) error) {
+	at := Barrier{Region: e.id, Seq: s.need(e.id)}
+	for attempt := 0; attempt < 3; attempt++ {
+		e.mu.Lock()
+		primary := e.primary
+		e.mu.Unlock()
+		if ref := s.c.aliveRef(primary); ref != nil {
+			err := do(ref, at)
+			if err == nil {
+				return
+			}
+			if !errors.Is(err, ErrBehind) {
+				s.c.suspect(ref.ID())
+				continue
+			}
+		}
+		ref, ok := s.replicaFor(e, at.Seq)
+		if !ok {
+			return
+		}
+		// replicaFor vouched for ref, or settled for the most caught-up
+		// replica past the read timeout; either way no barrier.
+		if err := do(ref, Barrier{}); err == nil {
+			return
+		}
+		s.c.suspect(ref.ID())
+	}
+}
+
+// replicaFor probes the live replicas of e for one that has applied at
+// least need, preferring the primary. When none has caught up yet it
+// waits (the failover window), and past the read timeout it degrades to
+// the most caught-up live replica rather than failing the read outright.
+func (s *Session) replicaFor(e *regionEntry, need uint64) (NodeRef, bool) {
 	deadline := time.Now().Add(s.c.cfg.ReadTimeout)
 	for {
 		e.mu.Lock()
@@ -121,60 +153,39 @@ func (s *Session) Get(row, family, qualifier string) ([]byte, bool) {
 }
 
 // GetCtx is Get carrying the caller's trace context.
-func (s *Session) GetCtx(ctx context.Context, row, family, qualifier string) ([]byte, bool) {
+func (s *Session) GetCtx(ctx context.Context, row, family, qualifier string) (v []byte, found bool) {
 	if row == "" {
 		return nil, false
 	}
-	for attempt := 0; attempt < 3; attempt++ {
-		ref, ok := s.replicaFor(row)
-		if !ok {
-			return nil, false
-		}
-		v, found, err := ref.Get(ctx, row, family, qualifier)
-		if err == nil {
-			return v, found
-		}
-		s.c.suspect(ref.ID())
-	}
-	return nil, false
+	s.read(s.c.entryFor(row), func(ref NodeRef, at Barrier) (err error) {
+		v, found, err = ref.Get(ctx, at, row, family, qualifier)
+		return err
+	})
+	return v, found
 }
 
 // GetRow returns every live cell of a row.
-func (s *Session) GetRow(row string) []pool.KeyValue {
+func (s *Session) GetRow(row string) (kvs []pool.KeyValue) {
 	if row == "" {
 		return nil
 	}
-	for attempt := 0; attempt < 3; attempt++ {
-		ref, ok := s.replicaFor(row)
-		if !ok {
-			return nil
-		}
-		kvs, err := ref.GetRow(row)
-		if err == nil {
-			return kvs
-		}
-		s.c.suspect(ref.ID())
-	}
-	return nil
+	s.read(s.c.entryFor(row), func(ref NodeRef, at Barrier) (err error) {
+		kvs, err = ref.GetRow(at, row)
+		return err
+	})
+	return kvs
 }
 
 // GetVersions returns the retained versions of a cell, newest first.
-func (s *Session) GetVersions(row, family, qualifier string) []pool.Cell {
+func (s *Session) GetVersions(row, family, qualifier string) (cells []pool.Cell) {
 	if row == "" {
 		return nil
 	}
-	for attempt := 0; attempt < 3; attempt++ {
-		ref, ok := s.replicaFor(row)
-		if !ok {
-			return nil
-		}
-		cells, err := ref.GetVersions(row, family, qualifier)
-		if err == nil {
-			return cells
-		}
-		s.c.suspect(ref.ID())
-	}
-	return nil
+	s.read(s.c.entryFor(row), func(ref NodeRef, at Barrier) (err error) {
+		cells, err = ref.GetVersions(at, row, family, qualifier)
+		return err
+	})
+	return cells
 }
 
 // Scan merges per-region scans in directory order, which is global row
@@ -220,25 +231,12 @@ func (s *Session) ScanCtx(ctx context.Context, opts pool.ScanOptions) []pool.Key
 }
 
 // scanEntry runs one region's scan against a caught-up replica.
-func (s *Session) scanEntry(ctx context.Context, e *regionEntry, opts pool.ScanOptions) []pool.KeyValue {
-	// Route by any row inside the region; the start key is in-region by
-	// construction.
-	row := e.start
-	if row == "" {
-		row = "\x00"
-	}
-	for attempt := 0; attempt < 3; attempt++ {
-		ref, ok := s.replicaFor(row)
-		if !ok {
-			return nil
-		}
-		kvs, err := ref.Scan(ctx, opts)
-		if err == nil {
-			return kvs
-		}
-		s.c.suspect(ref.ID())
-	}
-	return nil
+func (s *Session) scanEntry(ctx context.Context, e *regionEntry, opts pool.ScanOptions) (kvs []pool.KeyValue) {
+	s.read(e, func(ref NodeRef, at Barrier) (err error) {
+		kvs, err = ref.Scan(ctx, at, opts)
+		return err
+	})
+	return kvs
 }
 
 func maxKey(a, b string) string {

@@ -13,14 +13,24 @@
 //	meta:definition    = workflow definition name
 //	meta:state         = "running" | "completed"
 //	meta:cers          = number of final CERs (decimal)
-//	idx:<participant>  = comma-separated enabled activities for the
-//	                     participant (worklist index)
+//	meta:bytes         = len(doc:content) (decimal)
+//	meta:updated       = time of the store (RFC 3339, nanoseconds)
+//	idx:<assignee>     = <definition> NUL <enabled activities, comma-
+//	                     separated> for a participant or "role:<role>"
+//	                     (worklist index; cells written before the
+//	                     definition rode along hold the activities only)
+//
+// Every store writes its row as one pool mutation, so the meta and idx
+// cells always describe the doc:content beside them: a reader, a replica
+// and a recovered data dir see a whole hop or none of it. Monitoring and
+// worklists read the derived columns; only Retrieve ships the document.
 package portal
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,9 +92,11 @@ type WorkItem struct {
 }
 
 // Portal is one portal server. Portals sharing a table coordinate only
-// through it (plus a per-portal mutex to serialize local read-modify-write
-// cycles); stored CER sets are grow-only, so concurrent stores converge by
-// re-merging.
+// through it; within one portal, stores of the same process instance
+// exclude each other (a striped lock keyed by process ID) across their
+// read-merge-write cycle, stores of different instances run side by side,
+// and reads take no portal lock. Stored CER sets are grow-only, so
+// concurrent stores converge by re-merging.
 type Portal struct {
 	// ID names the portal (for logs and notifications).
 	ID string
@@ -107,7 +119,18 @@ type Portal struct {
 	// OnNotifyCtx wins.
 	OnNotifyCtx func(context.Context, Notification)
 
-	mu sync.Mutex
+	// stripes serialize the read-merge-write cycles of one process
+	// instance; see lockFor.
+	stripes [64]sync.Mutex
+}
+
+// lockFor returns the mutex that stores of processID exclude each other
+// with. Instances hashing to the same stripe share it, which costs
+// concurrency, never correctness.
+func (p *Portal) lockFor(processID string) *sync.Mutex {
+	h := fnv.New32a()
+	h.Write([]byte(processID))
+	return &p.stripes[h.Sum32()%uint32(len(p.stripes))]
 }
 
 // New creates a portal server.
@@ -148,19 +171,25 @@ func (p *Portal) StoreCtx(ctx context.Context, doc *document.Document) ([]Notifi
 		return nil, fmt.Errorf("portal: rejecting document (%d signatures verified before failure): %w", nsigs, err)
 	}
 	notes, err := func() ([]Notification, error) {
-		p.mu.Lock()
-		defer p.mu.Unlock()
+		mu := p.lockFor(doc.ProcessID())
+		mu.Lock()
+		defer mu.Unlock()
+		stored := p.Table.GetRow(doc.ProcessID())
 		merged := doc
-		if existing, err := p.retrieve(ctx, doc.ProcessID()); err == nil {
-			merged, err = document.Merge(existing, doc)
+		for _, kv := range stored {
+			if kv.Family != "doc" || kv.Qualifier != "content" {
+				continue
+			}
+			existing, err := document.Parse(kv.Value)
 			if err != nil {
 				return nil, err
 			}
-		} else if !errors.Is(err, ErrUnknownProcess) {
-			return nil, err
+			if merged, err = document.Merge(existing, doc); err != nil {
+				return nil, err
+			}
 		}
 		span.Trace().SetAttr("cers", strconv.Itoa(len(merged.FinalCERs())))
-		return p.persist(ctx, merged)
+		return p.persist(ctx, merged, stored)
 	}()
 	if err != nil {
 		span.Trace().SetStatus("error")
@@ -171,7 +200,7 @@ func (p *Portal) StoreCtx(ctx context.Context, doc *document.Document) ([]Notifi
 }
 
 // dispatch fans notifications out to OnNotifyCtx/OnNotify. Must be
-// called without p.mu.
+// called without the instance's lock.
 func (p *Portal) dispatch(ctx context.Context, notes []Notification) {
 	mNotifications.Add(int64(len(notes)))
 	switch {
@@ -186,9 +215,12 @@ func (p *Portal) dispatch(ctx context.Context, notes []Notification) {
 	}
 }
 
-// persist writes the merged document and its metadata/index and computes
-// notifications. Caller holds p.mu.
-func (p *Portal) persist(ctx context.Context, doc *document.Document) ([]Notification, error) {
+// persist writes the merged document and everything derived from it —
+// the meta cells and the rebuilt worklist index — as one row mutation,
+// and computes notifications. stored is the row as read before the merge
+// (its idx cells say which index entries went stale). Caller holds the
+// instance's lock.
+func (p *Portal) persist(ctx context.Context, doc *document.Document, stored []pool.KeyValue) ([]Notification, error) {
 	def, err := doc.Definition()
 	if err != nil {
 		return nil, err
@@ -202,22 +234,14 @@ func (p *Portal) persist(ctx context.Context, doc *document.Document) ([]Notific
 	if completed {
 		state = "completed"
 	}
-	// One put per cell until the pool has row mutations (ROADMAP item 1);
-	// the first failure fails the store. A retried Store re-merges and
-	// rewrites every cell, so the retry heals a half-written hop.
-	for _, cell := range []struct {
-		family, qualifier string
-		value             []byte
-	}{
-		{"doc", "content", doc.Bytes()},
-		{"meta", "definition", []byte(def.Name)},
-		{"meta", "state", []byte(state)},
-		{"meta", "cers", []byte(strconv.Itoa(len(doc.FinalCERs())))},
-		{"meta", "updated", []byte(p.Clock().UTC().Format(time.RFC3339Nano))},
-	} {
-		if err := p.Table.PutCtx(ctx, row, cell.family, cell.qualifier, cell.value); err != nil {
-			return nil, err
-		}
+	content := doc.Bytes()
+	cells := []pool.CellMutation{
+		{Family: "doc", Qualifier: "content", Value: content},
+		{Family: "meta", Qualifier: "definition", Value: []byte(def.Name)},
+		{Family: "meta", Qualifier: "state", Value: []byte(state)},
+		{Family: "meta", Qualifier: "cers", Value: []byte(strconv.Itoa(len(doc.FinalCERs())))},
+		{Family: "meta", Qualifier: "bytes", Value: []byte(strconv.Itoa(len(content)))},
+		{Family: "meta", Qualifier: "updated", Value: []byte(p.Clock().UTC().Format(time.RFC3339Nano))},
 	}
 
 	// Rebuild the worklist index: one idx cell per assignee with their
@@ -237,24 +261,22 @@ func (p *Portal) persist(ctx context.Context, doc *document.Document) ([]Notific
 		}
 		byParticipant[key] = append(byParticipant[key], act)
 	}
-	for _, kv := range p.Table.GetRow(row) {
-		if kv.Family == "idx" {
-			if _, still := byParticipant[kv.Qualifier]; !still {
-				if err := p.Table.Delete(row, "idx", kv.Qualifier); err != nil {
-					return nil, err
-				}
-			}
+	for _, kv := range stored {
+		if _, still := byParticipant[kv.Qualifier]; kv.Family == "idx" && !still {
+			cells = append(cells, pool.CellMutation{Family: "idx", Qualifier: kv.Qualifier, Del: true})
 		}
 	}
 	var notes []Notification
 	for participant, acts := range byParticipant {
 		sort.Strings(acts)
-		if err := p.Table.PutCtx(ctx, row, "idx", participant, []byte(strings.Join(acts, ","))); err != nil {
-			return nil, err
-		}
+		cells = append(cells, pool.CellMutation{Family: "idx", Qualifier: participant,
+			Value: []byte(def.Name + idxSep + strings.Join(acts, ","))})
 		for _, a := range acts {
 			notes = append(notes, Notification{Participant: participant, ProcessID: row, Activity: a})
 		}
+	}
+	if err := p.Table.Mutate(ctx, row, cells); err != nil {
+		return nil, err
 	}
 	sort.Slice(notes, func(i, j int) bool {
 		if notes[i].Participant != notes[j].Participant {
@@ -288,12 +310,13 @@ func (p *Portal) StoreInitialCtx(ctx context.Context, doc *document.Document) ([
 		return nil, fmt.Errorf("portal: rejecting initial document (%d signatures verified before failure): %w", nsigs, err)
 	}
 	notes, err := func() ([]Notification, error) {
-		p.mu.Lock()
-		defer p.mu.Unlock()
+		mu := p.lockFor(doc.ProcessID())
+		mu.Lock()
+		defer mu.Unlock()
 		if _, ok := p.Table.GetCtx(ctx, doc.ProcessID(), "doc", "content"); ok {
 			return nil, fmt.Errorf("portal: process %s already exists (replayed initial document?)", doc.ProcessID())
 		}
-		return p.persist(ctx, doc)
+		return p.persist(ctx, doc, nil)
 	}()
 	if err != nil {
 		span.Trace().SetStatus("error")
@@ -320,8 +343,6 @@ func (p *Portal) RetrieveCtx(ctx context.Context, principal, processID string) (
 		span.Trace().SetStatus("error")
 		return nil, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.retrieve(ctx, processID)
 }
 
@@ -335,6 +356,11 @@ func (p *Portal) retrieve(ctx context.Context, processID string) (*document.Docu
 
 // rolePrefix namespaces role-based worklist index cells.
 const rolePrefix = "role:"
+
+// idxSep parts the definition name from the activity list in an idx cell.
+// Definition names and activity IDs are XML attribute values, and XML 1.0
+// has no NUL, so neither can contain it.
+const idxSep = "\x00"
 
 // Worklist returns the participant's TO-DO list across all running process
 // instances — activities assigned to them directly plus activities
@@ -371,14 +397,19 @@ func (p *Portal) WorklistCtx(ctx context.Context, principal string) ([]WorkItem,
 		if !match(kv.Qualifier) {
 			continue
 		}
-		defName, _ := p.Table.GetCtx(ctx, kv.Row, "meta", "definition")
-		for _, act := range strings.Split(string(kv.Value), ",") {
+		defName, acts, ok := strings.Cut(string(kv.Value), idxSep)
+		if !ok { // a cell from before the definition rode in the index
+			acts = defName
+			raw, _ := p.Table.GetCtx(ctx, kv.Row, "meta", "definition")
+			defName = string(raw)
+		}
+		for _, act := range strings.Split(acts, ",") {
 			if act == "" {
 				continue
 			}
 			items = append(items, WorkItem{
 				ProcessID:  kv.Row,
-				Definition: string(defName),
+				Definition: defName,
 				Activity:   act,
 			})
 		}
@@ -433,10 +464,10 @@ func (p *Portal) StoreTemplate(tpl *xmltree.Node) (string, error) {
 		return "", fmt.Errorf("portal: rejecting template: %w", err)
 	}
 	row := templateRowPrefix + def.Name
-	if err := p.Table.Put(row, "doc", "template", tpl.Canonical()); err != nil {
-		return "", err
-	}
-	if err := p.Table.Put(row, "meta", "designer", []byte(def.Designer)); err != nil {
+	if err := p.Table.Mutate(context.Background(), row, []pool.CellMutation{
+		{Family: "doc", Qualifier: "template", Value: tpl.Canonical()},
+		{Family: "meta", Qualifier: "designer", Value: []byte(def.Designer)},
+	}); err != nil {
 		return "", err
 	}
 	return def.Name, nil
@@ -475,9 +506,7 @@ func (p *Portal) Templates() map[string]string {
 
 // Enabled recomputes the enabled activities of a stored instance.
 func (p *Portal) Enabled(processID string) ([]string, bool, error) {
-	p.mu.Lock()
 	doc, err := p.retrieve(context.Background(), processID)
-	p.mu.Unlock()
 	if err != nil {
 		return nil, false, err
 	}

@@ -1,10 +1,8 @@
 package portal
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -389,127 +387,5 @@ func TestPortalRestartResilience(t *testing.T) {
 	state, err := reborn.State(pid)
 	if err != nil || state != "completed" {
 		t.Fatalf("state after restart = %q, %v", state, err)
-	}
-}
-
-// failNth is a DocTable whose nth write (counting PutCtx, Put and Delete
-// from arm) fails.
-type failNth struct {
-	pool.DocTable
-	n, writes int
-}
-
-var errInjected = errors.New("injected write failure")
-
-func (f *failNth) arm(n int) { f.n, f.writes = n, 0 }
-
-func (f *failNth) write() error {
-	f.writes++
-	if f.writes == f.n {
-		return errInjected
-	}
-	return nil
-}
-
-func (f *failNth) PutCtx(ctx context.Context, row, family, qualifier string, value []byte) error {
-	if err := f.write(); err != nil {
-		return err
-	}
-	return f.DocTable.PutCtx(ctx, row, family, qualifier, value)
-}
-
-func (f *failNth) Put(row, family, qualifier string, value []byte) error {
-	return f.PutCtx(context.Background(), row, family, qualifier, value)
-}
-
-func (f *failNth) Delete(row, family, qualifier string) error {
-	if err := f.write(); err != nil {
-		return err
-	}
-	return f.DocTable.Delete(row, family, qualifier)
-}
-
-// TestStoreReportsEveryFailedWrite: whichever of a hop's cell writes
-// fails, the store fails — nothing half-written is acknowledged — and
-// storing the same document again converges the row's meta and index
-// cells to what a store that never failed produces.
-func TestStoreReportsEveryFailedWrite(t *testing.T) {
-	c := newCloud(t)
-	initial := c.initial(t)
-	pid := initial.ProcessID()
-	afterA, err := c.agents["A"].Execute(initial, "A", aea.Inputs{"request": "r"}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// hop stores the initial document cleanly on a fresh table, then the
-	// A result with the nth write failing (0 = none). It returns the row's
-	// meta and idx cells after a final, unfailed store of the same
-	// document, the writes the failing store attempted, and its error.
-	hop := func(n int) (cells string, writes int, storeErr error) {
-		cluster, err := pool.NewCluster([]string{"rs1"}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		table, err := CreateTable(cluster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab := &failNth{DocTable: table}
-		p := New("portal", c.env.Registry, tab, func() time.Time { return now })
-		if _, err := p.StoreInitial(initial); err != nil {
-			t.Fatal(err)
-		}
-		tab.arm(n)
-		_, storeErr = p.Store(afterA.Doc)
-		writes = tab.writes
-		tab.arm(0)
-		if _, err := p.Store(afterA.Doc); err != nil {
-			t.Fatalf("re-store after failing write %d: %v", n, err)
-		}
-		var row []string
-		for _, kv := range table.GetRow(pid) {
-			if kv.Family != "doc" {
-				row = append(row, fmt.Sprintf("%s:%s=%s", kv.Family, kv.Qualifier, kv.Value))
-			}
-		}
-		sort.Strings(row)
-		return strings.Join(row, "\n"), writes, storeErr
-	}
-
-	want, writes, err := hop(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// doc:content, four meta cells, A's stale idx cell deleted, B1's and
-	// B2's written.
-	if writes != 8 {
-		t.Fatalf("an unfailed hop made %d writes, want 8", writes)
-	}
-	if !strings.Contains(want, "idx:"+wfdef.Fig9Participants["B1"]+"=B1") || strings.Contains(want, "idx:"+wfdef.Fig9Participants["A"]) {
-		t.Fatalf("reference row:\n%s", want)
-	}
-	for n := 1; n <= writes; n++ {
-		got, _, err := hop(n)
-		if !errors.Is(err, errInjected) {
-			t.Errorf("store with write %d of %d failing = %v, want the write's error", n, writes, err)
-		}
-		if got != want {
-			t.Errorf("row after healing write %d:\n%s\nwant:\n%s", n, got, want)
-		}
-	}
-}
-
-func TestStoreTemplateReportsFailedDesignerWrite(t *testing.T) {
-	c := newCloud(t)
-	tab := &failNth{DocTable: c.table}
-	p := New("portal", c.env.Registry, tab, nil)
-	tpl, err := document.SignTemplate(wfdef.Fig9A(), c.env.KeyOf("designer@acme"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab.arm(2) // doc:template lands, meta:designer does not
-	if _, err := p.StoreTemplate(tpl); !errors.Is(err, errInjected) {
-		t.Fatalf("StoreTemplate with a failed designer write = %v", err)
 	}
 }
