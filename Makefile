@@ -59,11 +59,12 @@ benchquick:
 benchpairs:
 	./scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
-# benchsmoke compiles and runs every dsig/xmltree benchmark once, so the
-# fast-path benchmarks (BenchmarkVerifyAll, BenchmarkCanonicalMemo) cannot
-# rot between perf-focused PRs.
+# benchsmoke compiles and runs every dsig/xmltree/xmlenc/aea benchmark
+# once, so the fast-path benchmarks (BenchmarkVerifyAll,
+# BenchmarkCanonicalMemo, BenchmarkOpenDeepCascade) cannot rot between
+# perf-focused PRs.
 benchsmoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/dsig/... ./internal/xmltree/...
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/dsig/... ./internal/xmltree/... ./internal/xmlenc/... ./internal/aea/...
 
 # faults is the relay reliability gate: fault-injection workflows (20% of
 # hops dropped/duplicated, 10% un-acked, judged by internal/chaos), crash

@@ -81,9 +81,11 @@ var (
 type Inputs map[string]string
 
 // AEA is one participant's activity execution agent. It is safe for
-// concurrent use; the replay guard is shared across goroutines.
+// concurrent use; the replay guard and the content-key memo are shared
+// across goroutines.
 type AEA struct {
 	// Keys is the participant's key pair; Keys.Owner is the principal ID.
+	// Views are decrypted with the key pair passed to New.
 	Keys *pki.KeyPair
 	// Registry resolves and trusts other principals' public keys.
 	Registry *pki.Registry
@@ -91,13 +93,15 @@ type AEA struct {
 	// the process-wide default (dsig.DefaultSuite).
 	Suite dsig.Suite
 
+	opener *xmlenc.Opener
+
 	mu   sync.Mutex
 	seen map[string]bool
 }
 
 // New creates an AEA for the given principal.
 func New(keys *pki.KeyPair, reg *pki.Registry) *AEA {
-	return &AEA{Keys: keys, Registry: reg, seen: make(map[string]bool)}
+	return &AEA{Keys: keys, Registry: reg, opener: xmlenc.NewOpener(keys), seen: make(map[string]bool)}
 }
 
 // Session is an opened activity: the document has been verified and the
@@ -181,7 +185,7 @@ func (a *AEA) OpenCtx(ctx context.Context, doc *document.Document, activityID st
 
 	view := work.Clone()
 	_, decryptSpan := tel.StartSpanCtx(ctx, "aea_decrypt_view_seconds")
-	ndec, err := xmlenc.DecryptVisible(view.Root, a.Keys)
+	ndec, err := a.opener.DecryptVisible(view.Root)
 	decryptSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("aea: decrypting view: %w", err)
@@ -269,6 +273,10 @@ func (s *Session) CompleteCtx(ctx context.Context, inputs Inputs, now time.Time)
 	if err != nil {
 		return nil, err
 	}
+	key, err := s.claim()
+	if err != nil {
+		return nil, err
+	}
 	_, signSpan := tel.StartSpanCtx(ctx, "aea_sign_seconds")
 	cer, err := s.work.AppendCER(document.AppendSpec{
 		ActivityID:     s.act.ID,
@@ -283,10 +291,10 @@ func (s *Session) CompleteCtx(ctx context.Context, inputs Inputs, now time.Time)
 	})
 	signSpan.End()
 	if err != nil {
+		s.aea.release(key)
 		return nil, err
 	}
 	mSignedCERs.Inc()
-	s.aea.markSeen(replayKey(s.work.ProcessID(), s.act.ID, s.iter))
 
 	out := &Outcome{Doc: s.work, CER: cer, Next: next, Routed: map[string]*document.Document{}}
 	for _, to := range next {
@@ -344,6 +352,10 @@ func (s *Session) CompleteToTFCCtx(ctx context.Context, inputs Inputs) (*documen
 	if err != nil {
 		return nil, err
 	}
+	key, err := s.claim()
+	if err != nil {
+		return nil, err
+	}
 	_, signSpan := tel.StartSpanCtx(ctx, "aea_sign_seconds")
 	_, err = s.work.AppendCER(document.AppendSpec{
 		ActivityID:     s.act.ID,
@@ -357,10 +369,10 @@ func (s *Session) CompleteToTFCCtx(ctx context.Context, inputs Inputs) (*documen
 	})
 	signSpan.End()
 	if err != nil {
+		s.aea.release(key)
 		return nil, err
 	}
 	mSignedCERs.Inc()
-	s.aea.markSeen(replayKey(s.work.ProcessID(), s.act.ID, s.iter))
 	return s.work, nil
 }
 
@@ -443,10 +455,28 @@ func (a *AEA) alreadySeen(key string) bool {
 	return a.seen[key]
 }
 
-func (a *AEA) markSeen(key string) {
+// claim arms the replay guard for the session's (process, activity,
+// iteration) just before it signs. Check and mark are one step under a.mu,
+// so of two sessions opened from the same document only one signs; the
+// other gets ErrReplay.
+func (s *Session) claim() (string, error) {
+	key := replayKey(s.work.ProcessID(), s.act.ID, s.iter)
+	a := s.aea
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.seen[key] {
+		mReplayRejections.Inc()
+		return "", fmt.Errorf("%w: %s#%d of process %s", ErrReplay, s.act.ID, s.iter, s.work.ProcessID())
+	}
 	a.seen[key] = true
+	return key, nil
+}
+
+// release disarms a claim whose signature was never produced.
+func (a *AEA) release(key string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	delete(a.seen, key)
 }
 
 func replayKey(processID, activity string, iter int) string {

@@ -21,9 +21,12 @@ type fixture struct {
 	def    *wfdef.Definition
 	doc    *document.Document
 	agents map[string]*AEA
+	// onOpen, when set, sees every hop's input document and the session
+	// its agent opened from it, before the session completes.
+	onOpen func(activity string, in *document.Document, s *Session)
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	env := testenv.Fig9(0)
 	def := wfdef.Fig9A()
@@ -38,39 +41,54 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{env: env, def: def, doc: doc, agents: agents}
 }
 
+// hop opens and completes one activity with its agent.
+func (f *fixture) hop(t testing.TB, doc *document.Document, activity string, inputs Inputs) *Outcome {
+	t.Helper()
+	s, err := f.agents[activity].Open(doc, activity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.onOpen != nil {
+		f.onOpen(activity, doc, s)
+	}
+	out, err := s.Complete(inputs, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // runIteration executes one full pass A → (B1 ∥ B2) → C → D of Figure 9A,
 // returning D's outcome.
-func (f *fixture) runIteration(t *testing.T, doc *document.Document, accept bool) *Outcome {
+func (f *fixture) runIteration(t testing.TB, doc *document.Document, accept bool) *Outcome {
 	t.Helper()
-	outA, err := f.agents["A"].Execute(doc, "A", Inputs{"request": "buy 10 servers", "attachment": "specs.pdf"}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB1, err := f.agents["B1"].Execute(outA.Routed["B1"], "B1", Inputs{"techReview": "sound"}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outB2, err := f.agents["B2"].Execute(outA.Routed["B2"], "B2", Inputs{"budgetReview": "within budget"}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outA := f.hop(t, doc, "A", Inputs{"request": "buy 10 servers", "attachment": "specs.pdf"})
+	outB1 := f.hop(t, outA.Routed["B1"], "B1", Inputs{"techReview": "sound"})
+	outB2 := f.hop(t, outA.Routed["B2"], "B2", Inputs{"budgetReview": "within budget"})
 	merged, err := document.Merge(outB1.Routed["C"], outB2.Routed["C"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	outC, err := f.agents["C"].Execute(merged, "C", Inputs{"summary": "all reviews positive"}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outC := f.hop(t, merged, "C", Inputs{"summary": "all reviews positive"})
 	acceptStr := "false"
 	if accept {
 		acceptStr = "true"
 	}
-	outD, err := f.agents["D"].Execute(outC.Routed["D"], "D", Inputs{"accept": acceptStr}, now)
-	if err != nil {
-		t.Fatal(err)
+	return f.hop(t, outC.Routed["D"], "D", Inputs{"accept": acceptStr})
+}
+
+// run drives a whole Figure 9A instance in which D rejects `rejects`
+// times before accepting: 5·(rejects+1) hops.
+func (f *fixture) run(t testing.TB, rejects int) *Outcome {
+	t.Helper()
+	doc := f.doc
+	for i := 0; ; i++ {
+		out := f.runIteration(t, doc, i == rejects)
+		if i == rejects {
+			return out
+		}
+		doc = out.Routed["A"]
 	}
-	return outD
 }
 
 func TestBasicModelFullRun(t *testing.T) {

@@ -126,16 +126,17 @@ func (d *Document) ConditionVault() *xmltree.Node {
 	return nil
 }
 
-// RevealConditions decrypts the condition vault with key (the TFC's key
-// pair) and fills the concealed transitions of def in place, clearing
-// their Concealed flags. It fails if the document has no vault, the key's
-// owner is not a recipient, or a vault entry names an unknown transition.
-func (d *Document) RevealConditions(def *wfdef.Definition, key *pki.KeyPair) error {
+// RevealConditions decrypts the condition vault through opener (the TFC's)
+// and fills the concealed transitions of def in place, clearing their
+// Concealed flags. It fails if the document has no vault, the opener's
+// principal is not a recipient, or a vault entry names an unknown
+// transition.
+func (d *Document) RevealConditions(def *wfdef.Definition, opener *xmlenc.Opener) error {
 	vaultEl := d.ConditionVault()
 	if vaultEl == nil {
 		return errors.New("document: no concealed-conditions vault")
 	}
-	plain, err := xmlenc.Decrypt(vaultEl, key)
+	plain, err := opener.Decrypt(vaultEl)
 	if err != nil {
 		return fmt.Errorf("document: opening condition vault: %w", err)
 	}

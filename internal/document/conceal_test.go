@@ -106,12 +106,12 @@ func TestRevealConditions(t *testing.T) {
 
 	// Only vault recipients can reveal.
 	tony := cache.MustGet(wfdef.Fig4Participants.Tony)
-	if err := doc.RevealConditions(embDef, tony); err == nil {
+	if err := doc.RevealConditions(embDef, xmlenc.NewOpener(tony)); err == nil {
 		t.Fatal("non-recipient opened the vault")
 	}
 
 	tfcKeys := cache.MustGet("tfc@cloud")
-	if err := doc.RevealConditions(embDef, tfcKeys); err != nil {
+	if err := doc.RevealConditions(embDef, xmlenc.NewOpener(tfcKeys)); err != nil {
 		t.Fatal(err)
 	}
 	found := 0
@@ -128,7 +128,7 @@ func TestRevealConditions(t *testing.T) {
 	}
 	// The designer (second recipient) can also reveal.
 	embDef2, _ := doc.Definition()
-	if err := doc.RevealConditions(embDef2, cache.MustGet("designer@p0")); err != nil {
+	if err := doc.RevealConditions(embDef2, xmlenc.NewOpener(cache.MustGet("designer@p0"))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,7 +137,7 @@ func TestRevealErrors(t *testing.T) {
 	// Document without a vault.
 	plain := newFig9Doc(t)
 	def, _ := plain.Definition()
-	if err := plain.RevealConditions(def, cache.MustGet("tfc@cloud")); err == nil {
+	if err := plain.RevealConditions(def, xmlenc.NewOpener(cache.MustGet("tfc@cloud"))); err == nil {
 		t.Fatal("reveal on plain document succeeded")
 	}
 
@@ -145,7 +145,7 @@ func TestRevealErrors(t *testing.T) {
 	doc, _ := newConcealedDoc(t)
 	embDef, _ := doc.Definition()
 	embDef.Transitions = embDef.Transitions[:2] // drop the vaulted edges
-	if err := doc.RevealConditions(embDef, cache.MustGet("tfc@cloud")); err == nil {
+	if err := doc.RevealConditions(embDef, xmlenc.NewOpener(cache.MustGet("tfc@cloud"))); err == nil {
 		t.Fatal("vault with unknown transitions accepted")
 	}
 }

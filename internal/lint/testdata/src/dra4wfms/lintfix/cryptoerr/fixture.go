@@ -41,6 +41,15 @@ func checked(msg, sig []byte) error {
 	return err
 }
 
+// openerBad: decrypting through an Opener is the same trust boundary as
+// the package-level functions.
+func openerBad(o *xmlenc.Opener, msg []byte) {
+	_, _ = o.Decrypt(msg)         // want "error returned by (xmlenc.Opener).Decrypt is assigned to _"
+	n, _ := o.DecryptVisible(msg) // want "error returned by (xmlenc.Opener).DecryptVisible is assigned to _"
+	_ = n
+	o.DecryptVisible(msg) // want "error returned by (xmlenc.Opener).DecryptVisible is unchecked"
+}
+
 // signerName discards no error: SignerOf has a crypto-ish prefix but a
 // single result, so the typed check skips it.
 func signerName(sig []byte) string {

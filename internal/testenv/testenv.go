@@ -14,6 +14,8 @@ import (
 
 	"dra4wfms/internal/pki"
 	"dra4wfms/internal/wfdef"
+	"dra4wfms/internal/xmlenc"
+	"dra4wfms/internal/xmltree"
 )
 
 var (
@@ -129,4 +131,23 @@ func ProcessID() string {
 		panic(err)
 	}
 	return "proc-" + hex.EncodeToString(b[:])
+}
+
+// ReadableKeys returns the wrapped-key text of every EncryptedData under n
+// that owner is a recipient of — one entry per content key owner unwraps
+// to open the element. Content inside an encrypted element is not seen.
+func ReadableKeys(n *xmltree.Node, owner string) []string {
+	var out []string
+	for _, c := range n.ChildElements() {
+		if !xmlenc.IsEncrypted(c) {
+			out = append(out, ReadableKeys(c, owner)...)
+			continue
+		}
+		for _, ek := range c.Child("KeyInfo").ChildElements() {
+			if ek.AttrDefault("Recipient", "") == owner {
+				out = append(out, ek.ChildText("CipherValue"))
+			}
+		}
+	}
+	return out
 }

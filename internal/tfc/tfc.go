@@ -78,7 +78,8 @@ type ForwardRecord struct {
 // Server is one TFC server instance. It is safe for concurrent use.
 type Server struct {
 	// Keys is the server's key pair; Keys.Owner must match the
-	// definition's Policy.TFC.
+	// definition's Policy.TFC. Documents are decrypted with the key pair
+	// passed to New.
 	Keys *pki.KeyPair
 	// Registry resolves participant keys.
 	Registry *pki.Registry
@@ -98,6 +99,11 @@ type Server struct {
 	// retry once persistence recovers.
 	OnRecord func(ForwardRecord) error
 
+	// opener unwraps each content key the server can read once: the
+	// intermediate result, the history it routes on and the condition
+	// vault all go through it.
+	opener *xmlenc.Opener
+
 	mu      sync.Mutex
 	seen    map[string]bool
 	records []ForwardRecord
@@ -108,7 +114,7 @@ func New(keys *pki.KeyPair, reg *pki.Registry, clock func() time.Time) *Server {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Server{Keys: keys, Registry: reg, Clock: clock, seen: make(map[string]bool)}
+	return &Server{Keys: keys, Registry: reg, Clock: clock, opener: xmlenc.NewOpener(keys), seen: make(map[string]bool)}
 }
 
 // Outcome is the result of processing one intermediate document.
@@ -179,7 +185,7 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	// inside the signed definition; only vault recipients can open it.
 	for _, t := range def.Transitions {
 		if t.Concealed {
-			if err := work.RevealConditions(def, s.Keys); err != nil {
+			if err := work.RevealConditions(def, s.opener); err != nil {
 				return nil, fmt.Errorf("tfc: revealing concealed conditions: %w", err)
 			}
 			break
@@ -218,7 +224,7 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	if res == nil || len(res.ChildElements()) != 1 || !xmlenc.IsEncrypted(res.ChildElements()[0]) {
 		return nil, errors.New("tfc: intermediate result is not a single encrypted payload")
 	}
-	plain, err := xmlenc.Decrypt(res.ChildElements()[0], s.Keys)
+	plain, err := s.opener.Decrypt(res.ChildElements()[0])
 	if err != nil {
 		return nil, fmt.Errorf("tfc: unwrapping intermediate result: %w", err)
 	}
@@ -229,9 +235,9 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 
 	// Routing environment: everything the TFC itself can read from the
 	// document history plus the fresh raw values.
-	hist := work.Clone()
-	if _, err := xmlenc.DecryptVisible(hist.Root, s.Keys); err != nil {
-		return nil, fmt.Errorf("tfc: decrypting history: %w", err)
+	hist, _, err := s.history(work)
+	if err != nil {
+		return nil, err
 	}
 	envVals := hist.Values()
 	for k, v := range values {
@@ -314,6 +320,17 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	s.records = append(s.records, rec)
 	s.mu.Unlock()
 	return out, nil
+}
+
+// history returns a copy of work with every element the server may read
+// decrypted in place, and the number of elements decrypted.
+func (s *Server) history(work *document.Document) (*document.Document, int, error) {
+	hist := work.Clone()
+	n, err := s.opener.DecryptVisible(hist.Root)
+	if err != nil {
+		return nil, 0, fmt.Errorf("tfc: decrypting history: %w", err)
+	}
+	return hist, n, nil
 }
 
 // Records returns a copy of the forwarding log, the data source for

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"dra4wfms/internal/pki"
 	"dra4wfms/internal/telemetry"
@@ -48,6 +49,10 @@ var (
 	mEncryptBytes = telemetry.Default().Counter("xmlenc_encrypt_bytes_total")
 	mDecryptOps   = telemetry.Default().Counter("xmlenc_decrypt_ops_total")
 	mDecryptBytes = telemetry.Default().Counter("xmlenc_decrypt_bytes_total")
+	// mUnwraps counts RSA-OAEP private operations actually performed;
+	// mUnwrapHits counts CEKs an Opener reused instead.
+	mUnwraps    = telemetry.Default().Counter("xmlenc_unwraps_total")
+	mUnwrapHits = telemetry.Default().Counter("xmlenc_unwrap_memo_hits_total")
 )
 
 // Algorithm identifiers recorded in encrypted elements.
@@ -215,8 +220,18 @@ func CanDecrypt(enc *xmltree.Node, id string) bool {
 }
 
 // Decrypt opens an EncryptedData element with the recipient's key pair and
-// returns the reconstructed plaintext element.
+// returns the reconstructed plaintext element. Every call pays the RSA
+// unwrap; an Opener remembers unwrapped content keys instead.
 func Decrypt(enc *xmltree.Node, key *pki.KeyPair) (*xmltree.Node, error) {
+	return decrypt(enc, key, nil)
+}
+
+// decrypt is the one decryption routine: with a nil memo every call
+// unwraps the CEK with RSA; with a memo a CEK this principal has already
+// unwrapped from the same wrapped bytes is reused. Every structural and
+// algorithm check, the AES-GCM authentication and the XML parse run on
+// every call either way.
+func decrypt(enc *xmltree.Node, key *pki.KeyPair, memo *cekMemo) (*xmltree.Node, error) {
 	if !IsEncrypted(enc) {
 		return nil, errors.New("xmlenc: not an EncryptedData element")
 	}
@@ -244,9 +259,21 @@ func Decrypt(enc *xmltree.Node, key *pki.KeyPair) (*xmltree.Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad EncryptedKey encoding", ErrCorrupt)
 	}
-	cek, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, key.Private, wrapped, []byte(key.Owner))
-	if err != nil {
-		return nil, fmt.Errorf("%w: CEK unwrap failed", ErrCorrupt)
+	var memoKey [sha256.Size]byte
+	var cek []byte
+	if memo != nil {
+		memoKey = sha256.Sum256(wrapped)
+		cek = memo.lookup(memoKey)
+	}
+	hit := cek != nil
+	if hit {
+		mUnwrapHits.Inc()
+	} else {
+		mUnwraps.Inc()
+		cek, err = rsa.DecryptOAEP(sha256.New(), rand.Reader, key.Private, wrapped, []byte(key.Owner))
+		if err != nil {
+			return nil, fmt.Errorf("%w: CEK unwrap failed", ErrCorrupt)
+		}
 	}
 
 	cd := enc.Child(cipherDataElem)
@@ -277,6 +304,9 @@ func Decrypt(enc *xmltree.Node, key *pki.KeyPair) (*xmltree.Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xmlenc: decrypted payload is not well-formed XML: %w", err)
 	}
+	if memo != nil && !hit {
+		memo.remember(memoKey, cek)
+	}
 	mDecryptOps.Inc()
 	mDecryptBytes.Add(int64(len(plaintext)))
 	return el, nil
@@ -300,6 +330,10 @@ func DecryptInPlace(parent, enc *xmltree.Node, key *pki.KeyPair) (*xmltree.Node,
 // for other readers are left intact. It returns the number of elements
 // decrypted. This is what an AEA does to build the participant's view.
 func DecryptVisible(n *xmltree.Node, key *pki.KeyPair) (int, error) {
+	return decryptVisible(n, key, nil)
+}
+
+func decryptVisible(n *xmltree.Node, key *pki.KeyPair, memo *cekMemo) (int, error) {
 	count := 0
 	var rec func(parent *xmltree.Node) error
 	rec = func(parent *xmltree.Node) error {
@@ -309,7 +343,7 @@ func DecryptVisible(n *xmltree.Node, key *pki.KeyPair) (int, error) {
 				continue
 			}
 			if IsEncrypted(c) && CanDecrypt(c, key.Owner) {
-				el, err := Decrypt(c, key)
+				el, err := decrypt(c, key, memo)
 				if err != nil {
 					return err
 				}
@@ -329,6 +363,85 @@ func DecryptVisible(n *xmltree.Node, key *pki.KeyPair) (int, error) {
 		return 0, err
 	}
 	return count, nil
+}
+
+// Opener decrypts for one principal and unwraps each content key at most
+// once. RSA-OAEP decryption is a deterministic function of the private
+// key, the wrapped bytes and the label (the owner), so reusing a CEK
+// unwrapped from the same wrapped bytes returns exactly what a fresh
+// unwrap would; every other step of Decrypt — the recipient and algorithm
+// checks, the AES-GCM authentication of the ciphertext and the XML parse
+// — still runs on every call, and only keys whose element authenticated
+// and parsed are remembered. The memo holds at most two generations of
+// memoGeneration entries. An Opener is safe for concurrent use.
+type Opener struct {
+	key  *pki.KeyPair
+	memo cekMemo
+}
+
+// NewOpener returns an Opener for key's owner with an empty memo.
+func NewOpener(key *pki.KeyPair) *Opener {
+	return &Opener{key: key}
+}
+
+// Decrypt is xmlenc.Decrypt with the opener's key, reusing remembered
+// content keys.
+func (o *Opener) Decrypt(enc *xmltree.Node) (*xmltree.Node, error) {
+	return decrypt(enc, o.key, &o.memo)
+}
+
+// DecryptVisible is xmlenc.DecryptVisible with the opener's key, reusing
+// remembered content keys.
+func (o *Opener) DecryptVisible(n *xmltree.Node) (int, error) {
+	return decryptVisible(n, o.key, &o.memo)
+}
+
+// memoGeneration is the capacity of one memo generation: when the current
+// generation is full it replaces the previous one, so at most twice this
+// many CEKs are held and the most recently used survive.
+const memoGeneration = 4096
+
+// cekMemo maps SHA-256 of a wrapped key to the CEK it unwrapped to.
+type cekMemo struct {
+	mu       sync.Mutex
+	cur, old map[[sha256.Size]byte][32]byte
+}
+
+// lookup returns a copy of the CEK remembered under k, or nil. A hit in
+// the previous generation is promoted to the current one.
+func (m *cekMemo) lookup(k [sha256.Size]byte) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.cur[k]
+	if !ok {
+		if v, ok = m.old[k]; !ok {
+			return nil
+		}
+		m.putLocked(k, v)
+	}
+	return v[:]
+}
+
+// remember stores a copy of cek under k. Only AES-256 keys (the one data
+// algorithm Encrypt writes) are kept; anything else is simply unwrapped
+// again next time.
+func (m *cekMemo) remember(k [sha256.Size]byte, cek []byte) {
+	if len(cek) != 32 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.putLocked(k, [32]byte(cek))
+}
+
+func (m *cekMemo) putLocked(k [sha256.Size]byte, v [32]byte) {
+	if len(m.cur) >= memoGeneration {
+		m.old, m.cur = m.cur, nil
+	}
+	if m.cur == nil {
+		m.cur = make(map[[sha256.Size]byte][32]byte)
+	}
+	m.cur[k] = v
 }
 
 func algorithmOf(parent *xmltree.Node) string {
