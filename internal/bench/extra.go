@@ -2,14 +2,12 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"time"
 
 	"dra4wfms/internal/aea"
-	"dra4wfms/internal/cloudsim"
 	"dra4wfms/internal/document"
 	"dra4wfms/internal/dsig"
 	"dra4wfms/internal/engine"
@@ -466,29 +464,29 @@ func RunScalabilityDistributed(loads []int, engineSvc, migrationLat time.Duratio
 	stepEngine := []int{0, 0, 1, 1, 2}
 	var rows []ScalabilityRow
 	for _, n := range loads {
-		sim := cloudsim.NewSim()
-		engines := []*cloudsim.Station{
-			cloudsim.NewStation(sim, "e1"),
-			cloudsim.NewStation(sim, "e2"),
-			cloudsim.NewStation(sim, "e3"),
+		sim := &simulation{}
+		engines := []*station{
+			newStation(sim),
+			newStation(sim),
+			newStation(sim),
 		}
 		latencies := make([]time.Duration, 0, n)
 		for i := 0; i < n; i++ {
 			start := time.Duration(i) * time.Millisecond
-			sim.Schedule(start, func() {
-				begin := sim.Now()
+			sim.schedule(start, func() {
+				begin := sim.now
 				var stepDone func(step int)
 				stepDone = func(step int) {
 					if step == activities {
-						latencies = append(latencies, sim.Now()-begin)
+						latencies = append(latencies, sim.now-begin)
 						return
 					}
 					run := func() {
-						engines[stepEngine[step]].Submit(engineSvc, func(time.Duration) { stepDone(step + 1) })
+						engines[stepEngine[step]].submit(engineSvc, func(time.Duration) { stepDone(step + 1) })
 					}
 					if step > 0 && stepEngine[step] != stepEngine[step-1] {
 						// Instance migration over the network first.
-						sim.Schedule(migrationLat, run)
+						sim.schedule(migrationLat, run)
 					} else {
 						run()
 					}
@@ -496,15 +494,15 @@ func RunScalabilityDistributed(loads []int, engineSvc, migrationLat time.Duratio
 				stepDone(0)
 			})
 		}
-		makespan := sim.Run()
+		makespan := sim.run()
 		var meanWait time.Duration
 		for _, e := range engines {
-			meanWait += e.MeanWait()
+			meanWait += e.meanWait()
 		}
 		meanWait /= time.Duration(len(engines))
 		rows = append(rows, ScalabilityRow{
 			Label: "engine-distributed", Instances: n,
-			MeanLatency: cloudsim.Mean(latencies), P99Latency: cloudsim.Percentile(latencies, 99),
+			MeanLatency: mean(latencies), P99Latency: percentile(latencies, 99),
 			Makespan: makespan, ServerMeanWt: meanWait,
 		})
 	}
@@ -529,69 +527,69 @@ func RunScalability(loads []int, engineSvc, aeaSvc, tfcSvc time.Duration, tfcSer
 	for _, n := range loads {
 		// Centralized: all steps of all instances share one engine.
 		{
-			sim := cloudsim.NewSim()
-			eng := cloudsim.NewStation(sim, "engine")
+			sim := &simulation{}
+			eng := newStation(sim)
 			latencies := make([]time.Duration, 0, n)
 			for i := 0; i < n; i++ {
 				start := time.Duration(i) * time.Millisecond // staggered arrivals
-				sim.Schedule(start, func() {
-					begin := sim.Now()
+				sim.schedule(start, func() {
+					begin := sim.now
 					var stepDone func(step int)
 					stepDone = func(step int) {
 						if step == activities {
-							latencies = append(latencies, sim.Now()-begin)
+							latencies = append(latencies, sim.now-begin)
 							return
 						}
-						eng.Submit(engineSvc, func(time.Duration) { stepDone(step + 1) })
+						eng.submit(engineSvc, func(time.Duration) { stepDone(step + 1) })
 					}
 					stepDone(0)
 				})
 			}
-			makespan := sim.Run()
+			makespan := sim.run()
 			rows = append(rows, ScalabilityRow{
 				Label: "engine-centralized", Instances: n,
-				MeanLatency: cloudsim.Mean(latencies), P99Latency: cloudsim.Percentile(latencies, 99),
-				Makespan: makespan, ServerMeanWt: eng.MeanWait(),
+				MeanLatency: mean(latencies), P99Latency: percentile(latencies, 99),
+				Makespan: makespan, ServerMeanWt: eng.meanWait(),
 			})
 		}
 		// DRA4WfMS advanced: each instance's AEA work runs on its own
 		// participant machines (one station per instance, no sharing);
 		// only the TFC tier is shared.
 		{
-			sim := cloudsim.NewSim()
-			tfcs := make([]*cloudsim.Station, tfcServers)
+			sim := &simulation{}
+			tfcs := make([]*station, tfcServers)
 			for i := range tfcs {
-				tfcs[i] = cloudsim.NewStation(sim, fmt.Sprintf("tfc-%d", i))
+				tfcs[i] = newStation(sim)
 			}
 			latencies := make([]time.Duration, 0, n)
 			for i := 0; i < n; i++ {
 				i := i
-				participant := cloudsim.NewStation(sim, fmt.Sprintf("participant-%d", i))
+				participant := newStation(sim)
 				start := time.Duration(i) * time.Millisecond
-				sim.Schedule(start, func() {
-					begin := sim.Now()
+				sim.schedule(start, func() {
+					begin := sim.now
 					var stepDone func(step int)
 					stepDone = func(step int) {
 						if step == activities {
-							latencies = append(latencies, sim.Now()-begin)
+							latencies = append(latencies, sim.now-begin)
 							return
 						}
-						participant.Submit(aeaSvc, func(time.Duration) {
-							tfcs[i%tfcServers].Submit(tfcSvc, func(time.Duration) { stepDone(step + 1) })
+						participant.submit(aeaSvc, func(time.Duration) {
+							tfcs[i%tfcServers].submit(tfcSvc, func(time.Duration) { stepDone(step + 1) })
 						})
 					}
 					stepDone(0)
 				})
 			}
-			makespan := sim.Run()
+			makespan := sim.run()
 			var meanWait time.Duration
 			for _, st := range tfcs {
-				meanWait += st.MeanWait()
+				meanWait += st.meanWait()
 			}
 			meanWait /= time.Duration(len(tfcs))
 			rows = append(rows, ScalabilityRow{
 				Label: fmt.Sprintf("dra4wfms-%dtfc", tfcServers), Instances: n,
-				MeanLatency: cloudsim.Mean(latencies), P99Latency: cloudsim.Percentile(latencies, 99),
+				MeanLatency: mean(latencies), P99Latency: percentile(latencies, 99),
 				Makespan: makespan, ServerMeanWt: meanWait,
 			})
 		}
@@ -623,51 +621,51 @@ func RunDoS(attackRates []int, svc time.Duration, portals int) []DoSRow {
 	for _, rate := range attackRates {
 		// Centralized engine.
 		{
-			sim := cloudsim.NewSim()
-			eng := cloudsim.NewStation(sim, "engine")
+			sim := &simulation{}
+			eng := newStation(sim)
 			var lat []time.Duration
 			for i := 0; i < rate; i++ {
-				sim.Schedule(time.Duration(i)*time.Second/time.Duration(rate+1), func() {
-					eng.Submit(svc, nil) // junk work still consumes service
+				sim.schedule(time.Duration(i)*time.Second/time.Duration(rate+1), func() {
+					eng.submit(svc, nil) // junk work still consumes service
 				})
 			}
 			for i := 0; i < legit; i++ {
-				sim.Schedule(time.Duration(i)*10*time.Millisecond, func() {
-					begin := sim.Now()
-					eng.Submit(svc, func(time.Duration) { lat = append(lat, sim.Now()-begin) })
+				sim.schedule(time.Duration(i)*10*time.Millisecond, func() {
+					begin := sim.now
+					eng.submit(svc, func(time.Duration) { lat = append(lat, sim.now-begin) })
 				})
 			}
-			sim.Run()
+			sim.run()
 			rows = append(rows, DoSRow{
 				Label: "engine-centralized", AttackRate: rate,
-				LegitMean: cloudsim.Mean(lat), LegitP99: cloudsim.Percentile(lat, 99),
+				LegitMean: mean(lat), LegitP99: percentile(lat, 99),
 				LegitServed: len(lat),
 			})
 		}
 		// DRA4WfMS portals.
 		{
-			sim := cloudsim.NewSim()
-			ps := make([]*cloudsim.Station, portals)
+			sim := &simulation{}
+			ps := make([]*station, portals)
 			for i := range ps {
-				ps[i] = cloudsim.NewStation(sim, fmt.Sprintf("portal-%d", i))
+				ps[i] = newStation(sim)
 			}
 			var lat []time.Duration
 			for i := 0; i < rate; i++ {
-				sim.Schedule(time.Duration(i)*time.Second/time.Duration(rate+1), func() {
-					ps[0].Submit(svc, nil) // attacker hits the one address it knows
+				sim.schedule(time.Duration(i)*time.Second/time.Duration(rate+1), func() {
+					ps[0].submit(svc, nil) // attacker hits the one address it knows
 				})
 			}
 			for i := 0; i < legit; i++ {
 				i := i
-				sim.Schedule(time.Duration(i)*10*time.Millisecond, func() {
-					begin := sim.Now()
-					ps[i%portals].Submit(svc, func(time.Duration) { lat = append(lat, sim.Now()-begin) })
+				sim.schedule(time.Duration(i)*10*time.Millisecond, func() {
+					begin := sim.now
+					ps[i%portals].submit(svc, func(time.Duration) { lat = append(lat, sim.now-begin) })
 				})
 			}
-			sim.Run()
+			sim.run()
 			rows = append(rows, DoSRow{
 				Label: fmt.Sprintf("dra4wfms-%dportals", portals), AttackRate: rate,
-				LegitMean: cloudsim.Mean(lat), LegitP99: cloudsim.Percentile(lat, 99),
+				LegitMean: mean(lat), LegitP99: percentile(lat, 99),
 				LegitServed: len(lat),
 			})
 		}
@@ -766,65 +764,6 @@ func RunEngineVsDRA(bits, n int) (*EngineVsDRAResult, error) {
 	_, err := forged.VerifyAll(env.Registry)
 	res.DRATamperCaught = err != nil
 	return res, nil
-}
-
-// --- pool primitives ----------------------------------------------------------------
-
-// PoolResult reports throughput of the document-pool primitives.
-type PoolResult struct {
-	Rows          int
-	PutsPerSecond float64
-	GetsPerSecond float64
-	ScanMillis    float64
-	Regions       int
-}
-
-// RunPool loads n synthetic documents into a small cluster and measures
-// primitive throughput.
-func RunPool(n int, valueBytes int, splitThreshold int) (*PoolResult, error) {
-	c, err := pool.NewCluster([]string{"rs1", "rs2", "rs3"}, splitThreshold)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := c.CreateTable("docs", pool.FamilySpec{Name: "doc"}, pool.FamilySpec{Name: "meta"})
-	if err != nil {
-		return nil, err
-	}
-	val := make([]byte, valueBytes)
-	t0 := time.Now()
-	for i := 0; i < n; i++ {
-		row := fmt.Sprintf("proc-%08d", i)
-		if err := errors.Join(
-			tbl.Put(row, "doc", "content", val),
-			tbl.Put(row, "meta", "state", []byte("running")),
-		); err != nil {
-			return nil, err
-		}
-	}
-	putDur := time.Since(t0)
-
-	t1 := time.Now()
-	for i := 0; i < n; i++ {
-		row := fmt.Sprintf("proc-%08d", i)
-		if _, ok := tbl.Get(row, "doc", "content"); !ok {
-			return nil, fmt.Errorf("bench: row %s lost", row)
-		}
-	}
-	getDur := time.Since(t1)
-
-	t2 := time.Now()
-	kvs := tbl.Scan(pool.ScanOptions{Family: "meta"})
-	scanDur := time.Since(t2)
-	if len(kvs) != n {
-		return nil, fmt.Errorf("bench: scan saw %d rows, want %d", len(kvs), n)
-	}
-	return &PoolResult{
-		Rows:          n,
-		PutsPerSecond: float64(2*n) / putDur.Seconds(),
-		GetsPerSecond: float64(n) / getDur.Seconds(),
-		ScanMillis:    float64(scanDur.Microseconds()) / 1000,
-		Regions:       len(tbl.Regions()),
-	}, nil
 }
 
 // --- the paper's stated future work: pool scale-out ------------------------------

@@ -1,6 +1,6 @@
 // Package engine implements the BASELINE the paper argues against: a
-// conventional engine-based workflow management system, in both the
-// centralized (Figure 1A) and distributed (Figure 1B) variants.
+// conventional, centralized engine-based workflow management system
+// (Figure 1A).
 //
 // The engine holds process instances in its own trusted store, in
 // plaintext. That is precisely the paper's security criticism: a
@@ -12,11 +12,9 @@
 // has no cryptographic basis to detect it (contrast with
 // document.VerifyAll on DRA4WfMS documents).
 //
-// The distributed variant adds the scalability pain points of Section 1:
-// process instances must migrate between engines as control flow crosses
-// engine boundaries, under a single-owner coherence protocol; the
-// migration count and the per-engine load are observable so the
-// comparative benchmarks can reproduce the paper's scalability argument.
+// The distributed variant of Figure 1B, with instances migrating between
+// engines, is modelled on the discrete-event simulator instead
+// (bench.RunScalabilityDistributed).
 package engine
 
 import (
@@ -42,8 +40,6 @@ var (
 	ErrNotEnabled = errors.New("engine: activity not enabled")
 	// ErrCompleted: the instance has finished.
 	ErrCompleted = errors.New("engine: instance completed")
-	// ErrNotOwner: (distributed) the instance lives on another engine.
-	ErrNotOwner = errors.New("engine: instance owned by another engine")
 )
 
 // Step records one executed activity in the engine's history log.
@@ -100,7 +96,7 @@ type WorkItem struct {
 
 // Engine is one workflow engine (one site of Figure 1).
 type Engine struct {
-	// ID names the engine (a site in the distributed variant).
+	// ID names the engine.
 	ID string
 	// Clock supplies history timestamps.
 	Clock func() time.Time

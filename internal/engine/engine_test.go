@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -197,121 +196,6 @@ func TestInstanceSnapshotIsolated(t *testing.T) {
 	fresh, _ := e.Instance(id)
 	if fresh.Values["accept"] != "true" || fresh.History[0].Values["request"] != "r" {
 		t.Fatal("snapshot mutation leaked into engine state")
-	}
-}
-
-// --- distributed ------------------------------------------------------------
-
-func fig9Cluster(t *testing.T) (*Cluster, map[string]string) {
-	t.Helper()
-	e1, e2, e3 := New("site-1", clock()), New("site-2", clock()), New("site-3", clock())
-	// Figure 1B style: activities spread across three sites.
-	assignment := map[string]string{
-		"A": "site-1", "B1": "site-1",
-		"B2": "site-2", "C": "site-2",
-		"D": "site-3",
-	}
-	c, err := NewCluster([]*Engine{e1, e2, e3}, assignment)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Deploy(wfdef.Fig9A()); err != nil {
-		t.Fatal(err)
-	}
-	return c, assignment
-}
-
-func TestDistributedRunWithMigrations(t *testing.T) {
-	c, _ := fig9Cluster(t)
-	id, err := c.CreateInstance("fig9-review")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o, _ := c.Owner(id); o != "site-1" {
-		t.Fatalf("initial owner = %s", o)
-	}
-	steps := []struct {
-		act string
-		in  map[string]string
-	}{
-		{"A", map[string]string{"request": "r"}},
-		{"B1", map[string]string{"techReview": "ok"}},
-		{"B2", map[string]string{"budgetReview": "ok"}},
-		{"C", map[string]string{"summary": "s"}},
-		{"D", map[string]string{"accept": "true"}},
-	}
-	for _, s := range steps {
-		if _, err := c.Execute(id, s.act, p(s.act), s.in); err != nil {
-			t.Fatalf("%s: %v", s.act, err)
-		}
-	}
-	in, err := c.Instance(id)
-	if err != nil || !in.Completed {
-		t.Fatalf("instance = %+v, %v", in, err)
-	}
-	// A,B1 on site-1; B2,C on site-2; D on site-3: two migrations.
-	if got := c.Migrations(); got != 2 {
-		t.Fatalf("migrations = %d, want 2", got)
-	}
-	if c.MigratedBytes() == 0 {
-		t.Fatal("no migrated bytes recorded")
-	}
-	ex := c.Executions()
-	if ex["site-1"] != 2 || ex["site-2"] != 2 || ex["site-3"] != 1 {
-		t.Fatalf("executions = %v", ex)
-	}
-	if o, _ := c.Owner(id); o != "site-3" {
-		t.Fatalf("final owner = %s", o)
-	}
-	if got := strings.Join(c.EngineIDs(), ","); got != "site-1,site-2,site-3" {
-		t.Fatalf("EngineIDs = %s", got)
-	}
-}
-
-func TestDistributedLoopMigratesRepeatedly(t *testing.T) {
-	c, _ := fig9Cluster(t)
-	id, _ := c.CreateInstance("fig9-review")
-	run := func(accept string) {
-		c.Execute(id, "A", p("A"), map[string]string{"request": "r"})
-		c.Execute(id, "B1", p("B1"), map[string]string{"techReview": "t"})
-		c.Execute(id, "B2", p("B2"), map[string]string{"budgetReview": "b"})
-		c.Execute(id, "C", p("C"), map[string]string{"summary": "s"})
-		c.Execute(id, "D", p("D"), map[string]string{"accept": accept})
-	}
-	run("false")
-	run("true")
-	// Per pass: site1→site2 (B2), site2→site3 (D); loop back adds
-	// site3→site1 (A). Total = 2 + 1 + 2 = 5.
-	if got := c.Migrations(); got != 5 {
-		t.Fatalf("migrations = %d, want 5", got)
-	}
-}
-
-func TestClusterErrors(t *testing.T) {
-	if _, err := NewCluster(nil, nil); err == nil {
-		t.Fatal("empty cluster accepted")
-	}
-	e1 := New("site-1", clock())
-	if _, err := NewCluster([]*Engine{e1}, map[string]string{"A": "ghost"}); err == nil {
-		t.Fatal("assignment to unknown engine accepted")
-	}
-	c, _ := NewCluster([]*Engine{e1}, map[string]string{"A": "site-1"})
-	if _, err := c.CreateInstance("nope"); err == nil {
-		t.Fatal("instance of unknown definition created")
-	}
-	if _, err := c.Execute("ghost", "A", "x", nil); !errors.Is(err, ErrUnknownInstance) {
-		t.Fatalf("ghost execute: %v", err)
-	}
-	if _, err := c.Owner("ghost"); err == nil {
-		t.Fatal("ghost owner found")
-	}
-	if _, err := c.Instance("ghost"); err == nil {
-		t.Fatal("ghost instance found")
-	}
-	c.Deploy(wfdef.Fig9A())
-	id, _ := c.CreateInstance("fig9-review")
-	if _, err := c.Execute(id, "UNASSIGNED", p("A"), nil); err == nil {
-		t.Fatal("unassigned activity executed")
 	}
 }
 
