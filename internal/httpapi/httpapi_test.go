@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,6 +24,7 @@ var now = time.Date(2026, 7, 6, 16, 0, 0, 0, time.UTC)
 
 type world struct {
 	env       *testenv.Env
+	portal    *portal.Portal
 	portalSrv *httptest.Server
 	tfcSrv    *httptest.Server
 	agents    map[string]*aea.AEA
@@ -63,7 +65,7 @@ func newWorld(t *testing.T) *world {
 	for act, pid := range wfdef.Fig9Participants {
 		agents[act] = aea.New(env.KeyOf(pid), env.Registry)
 	}
-	return &world{env: env, portalSrv: ps, tfcSrv: ts, agents: agents, clock: clock}
+	return &world{env: env, portal: p, portalSrv: ps, tfcSrv: ts, agents: agents, clock: clock}
 }
 
 func (w *world) clientFor(t *testing.T, id string) *Client {
@@ -164,6 +166,50 @@ func TestEndToEndOverHTTPBasicModel(t *testing.T) {
 	if n, err := final.VerifyAll(w.env.Registry); err != nil || n != 6 {
 		t.Fatalf("VerifyAll = %d, %v", n, err)
 	}
+}
+
+// TestRetrieveServesStoredBytes: GET /v1/documents/{pid} writes the
+// stored row as it is, and those bytes are doc.Bytes() of the stored
+// document — the parse and re-canonicalization it no longer does would
+// have reproduced them exactly.
+func TestRetrieveServesStoredBytes(t *testing.T) {
+	w := newWorld(t)
+	doc, err := document.New(wfdef.Fig9A(), w.env.KeyOf("designer@acme"), testenv.ProcessID(), now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pid := doc.ProcessID()
+	if _, err := w.clientFor(t, "designer@acme").StoreInitial(doc); err != nil {
+		t.Fatal(err)
+	}
+	alice := w.clientFor(t, wfdef.Fig9Participants["A"])
+	check := func(when string) {
+		t.Helper()
+		_, body, err := alice.do(http.MethodGet, "/v1/documents/"+pid, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := w.portal.Retrieve(wfdef.Fig9Participants["A"], pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, stored.Bytes()) {
+			t.Fatalf("%s: response is not doc.Bytes() of the stored document", when)
+		}
+	}
+	check("initial document")
+	cur, err := alice.Retrieve(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := w.agents["A"].Execute(cur, "A", aea.Inputs{"request": "r"}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.Store(out.Doc); err != nil {
+		t.Fatal(err)
+	}
+	check("after A")
 }
 
 func TestEndToEndOverHTTPAdvancedModel(t *testing.T) {

@@ -284,13 +284,13 @@ func (s *PortalServer) handleStore(w http.ResponseWriter, r *http.Request, princ
 }
 
 func (s *PortalServer) handleRetrieve(w http.ResponseWriter, r *http.Request, principal string, _ []byte) {
-	doc, err := s.Portal.RetrieveCtx(r.Context(), principal, r.PathValue("pid"))
+	raw, err := s.Portal.RetrieveRawCtx(r.Context(), principal, r.PathValue("pid"))
 	if err != nil {
 		httpStatusError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", ContentXML)
-	_, _ = w.Write(doc.Bytes())
+	_, _ = w.Write(raw)
 }
 
 func (s *PortalServer) handleWorklist(w http.ResponseWriter, r *http.Request, principal string, _ []byte) {

@@ -116,8 +116,10 @@ func (r *Registry) ResolvedKey(id string) (*ResolvedKey, error) {
 	r.mu.Lock()
 	// Publish only if the certificate on file is still the one we parsed;
 	// a concurrent Register/Revoke wins over this stale resolution.
+	// The key is the certificate's own ID string: id may be a substring
+	// of a parsed document, which the cache must not keep alive.
 	if cur, ok := r.entries[id]; ok && !r.revoked[id] && cur == cert {
-		r.resolved[id] = rk
+		r.resolved[cert.Subject.ID] = rk
 	}
 	r.mu.Unlock()
 	return rk, nil

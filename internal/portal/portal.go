@@ -334,8 +334,21 @@ func (p *Portal) Retrieve(principal, processID string) (*document.Document, erro
 }
 
 // RetrieveCtx is Retrieve carrying the caller's trace context (see
-// StoreCtx).
+// StoreCtx): RetrieveRawCtx, then document.Parse.
 func (p *Portal) RetrieveCtx(ctx context.Context, principal, processID string) (*document.Document, error) {
+	raw, err := p.RetrieveRawCtx(ctx, principal, processID)
+	if err != nil {
+		return nil, err
+	}
+	return document.Parse(raw)
+}
+
+// RetrieveRawCtx returns the stored canonical bytes of a process instance
+// to an authenticated principal, unparsed. The retrieve route writes them
+// to the wire as they are: the row holds doc.Bytes() of the stored
+// document, so a parse and re-canonicalization would only reproduce them.
+// The returned slice is shared with the table; treat it as read-only.
+func (p *Portal) RetrieveRawCtx(ctx context.Context, principal, processID string) ([]byte, error) {
 	ctx, span := tel.StartSpanCtx(ctx, "portal_retrieve_seconds")
 	defer span.End()
 	span.Trace().SetAttr("process", processID)
@@ -343,15 +356,16 @@ func (p *Portal) RetrieveCtx(ctx context.Context, principal, processID string) (
 		span.Trace().SetStatus("error")
 		return nil, err
 	}
-	return p.retrieve(ctx, processID)
+	return p.content(ctx, processID)
 }
 
-func (p *Portal) retrieve(ctx context.Context, processID string) (*document.Document, error) {
+// content reads the stored document bytes of a process instance.
+func (p *Portal) content(ctx context.Context, processID string) ([]byte, error) {
 	raw, ok := p.Table.GetCtx(ctx, processID, "doc", "content")
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownProcess, processID)
 	}
-	return document.Parse(raw)
+	return raw, nil
 }
 
 // rolePrefix namespaces role-based worklist index cells.
@@ -506,7 +520,11 @@ func (p *Portal) Templates() map[string]string {
 
 // Enabled recomputes the enabled activities of a stored instance.
 func (p *Portal) Enabled(processID string) ([]string, bool, error) {
-	doc, err := p.retrieve(context.Background(), processID)
+	raw, err := p.content(context.Background(), processID)
+	if err != nil {
+		return nil, false, err
+	}
+	doc, err := document.Parse(raw)
 	if err != nil {
 		return nil, false, err
 	}

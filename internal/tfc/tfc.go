@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -294,11 +295,14 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 		out.Routed[to] = work.Clone()
 	}
 
+	// The record outlives the request: Participant is cloned so it does
+	// not keep the parsed document alive (the other strings are copies
+	// already; see wfdef.FromXML).
 	rec := ForwardRecord{
 		ProcessID:   work.ProcessID(),
 		Activity:    act.ID,
 		Iteration:   iter,
-		Participant: pending.Participant(),
+		Participant: strings.Clone(pending.Participant()),
 		Timestamp:   now,
 		Next:        next,
 		Size:        work.Size(),

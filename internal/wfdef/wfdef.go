@@ -651,14 +651,18 @@ func (d *Definition) ToXML() *xmltree.Node {
 }
 
 // FromXML reconstructs a definition from its XML element. The result is
-// not automatically validated; call Validate.
+// not automatically validated; call Validate. Its strings are copies, not
+// substrings of the parsed document: a definition outlives the document
+// it came from in worklist index cells, trace attributes and TFC records,
+// and must not keep the whole input alive.
 func FromXML(root *xmltree.Node) (*Definition, error) {
+	attr := func(e *xmltree.Node, name string) string { return strings.Clone(e.AttrDefault(name, "")) }
 	if root == nil || root.Name != "WorkflowDefinition" {
 		return nil, errors.New("wfdef: not a WorkflowDefinition element")
 	}
 	d := &Definition{
-		Name:     root.AttrDefault("Name", ""),
-		Designer: root.AttrDefault("Designer", ""),
+		Name:     attr(root, "Name"),
+		Designer: attr(root, "Designer"),
 	}
 	if acts := root.Child("Activities"); acts != nil {
 		for _, ae := range acts.ChildElements() {
@@ -666,22 +670,22 @@ func FromXML(root *xmltree.Node) (*Definition, error) {
 				return nil, fmt.Errorf("wfdef: unexpected element %s in Activities", ae.Name)
 			}
 			a := Activity{
-				ID:          ae.AttrDefault("Id", ""),
-				Name:        ae.AttrDefault("Name", ""),
-				Participant: ae.AttrDefault("Participant", ""),
-				Role:        ae.AttrDefault("Role", ""),
-				Split:       SplitKind(ae.AttrDefault("Split", "")),
-				Join:        JoinKind(ae.AttrDefault("Join", "")),
+				ID:          attr(ae, "Id"),
+				Name:        attr(ae, "Name"),
+				Participant: attr(ae, "Participant"),
+				Role:        attr(ae, "Role"),
+				Split:       SplitKind(attr(ae, "Split")),
+				Join:        JoinKind(attr(ae, "Join")),
 			}
 			for _, c := range ae.ChildElements() {
 				switch c.Name {
 				case "Request":
-					a.Requests = append(a.Requests, Request{Variable: c.AttrDefault("Variable", "")})
+					a.Requests = append(a.Requests, Request{Variable: attr(c, "Variable")})
 				case "Response":
 					req, _ := strconv.ParseBool(c.AttrDefault("Required", "false"))
 					a.Responses = append(a.Responses, Response{
-						Variable: c.AttrDefault("Variable", ""),
-						Type:     c.AttrDefault("Type", ""),
+						Variable: attr(c, "Variable"),
+						Type:     attr(c, "Type"),
 						Required: req,
 					})
 				default:
@@ -697,17 +701,17 @@ func FromXML(root *xmltree.Node) (*Definition, error) {
 				return nil, fmt.Errorf("wfdef: unexpected element %s in Transitions", te.Name)
 			}
 			d.Transitions = append(d.Transitions, Transition{
-				ID:        te.AttrDefault("Id", ""),
-				From:      te.AttrDefault("From", ""),
-				To:        te.AttrDefault("To", ""),
-				Condition: te.AttrDefault("Condition", ""),
+				ID:        attr(te, "Id"),
+				From:      attr(te, "From"),
+				To:        attr(te, "To"),
+				Condition: attr(te, "Condition"),
 				Concealed: te.AttrDefault("Concealed", "") == "true",
 			})
 		}
 	}
 	if pol := root.Child("SecurityPolicy"); pol != nil {
 		d.Policy.ConcealFlow = pol.AttrDefault("ConcealFlow", "") == "true"
-		d.Policy.TFC = pol.AttrDefault("TFC", "")
+		d.Policy.TFC = attr(pol, "TFC")
 		if def := pol.Child("DefaultReaders"); def != nil {
 			for _, r := range def.ChildElements() {
 				d.Policy.DefaultReaders = append(d.Policy.DefaultReaders, r.TextContent())
@@ -716,15 +720,15 @@ func FromXML(root *xmltree.Node) (*Definition, error) {
 		for _, re := range pol.ChildElements() {
 			switch re.Name {
 			case "Rule":
-				rule := ReadRule{Variable: re.AttrDefault("Variable", "")}
+				rule := ReadRule{Variable: attr(re, "Variable")}
 				for _, r := range re.ChildElements() {
 					rule.Readers = append(rule.Readers, r.TextContent())
 				}
 				d.Policy.Rules = append(d.Policy.Rules, rule)
 			case "TFCAssign":
 				d.Policy.TFCAssigns = append(d.Policy.TFCAssigns, TFCAssign{
-					Activity: re.AttrDefault("Activity", ""),
-					TFC:      re.AttrDefault("TFC", ""),
+					Activity: attr(re, "Activity"),
+					TFC:      attr(re, "TFC"),
 				})
 			}
 		}

@@ -1,6 +1,7 @@
 package wfgen
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -57,6 +58,21 @@ func TestPropGeneratedDefinitionsValid(t *testing.T) {
 	}
 }
 
+// requireCanonicalFixpoint: a routed document's bytes parse back to a tree
+// whose canonical form is the same bytes, which is what lets the portal
+// serve a stored row without re-canonicalizing it.
+func requireCanonicalFixpoint(t *testing.T, seed int64, doc *document.Document) {
+	t.Helper()
+	raw := doc.Bytes()
+	back, err := document.Parse(raw)
+	if err != nil {
+		t.Fatalf("seed %d: final document does not reparse: %v", seed, err)
+	}
+	if !bytes.Equal(back.Bytes(), raw) {
+		t.Fatalf("seed %d: reparsed document canonicalizes to different bytes", seed)
+	}
+}
+
 // TestPropRandomExecutionsVerify: random executions of random workflows
 // terminate and yield fully verifiable documents with intact cascades.
 func TestPropRandomExecutionsVerify(t *testing.T) {
@@ -77,6 +93,7 @@ func TestPropRandomExecutionsVerify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: final doc does not verify: %v", seed, err)
 		}
+		requireCanonicalFixpoint(t, seed, final)
 		if nsigs != len(final.FinalCERs())+1 {
 			t.Fatalf("seed %d: %d signatures for %d CERs", seed, nsigs, len(final.FinalCERs()))
 		}
@@ -277,6 +294,7 @@ func TestPropRandomAdvancedExecutionsVerify(t *testing.T) {
 		if _, err := final.VerifyAll(env.Registry); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		requireCanonicalFixpoint(t, seed, final)
 		finals := final.FinalCERs()
 		if len(final.CERs()) != 2*len(finals) {
 			t.Fatalf("seed %d: %d CERs for %d finals (want pairs)", seed, len(final.CERs()), len(finals))

@@ -15,6 +15,31 @@
 //   - attributes keep insertion order for storage but are sorted by name in
 //     the canonical serialization, mirroring Canonical XML.
 //
+// Parse is one hand-written pass over the input bytes. The tree's names,
+// attribute values and text are substrings of one copy of the input, so a
+// caller that keeps a small piece of a parsed tree beyond the tree's life
+// (a map key, a long-lived record) should strings.Clone it. Parse accepts
+// what encoding/xml's strict decoder accepts, with the same checks:
+//
+//   - UTF-8 only: invalid UTF-8, characters outside XML 1.0's Char
+//     production, and an XML declaration naming another encoding (or a
+//     version other than 1.0) are errors;
+//   - element, attribute and PI target names follow XML 1.0's Name
+//     production; a prefixed name (one inner colon) or an xmlns attribute
+//     is ErrNamespace, and a name with two colons is an error;
+//   - references are the five predefined entities (lt, gt, amp, apos,
+//     quot) and decimal or x-hex character references, nothing else;
+//   - attribute values are quoted and contain no '<'; text contains no
+//     "]]>"; comments contain no "--";
+//   - end tags match, there is one root, and only whitespace is outside
+//     it; comments, PIs and <!...> declarations are skipped anywhere;
+//   - CR and CRLF become LF, and adjacent character data (text and CDATA,
+//     also across a comment or PI) is one text node.
+//
+// Two inputs encoding/xml accepts are rejected: an element that repeats an
+// attribute name (XML 1.0's "Unique Att Spec"), and a character reference
+// to a surrogate (D800–DFFF), which encoding/xml rewrote to U+FFFD.
+//
 // Canonical form rules (a pragmatic subset of W3C C14N 1.0):
 //
 //   - UTF-8 output;
@@ -27,11 +52,7 @@ package xmltree
 
 import (
 	"bytes"
-	"encoding/xml"
-	"errors"
-	"fmt"
-	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -603,7 +624,9 @@ func sortedAttrs(attrs []Attr) []Attr {
 	}
 	s := make([]Attr, len(attrs))
 	copy(s, attrs)
-	sort.Slice(s, func(i, j int) bool { return s[i].Name < s[j].Name })
+	// Stable: Parse refuses a repeated name, but a tree built by hand can
+	// hold one, and its canonical bytes must still be one defined string.
+	slices.SortStableFunc(s, func(a, b Attr) int { return strings.Compare(a.Name, b.Name) })
 	return s
 }
 
@@ -696,91 +719,6 @@ func escapeAttr(b *bytes.Buffer, s string) {
 		start = i + 1
 	}
 	b.WriteString(s[start:])
-}
-
-// ErrNamespace is returned by Parse when the input declares or uses XML
-// namespaces, which the DRA4WfMS document format does not employ.
-var ErrNamespace = errors.New("xmltree: namespaced XML is not supported")
-
-// Parse reads a single XML document from r and returns its root element.
-// Comments and processing instructions are discarded; CDATA becomes plain
-// text. Namespaced input is rejected with ErrNamespace.
-func Parse(r io.Reader) (*Node, error) {
-	dec := xml.NewDecoder(r)
-	var root *Node
-	var stack []*Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Space != "" {
-				return nil, ErrNamespace
-			}
-			e := NewElement(t.Name.Local)
-			for _, a := range t.Attr {
-				if a.Name.Space != "" || a.Name.Local == "xmlns" {
-					return nil, ErrNamespace
-				}
-				e.Attrs = append(e.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, errors.New("xmltree: multiple root elements")
-				}
-				root = e
-			} else {
-				stack[len(stack)-1].AppendChild(e)
-			}
-			stack = append(stack, e)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, errors.New("xmltree: unbalanced end element")
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) == 0 {
-				// Whitespace outside the root is insignificant.
-				if strings.TrimSpace(string(t)) != "" {
-					return nil, errors.New("xmltree: character data outside root element")
-				}
-				continue
-			}
-			parent := stack[len(stack)-1]
-			// Merge adjacent character data into one text node so that
-			// parse(canonical(t)) == t holds for trees without adjacent
-			// text children.
-			if len(parent.Children) > 0 && parent.Children[len(parent.Children)-1].IsText() {
-				parent.Children[len(parent.Children)-1].Text += string(t)
-			} else {
-				parent.AppendChild(NewText(string(t)))
-			}
-		case xml.Comment, xml.ProcInst, xml.Directive:
-			// Not part of the document model.
-		}
-	}
-	if root == nil {
-		return nil, errors.New("xmltree: no root element")
-	}
-	if len(stack) != 0 {
-		return nil, errors.New("xmltree: unexpected EOF inside element")
-	}
-	return root, nil
-}
-
-// ParseBytes parses an XML document held in b. See Parse.
-func ParseBytes(b []byte) (*Node, error) {
-	return Parse(bytes.NewReader(b))
-}
-
-// ParseString parses an XML document held in s. See Parse.
-func ParseString(s string) (*Node, error) {
-	return Parse(strings.NewReader(s))
 }
 
 // Normalize merges adjacent text children and removes empty text nodes
