@@ -79,13 +79,14 @@ faults:
 	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestReceiverIdempotency|TestOutbox' ./internal/relay/ ./internal/httpapi/ ./internal/wal/
 
 # fuzzsmoke runs the log-format fuzz target, the pool's record-payload
-# target and the XML parser's differential target (against encoding/xml)
-# for ten seconds each; plain `go test` already replays their seed corpora
-# on every run.
+# target, the XML parser's differential target (against encoding/xml)
+# and the traceparent parser's round-trip target for ten seconds each;
+# plain `go test` already replays their seed corpora on every run.
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpen -fuzztime=10s ./internal/wal/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRec -fuzztime=10s ./internal/pool/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/xmltree/
+	$(GO) test -run=NONE -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
 
 # loc prints the non-test, non-comment Go line count ROADMAP tracks.
 loc:

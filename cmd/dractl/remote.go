@@ -89,7 +89,7 @@ func cmdRemote(args []string) {
 	// The drive is the trace root: every HTTP hop below carries its
 	// traceparent, so the whole cascade lands under one trace ID that
 	// `dractl trace` can assemble afterwards.
-	ctx, rootSpan := trace.Default().StartRoot(context.Background(), "client", "client_remote_drive_seconds")
+	ctx, rootSpan := trace.Default().StartRoot(context.Background(), "client_remote_drive_seconds", nil)
 	rootSpan.SetAttr("workflow", *workflow)
 	defer rootSpan.End()
 	traceID := rootSpan.Context().TraceID.String()

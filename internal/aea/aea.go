@@ -132,12 +132,12 @@ func (a *AEA) Open(doc *document.Document, activityID string) (*Session, error) 
 // distributed trace the verify and decrypt phases land as aea-tier
 // spans.
 func (a *AEA) OpenCtx(ctx context.Context, doc *document.Document, activityID string) (*Session, error) {
-	ctx, span := tel.StartSpanCtx(ctx, "aea_open_seconds")
+	ctx, span := tel.StartSpan(ctx, "aea_open_seconds")
 	defer span.End()
-	span.Trace().SetAttr("process", doc.ProcessID())
-	span.Trace().SetAttr("activity", activityID)
+	span.SetAttr("process", doc.ProcessID())
+	span.SetAttr("activity", activityID)
 	work := doc.Clone()
-	vctx, verifySpan := tel.StartSpanCtx(ctx, "aea_verify_cascade_seconds")
+	vctx, verifySpan := tel.StartSpan(ctx, "aea_verify_cascade_seconds")
 	nsigs, err := work.VerifyAllCtx(vctx, a.Registry)
 	verifySpan.End()
 	if err != nil {
@@ -184,7 +184,7 @@ func (a *AEA) OpenCtx(ctx context.Context, doc *document.Document, activityID st
 	}
 
 	view := work.Clone()
-	_, decryptSpan := tel.StartSpanCtx(ctx, "aea_decrypt_view_seconds")
+	_, decryptSpan := tel.StartSpan(ctx, "aea_decrypt_view_seconds")
 	ndec, err := a.opener.DecryptVisible(view.Root)
 	decryptSpan.End()
 	if err != nil {
@@ -249,10 +249,10 @@ func (s *Session) Complete(inputs Inputs, now time.Time) (*Outcome, error) {
 // CompleteCtx is Complete carrying the caller's trace context (see
 // AEA.OpenCtx).
 func (s *Session) CompleteCtx(ctx context.Context, inputs Inputs, now time.Time) (*Outcome, error) {
-	ctx, span := tel.StartSpanCtx(ctx, "aea_complete_seconds")
+	ctx, span := tel.StartSpan(ctx, "aea_complete_seconds")
 	defer span.End()
-	span.Trace().SetAttr("process", s.work.ProcessID())
-	span.Trace().SetAttr("activity", s.act.ID)
+	span.SetAttr("process", s.work.ProcessID())
+	span.SetAttr("activity", s.act.ID)
 	if s.def.Policy.ConcealFlow {
 		return nil, ErrAdvancedRequired
 	}
@@ -263,7 +263,7 @@ func (s *Session) CompleteCtx(ctx context.Context, inputs Inputs, now time.Time)
 	if err != nil {
 		return nil, err
 	}
-	_, encryptSpan := tel.StartSpanCtx(ctx, "aea_encrypt_result_seconds")
+	_, encryptSpan := tel.StartSpan(ctx, "aea_encrypt_result_seconds")
 	fields, err := secpol.EncryptFields(s.def, s.aea.Registry, s.act.ID, s.iter, inputs)
 	encryptSpan.End()
 	if err != nil {
@@ -277,7 +277,7 @@ func (s *Session) CompleteCtx(ctx context.Context, inputs Inputs, now time.Time)
 	if err != nil {
 		return nil, err
 	}
-	_, signSpan := tel.StartSpanCtx(ctx, "aea_sign_seconds")
+	_, signSpan := tel.StartSpan(ctx, "aea_sign_seconds")
 	cer, err := s.work.AppendCER(document.AppendSpec{
 		ActivityID:     s.act.ID,
 		Iteration:      s.iter,
@@ -319,10 +319,10 @@ func (s *Session) CompleteToTFC(inputs Inputs) (*document.Document, error) {
 // CompleteToTFCCtx is CompleteToTFC carrying the caller's trace context
 // (see AEA.OpenCtx).
 func (s *Session) CompleteToTFCCtx(ctx context.Context, inputs Inputs) (*document.Document, error) {
-	ctx, span := tel.StartSpanCtx(ctx, "aea_complete_tfc_seconds")
+	ctx, span := tel.StartSpan(ctx, "aea_complete_tfc_seconds")
 	defer span.End()
-	span.Trace().SetAttr("process", s.work.ProcessID())
-	span.Trace().SetAttr("activity", s.act.ID)
+	span.SetAttr("process", s.work.ProcessID())
+	span.SetAttr("activity", s.act.ID)
 	tfcID := s.def.TFCFor(s.act.ID)
 	if tfcID == "" {
 		return nil, errors.New("aea: definition names no TFC server")
@@ -356,7 +356,7 @@ func (s *Session) CompleteToTFCCtx(ctx context.Context, inputs Inputs) (*documen
 	if err != nil {
 		return nil, err
 	}
-	_, signSpan := tel.StartSpanCtx(ctx, "aea_sign_seconds")
+	_, signSpan := tel.StartSpan(ctx, "aea_sign_seconds")
 	_, err = s.work.AppendCER(document.AppendSpec{
 		ActivityID:     s.act.ID,
 		Iteration:      s.iter,

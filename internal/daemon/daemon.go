@@ -5,7 +5,7 @@
 // exists once, here:
 //
 //	parse flags → refuse dependent flags set without their prerequisite
-//	→ process setup (dsig, trace, telemetry, trust, keys)
+//	→ process setup (dsig, trace, trust, keys)
 //	→ the role opens its table and builds its handler
 //	→ listen → optional chaos gate → /v1/readyz ready → serve
 //	→ on ctx cancel: /v1/readyz draining, in-flight requests get -grace
@@ -39,7 +39,6 @@ import (
 	"dra4wfms/internal/pki"
 	"dra4wfms/internal/pool"
 	"dra4wfms/internal/poolcluster"
-	"dra4wfms/internal/telemetry"
 	"dra4wfms/internal/trace"
 )
 
@@ -220,8 +219,8 @@ func checkFlags(fs *flag.FlagSet, required string) error {
 // coordinators the trust registry and the server's own key.
 func (e *env) setup(role Role) error {
 	if e.slowOps > 0 {
-		telemetry.Default().SetSlowOpThreshold(e.slowOps)
-		telemetry.Default().SetSlowOpLogger(log.Default())
+		trace.Default().SetSlowOpThreshold(e.slowOps)
+		trace.Default().SetSlowOpLogger(log.Default())
 		log.Printf("logging operations slower than %s", e.slowOps)
 	}
 	if !role.coordinator {
@@ -355,7 +354,8 @@ func (e *env) admission(relayPending func() int) *httpapi.Admission {
 	})
 }
 
-// errUsage marks a command line the flag package already reported.
+// errUsage marks a command line already reported on the flag set's
+// output.
 var errUsage = errors.New("bad command line")
 
 // Start boots role with the given command-line arguments (without the
@@ -380,6 +380,13 @@ func boot(ctx context.Context, role Role, args []string) (_ *env, err error) {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil, err
 		}
+		return nil, fmt.Errorf("%w: %v", errUsage, err)
+	}
+	// A fraction outside [0, 1] is a bad command line (NaN fails both
+	// comparisons), reported on the flag set's output like a parse error.
+	if f := fs.Lookup("trace-sample"); f != nil && !(e.traceSample >= 0 && e.traceSample <= 1) {
+		err := fmt.Errorf("invalid value %s for flag -trace-sample: outside [0, 1]", f.Value)
+		fmt.Fprintln(fs.Output(), err)
 		return nil, fmt.Errorf("%w: %v", errUsage, err)
 	}
 	if err := checkFlags(fs, role.required); err != nil {

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -114,6 +115,27 @@ func TestDependentFlagsAreRefused(t *testing.T) {
 		}
 		if err := checkFlags(fs, tc.role.required); err != nil {
 			t.Errorf("%s %s refused: %v", tc.role.name, tc.args, err)
+		}
+	}
+}
+
+// TestTraceSampleOutOfRangeRefused: -trace-sample is a fraction; values
+// that would silently sample everything (5, NaN) or nothing (-0.3) are
+// a bad command line (exit 2 from Main), while 0, 0.5 and 1 get past the
+// check to the next refusal.
+func TestTraceSampleOutOfRangeRefused(t *testing.T) {
+	for _, role := range []Role{Portal, TFC} {
+		for _, v := range []string{"5", "NaN", "-0.3", "1.0001"} {
+			_, _, err := Start(context.Background(), role, []string{"-data-dir", "d", "-trace-sample", v})
+			if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "-trace-sample") {
+				t.Errorf("%s -trace-sample %s: Start = %v, want a usage error naming the flag", role.name, v, err)
+			}
+		}
+	}
+	for _, v := range []string{"0", "0.5", "1"} {
+		_, _, err := Start(context.Background(), TFC, []string{"-data-dir", "d", "-trace-sample", v})
+		if err == nil || err.Error() != "missing -key" {
+			t.Errorf("-trace-sample %s: Start = %v, want the next refusal (missing -key)", v, err)
 		}
 	}
 }

@@ -305,9 +305,9 @@ func (v *Verifier) VerifyBatchCtx(tctx context.Context, root *xmltree.Node, sigs
 	if cerr := tctx.Err(); cerr != nil {
 		return 0, -1, cerr
 	}
-	tctx, span := telemetry.Default().StartSpanCtx(tctx, "dsig_verify_all_seconds")
+	tctx, span := telemetry.Default().StartSpan(tctx, "dsig_verify_all_seconds")
 	defer span.End()
-	span.Trace().SetAttr("sigs", strconv.Itoa(len(sigs)))
+	span.SetAttr("sigs", strconv.Itoa(len(sigs)))
 
 	ix := newDigestIndex(root)
 	workers := v.Workers

@@ -51,7 +51,7 @@ func (w *statusWriter) WriteHeader(code int) {
 func instrument(route string, next http.HandlerFunc) http.HandlerFunc {
 	// Eager creation makes the route visible in /v1/metrics before any
 	// traffic hits it.
-	tel.Histogram("http_request_seconds", telemetry.LatencyBuckets, "route", route)
+	latency := tel.Histogram("http_request_seconds", telemetry.LatencyBuckets, "route", route)
 	bodyBytes := tel.Counter("http_request_body_bytes_total", "route", route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -78,21 +78,18 @@ func instrument(route string, next http.HandlerFunc) http.HandlerFunc {
 		// A valid inbound traceparent makes this request a mid-trace hop:
 		// continue that trace, honoring its sampled flag. Otherwise this
 		// server is the trace root and samples exactly once, here.
-		var tspan *trace.Span
+		var span *trace.Span
 		if sc, ok := trace.ParseTraceparent(r.Header.Get(TraceparentHeader)); ok {
-			ctx = trace.ContextWith(ctx, sc)
-			ctx, tspan = trace.Default().StartSpan(ctx, "http_request_seconds")
+			ctx, span = trace.Default().StartSpan(trace.ContextWith(ctx, sc), "http_request_seconds", latency, "route", route)
 		} else {
-			ctx, tspan = trace.Default().StartRoot(ctx, "http", "http_request_seconds")
+			ctx, span = trace.Default().StartRoot(ctx, "http_request_seconds", latency, "route", route)
 		}
-		tspan.SetAttr("route", route)
-		span := tel.StartSpan("http_request_seconds", "route", route)
+		span.SetAttr("route", route)
 		h(sw, r.WithContext(ctx))
-		span.End()
 		if sw.status >= 400 {
-			tspan.SetStatus(fmt.Sprintf("http %d", sw.status))
+			span.SetStatus(fmt.Sprintf("http %d", sw.status))
 		}
-		tspan.End()
+		span.End()
 		tel.Counter("http_requests_total", "route", route, "code", fmt.Sprintf("%dxx", sw.status/100)).Inc()
 		if r.ContentLength > 0 {
 			bodyBytes.Add(r.ContentLength)

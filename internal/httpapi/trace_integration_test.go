@@ -53,7 +53,7 @@ func TestDistributedTraceAcrossTiers(t *testing.T) {
 	pid := doc.ProcessID()
 
 	// The test driver is the trace root, exactly like `dractl remote`.
-	ctx, rootSpan := col.StartRoot(context.Background(), "client", "client_drive_seconds")
+	ctx, rootSpan := col.StartRoot(context.Background(), "client_drive_seconds", nil)
 	traceID := rootSpan.Context().TraceID.String()
 
 	designer := w.clientFor(t, "designer@acme")

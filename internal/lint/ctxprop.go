@@ -7,7 +7,7 @@ import (
 
 // CtxProp flags traced call chains that derive a span context and then
 // pass the *parent* context downstream while the span is still open.
-// The pair starters — telemetry.StartSpanCtx, trace StartSpan/StartRoot —
+// The span starters — telemetry.StartSpan, trace StartSpan/StartRoot —
 // return a derived context carrying the new span; every call made under
 // that span must receive the derived context, or the downstream spans
 // attach to the parent and the trace tree silently loses a level (the
@@ -20,9 +20,9 @@ import (
 // span End (a deferred End keeps the span open for the whole body).
 // Three shapes stay clean by construction:
 //
-//   - ctx, span := tel.StartSpanCtx(ctx, ...) — the derived context
+//   - ctx, span := tel.StartSpan(ctx, ...) — the derived context
 //     shadows the parent, which becomes unreachable;
-//   - _, span := tel.StartSpanCtx(ctx, ...) in a leaf function that makes
+//   - _, span := tel.StartSpan(ctx, ...) in a leaf function that makes
 //     no downstream context-carrying calls;
 //   - span.End() before the parent context is used again — sequential
 //     sibling spans under one parent.
@@ -51,7 +51,7 @@ func runCtxProp(pass *Pass) {
 	}
 }
 
-// ctxDerivation is one pair-start site: derived, span := Start(parent, ...).
+// ctxDerivation is one span-start site: derived, span := Start(parent, ...).
 type ctxDerivation struct {
 	call    *ast.CallExpr
 	callee  Callee
@@ -70,7 +70,7 @@ func (p *Pass) checkCtxProp(file *ast.File, body *ast.BlockStmt) {
 		case *ast.DeferStmt:
 			deferCalls[st.Call] = true
 		case *ast.AssignStmt:
-			if d := p.pairStartOf(file, st); d != nil {
+			if d := p.spanStartOf(file, st); d != nil {
 				derivs = append(derivs, d)
 			}
 		}
@@ -85,11 +85,11 @@ func (p *Pass) checkCtxProp(file *ast.File, body *ast.BlockStmt) {
 	}
 }
 
-// pairStartOf recognizes `derived, span := Start...(parent, ...)` and
+// spanStartOf recognizes `derived, span := Start...(parent, ...)` and
 // returns the derivation, or nil. Derivations that shadow the parent
-// (`ctx, span := ...Ctx(ctx, ...)`) are inherently safe — the parent
+// (`ctx, span := ...StartSpan(ctx, ...)`) are inherently safe — the parent
 // name now denotes the derived context — and return nil too.
-func (p *Pass) pairStartOf(file *ast.File, st *ast.AssignStmt) *ctxDerivation {
+func (p *Pass) spanStartOf(file *ast.File, st *ast.AssignStmt) *ctxDerivation {
 	if len(st.Rhs) != 1 || len(st.Lhs) != 2 {
 		return nil
 	}
@@ -98,7 +98,7 @@ func (p *Pass) pairStartOf(file *ast.File, st *ast.AssignStmt) *ctxDerivation {
 		return nil
 	}
 	callee, ok := p.CalleeOf(file, call)
-	if !ok || !isSpanPairStart(callee) {
+	if !ok || !isSpanStart(callee) {
 		return nil
 	}
 	parent, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
@@ -126,7 +126,7 @@ func (p *Pass) pairStartOf(file *ast.File, st *ast.AssignStmt) *ctxDerivation {
 }
 
 // checkDerivation reports calls that receive d.parent on a path from the
-// pair start with d.span still open.
+// span start with d.span still open.
 func (p *Pass) checkDerivation(file *ast.File, body *ast.BlockStmt, cfg *CFG,
 	d *ctxDerivation, deferCalls map[*ast.CallExpr]bool) {
 

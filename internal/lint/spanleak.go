@@ -7,26 +7,24 @@ import (
 	"sort"
 )
 
-// SpanLeak flags telemetry spans that are not ended on every return path.
-// A telemetry.StartSpan whose End is skipped on an early error return
-// silently drops the observation — and the error paths (failed
-// verification, failed decryption) are precisely the latencies worth
-// watching. The safe patterns are `defer tel.StartSpan("x").End()` and
-// ending a named span before any return can occur.
-//
-// The same lifecycle rule covers the context-aware starters that return
-// a (ctx, span) pair — telemetry.StartSpanCtx and the trace collector's
-// StartSpan/StartRoot: a leaked pair span additionally drops its node
-// from the distributed trace tree, orphaning every child started under
-// the returned context.
+// SpanLeak flags spans that are not ended on every return path. Every
+// span starter — telemetry.(*Registry).StartSpan and the trace
+// collector's StartSpan/StartRoot — returns a (ctx, span) pair. A span
+// whose End is skipped on an early error return silently drops its
+// latency observation, and the error paths (failed verification, failed
+// decryption) are precisely the latencies worth watching; it also drops
+// its node from the distributed trace tree, orphaning every child
+// started under the returned context. The safe patterns are
+// `defer span.End()` right after the start and ending a named span
+// before any return can occur.
 //
 // The check is lexical, not a full CFG: a named span must be ended (or
-// defer-ended) with no return statement between StartSpan and the first
+// defer-ended) with no return statement between the start and the first
 // End; spans that escape the function (stored, passed, captured by a
 // closure) are not tracked.
 var SpanLeak = &Analyzer{
 	Name: "spanleak",
-	Doc: "reports telemetry.StartSpan/StartSpanCtx and trace span results that are " +
+	Doc: "reports span results of telemetry.StartSpan and trace StartSpan/StartRoot that are " +
 		"dropped or not ended before an early return; defer the End call or end before returning",
 	Run: runSpanLeak,
 }
@@ -79,61 +77,38 @@ func (p *Pass) analyzeSpanScope(file *ast.File, body *ast.BlockStmt) {
 			returnPos = append(returnPos, st.Pos())
 		case *ast.DeferStmt:
 			deferCalls[st.Call] = true
-			if callee, ok := p.CalleeOf(file, st.Call); ok && (isStartSpan(callee) || isSpanPairStart(callee)) {
+			if callee, ok := p.CalleeOf(file, st.Call); ok && isSpanStart(callee) {
 				p.Reportf(st.Pos(), "deferred %s starts the span at function exit and never ends it", callee.Name)
 			}
 		case *ast.ExprStmt:
 			if call, ok := st.X.(*ast.CallExpr); ok {
-				if callee, ok := p.CalleeOf(file, call); ok && (isStartSpan(callee) || isSpanPairStart(callee)) {
+				if callee, ok := p.CalleeOf(file, call); ok && isSpanStart(callee) {
 					p.Reportf(call.Pos(), "result of %s is discarded; the span is never ended", callee.Name)
 				}
 			}
 		case *ast.AssignStmt:
-			// The pair starters (StartSpanCtx, trace StartSpan/StartRoot)
-			// return (ctx, span): the span is the second value of a
-			// two-variable assignment from a single call.
-			if len(st.Rhs) == 1 && len(st.Lhs) == 2 {
-				call, ok := st.Rhs[0].(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee, ok := p.CalleeOf(file, call)
-				if !ok || !isSpanPairStart(callee) {
-					return true
-				}
-				id, ok := st.Lhs[1].(*ast.Ident)
-				if !ok {
-					return true
-				}
-				if id.Name == "_" {
-					p.Reportf(id.Pos(), "span result of %s is discarded; the span is never ended", callee.Name)
-					return true
-				}
-				spans = append(spans, &spanVar{name: id.Name, obj: p.identObj(id), assignPos: id.Pos()})
+			// The span is the second value of a two-variable assignment
+			// from a single starter call.
+			if len(st.Rhs) != 1 || len(st.Lhs) != 2 {
 				return true
 			}
-			if len(st.Lhs) != len(st.Rhs) {
+			call, ok := st.Rhs[0].(*ast.CallExpr)
+			if !ok {
 				return true
 			}
-			for i, rhs := range st.Rhs {
-				call, ok := rhs.(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				callee, ok := p.CalleeOf(file, call)
-				if !ok || !isStartSpan(callee) {
-					continue
-				}
-				id, ok := st.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if id.Name == "_" {
-					p.Reportf(id.Pos(), "result of StartSpan is discarded; the span is never ended")
-					continue
-				}
-				spans = append(spans, &spanVar{name: id.Name, obj: p.identObj(id), assignPos: id.Pos()})
+			callee, ok := p.CalleeOf(file, call)
+			if !ok || !isSpanStart(callee) {
+				return true
 			}
+			id, ok := st.Lhs[1].(*ast.Ident)
+			if !ok {
+				return true
+			}
+			if id.Name == "_" {
+				p.Reportf(id.Pos(), "span result of %s is discarded; the span is never ended", callee.Name)
+				return true
+			}
+			spans = append(spans, &spanVar{name: id.Name, obj: p.identObj(id), assignPos: id.Pos()})
 		}
 		return true
 	})
@@ -144,19 +119,14 @@ func (p *Pass) analyzeSpanScope(file *ast.File, body *ast.BlockStmt) {
 	}
 }
 
-func isStartSpan(c Callee) bool {
-	return c.Name == "StartSpan" && (c.PkgPath == "" || c.InPkg("internal/telemetry"))
-}
-
-// isSpanPairStart matches the context-aware starters returning a
-// (ctx, span) pair. Trace's StartSpan shares its name with telemetry's
-// single-result form, so it matches only with resolved type information;
-// the two-variable assignment shape does the rest of the disambiguation.
-func isSpanPairStart(c Callee) bool {
+// isSpanStart matches the span starters, each returning a (ctx, span)
+// pair: telemetry.(*Registry).StartSpan and trace.(*Collector).StartSpan
+// and StartRoot.
+func isSpanStart(c Callee) bool {
 	switch c.Name {
-	case "StartSpanCtx":
-		return c.PkgPath == "" || c.InPkg("internal/telemetry")
-	case "StartSpan", "StartRoot":
+	case "StartSpan":
+		return c.InPkg("internal/telemetry") || c.InPkg("internal/trace")
+	case "StartRoot":
 		return c.InPkg("internal/trace")
 	}
 	return false

@@ -4,7 +4,8 @@ package telemetry
 
 import (
 	"context"
-	"time"
+
+	"dra4wfms/internal/trace"
 )
 
 // Registry mirrors telemetry.Registry.
@@ -13,24 +14,8 @@ type Registry struct{}
 // Default mirrors telemetry.Default.
 func Default() *Registry { return &Registry{} }
 
-// Span mirrors telemetry.Span.
-type Span struct{ start time.Time }
-
-// StartSpan mirrors telemetry.(*Registry).StartSpan.
-func (r *Registry) StartSpan(name string, labels ...string) *Span {
-	return &Span{start: time.Now()}
-}
-
-// End mirrors telemetry.(*Span).End.
-func (s *Span) End() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Since(s.start)
-}
-
-// StartSpanCtx mirrors telemetry.(*Registry).StartSpanCtx: the
-// context-aware starter returning a (ctx, span) pair.
-func (r *Registry) StartSpanCtx(ctx context.Context, name string, labels ...string) (context.Context, *Span) {
-	return ctx, &Span{start: time.Now()}
+// StartSpan mirrors telemetry.(*Registry).StartSpan: the span starter
+// returning a (ctx, span) pair.
+func (r *Registry) StartSpan(ctx context.Context, name string, labels ...string) (context.Context, *trace.Span) {
+	return trace.Default().StartSpan(ctx, name, nil, labels...)
 }

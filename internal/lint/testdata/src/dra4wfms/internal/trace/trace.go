@@ -2,7 +2,10 @@
 // span API surface for analyzer tests.
 package trace
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // Collector mirrors trace.Collector.
 type Collector struct{}
@@ -10,16 +13,21 @@ type Collector struct{}
 // Default mirrors trace.Default.
 func Default() *Collector { return &Collector{} }
 
+// DurationSink mirrors trace.DurationSink.
+type DurationSink interface {
+	ObserveDuration(d time.Duration)
+}
+
 // Span mirrors trace.Span.
 type Span struct{}
 
 // StartRoot mirrors trace.(*Collector).StartRoot.
-func (c *Collector) StartRoot(ctx context.Context, tier, name string) (context.Context, *Span) {
+func (c *Collector) StartRoot(ctx context.Context, name string, sink DurationSink, labels ...string) (context.Context, *Span) {
 	return ctx, &Span{}
 }
 
 // StartSpan mirrors trace.(*Collector).StartSpan.
-func (c *Collector) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+func (c *Collector) StartSpan(ctx context.Context, name string, sink DurationSink, labels ...string) (context.Context, *Span) {
 	return ctx, &Span{}
 }
 

@@ -24,7 +24,7 @@ func watchdog(ctx context.Context) {}
 // goodShadowing rebinds the parent name to the derived context: the
 // stale parent is unreachable below the start.
 func goodShadowing(ctx context.Context) error {
-	ctx, span := tel.StartSpanCtx(ctx, "good_seconds")
+	ctx, span := tel.StartSpan(ctx, "good_seconds")
 	defer span.End()
 	return downstream(ctx)
 }
@@ -32,7 +32,7 @@ func goodShadowing(ctx context.Context) error {
 // goodLeaf discards the derived context but makes no downstream
 // context-carrying call — the legitimate leaf-span idiom.
 func goodLeaf(ctx context.Context) int {
-	_, span := tel.StartSpanCtx(ctx, "leaf_seconds")
+	_, span := tel.StartSpan(ctx, "leaf_seconds")
 	defer span.End()
 	work()
 	return 42
@@ -41,10 +41,10 @@ func goodLeaf(ctx context.Context) int {
 // goodSequentialSiblings starts the second span from the parent only
 // after the first has ended: sequential siblings, not a lost level.
 func goodSequentialSiblings(ctx context.Context) {
-	_, s1 := col.StartSpan(ctx, "first")
+	_, s1 := col.StartSpan(ctx, "first", nil)
 	work()
 	s1.End()
-	_, s2 := col.StartSpan(ctx, "second")
+	_, s2 := col.StartSpan(ctx, "second", nil)
 	work()
 	s2.End()
 }
@@ -52,7 +52,7 @@ func goodSequentialSiblings(ctx context.Context) {
 // goodEndedBeforeReuse ends the span before the parent context travels
 // again.
 func goodEndedBeforeReuse(ctx context.Context) error {
-	_, span := tel.StartSpanCtx(ctx, "early_seconds")
+	_, span := tel.StartSpan(ctx, "early_seconds")
 	work()
 	span.End()
 	return downstream(ctx)
@@ -62,7 +62,7 @@ func goodEndedBeforeReuse(ctx context.Context) error {
 // downstream with the span open: the downstream spans attach to the
 // parent and this span's subtree is empty.
 func badStaleParent(ctx context.Context) error {
-	_, span := tel.StartSpanCtx(ctx, "stale_seconds")
+	_, span := tel.StartSpan(ctx, "stale_seconds")
 	defer span.End()
 	return downstream(ctx) // want "receives the parent context ctx"
 }
@@ -70,7 +70,7 @@ func badStaleParent(ctx context.Context) error {
 // badBranchLeak threads the derived context on one path but the stale
 // parent on the other.
 func badBranchLeak(ctx context.Context, fast bool) error {
-	tctx, span := col.StartRoot(ctx, "portal", "op")
+	tctx, span := col.StartRoot(ctx, "portal_op_seconds", nil)
 	defer span.End()
 	if fast {
 		return downstream(ctx) // want "receives the parent context ctx"
@@ -81,9 +81,9 @@ func badBranchLeak(ctx context.Context, fast bool) error {
 // badNestedStart starts a child span from the parent context while the
 // first span is open: the "child" becomes a sibling.
 func badNestedStart(ctx context.Context) {
-	_, outer := col.StartSpan(ctx, "outer")
+	_, outer := col.StartSpan(ctx, "outer", nil)
 	defer outer.End()
-	_, inner := col.StartSpan(ctx, "inner") // want "receives the parent context ctx"
+	_, inner := col.StartSpan(ctx, "inner", nil) // want "receives the parent context ctx"
 	work()
 	inner.End()
 }
@@ -94,7 +94,7 @@ func badNestedStart(ctx context.Context) {
 // cannot line its faults up against the trace. Deadline propagation
 // breaks the same way — the hop escapes the span context's budget.
 func badChaosHopStaleParent(ctx context.Context, n *chaos.Network) error {
-	tctx, span := col.StartSpan(ctx, "chaos_hop")
+	tctx, span := col.StartSpan(ctx, "chaos_hop", nil)
 	defer span.End()
 	_ = tctx
 	return n.Deliver(ctx, "coord", "n2") // want "receives the parent context ctx"
@@ -104,7 +104,7 @@ func badChaosHopStaleParent(ctx context.Context, n *chaos.Network) error {
 // model, so injected faults and the deadline budget stay inside the
 // hop's subtree.
 func goodChaosHopThreaded(ctx context.Context, n *chaos.Network) error {
-	tctx, span := col.StartSpan(ctx, "chaos_hop")
+	tctx, span := col.StartSpan(ctx, "chaos_hop", nil)
 	defer span.End()
 	return n.Deliver(tctx, "coord", "n2")
 }
@@ -112,7 +112,7 @@ func goodChaosHopThreaded(ctx context.Context, n *chaos.Network) error {
 // fanOutByDesign hands the parent to a goroutine that outlives the span
 // on purpose — acknowledged with a reasoned suppression.
 func fanOutByDesign(ctx context.Context) {
-	_, span := tel.StartSpanCtx(ctx, "fanout_seconds")
+	_, span := tel.StartSpan(ctx, "fanout_seconds")
 	defer span.End()
 	//lint:ignore ctxprop fixture demo: the watchdog outlives this span by design
 	go watchdog(ctx)

@@ -1,4 +1,4 @@
-// Package spanleak seeds telemetry-span lifecycle violations for the
+// Package spanleak seeds span lifecycle violations for the
 // spanleak analyzer's golden test.
 package spanleak
 
@@ -12,13 +12,14 @@ import (
 
 var tel = telemetry.Default()
 
-func goodDeferred() error {
-	defer tel.StartSpan("good_seconds").End()
+func goodDeferred(ctx context.Context) error {
+	_, span := tel.StartSpan(ctx, "good_seconds")
+	defer span.End()
 	return nil
 }
 
-func goodSequential(fail bool) error {
-	span := tel.StartSpan("seq_seconds")
+func goodSequential(ctx context.Context, fail bool) error {
+	_, span := tel.StartSpan(ctx, "seq_seconds")
 	err := work(fail)
 	span.End()
 	if err != nil {
@@ -27,8 +28,8 @@ func goodSequential(fail bool) error {
 	return nil
 }
 
-func goodBranchEnd(fail bool) error {
-	span := tel.StartSpan("branch_seconds")
+func goodBranchEnd(ctx context.Context, fail bool) error {
+	_, span := tel.StartSpan(ctx, "branch_seconds")
 	if fail {
 		span.End()
 		return errors.New("fail")
@@ -37,8 +38,8 @@ func goodBranchEnd(fail bool) error {
 	return nil
 }
 
-func leakEarlyReturn(fail bool) error {
-	span := tel.StartSpan("leak_seconds")
+func leakEarlyReturn(ctx context.Context, fail bool) error {
+	_, span := tel.StartSpan(ctx, "leak_seconds")
 	if fail {
 		return errors.New("early") // want "return leaks telemetry span span"
 	}
@@ -49,24 +50,24 @@ func leakEarlyReturn(fail bool) error {
 // neverEnded leaves the span entirely unused ("declared and not used" is
 // a type error the lenient loader tolerates); any other use of the
 // variable counts as an escape and ends lexical tracking.
-func neverEnded() {
-	span := tel.StartSpan("never_seconds") // want "never ended"
+func neverEnded(ctx context.Context) {
+	_, span := tel.StartSpan(ctx, "never_seconds") // want "never ended"
 }
 
-func dropped() {
-	tel.StartSpan("dropped_seconds")   // want "discarded"
-	_ = tel.StartSpan("blank_seconds") // want "discarded"
+func dropped(ctx context.Context) {
+	tel.StartSpan(ctx, "dropped_seconds")      // want "discarded"
+	_, _ = tel.StartSpan(ctx, "blank_seconds") // want "discarded"
 }
 
 // escapes hands the span to a closure; ending it becomes the caller's
 // responsibility, so the analyzer stays quiet.
-func escapes() func() {
-	span := tel.StartSpan("escape_seconds")
+func escapes(ctx context.Context) func() {
+	_, span := tel.StartSpan(ctx, "escape_seconds")
 	return func() { span.End() }
 }
 
-func suppressed(fail bool) error {
-	span := tel.StartSpan("supp_seconds")
+func suppressed(ctx context.Context, fail bool) error {
+	_, span := tel.StartSpan(ctx, "supp_seconds")
 	if fail {
 		//lint:ignore spanleak fixture demo: abandoned span is observed via the leak counter
 		return errors.New("early")
@@ -82,24 +83,24 @@ func work(fail bool) error {
 	return nil
 }
 
-// ---- context-aware pair starters (StartSpanCtx, trace StartSpan/StartRoot) ----
+// ---- threading the derived context; the trace collector's starters ----
 
 var col = trace.Default()
 
 func goodCtxDeferred(ctx context.Context) error {
-	ctx, span := tel.StartSpanCtx(ctx, "good_ctx_seconds")
+	ctx, span := tel.StartSpan(ctx, "good_ctx_seconds")
 	defer span.End()
 	return use(ctx)
 }
 
 func goodTraceRoot(ctx context.Context) error {
-	ctx, root := col.StartRoot(ctx, "client", "drive_seconds")
+	ctx, root := col.StartRoot(ctx, "client_drive_seconds", nil)
 	defer root.End()
 	return use(ctx)
 }
 
 func leakCtxEarlyReturn(ctx context.Context, fail bool) error {
-	ctx, span := tel.StartSpanCtx(ctx, "leak_ctx_seconds")
+	ctx, span := tel.StartSpan(ctx, "leak_ctx_seconds")
 	if fail {
 		return errors.New("early") // want "return leaks telemetry span span"
 	}
@@ -111,19 +112,19 @@ func leakCtxEarlyReturn(ctx context.Context, fail bool) error {
 // the lost observation, its node vanishes from the distributed trace
 // tree, orphaning children started under the returned context.
 func neverEndedTrace(ctx context.Context) error {
-	ctx, span := col.StartSpan(ctx, "never_trace_seconds") // want "never ended"
+	ctx, span := col.StartSpan(ctx, "never_trace_seconds", nil) // want "never ended"
 	return use(ctx)
 }
 
 func droppedCtx(ctx context.Context) {
-	_, _ = tel.StartSpanCtx(ctx, "dropped_ctx_seconds") // want "discarded"
-	tel.StartSpanCtx(ctx, "stmt_ctx_seconds")           // want "discarded"
+	_, _ = tel.StartSpan(ctx, "dropped_ctx_seconds") // want "discarded"
+	tel.StartSpan(ctx, "stmt_ctx_seconds")           // want "discarded"
 }
 
 // escapesCtx passes the pair span onward (SetStatus is a use): the
 // analyzer leaves ownership to the reader.
 func escapesCtx(ctx context.Context, fail bool) error {
-	ctx, span := col.StartSpan(ctx, "escape_ctx_seconds")
+	ctx, span := col.StartSpan(ctx, "escape_ctx_seconds", nil)
 	defer span.End()
 	if fail {
 		span.SetStatus("error")

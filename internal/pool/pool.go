@@ -352,7 +352,7 @@ func (t *Table) Regions() []*Region {
 // visible together. Inside a sampled distributed trace the write lands as
 // a pool-tier span.
 func (t *Table) Mutate(ctx context.Context, row string, cells []CellMutation) error {
-	_, span := tel.StartSpanCtx(ctx, "pool_put_seconds")
+	_, span := tel.StartSpan(ctx, "pool_put_seconds")
 	defer span.End()
 	return t.commit(Mutation{Row: row, Version: t.nextVersion(), Cells: cells})
 }
@@ -392,7 +392,7 @@ func (t *Table) Get(row, family, qualifier string) ([]byte, bool) {
 
 // GetCtx is Get carrying the caller's trace context (see PutCtx).
 func (t *Table) GetCtx(ctx context.Context, row, family, qualifier string) ([]byte, bool) {
-	_, span := tel.StartSpanCtx(ctx, "pool_get_seconds")
+	_, span := tel.StartSpan(ctx, "pool_get_seconds")
 	defer span.End()
 	if row == "" {
 		return nil, false
@@ -453,7 +453,7 @@ func (t *Table) Scan(opts ScanOptions) []KeyValue {
 
 // ScanCtx is Scan carrying the caller's trace context (see PutCtx).
 func (t *Table) ScanCtx(ctx context.Context, opts ScanOptions) []KeyValue {
-	_, span := tel.StartSpanCtx(ctx, "pool_scan_seconds")
+	_, span := tel.StartSpan(ctx, "pool_scan_seconds")
 	defer span.End()
 	var scanned int64
 	defer func() { mScannedCells.Add(scanned) }()

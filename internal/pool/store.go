@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -180,7 +181,8 @@ type Store struct {
 // returned report describes what was recovered and what had to be
 // quarantined. The table must be empty — recovery owns its version clock.
 func Open(t *Table, dir string, opts StoreOptions) (*Store, *RecoveryReport, error) {
-	defer tel.StartSpan("pool_recovery_seconds").End()
+	_, span := tel.StartSpan(context.Background(), "pool_recovery_seconds")
+	defer span.End()
 	if len(t.Scan(ScanOptions{Limit: 1})) > 0 {
 		return nil, nil, fmt.Errorf("pool: durable store needs a freshly created table, %s already holds data", t.name)
 	}
@@ -347,7 +349,8 @@ func (s *Store) Sync() error {
 // compacts the WAL down to the suffix not covered by a retained
 // checkpoint. Safe to call concurrently with mutations.
 func (s *Store) Checkpoint() error {
-	defer tel.StartSpan("pool_checkpoint_seconds").End()
+	_, span := tel.StartSpan(context.Background(), "pool_checkpoint_seconds")
+	defer span.End()
 	s.ckMu.Lock()
 	defer s.ckMu.Unlock()
 	// Barrier: wait out in-flight journal+apply pairs so every record with

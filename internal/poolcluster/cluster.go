@@ -272,7 +272,7 @@ func (c *Cluster) aliveIDs() []string {
 // survives. A failed primary apply marks the node suspect, triggers
 // failover, and retries against the promoted primary.
 func (c *Cluster) write(ctx context.Context, row string, cells []pool.CellMutation) (string, uint64, error) {
-	ctx, span := tel.StartSpanCtx(ctx, "poolcluster_put_seconds")
+	ctx, span := tel.StartSpan(ctx, "poolcluster_put_seconds")
 	defer span.End()
 	if row == "" {
 		return "", 0, pool.ErrEmptyRow

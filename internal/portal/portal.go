@@ -163,11 +163,11 @@ func (p *Portal) Store(doc *document.Document) ([]Notification, error) {
 // pool writes nest under it, and notifications dispatched to OnNotifyCtx
 // continue the same trace through the webhook relay.
 func (p *Portal) StoreCtx(ctx context.Context, doc *document.Document) ([]Notification, error) {
-	ctx, span := tel.StartSpanCtx(ctx, "portal_store_seconds")
+	ctx, span := tel.StartSpan(ctx, "portal_store_seconds")
 	defer span.End()
-	span.Trace().SetAttr("process", doc.ProcessID())
+	span.SetAttr("process", doc.ProcessID())
 	if nsigs, err := doc.VerifyAllCtx(ctx, p.Registry); err != nil {
-		span.Trace().SetStatus("error")
+		span.SetStatus("error")
 		return nil, fmt.Errorf("portal: rejecting document (%d signatures verified before failure): %w", nsigs, err)
 	}
 	notes, err := func() ([]Notification, error) {
@@ -188,11 +188,11 @@ func (p *Portal) StoreCtx(ctx context.Context, doc *document.Document) ([]Notifi
 				return nil, err
 			}
 		}
-		span.Trace().SetAttr("cers", strconv.Itoa(len(merged.FinalCERs())))
+		span.SetAttr("cers", strconv.Itoa(len(merged.FinalCERs())))
 		return p.persist(ctx, merged, stored)
 	}()
 	if err != nil {
-		span.Trace().SetStatus("error")
+		span.SetStatus("error")
 		return nil, err
 	}
 	p.dispatch(ctx, notes)
@@ -299,14 +299,14 @@ func (p *Portal) StoreInitial(doc *document.Document) ([]Notification, error) {
 // the trace ID in the process trace collector, so the whole cascade's
 // journey is queryable by either handle (GET /v1/traces?process=...).
 func (p *Portal) StoreInitialCtx(ctx context.Context, doc *document.Document) ([]Notification, error) {
-	ctx, span := tel.StartSpanCtx(ctx, "portal_store_initial_seconds")
+	ctx, span := tel.StartSpan(ctx, "portal_store_initial_seconds")
 	defer span.End()
-	span.Trace().SetAttr("process", doc.ProcessID())
+	span.SetAttr("process", doc.ProcessID())
 	if sc, ok := trace.FromContext(ctx); ok {
 		trace.Default().BindInstance(doc.ProcessID(), sc.TraceID)
 	}
 	if nsigs, err := doc.VerifyAllCtx(ctx, p.Registry); err != nil {
-		span.Trace().SetStatus("error")
+		span.SetStatus("error")
 		return nil, fmt.Errorf("portal: rejecting initial document (%d signatures verified before failure): %w", nsigs, err)
 	}
 	notes, err := func() ([]Notification, error) {
@@ -319,7 +319,7 @@ func (p *Portal) StoreInitialCtx(ctx context.Context, doc *document.Document) ([
 		return p.persist(ctx, doc, nil)
 	}()
 	if err != nil {
-		span.Trace().SetStatus("error")
+		span.SetStatus("error")
 		return nil, err
 	}
 	p.dispatch(ctx, notes)
@@ -349,11 +349,11 @@ func (p *Portal) RetrieveCtx(ctx context.Context, principal, processID string) (
 // document, so a parse and re-canonicalization would only reproduce them.
 // The returned slice is shared with the table; treat it as read-only.
 func (p *Portal) RetrieveRawCtx(ctx context.Context, principal, processID string) ([]byte, error) {
-	ctx, span := tel.StartSpanCtx(ctx, "portal_retrieve_seconds")
+	ctx, span := tel.StartSpan(ctx, "portal_retrieve_seconds")
 	defer span.End()
-	span.Trace().SetAttr("process", processID)
+	span.SetAttr("process", processID)
 	if err := p.Authenticate(principal); err != nil {
-		span.Trace().SetStatus("error")
+		span.SetStatus("error")
 		return nil, err
 	}
 	return p.content(ctx, processID)
@@ -387,10 +387,10 @@ func (p *Portal) Worklist(principal string) ([]WorkItem, error) {
 // WorklistCtx is Worklist carrying the caller's trace context (see
 // StoreCtx).
 func (p *Portal) WorklistCtx(ctx context.Context, principal string) ([]WorkItem, error) {
-	ctx, span := tel.StartSpanCtx(ctx, "portal_worklist_seconds")
+	ctx, span := tel.StartSpan(ctx, "portal_worklist_seconds")
 	defer span.End()
 	if err := p.Authenticate(principal); err != nil {
-		span.Trace().SetStatus("error")
+		span.SetStatus("error")
 		return nil, err
 	}
 	id, err := p.Registry.Identity(principal)

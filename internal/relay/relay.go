@@ -334,16 +334,16 @@ func (r *Relay) attempt(e Entry) error {
 	if sc, ok := trace.ParseTraceparent(e.Trace); ok {
 		ctx = trace.ContextWith(ctx, sc)
 	}
-	ctx, span := tel.StartSpanCtx(ctx, "relay_delivery_seconds")
+	ctx, span := tel.StartSpan(ctx, "relay_delivery_seconds")
 	defer span.End()
-	span.Trace().SetAttr("kind", e.Kind)
-	span.Trace().SetAttr("dest", e.Dest)
-	span.Trace().SetAttr("attempt", strconv.Itoa(e.Attempts+1))
+	span.SetAttr("kind", e.Kind)
+	span.SetAttr("dest", e.Dest)
+	span.SetAttr("attempt", strconv.Itoa(e.Attempts+1))
 	ctx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 	defer cancel()
 	err := r.tr.Deliver(ctx, e)
 	if err != nil {
-		span.Trace().SetStatus("error")
+		span.SetStatus("error")
 	}
 	return err
 }

@@ -1,7 +1,7 @@
-// Package telemetry is the runtime observability substrate of the
-// DRA4WfMS reproduction: a dependency-free metrics registry (atomic
-// counters, gauges, and histograms with fixed log-scale buckets) plus
-// lightweight span tracing for hot-path latencies.
+// Package telemetry is the runtime metrics substrate of the DRA4WfMS
+// reproduction: a dependency-free registry of atomic counters, gauges
+// and histograms with fixed log-scale buckets, rendered in Prometheus
+// text exposition format at GET /v1/metrics.
 //
 // The paper's scalability argument (Section 4: portals, the NoSQL
 // document pool, and the MapReduce layer absorb load because documents —
@@ -9,8 +9,12 @@
 // system if signature-verification cost, pool scan latency, and portal
 // request throughput are observable while traffic is served. Every
 // middleware package (aea, portal, pool, tfc, dsig, xmlenc, httpapi)
-// records into the process-wide Default registry; httpapi renders it in
-// Prometheus text exposition format at GET /v1/metrics.
+// records into the process-wide Default registry.
+//
+// There is one span type, trace.Span. Registry.StartSpan starts one
+// with a latency histogram of this registry as its duration sink, so the
+// histogram, the slow-op log and the distributed trace ring
+// (internal/trace) all see the same single clock reading per operation.
 //
 // Everything is safe for concurrent use and allocation-free on the hot
 // recording paths (atomic adds; metric lookup is a read-locked map hit,
@@ -217,21 +221,11 @@ type family struct {
 	labels  map[string][]string
 }
 
-// Logger receives slow-operation reports; *log.Logger satisfies it.
-type Logger interface {
-	Printf(format string, v ...any)
-}
-
 // Registry holds a process's metrics. The zero value is not usable; use
 // New or the package-wide Default.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-
-	slowNanos atomic.Int64 // spans slower than this are logged; 0 = off
-
-	logMu  sync.RWMutex
-	logger Logger
 }
 
 // New creates an empty registry.
@@ -244,17 +238,6 @@ var defaultRegistry = New()
 // Default returns the process-wide registry every instrumented package
 // records into.
 func Default() *Registry { return defaultRegistry }
-
-// SetSlowOpThreshold enables logging of spans slower than d (0 disables).
-func (r *Registry) SetSlowOpThreshold(d time.Duration) { r.slowNanos.Store(int64(d)) }
-
-// SetSlowOpLogger directs slow-op reports to l (nil silences them even
-// when the threshold is set).
-func (r *Registry) SetSlowOpLogger(l Logger) {
-	r.logMu.Lock()
-	r.logger = l
-	r.logMu.Unlock()
-}
 
 // labelKey canonicalizes label pairs; pairs must be even-length.
 func labelKey(labels []string) string {
@@ -342,83 +325,17 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 
 // --- spans -------------------------------------------------------------------
 
-// Span is one in-flight timed operation; End records its duration.
-type Span struct {
-	reg    *Registry
-	h      *Histogram
-	name   string
-	labels []string
-	start  time.Time
-	// tspan is the distributed-trace twin when the span was started via
-	// StartSpanCtx inside a sampled trace; nil otherwise (nil is inert).
-	tspan *trace.Span
-}
-
-// StartSpan begins timing an operation. End records the duration, in
-// seconds, into the histogram named name (LatencyBuckets) with the given
-// labels, and logs the operation when it exceeds the registry's slow-op
-// threshold. Usage:
+// StartSpan begins timing an operation: the returned trace span feeds
+// its duration, in seconds, to the histogram name (LatencyBuckets) with
+// the given labels, to the trace collector's slow-op log and, inside a
+// sampled distributed trace, to the trace ring as a child span of the
+// same name. Pass the returned context downstream so nested spans
+// attach beneath this one. Usage:
 //
-//	defer telemetry.Default().StartSpan("portal_store_seconds").End()
-func (r *Registry) StartSpan(name string, labels ...string) *Span {
-	return &Span{
-		reg:    r,
-		h:      r.Histogram(name, LatencyBuckets, labels...),
-		name:   name,
-		labels: labels,
-		start:  time.Now(),
-	}
-}
-
-// StartSpanCtx begins timing an operation inside the trace carried by
-// ctx. The histogram side is identical to StartSpan; additionally, when
-// ctx belongs to a sampled distributed trace, a child trace span with
-// the same name lands in the process trace ring on End. The returned
-// context carries the new span as parent — pass it to downstream calls
-// so their spans nest correctly. When ctx carries no trace (or an
-// unsampled one) only the histogram records; no trace root is created
-// here, because sampling is decided once at the root. Usage:
-//
-//	ctx, span := telemetry.Default().StartSpanCtx(ctx, "portal_store_seconds")
+//	ctx, span := telemetry.Default().StartSpan(ctx, "portal_store_seconds")
 //	defer span.End()
-func (r *Registry) StartSpanCtx(ctx context.Context, name string, labels ...string) (context.Context, *Span) {
-	s := r.StartSpan(name, labels...)
-	ctx, s.tspan = trace.Default().StartSpan(ctx, name)
-	return ctx, s
-}
-
-// Trace returns the span's distributed-trace twin, or nil when the span
-// was started outside a sampled trace. The result is safe to use even
-// when nil (trace.Span methods are nil-tolerant).
-func (s *Span) Trace() *trace.Span {
-	if s == nil {
-		return nil
-	}
-	return s.tspan
-}
-
-// End stops the span, records its duration, and returns it. Safe to call
-// on a nil span (no-op, returns 0).
-func (s *Span) End() time.Duration {
-	if s == nil {
-		return 0
-	}
-	d := time.Since(s.start)
-	s.h.ObserveDuration(d)
-	s.tspan.End()
-	if slow := s.reg.slowNanos.Load(); slow > 0 && int64(d) >= slow {
-		s.reg.logMu.RLock()
-		l := s.reg.logger
-		s.reg.logMu.RUnlock()
-		if l != nil {
-			if len(s.labels) > 0 {
-				l.Printf("telemetry: slow op %s%v took %v", s.name, s.labels, d)
-			} else {
-				l.Printf("telemetry: slow op %s took %v", s.name, d)
-			}
-		}
-	}
-	return d
+func (r *Registry) StartSpan(ctx context.Context, name string, labels ...string) (context.Context, *trace.Span) {
+	return trace.Default().StartSpan(ctx, name, r.Histogram(name, LatencyBuckets, labels...), labels...)
 }
 
 // --- snapshots ---------------------------------------------------------------

@@ -153,9 +153,9 @@ func (s *Server) Process(doc *document.Document) (*Outcome, error) {
 // sampled distributed trace the TFC's verify/route/encrypt/sign work
 // lands as a tfc-tier span with the process and activity as attributes.
 func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outcome, error) {
-	ctx, span := tel.StartSpanCtx(ctx, "tfc_process_seconds")
+	ctx, span := tel.StartSpan(ctx, "tfc_process_seconds")
 	defer span.End()
-	span.Trace().SetAttr("process", doc.ProcessID())
+	span.SetAttr("process", doc.ProcessID())
 	verifyStart := time.Now()
 	work := doc.Clone()
 	nsigs, err := work.VerifyAllCtx(ctx, s.Registry)
@@ -177,7 +177,7 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	if act == nil {
 		return nil, fmt.Errorf("tfc: intermediate CER names unknown activity %q", pending.ActivityID())
 	}
-	span.Trace().SetAttr("activity", act.ID)
+	span.SetAttr("activity", act.ID)
 	if responsible := def.TFCFor(act.ID); responsible != s.Keys.Owner {
 		return nil, fmt.Errorf("%w: activity %s is assigned to %q, this server is %q",
 			ErrNotResponsible, act.ID, responsible, s.Keys.Owner)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -27,10 +28,10 @@ type FinishedSpan struct {
 // End returns the span's completion instant.
 func (f FinishedSpan) End() time.Time { return f.Start.Add(f.Duration) }
 
-// tierOf derives the architectural tier from a span name. Metric-style
-// span names here are uniformly "<tier>_<operation>_seconds", so the
-// first underscore-delimited token attributes the span; StartRoot and
-// SetTier override for spans that do not follow the convention.
+// tierOf derives the architectural tier from a span name. Span names
+// here are uniformly "<tier>_<operation>_seconds" (roots included:
+// "http_request_seconds", "client_remote_drive_seconds"), so the first
+// underscore-delimited token attributes the span.
 func tierOf(name string) string {
 	for i := 0; i < len(name); i++ {
 		if name[i] == '_' {
@@ -40,24 +41,39 @@ func tierOf(name string) string {
 	return name
 }
 
-// Span is one in-flight traced operation. A nil *Span is valid and
-// inert — unsampled traces and trace-free contexts produce nil spans so
-// call sites never branch.
+// DurationSink receives a finished span's duration.
+// *telemetry.Histogram satisfies it through ObserveDuration.
+type DurationSink interface {
+	ObserveDuration(d time.Duration)
+}
+
+// Logger receives slow-operation reports; *log.Logger satisfies it.
+type Logger interface {
+	Printf(format string, v ...any)
+}
+
+// Span is one in-flight timed operation. End reads the clock once and
+// feeds that duration to the span's sink (a latency histogram), to the
+// collector's slow-op log and — only when the span belongs to a sampled
+// trace — to the ring. An unsampled span carries no IDs: its Context is
+// zero and SetAttr/SetStatus are no-ops. A nil *Span is valid and inert.
 type Span struct {
 	c      *Collector
-	ctx    SpanContext
+	sink   DurationSink
+	name   string
+	labels []string
+	ctx    SpanContext // zero unless sampled
 	parent SpanID
 	start  time.Time
 
 	mu     sync.Mutex
-	name   string
-	tier   string
 	status string
 	attrs  map[string]string
 	ended  bool
 }
 
-// Context returns the span's SpanContext (zero for nil spans).
+// Context returns the span's SpanContext (zero for nil and unsampled
+// spans).
 func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
@@ -65,20 +81,11 @@ func (s *Span) Context() SpanContext {
 	return s.ctx
 }
 
-// SetTier overrides the tier derived from the span name.
-func (s *Span) SetTier(tier string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.tier = tier
-	s.mu.Unlock()
-}
-
-// SetAttr attaches one key/value attribute (document IDs, CER counts,
-// relay attempt numbers — metadata only, never document contents).
+// SetAttr attaches one key/value attribute to a sampled span (document
+// IDs, CER counts, relay attempt numbers — metadata only, never
+// document contents).
 func (s *Span) SetAttr(key, value string) {
-	if s == nil {
+	if s == nil || !s.ctx.Sampled {
 		return
 	}
 	s.mu.Lock()
@@ -89,9 +96,10 @@ func (s *Span) SetAttr(key, value string) {
 	s.mu.Unlock()
 }
 
-// SetStatus records the span outcome ("ok" is implied when unset).
+// SetStatus records a sampled span's outcome ("ok" is implied when
+// unset).
 func (s *Span) SetStatus(status string) {
-	if s == nil {
+	if s == nil || !s.ctx.Sampled {
 		return
 	}
 	s.mu.Lock()
@@ -99,9 +107,9 @@ func (s *Span) SetStatus(status string) {
 	s.mu.Unlock()
 }
 
-// End finishes the span and lands it in the collector ring (and the
-// JSONL export, when configured). Safe on nil spans; second and later
-// calls are no-ops.
+// End finishes the span: one duration goes to the sink, the slow-op log
+// and, when sampled, the collector ring (and the JSONL export, when
+// configured). Safe on nil spans; second and later calls are no-ops.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -112,26 +120,36 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	fs := FinishedSpan{
-		TraceID:  s.ctx.TraceID.String(),
-		SpanID:   s.ctx.SpanID.String(),
-		Name:     s.name,
-		Tier:     s.tier,
-		Start:    s.start,
-		Duration: time.Since(s.start),
-		Status:   s.status,
-	}
-	if !s.parent.IsZero() {
-		fs.ParentID = s.parent.String()
-	}
-	if len(s.attrs) > 0 {
-		fs.Attrs = make(map[string]string, len(s.attrs))
-		for k, v := range s.attrs {
-			fs.Attrs[k] = v
+	d := time.Since(s.start)
+	var fs FinishedSpan
+	if s.ctx.Sampled {
+		fs = FinishedSpan{
+			TraceID:  s.ctx.TraceID.String(),
+			SpanID:   s.ctx.SpanID.String(),
+			Name:     s.name,
+			Tier:     tierOf(s.name),
+			Start:    s.start,
+			Duration: d,
+			Status:   s.status,
+		}
+		if !s.parent.IsZero() {
+			fs.ParentID = s.parent.String()
+		}
+		if len(s.attrs) > 0 {
+			fs.Attrs = make(map[string]string, len(s.attrs))
+			for k, v := range s.attrs {
+				fs.Attrs[k] = v
+			}
 		}
 	}
 	s.mu.Unlock()
-	s.c.add(fs)
+	if s.sink != nil {
+		s.sink.ObserveDuration(d)
+	}
+	s.c.logSlow(s.name, s.labels, d)
+	if s.ctx.Sampled {
+		s.c.add(fs)
+	}
 }
 
 // maxBindings bounds the instance→trace table; oldest bindings are
@@ -155,6 +173,10 @@ type Collector struct {
 	outMu sync.Mutex
 	out   io.Writer
 	enc   *json.Encoder
+
+	slowNanos atomic.Int64 // spans slower than this are logged; 0 = off
+	logMu     sync.RWMutex
+	logger    Logger
 }
 
 // DefaultCapacity is the ring size of the package-wide Default
@@ -205,6 +227,36 @@ func (c *Collector) SetOutput(w io.Writer) {
 	c.outMu.Unlock()
 }
 
+// SetSlowOpThreshold enables logging of spans slower than d (0
+// disables). Every span ending through this collector is checked,
+// sampled or not.
+func (c *Collector) SetSlowOpThreshold(d time.Duration) { c.slowNanos.Store(int64(d)) }
+
+// SetSlowOpLogger directs slow-op reports to l (nil silences them even
+// when the threshold is set).
+func (c *Collector) SetSlowOpLogger(l Logger) {
+	c.logMu.Lock()
+	c.logger = l
+	c.logMu.Unlock()
+}
+
+func (c *Collector) logSlow(name string, labels []string, d time.Duration) {
+	if slow := c.slowNanos.Load(); slow <= 0 || int64(d) < slow {
+		return
+	}
+	c.logMu.RLock()
+	l := c.logger
+	c.logMu.RUnlock()
+	if l == nil {
+		return
+	}
+	if len(labels) > 0 {
+		l.Printf("trace: slow op %s%v took %v", name, labels, d)
+	} else {
+		l.Printf("trace: slow op %s took %v", name, d)
+	}
+}
+
 func (c *Collector) add(fs FinishedSpan) {
 	c.mu.Lock()
 	c.ring[c.next] = fs
@@ -223,46 +275,52 @@ func (c *Collector) add(fs FinishedSpan) {
 }
 
 // StartRoot begins a new trace: it draws a fresh trace ID, consults the
-// sampler exactly once, and returns ctx carrying the new SpanContext.
-// The returned span is nil when the sampler declines (the context still
-// propagates, with the sampled flag clear, so downstream hops stay
-// consistent). tier labels the root's architectural tier.
-func (c *Collector) StartRoot(ctx context.Context, tier, name string) (context.Context, *Span) {
+// sampler exactly once, and returns ctx carrying the new SpanContext
+// (with the sampled flag clear when the sampler declines, so downstream
+// hops stay consistent). The returned span is timed either way; it
+// lands in the ring only when sampled. sink and labels are as for
+// StartSpan.
+func (c *Collector) StartRoot(ctx context.Context, name string, sink DurationSink, labels ...string) (context.Context, *Span) {
+	s := &Span{c: c, sink: sink, name: name, labels: labels, start: time.Now()}
 	tid, err := newTraceID()
 	if err != nil {
-		return ctx, nil
+		return ctx, s
 	}
 	sid, err := newSpanID()
 	if err != nil {
-		return ctx, nil
+		return ctx, s
 	}
 	c.mu.Lock()
 	sampled := c.sampler.Sample(tid)
 	c.mu.Unlock()
 	sc := SpanContext{TraceID: tid, SpanID: sid, Sampled: sampled}
-	ctx = ContextWith(ctx, sc)
-	if !sampled {
-		return ctx, nil
+	if sampled {
+		s.ctx = sc
 	}
-	return ctx, &Span{c: c, ctx: sc, start: time.Now(), name: name, tier: tier}
+	return ContextWith(ctx, sc), s
 }
 
-// StartSpan continues the trace carried by ctx with a child span. When
-// ctx carries no trace — or carries one the root chose not to sample —
-// it returns (ctx, nil): this package never promotes a mid-path
-// operation to a trace root, and never resamples.
-func (c *Collector) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+// StartSpan begins timing an operation named name inside the trace
+// carried by ctx. End feeds the duration to sink (nil for none) and to
+// the slow-op log, which prints labels beside the name. When ctx
+// belongs to a sampled trace the span is also a child in that trace:
+// the returned context carries it as parent, so pass that context
+// downstream. Otherwise ctx comes back unchanged and the span mints no
+// IDs: this package never promotes a mid-path operation to a trace
+// root, and never resamples.
+func (c *Collector) StartSpan(ctx context.Context, name string, sink DurationSink, labels ...string) (context.Context, *Span) {
+	s := &Span{c: c, sink: sink, name: name, labels: labels, start: time.Now()}
 	parent, ok := FromContext(ctx)
 	if !ok || !parent.Sampled {
-		return ctx, nil
+		return ctx, s
 	}
 	sid, err := newSpanID()
 	if err != nil {
-		return ctx, nil
+		return ctx, s
 	}
-	sc := SpanContext{TraceID: parent.TraceID, SpanID: sid, Sampled: true}
-	ctx = ContextWith(ctx, sc)
-	return ctx, &Span{c: c, ctx: sc, parent: parent.SpanID, start: time.Now(), name: name, tier: tierOf(name)}
+	s.ctx = SpanContext{TraceID: parent.TraceID, SpanID: sid, Sampled: true}
+	s.parent = parent.SpanID
+	return ContextWith(ctx, s.ctx), s
 }
 
 // BindInstance records that workflow instance (process) ID belongs to

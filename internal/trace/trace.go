@@ -7,10 +7,16 @@
 //
 // The paper's nonrepudiation story is an audit story — every document
 // hop (AEA → portal → TFC → pool) must be reconstructible after the
-// fact. Metrics histograms (internal/telemetry) answer "how slow is the
-// portal store path on average"; this package answers "where did
-// workflow instance X spend its time", by correlating the spans of one
-// cascade under a single trace ID across every process that touched it.
+// fact. Span is the repository's only span type, and it serves both
+// questions asked of a hop: "how slow is the portal store path on
+// average" (its duration feeds a DurationSink, in practice a
+// telemetry histogram) and "where did workflow instance X spend its
+// time" (inside a sampled trace it lands in the ring, correlated with
+// the spans of one cascade under a single trace ID across every process
+// that touched it). End reads the clock once, so the histogram and the
+// ring report the same duration. Instrumented code starts spans through
+// telemetry.(*Registry).StartSpan; the collector's slow-op log sees
+// every span, sampled or not.
 //
 // Sampling is decided exactly once, at the trace root. Downstream hops
 // honor the inbound sampled flag verbatim and never resample, so a
@@ -77,32 +83,40 @@ func (c SpanContext) Traceparent() string {
 }
 
 // ParseTraceparent parses a W3C-style traceparent header. It accepts
-// only version 00 and rejects all-zero IDs, returning ok=false for
-// anything malformed so callers fall back to starting a fresh root.
+// only version 00, lowercase hex IDs (the spec's HEXDIGLC), non-zero IDs
+// and the two flags octets this package emits, 00 and 01, so an accepted
+// header renders back through Traceparent unchanged. Anything else
+// returns ok=false and callers fall back to starting a fresh root.
 func ParseTraceparent(s string) (SpanContext, bool) {
 	parts := strings.Split(strings.TrimSpace(s), "-")
 	if len(parts) != 4 || parts[0] != traceparentVersion {
 		return SpanContext{}, false
 	}
-	if len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
-		return SpanContext{}, false
-	}
 	var c SpanContext
-	if _, err := hex.Decode(c.TraceID[:], []byte(parts[1])); err != nil {
+	if !decodeLowerHex(c.TraceID[:], parts[1]) || !decodeLowerHex(c.SpanID[:], parts[2]) {
 		return SpanContext{}, false
 	}
-	if _, err := hex.Decode(c.SpanID[:], []byte(parts[2])); err != nil {
+	switch parts[3] {
+	case "01":
+		c.Sampled = true
+	case "00":
+	default:
 		return SpanContext{}, false
 	}
-	flags, err := hex.DecodeString(parts[3])
-	if err != nil {
-		return SpanContext{}, false
-	}
-	c.Sampled = flags[0]&0x01 != 0
 	if !c.Valid() {
 		return SpanContext{}, false
 	}
 	return c, true
+}
+
+// decodeLowerHex fills dst from s, which must be exactly 2*len(dst)
+// lowercase hex digits.
+func decodeLowerHex(dst []byte, s string) bool {
+	if len(s) != 2*len(dst) || strings.ToLower(s) != s {
+		return false
+	}
+	_, err := hex.Decode(dst, []byte(s))
+	return err == nil
 }
 
 // ctxKey is the private context key for SpanContext values.

@@ -11,8 +11,8 @@ import (
 
 func TestTraceparentRoundTrip(t *testing.T) {
 	c := NewCollector(16)
-	ctx, span := c.StartRoot(context.Background(), "client", "drive")
-	if span == nil {
+	ctx, span := c.StartRoot(context.Background(), "client_drive", nil)
+	if !span.Context().Sampled {
 		t.Fatal("root span not sampled under AlwaysSample")
 	}
 	sc, ok := FromContext(ctx)
@@ -41,6 +41,9 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", // zero span id
 		"00-0af7651916cd43dd8448eb211c80319g-b7ad6b7169203331-01", // non-hex
 		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",    // missing flags
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01", // upper-case hex
+		"00-0af7651916cd43dd8448eb211c80319C-b7ad6b7169203331-01", // one upper-case digit
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-03", // flags beyond the sampled bit
 	}
 	for _, s := range bad {
 		if _, ok := ParseTraceparent(s); ok {
@@ -55,9 +58,9 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 
 func TestParentChildLinks(t *testing.T) {
 	c := NewCollector(16)
-	ctx, root := c.StartRoot(context.Background(), "client", "drive")
-	ctx2, child := c.StartSpan(ctx, "portal_store_seconds")
-	_, grandchild := c.StartSpan(ctx2, "pool_put_seconds")
+	ctx, root := c.StartRoot(context.Background(), "client_drive", nil)
+	ctx2, child := c.StartSpan(ctx, "portal_store_seconds", nil)
+	_, grandchild := c.StartSpan(ctx2, "pool_put_seconds", nil)
 	grandchild.End()
 	child.End()
 	root.End()
@@ -70,7 +73,7 @@ func TestParentChildLinks(t *testing.T) {
 	for _, fs := range spans {
 		byName[fs.Name] = fs
 	}
-	if byName["portal_store_seconds"].ParentID != byName["drive"].SpanID {
+	if byName["portal_store_seconds"].ParentID != byName["client_drive"].SpanID {
 		t.Error("child's parent is not the root")
 	}
 	if byName["pool_put_seconds"].ParentID != byName["portal_store_seconds"].SpanID {
@@ -80,8 +83,8 @@ func TestParentChildLinks(t *testing.T) {
 		t.Errorf("tier derivation wrong: %q, %q",
 			byName["portal_store_seconds"].Tier, byName["pool_put_seconds"].Tier)
 	}
-	if byName["drive"].Tier != "client" {
-		t.Errorf("root tier = %q, want client", byName["drive"].Tier)
+	if byName["client_drive"].Tier != "client" {
+		t.Errorf("root tier = %q, want client", byName["client_drive"].Tier)
 	}
 }
 
@@ -97,8 +100,8 @@ func TestSamplingDecidedOnceAtRoot(t *testing.T) {
 		downC := NewCollector(16)
 		downC.SetSampler(AlwaysSample()) // must be ignored mid-trace
 
-		ctx, span := rootC.StartRoot(context.Background(), "client", "drive")
-		if span != nil {
+		ctx, span := rootC.StartRoot(context.Background(), "client_drive", nil)
+		if span.Context().Sampled {
 			t.Fatal("0% sampler returned a recording root span")
 		}
 		sc, ok := FromContext(ctx)
@@ -111,8 +114,9 @@ func TestSamplingDecidedOnceAtRoot(t *testing.T) {
 		if !ok {
 			t.Fatal("unsampled traceparent did not parse")
 		}
-		_, hop := downC.StartSpan(ContextWith(context.Background(), remote), "portal_store_seconds")
-		hop.End() // nil-safe no-op
+		_, hop := downC.StartSpan(ContextWith(context.Background(), remote), "portal_store_seconds", nil)
+		hop.End()
+		span.End()
 		if rootC.Len() != 0 || downC.Len() != 0 {
 			t.Fatalf("unsampled trace recorded spans: root=%d down=%d", rootC.Len(), downC.Len())
 		}
@@ -124,14 +128,14 @@ func TestSamplingDecidedOnceAtRoot(t *testing.T) {
 		downC := NewCollector(16)
 		downC.SetSampler(NeverSample()) // must be ignored mid-trace
 
-		ctx, span := rootC.StartRoot(context.Background(), "client", "drive")
-		if span == nil {
+		ctx, span := rootC.StartRoot(context.Background(), "client_drive", nil)
+		if !span.Context().Sampled {
 			t.Fatal("100% sampler declined the root")
 		}
 		sc, _ := FromContext(ctx)
 		remote, _ := ParseTraceparent(sc.Traceparent())
-		_, hop := downC.StartSpan(ContextWith(context.Background(), remote), "portal_store_seconds")
-		if hop == nil {
+		_, hop := downC.StartSpan(ContextWith(context.Background(), remote), "portal_store_seconds", nil)
+		if !hop.Context().Sampled {
 			t.Fatal("downstream hop resampled a sampled trace away")
 		}
 		hop.End()
@@ -140,24 +144,6 @@ func TestSamplingDecidedOnceAtRoot(t *testing.T) {
 			t.Fatalf("downstream recorded %d spans, want 1", downC.Len())
 		}
 	})
-}
-
-func TestStartSpanWithoutContextIsInert(t *testing.T) {
-	c := NewCollector(16)
-	ctx, span := c.StartSpan(context.Background(), "pool_put_seconds")
-	if span != nil {
-		t.Fatal("StartSpan promoted a trace-free context to a root")
-	}
-	if _, ok := FromContext(ctx); ok {
-		t.Fatal("StartSpan invented a SpanContext")
-	}
-	span.End()
-	span.SetAttr("k", "v")
-	span.SetStatus("error")
-	span.SetTier("pool")
-	if c.Len() != 0 {
-		t.Fatal("inert span recorded")
-	}
 }
 
 func TestRatioSamplerBoundaries(t *testing.T) {
@@ -187,10 +173,10 @@ func TestRatioSamplerBoundaries(t *testing.T) {
 
 func TestRingEviction(t *testing.T) {
 	c := NewCollector(4)
-	ctx, root := c.StartRoot(context.Background(), "client", "drive")
+	ctx, root := c.StartRoot(context.Background(), "client_drive", nil)
 	root.End()
 	for i := 0; i < 6; i++ {
-		_, s := c.StartSpan(ctx, "portal_store_seconds")
+		_, s := c.StartSpan(ctx, "portal_store_seconds", nil)
 		s.End()
 	}
 	if got := c.Len(); got != 4 {
@@ -209,7 +195,7 @@ func TestRingEviction(t *testing.T) {
 
 func TestBindInstance(t *testing.T) {
 	c := NewCollector(4)
-	_, root := c.StartRoot(context.Background(), "portal", "store_initial")
+	_, root := c.StartRoot(context.Background(), "portal_store_initial_seconds", nil)
 	tid := root.Context().TraceID
 	c.BindInstance("p-123", tid)
 	got, ok := c.InstanceTrace("p-123")
@@ -228,8 +214,8 @@ func TestJSONLOutput(t *testing.T) {
 	c := NewCollector(8)
 	var buf bytes.Buffer
 	c.SetOutput(&buf)
-	ctx, root := c.StartRoot(context.Background(), "client", "drive")
-	_, child := c.StartSpan(ctx, "portal_store_seconds")
+	ctx, root := c.StartRoot(context.Background(), "client_drive", nil)
+	_, child := c.StartSpan(ctx, "portal_store_seconds", nil)
 	child.SetAttr("doc", "X_A(0)")
 	child.End()
 	root.End()
@@ -249,13 +235,13 @@ func TestJSONLOutput(t *testing.T) {
 
 func TestAssembleAndWaterfall(t *testing.T) {
 	c := NewCollector(32)
-	ctx, root := c.StartRoot(context.Background(), "client", "drive")
-	ctx2, portal := c.StartSpan(ctx, "portal_store_seconds")
-	_, pool := c.StartSpan(ctx2, "pool_put_seconds")
+	ctx, root := c.StartRoot(context.Background(), "client_drive", nil)
+	ctx2, portal := c.StartSpan(ctx, "portal_store_seconds", nil)
+	_, pool := c.StartSpan(ctx2, "pool_put_seconds", nil)
 	time.Sleep(time.Millisecond)
 	pool.End()
 	portal.End()
-	_, relaySpan := c.StartSpan(ctx, "relay_delivery_seconds")
+	_, relaySpan := c.StartSpan(ctx, "relay_delivery_seconds", nil)
 	relaySpan.SetStatus("error")
 	relaySpan.End()
 	root.End()
@@ -301,10 +287,42 @@ func TestAssembleOrphanBecomesRoot(t *testing.T) {
 
 func TestDoubleEndRecordsOnce(t *testing.T) {
 	c := NewCollector(8)
-	_, root := c.StartRoot(context.Background(), "client", "drive")
+	_, root := c.StartRoot(context.Background(), "client_drive", nil)
 	root.End()
 	root.End()
 	if c.Len() != 1 {
 		t.Fatalf("double End recorded %d spans", c.Len())
 	}
+}
+
+// FuzzParseTraceparent: no input panics, and every accepted header
+// renders back to its trimmed self — nothing is accepted that the next
+// hop would receive altered.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, s := range []string{
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00",
+		"  00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01\t",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"00-00000000000000000000000000000000-b7ad6b7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-",
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-abc-def-01",
+		"---",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted invalid IDs: %+v", s, sc)
+		}
+		if got, want := sc.Traceparent(), strings.TrimSpace(s); got != want {
+			t.Fatalf("ParseTraceparent(%q) renders back as %q", want, got)
+		}
+	})
 }
