@@ -60,12 +60,15 @@ benchpairs:
 	./scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # benchsmoke compiles and runs every dsig/xmltree/xmlenc/aea benchmark
-# once, so the fast-path benchmarks (BenchmarkVerifyAll,
-# BenchmarkCanonicalMemo, BenchmarkOpenDeepCascade) cannot rot between
-# perf-focused PRs, then regenerates the paper's Table 1 with drabench and
-# checks its -json document carries the table1 rows.
+# and the root pool benchmark (BenchmarkPoolPutGetScan) once, so the
+# fast-path benchmarks (BenchmarkVerifyAll, BenchmarkCanonicalMemo,
+# BenchmarkOpenDeepCascade) and the pool's put/get/scan/parallel mix
+# cannot rot between perf-focused PRs, then regenerates the paper's
+# Table 1 with drabench and checks its -json document carries the table1
+# rows.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/dsig/... ./internal/xmltree/... ./internal/xmlenc/... ./internal/aea/...
+	$(GO) test -run=NONE -bench=BenchmarkPool -benchtime=1x .
 	$(GO) run ./cmd/drabench -experiment table1 -bits 1024 -reps 1 -json | \
 		python3 -c 'import json, sys; rows = json.load(sys.stdin)["table1"]; assert len(rows) == 11, rows; print("drabench table1: %d rows" % len(rows))'
 

@@ -7,7 +7,10 @@
 package dra4wfms
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,8 +279,8 @@ func BenchmarkEngineVsDRA(b *testing.B) {
 	})
 }
 
-// BenchmarkPoolPutGetScan measures document-pool primitives with
-// region splitting enabled.
+// BenchmarkPoolPutGetScan measures document-pool primitives: puts, gets,
+// full and prefix scans over 10k rows, and a parallel mix of the three.
 func BenchmarkPoolPutGetScan(b *testing.B) {
 	b.Run("put4k", func(b *testing.B) {
 		tbl := newBenchTable(b)
@@ -315,16 +318,53 @@ func BenchmarkPoolPutGetScan(b *testing.B) {
 			}
 		}
 	})
+	b.Run("prefixscan100", func(b *testing.B) {
+		tbl := newBenchTable(b)
+		for i := 0; i < 10000; i++ {
+			tbl.Put(fmt.Sprintf("proc-%09d", i), "meta", "state", []byte("running"))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got := len(tbl.Scan(pool.ScanOptions{Prefix: fmt.Sprintf("proc-%07d", i%100)})); got != 100 {
+				b.Fatalf("prefix scan = %d", got)
+			}
+		}
+	})
+	// mix: 5 % prefix scans, 35 % two-cell Mutates (half of them creating
+	// rows), 60 % Gets, from GOMAXPROCS goroutines.
+	b.Run("parallelmix", func(b *testing.B) {
+		tbl := newBenchTable(b)
+		val := make([]byte, 4096)
+		const rows = 10000
+		for i := 0; i < rows; i++ {
+			tbl.Put(fmt.Sprintf("proc-%09d", i), "doc", "content", val)
+		}
+		var seed atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			r := rand.New(rand.NewSource(seed.Add(1)))
+			for pb.Next() {
+				switch op := r.Intn(100); {
+				case op < 5:
+					tbl.Scan(pool.ScanOptions{Prefix: fmt.Sprintf("proc-%07d", r.Intn(rows/100))})
+				case op < 40:
+					if err := tbl.Mutate(context.Background(), fmt.Sprintf("proc-%09d", r.Intn(2*rows)), []pool.CellMutation{
+						{Family: "doc", Qualifier: "content", Value: val},
+						{Family: "meta", Qualifier: "state", Value: []byte("running")},
+					}); err != nil {
+						b.Fatal(err)
+					}
+				default:
+					tbl.Get(fmt.Sprintf("proc-%09d", r.Intn(rows)), "doc", "content")
+				}
+			}
+		})
+	})
 }
 
 func newBenchTable(b *testing.B) *pool.Table {
 	b.Helper()
-	c, err := pool.NewCluster([]string{"rs1", "rs2", "rs3"}, 8<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tbl, err := c.CreateTable("bench",
-		pool.FamilySpec{Name: "doc"}, pool.FamilySpec{Name: "meta"})
+	tbl, err := pool.NewTable("bench", pool.FamilySpec{Name: "doc"}, pool.FamilySpec{Name: "meta"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -347,11 +387,7 @@ func BenchmarkScalabilitySim(b *testing.B) {
 // portal (the user-visible end-to-end cost of Figure 7's deployment).
 func BenchmarkPortalLifecycle(b *testing.B) {
 	env := testenv.Fig9(benchBits)
-	cluster, err := pool.NewCluster([]string{"rs1", "rs2"}, 1<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	table, err := portal.CreateTable(cluster)
+	table, err := pool.NewTable(portal.TableName, portal.Families...)
 	if err != nil {
 		b.Fatal(err)
 	}

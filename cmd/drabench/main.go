@@ -250,14 +250,14 @@ var experiments = []struct {
 			return err
 		}
 		p.doc["poolscale"] = rows
-		fmt.Fprintf(w, "%10s %8s %12s %12s %12s %12s\n",
-			"docs", "regions", "store/doc", "query/doc", "monitor", "stats(MR)")
+		fmt.Fprintf(w, "%10s %12s %12s %12s %12s\n",
+			"docs", "store/doc", "query/doc", "monitor", "stats(MR)")
 		for _, r := range rows {
-			fmt.Fprintf(w, "%10d %8d %10.1fus %10.1fus %10.1fus %10.2fms\n",
-				r.Documents, r.Regions, r.StoreMicrosPerDoc, r.QueryMicrosPerDoc,
+			fmt.Fprintf(w, "%10d %10.1fus %10.1fus %10.1fus %10.2fms\n",
+				r.Documents, r.StoreMicrosPerDoc, r.QueryMicrosPerDoc,
 				r.MonitorMicros, r.StatsMillis)
 		}
-		fmt.Fprintln(w, "expected shape: store/query ~flat with pool size (region routing);")
+		fmt.Fprintln(w, "expected shape: store/query ~flat with pool size (map lookup);")
 		fmt.Fprintln(w, "statistics linear in documents but parallelized by the MR layer.")
 		return nil
 	}},

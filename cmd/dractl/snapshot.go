@@ -46,13 +46,9 @@ func cmdSnapshotSave(args []string) {
 		log.Fatal("snapshot save needs -data-dir and -out")
 	}
 
-	cluster, err := pool.NewCluster([]string{"offline"}, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
 	// The placeholder family only satisfies table creation; recovery
 	// replays cells under their original families regardless.
-	table, err := cluster.CreateTable(*tableName, pool.FamilySpec{Name: "offline"})
+	table, err := pool.NewTable(*tableName, pool.FamilySpec{Name: "offline"})
 	if err != nil {
 		log.Fatal(err)
 	}

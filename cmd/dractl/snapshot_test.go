@@ -13,14 +13,7 @@ import (
 // and crashes without Close, leaving a data dir with a WAL to recover.
 func seedDataDir(t *testing.T, dir string) []pool.KeyValue {
 	t.Helper()
-	cluster, err := pool.NewCluster([]string{"rs1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := cluster.CreateTable("documents",
-		pool.FamilySpec{Name: "doc", MaxVersions: 3},
-		pool.FamilySpec{Name: "meta", MaxVersions: 1},
-	)
+	table, err := pool.NewTable("documents", pool.FamilySpec{Name: "doc"}, pool.FamilySpec{Name: "meta"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +70,7 @@ func TestSnapshotSaveRestoreInspect(t *testing.T) {
 	}
 
 	// A daemon booting on the restored directory must see the saved state.
-	cluster, err := pool.NewCluster([]string{"rs1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := cluster.CreateTable("documents",
-		pool.FamilySpec{Name: "doc", MaxVersions: 3},
-		pool.FamilySpec{Name: "meta", MaxVersions: 1},
-	)
+	table, err := pool.NewTable("documents", pool.FamilySpec{Name: "doc"}, pool.FamilySpec{Name: "meta"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,7 @@ import (
 const instances = 8
 
 func main() {
-	sys, err := core.NewSystem(core.Config{
-		Portals:            2,
-		PoolSplitThreshold: 64 << 10, // 64 KiB: force region splits
-	})
+	sys, err := core.NewSystem(core.Config{Portals: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,8 +80,6 @@ func main() {
 
 	// --- pool state --------------------------------------------------------
 	fmt.Println("\n=== document pool ===")
-	fmt.Printf("region splits on the documents table: %d\n", sys.Cluster.Splits("dra4wfms_documents"))
-
 	stats, err := sys.Monitor.Statistics()
 	if err != nil {
 		log.Fatal(err)

@@ -345,12 +345,9 @@ func TestRunPoolScale(t *testing.T) {
 		if r.StoreMicrosPerDoc <= 0 || r.QueryMicrosPerDoc <= 0 || r.MonitorMicros <= 0 || r.StatsMillis <= 0 {
 			t.Fatalf("row = %+v", r)
 		}
-		if r.Regions < 1 {
-			t.Fatalf("regions = %d", r.Regions)
-		}
 	}
-	// Random query cost stays roughly flat as the pool grows (region
-	// routing + binary search, not linear scan): allow generous slack.
+	// Random query cost stays roughly flat as the pool grows (a map
+	// lookup, not a linear scan): allow generous slack.
 	var q200, q1000 float64
 	for _, r := range rows {
 		if r.Documents == 200 {

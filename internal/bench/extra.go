@@ -13,6 +13,7 @@ import (
 	"dra4wfms/internal/engine"
 	"dra4wfms/internal/monitor"
 	"dra4wfms/internal/pool"
+	"dra4wfms/internal/portal"
 	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/tfc"
 	"dra4wfms/internal/wfdef"
@@ -777,7 +778,6 @@ func RunEngineVsDRA(bits, n int) (*EngineVsDRAResult, error) {
 // monitor-mixed).
 type PoolScaleRow struct {
 	Documents int
-	Regions   int
 	// StoreMicrosPerDoc is the mean per-document store cost.
 	StoreMicrosPerDoc float64
 	// QueryMicrosPerDoc is the mean random-retrieve cost.
@@ -818,14 +818,7 @@ func RunPoolScale(bits int, docCounts []int) ([]PoolScaleRow, error) {
 
 	var rows []PoolScaleRow
 	for _, n := range docCounts {
-		cluster, err := pool.NewCluster([]string{"local"}, 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		tbl, err := cluster.CreateTable("dra4wfms_documents",
-			pool.FamilySpec{Name: "doc", MaxVersions: 3},
-			pool.FamilySpec{Name: "meta", MaxVersions: 1},
-			pool.FamilySpec{Name: "idx", MaxVersions: 1})
+		tbl, err := pool.NewTable(portal.TableName, portal.Families...)
 		if err != nil {
 			return nil, err
 		}
@@ -872,7 +865,6 @@ func RunPoolScale(bits int, docCounts []int) ([]PoolScaleRow, error) {
 		}
 		rows = append(rows, PoolScaleRow{
 			Documents:         n,
-			Regions:           len(tbl.Regions()),
 			StoreMicrosPerDoc: storePer,
 			QueryMicrosPerDoc: queryPer,
 			MonitorMicros:     monMicros,

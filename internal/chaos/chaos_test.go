@@ -259,11 +259,7 @@ func TestGateAndAdminHandler(t *testing.T) {
 }
 
 func TestNodeRefPartitionAndDedup(t *testing.T) {
-	cl, err := pool.NewCluster([]string{"n1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := cl.CreateTable("t", pool.FamilySpec{Name: "doc", MaxVersions: 3})
+	tbl, err := pool.NewTable("t", pool.FamilySpec{Name: "doc"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,13 +124,6 @@ func (r *nodeRef) GetRow(at poolcluster.Barrier, row string) ([]pool.KeyValue, e
 	return r.ref.GetRow(at, row)
 }
 
-func (r *nodeRef) GetVersions(at poolcluster.Barrier, row, family, qualifier string) ([]pool.Cell, error) {
-	if _, err := r.judge(nil); err != nil {
-		return nil, err
-	}
-	return r.ref.GetVersions(at, row, family, qualifier)
-}
-
 func (r *nodeRef) Scan(ctx context.Context, at poolcluster.Barrier, opts pool.ScanOptions) ([]pool.KeyValue, error) {
 	if _, err := r.judge(ctx); err != nil {
 		return nil, err

@@ -67,11 +67,7 @@ func TestClusterScenarios(t *testing.T) {
 			ids := []string{"pool-1", "pool-2", "pool-3"}
 			refs := make([]poolcluster.NodeRef, len(ids))
 			for i, id := range ids {
-				cl, err := pool.NewCluster([]string{id}, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tbl, err := cl.CreateTable("dra4wfms_documents", pool.FamilySpec{Name: "doc", MaxVersions: 3})
+				tbl, err := pool.NewTable("dra4wfms_documents", pool.FamilySpec{Name: "doc"})
 				if err != nil {
 					t.Fatal(err)
 				}

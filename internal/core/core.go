@@ -38,9 +38,6 @@ type Config struct {
 	// KeyBits is the RSA modulus size for enrolled principals (default
 	// pki.DefaultKeyBits).
 	KeyBits int
-	// PoolSplitThreshold triggers region splits (default 1 MiB; 0 keeps
-	// the default, negative disables splitting).
-	PoolSplitThreshold int
 	// Portals is how many portal servers front the pool (default 2).
 	Portals int
 	// Clock drives timestamps (default time.Now).
@@ -53,8 +50,6 @@ type System struct {
 	CA *pki.CA
 	// Registry resolves principals to verified public keys.
 	Registry *pki.Registry
-	// Cluster is the document-pool cluster.
-	Cluster *pool.Cluster
 	// Table is the shared documents table.
 	Table *pool.Table
 	// Portals are the portal servers (all equivalent, all over Table).
@@ -73,12 +68,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.KeyBits == 0 {
 		cfg.KeyBits = pki.DefaultKeyBits
 	}
-	if cfg.PoolSplitThreshold == 0 {
-		cfg.PoolSplitThreshold = 1 << 20
-	}
-	if cfg.PoolSplitThreshold < 0 {
-		cfg.PoolSplitThreshold = 0
-	}
 	if cfg.Portals <= 0 {
 		cfg.Portals = 2
 	}
@@ -90,18 +79,13 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := pool.NewCluster([]string{"local"}, cfg.PoolSplitThreshold)
-	if err != nil {
-		return nil, err
-	}
-	table, err := portal.CreateTable(cluster)
+	table, err := pool.NewTable(portal.TableName, portal.Families...)
 	if err != nil {
 		return nil, err
 	}
 	sys := &System{
 		CA:       ca,
 		Registry: pki.NewRegistry(ca),
-		Cluster:  cluster,
 		Table:    table,
 		Monitor:  monitor.New(table),
 		clock:    cfg.Clock,

@@ -254,13 +254,6 @@ func TestSystemDefaults(t *testing.T) {
 	if len(sys.Portals) != 2 {
 		t.Fatalf("defaults: portals=%d", len(sys.Portals))
 	}
-	if sys.Cluster.SplitThresholdBytes != 1<<20 {
-		t.Fatalf("split threshold = %d", sys.Cluster.SplitThresholdBytes)
-	}
-	sysNoSplit, _ := NewSystem(Config{KeyBits: 1024, PoolSplitThreshold: -1})
-	if sysNoSplit.Cluster.SplitThresholdBytes != 0 {
-		t.Fatal("negative threshold did not disable splitting")
-	}
 }
 
 func TestRoleBasedActivityEndToEnd(t *testing.T) {

@@ -273,10 +273,10 @@ func (e *env) setup(role Role) error {
 // openTable returns the role's table: under -cluster-nodes a
 // read-your-writes session over the drapool fleet (with the cluster and
 // replication-lag readiness checks registered), otherwise a local
-// *pool.Table with the given region split threshold, name and families —
-// crash-safe under -data-dir, and then fully recovered before openTable
-// returns, so /v1/readyz gates on a replayed table.
-func (e *env) openTable(split int, name string, families ...pool.FamilySpec) (pool.DocTable, error) {
+// *pool.Table with the given name and families — crash-safe under
+// -data-dir, and then fully recovered before openTable returns, so
+// /v1/readyz gates on a replayed table.
+func (e *env) openTable(name string, families ...pool.FamilySpec) (pool.DocTable, error) {
 	if e.clusterNodes != "" {
 		refs, err := httpapi.ParseClusterNodes(e.clusterNodes)
 		if err != nil {
@@ -305,11 +305,7 @@ func (e *env) openTable(split int, name string, families ...pool.FamilySpec) (po
 		log.Printf("clustered pool: %d nodes, %d replicas per region", len(refs), pc.Replicas())
 		return pc.NewSession(), nil
 	}
-	cluster, err := pool.NewCluster([]string{"local"}, split)
-	if err != nil {
-		return nil, err
-	}
-	table, err := cluster.CreateTable(name, families...)
+	table, err := pool.NewTable(name, families...)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func wirePortal(fs *flag.FlagSet) builder {
 	clusterStatus := fs.String("cluster-status", "", "file receiving the region-directory snapshot on every topology change, for offline `dractl cluster status -data-dir` (requires -cluster-nodes)")
 	return func(e *env) (http.Handler, error) {
 		e.clusterStatus = *clusterStatus
-		docs, err := e.openTable(1<<20, portal.TableName, portal.Families...)
+		docs, err := e.openTable(portal.TableName, portal.Families...)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +66,7 @@ func wireTFC(*flag.FlagSet) builder {
 	return func(e *env) (http.Handler, error) {
 		server := tfc.New(e.keys, e.registry, time.Now)
 		if e.dataDir != "" || e.clusterNodes != "" {
-			tab, err := e.openTable(0, tfc.JournalTable, tfc.JournalFamily)
+			tab, err := e.openTable(tfc.JournalTable, tfc.JournalFamily)
 			if err != nil {
 				return nil, err
 			}
@@ -96,7 +96,7 @@ func wirePoolNode(fs *flag.FlagSet) builder {
 	nodeID := fs.String("node-id", "", "cluster-unique node ID (required; must match the coordinator's -cluster-nodes entry)")
 	return func(e *env) (http.Handler, error) {
 		e.node = *nodeID
-		tab, err := e.openTable(1<<20, portal.TableName, append(slices.Clone(portal.Families), tfc.JournalFamily)...)
+		tab, err := e.openTable(portal.TableName, append(slices.Clone(portal.Families), tfc.JournalFamily)...)
 		if err != nil {
 			return nil, err
 		}

@@ -50,7 +50,7 @@ const maxClusterBody = 64 << 20
 //	POST /v1/cluster/snapshot    → region snapshot (live cells + seq)
 //	POST /v1/cluster/import      ← snapshot seed
 //	GET  /v1/cluster/node-status → replication progress per region
-//	POST /v1/cluster/get|getrow|versions|scan → reads from the local table
+//	POST /v1/cluster/get|getrow|scan → reads from the local table
 //	                               (409 while short of the read's barrier)
 //
 // plus the standard observability routes (/v1/metrics, /v1/healthz, …).
@@ -83,7 +83,6 @@ func (s *PoolNodeServer) Handler() http.Handler {
 	route("GET /v1/cluster/node-status", s.handleNodeStatus)
 	route("POST /v1/cluster/get", s.handleClusterGet)
 	route("POST /v1/cluster/getrow", s.handleClusterGetRow)
-	route("POST /v1/cluster/versions", s.handleClusterVersions)
 	route("POST /v1/cluster/scan", s.handleClusterScan)
 	registerObservability(mux, s.EnablePprof, s.Probes)
 	return mux
@@ -130,9 +129,6 @@ type (
 	}
 	clusterKVsResp struct {
 		KVs []pool.KeyValue `json:"kvs"`
-	}
-	clusterVersionsResp struct {
-		Cells []pool.Cell `json:"cells"`
 	}
 	clusterScanReq struct {
 		At       poolcluster.Barrier `json:"at"`
@@ -281,22 +277,6 @@ func (s *PoolNodeServer) handleClusterGetRow(w http.ResponseWriter, r *http.Requ
 		kvs = []pool.KeyValue{}
 	}
 	writeJSON(w, clusterKVsResp{KVs: kvs})
-}
-
-func (s *PoolNodeServer) handleClusterVersions(w http.ResponseWriter, r *http.Request) {
-	var req clusterCellReq
-	if !decodeClusterBody(w, r, &req) {
-		return
-	}
-	cells, err := s.Node.GetVersions(req.At, req.Row, req.Family, req.Qualifier)
-	if err != nil {
-		clusterError(w, err)
-		return
-	}
-	if cells == nil {
-		cells = []pool.Cell{}
-	}
-	writeJSON(w, clusterVersionsResp{Cells: cells})
 }
 
 func (s *PoolNodeServer) handleClusterScan(w http.ResponseWriter, r *http.Request) {
@@ -472,16 +452,6 @@ func (n *RemoteNode) GetRow(at poolcluster.Barrier, row string) ([]pool.KeyValue
 		return nil, err
 	}
 	return resp.KVs, nil
-}
-
-// GetVersions reads the retained versions of a cell, newest first.
-func (n *RemoteNode) GetVersions(at poolcluster.Barrier, row, family, qualifier string) ([]pool.Cell, error) {
-	var resp clusterVersionsResp
-	req := clusterCellReq{At: at, Row: row, Family: family, Qualifier: qualifier}
-	if err := n.call(nil, http.MethodPost, "/v1/cluster/versions", req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Cells, nil
 }
 
 // Scan runs a bounded range scan on the node's table. Filter cannot

@@ -21,13 +21,7 @@ import (
 // a coordinator would hold.
 func newPoolNode(t *testing.T, id string) (*poolcluster.Node, *httptest.Server, *RemoteNode) {
 	t.Helper()
-	cl, err := pool.NewCluster([]string{id}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := cl.CreateTable("docs",
-		pool.FamilySpec{Name: "doc", MaxVersions: 3},
-		pool.FamilySpec{Name: "meta", MaxVersions: 1})
+	tbl, err := pool.NewTable("docs", pool.FamilySpec{Name: "doc"}, pool.FamilySpec{Name: "meta"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +197,9 @@ func TestRemoteNodeSnapshotImport(t *testing.T) {
 	if err != nil || applied != 1 {
 		t.Fatalf("imported applied = %d err=%v, want 1", applied, err)
 	}
-	cells, err := dst.GetVersions(poolcluster.Barrier{}, "a-1", "doc", "content")
-	if err != nil || len(cells) != 1 || cells[0].Version != 7 || string(cells[0].Value) != "x" {
-		t.Fatalf("imported cell = %+v err=%v, want version 7 value x", cells, err)
+	row, err := dst.GetRow(poolcluster.Barrier{}, "a-1")
+	if err != nil || len(row) != 1 || row[0].Version != 7 || string(row[0].Value) != "x" {
+		t.Fatalf("imported row = %+v err=%v, want one cell, version 7 value x", row, err)
 	}
 	if recs, complete, err := src.RecordsSince("r", 0); err != nil || !complete || len(recs) != 1 {
 		t.Fatalf("records since 0 = %d complete=%v err=%v", len(recs), complete, err)

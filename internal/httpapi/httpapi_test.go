@@ -34,11 +34,7 @@ type world struct {
 func newWorld(t *testing.T) *world {
 	t.Helper()
 	env := testenv.Fig9(0)
-	cluster, err := pool.NewCluster([]string{"rs1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := portal.CreateTable(cluster)
+	table, err := pool.NewTable(portal.TableName, portal.Families...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,11 +415,7 @@ func TestConcealedWorkflowOverHTTP(t *testing.T) {
 	// condition vault, participants route via the HTTP TFC, predicates
 	// never appear in any payload the participants see.
 	env := testenv.Fig4(0)
-	cluster, err := pool.NewCluster([]string{"rs1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := portal.CreateTable(cluster)
+	table, err := pool.NewTable(portal.TableName, portal.Families...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,11 +68,7 @@ func webhookWorld(t *testing.T) (*world, *PortalServer, *WebhookDispatcher) {
 	t.Helper()
 	w := newWorld(t)
 	w.env.MustRegister("portal@cloud")
-	cluster, err := pool.NewCluster([]string{"rs1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := portal.CreateTable(cluster)
+	table, err := pool.NewTable(portal.TableName, portal.Families...)
 	if err != nil {
 		t.Fatal(err)
 	}

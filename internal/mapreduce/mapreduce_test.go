@@ -11,11 +11,7 @@ import (
 
 func seedTable(t *testing.T, rows int) *pool.Table {
 	t.Helper()
-	c, err := pool.NewCluster([]string{"rs1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := c.CreateTable("docs", pool.FamilySpec{Name: "meta"})
+	tbl, err := pool.NewTable("docs", pool.FamilySpec{Name: "meta"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,7 @@ type world struct {
 func newWorld(t *testing.T) *world {
 	t.Helper()
 	env := testenv.Fig9(0)
-	cluster, err := pool.NewCluster([]string{"rs1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := portal.CreateTable(cluster)
+	table, err := pool.NewTable(portal.TableName, portal.Families...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ type DocTable interface {
 	Delete(row, family, qualifier string) error
 	Get(row, family, qualifier string) ([]byte, bool)
 	GetCtx(ctx context.Context, row, family, qualifier string) ([]byte, bool)
-	GetVersions(row, family, qualifier string) []Cell
 	GetRow(row string) []KeyValue
 	Scan(opts ScanOptions) []KeyValue
 	ScanCtx(ctx context.Context, opts ScanOptions) []KeyValue

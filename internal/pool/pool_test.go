@@ -2,6 +2,7 @@ package pool
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -10,20 +11,25 @@ import (
 	"testing"
 )
 
-func newTable(t *testing.T, split int) *Table {
+// newTable returns an empty table with the portal's doc and meta
+// families. The int is unused; every call site passes 0.
+func newTable(t *testing.T, _ int) *Table {
 	t.Helper()
-	c, err := NewCluster([]string{"rs1", "rs2", "rs3"}, split)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := c.CreateTable("documents",
-		FamilySpec{Name: "doc", MaxVersions: 3},
-		FamilySpec{Name: "meta", MaxVersions: 1},
-	)
+	tbl, err := NewTable("documents", FamilySpec{Name: "doc"}, FamilySpec{Name: "meta"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tbl
+}
+
+func (kv KeyValue) coordLess(other KeyValue) bool {
+	if kv.Row != other.Row {
+		return kv.Row < other.Row
+	}
+	if kv.Family != other.Family {
+		return kv.Family < other.Family
+	}
+	return kv.Qualifier < other.Qualifier
 }
 
 func TestPutGetDelete(t *testing.T) {
@@ -69,27 +75,25 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(nil, 0); err == nil {
-		t.Fatal("empty cluster accepted")
-	}
-	c, _ := NewCluster([]string{"rs1"}, 0)
-	if _, err := c.CreateTable(""); err == nil {
+	if _, err := NewTable(""); err == nil {
 		t.Fatal("empty table name accepted")
 	}
-	if _, err := c.CreateTable("t"); err == nil {
+	if _, err := NewTable("t"); err == nil {
 		t.Fatal("table without families accepted")
 	}
-	if _, err := c.CreateTable("t", FamilySpec{Name: "f"}); err != nil {
+	if _, err := NewTable("t", FamilySpec{Name: "f"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateTable("t", FamilySpec{Name: "f"}); err == nil {
-		t.Fatal("duplicate table accepted")
-	}
-	if _, err := c.Table("t"); err != nil {
+	// The Cluster shim builds the same table and validates the same way.
+	c, err := NewCluster(nil, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Table("nope"); err == nil {
-		t.Fatal("unknown table found")
+	if _, err := c.CreateTable("t"); err == nil {
+		t.Fatal("table without families accepted by the shim")
+	}
+	if tbl, err := c.CreateTable("t", FamilySpec{Name: "f"}); err != nil || tbl.Name() != "t" {
+		t.Fatalf("shim CreateTable = %v, %v", tbl, err)
 	}
 }
 
@@ -162,48 +166,8 @@ func TestScanOrderingAndFilters(t *testing.T) {
 	}
 }
 
-func TestRegionSplitAndRouting(t *testing.T) {
-	tbl := newTable(t, 4096)
-	val := make([]byte, 256)
-	for i := 0; i < 64; i++ {
-		row := fmt.Sprintf("row-%03d", i)
-		if err := tbl.Put(row, "doc", "content", val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	regions := tbl.Regions()
-	if len(regions) < 2 {
-		t.Fatalf("no split happened: %d region(s)", len(regions))
-	}
-	// Regions must tile the key space.
-	if regions[0].Start() != "" || regions[len(regions)-1].End() != "" {
-		t.Fatal("regions do not cover the key space")
-	}
-	for i := 1; i < len(regions); i++ {
-		if regions[i].Start() != regions[i-1].End() {
-			t.Fatalf("gap between regions %d and %d", i-1, i)
-		}
-	}
-	// Every row remains readable after splits.
-	for i := 0; i < 64; i++ {
-		row := fmt.Sprintf("row-%03d", i)
-		if _, ok := tbl.Get(row, "doc", "content"); !ok {
-			t.Fatalf("row %s lost after split", row)
-		}
-	}
-	// Scans still return everything in order.
-	kvs := tbl.Scan(ScanOptions{})
-	if len(kvs) != 64 {
-		t.Fatalf("scan after splits = %d", len(kvs))
-	}
-	// Splits were recorded.
-	if tbl.cluster.Splits("documents") == 0 {
-		t.Fatal("no splits recorded")
-	}
-}
-
 func TestConcurrentClients(t *testing.T) {
-	tbl := newTable(t, 8192)
+	tbl := newTable(t, 0)
 	const goroutines = 8
 	const perG = 100
 	var wg sync.WaitGroup
@@ -228,56 +192,180 @@ func TestConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < perG; i++ {
+			row := fmt.Sprintf("proc-%02d-%03d", g, i)
+			if _, ok := tbl.Get(row, "doc", "content"); !ok {
+				t.Fatalf("row %s not readable", row)
+			}
+		}
+	}
 	kvs := tbl.Scan(ScanOptions{})
 	if len(kvs) != goroutines*perG {
 		t.Fatalf("scan = %d cells, want %d", len(kvs), goroutines*perG)
 	}
 }
 
-// TestPropScanEqualsModel: random operations against the store and a flat
-// model map must agree.
+// TestScansDuringRowCreation: writers keep creating rows at random places
+// in the key order while scanners run. Every scan must come back strictly
+// ordered, so no coordinate twice, and hold each row's two cells together.
+// Meant for -race.
+func TestScansDuringRowCreation(t *testing.T) {
+	tbl := newTable(t, 0)
+	scans := []ScanOptions{{}, {Prefix: "b"}, {StartRow: "a5", EndRow: "c5"}, {Family: "meta", Limit: 50}}
+	stop := make(chan struct{})
+	var writers, scanners sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			r := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 500; i++ {
+				row := fmt.Sprintf("%c%04d", 'a'+r.Intn(4), r.Intn(10000))
+				v := []byte(row)
+				cells := []CellMutation{{Family: "doc", Qualifier: "q", Value: v}, {Family: "meta", Qualifier: "q", Value: v}}
+				if err := tbl.Mutate(context.Background(), row, cells); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for _, opts := range scans {
+		scanners.Add(1)
+		go func(opts ScanOptions) {
+			defer scanners.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				kvs := tbl.Scan(opts)
+				for i := 1; i < len(kvs); i++ {
+					if !kvs[i-1].coordLess(kvs[i]) {
+						t.Errorf("scan %+v: %s/%s/%s then %s/%s/%s", opts,
+							kvs[i-1].Row, kvs[i-1].Family, kvs[i-1].Qualifier, kvs[i].Row, kvs[i].Family, kvs[i].Qualifier)
+						return
+					}
+				}
+				if opts.Family != "" {
+					continue
+				}
+				for i := 0; i < len(kvs); i += 2 {
+					if i+1 == len(kvs) || kvs[i+1].Row != kvs[i].Row {
+						t.Errorf("scan %+v: row %s returned without its second cell", opts, kvs[i].Row)
+						return
+					}
+				}
+			}
+		}(opts)
+	}
+	writers.Wait()
+	close(stop)
+	scanners.Wait()
+}
+
+// TestPropScanEqualsModel: random puts and deletes over row keys that
+// share prefixes, in two families, against a flat model map. Every tenth
+// operation a random scan must return exactly the model's cells inside
+// its bounds, in coordinate order.
 func TestPropScanEqualsModel(t *testing.T) {
 	tbl := newTable(t, 0)
 	model := map[[3]string]string{}
 	r := rand.New(rand.NewSource(2026))
-	rows := []string{"a", "b", "c", "d", "e"}
-	quals := []string{"q1", "q2"}
-	for i := 0; i < 2000; i++ {
-		row := rows[r.Intn(len(rows))]
-		qual := quals[r.Intn(len(quals))]
-		switch r.Intn(10) {
-		case 0:
-			tbl.Delete(row, "doc", qual)
-			delete(model, [3]string{row, "doc", qual})
-		default:
+	pick := func(xs ...string) string { return xs[r.Intn(len(xs))] }
+	rows := []string{"a", "ab", "abc", "abd", "b", "ba", "bab", "c"}
+	bounds := []string{"", "", "a", "aa", "ab", "abc", "abz", "b", "bb", "c", "d"}
+	prefixes := []string{"", "", "a", "ab", "abc", "b", "ba", "x"}
+	for i := 0; i < 3000; i++ {
+		k := [3]string{pick(rows...), pick("doc", "meta"), pick("q1", "q2")}
+		if r.Intn(10) == 0 {
+			tbl.Delete(k[0], k[1], k[2])
+			delete(model, k)
+		} else {
 			v := fmt.Sprintf("v%d", i)
-			tbl.Put(row, "doc", qual, []byte(v))
-			model[[3]string{row, "doc", qual}] = v
+			tbl.Put(k[0], k[1], k[2], []byte(v))
+			model[k] = v
+		}
+		if i%10 != 0 {
+			continue
+		}
+		opts := ScanOptions{
+			StartRow: pick(bounds...), EndRow: pick(bounds...), Prefix: pick(prefixes...),
+			Family: pick("", "doc", "meta"), Limit: []int{0, 0, 1, 3, 8}[r.Intn(5)],
+		}
+		var want []KeyValue
+		for k, v := range model {
+			if k[0] >= opts.StartRow && (opts.EndRow == "" || k[0] < opts.EndRow) &&
+				strings.HasPrefix(k[0], opts.Prefix) && (opts.Family == "" || k[1] == opts.Family) {
+				want = append(want, KeyValue{Row: k[0], Family: k[1], Qualifier: k[2], Cell: Cell{Value: []byte(v)}})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].coordLess(want[j]) })
+		if opts.Limit > 0 && len(want) > opts.Limit {
+			want = want[:opts.Limit]
+		}
+		got := tbl.Scan(opts)
+		if len(got) != len(want) {
+			t.Fatalf("op %d scan %+v: %d cells, model %d", i, opts, len(got), len(want))
+		}
+		for j := range got {
+			if got[j].coordLess(want[j]) || want[j].coordLess(got[j]) || !bytes.Equal(got[j].Value, want[j].Value) {
+				t.Fatalf("op %d scan %+v, cell %d: got %s/%s/%s=%q, model %s/%s/%s=%q", i, opts, j,
+					got[j].Row, got[j].Family, got[j].Qualifier, got[j].Value,
+					want[j].Row, want[j].Family, want[j].Qualifier, want[j].Value)
+			}
 		}
 	}
-	got := tbl.Scan(ScanOptions{})
-	if len(got) != len(model) {
-		t.Fatalf("scan = %d cells, model = %d", len(got), len(model))
-	}
-	for _, kv := range got {
-		want, ok := model[[3]string{kv.Row, kv.Family, kv.Qualifier}]
-		if !ok || want != string(kv.Value) {
-			t.Fatalf("divergence at %s/%s/%s: got %q want %q", kv.Row, kv.Family, kv.Qualifier, kv.Value, want)
-		}
+	if got := tbl.Scan(ScanOptions{}); len(got) != len(model) {
+		t.Fatalf("full scan = %d cells, model = %d", len(got), len(model))
 	}
 }
 
-func TestMaxVersionsBound(t *testing.T) {
+// TestLatestVersionWinsWhateverTheOrder: each cell keeps one version, the
+// highest it was ever given, tombstones included, however late or often
+// the writes arrive.
+func TestLatestVersionWinsWhateverTheOrder(t *testing.T) {
 	tbl := newTable(t, 0)
-	region := tbl.Regions()[0]
-	for i := 0; i < 10; i++ {
-		tbl.Put("r", "doc", "q", []byte(fmt.Sprintf("v%d", i)))
+	apply := func(version int64, cell CellMutation) {
+		t.Helper()
+		if err := tbl.ApplyReplicated(Mutation{Row: "r", Version: version, Cells: []CellMutation{cell}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	region.mu.RLock()
-	nVersions := len(region.rows["r"]["doc"]["q"])
-	region.mu.RUnlock()
-	if nVersions != 3 { // doc family declares MaxVersions 3
-		t.Fatalf("retained versions = %d, want 3", nVersions)
+	put := func(v string) CellMutation { return CellMutation{Family: "doc", Qualifier: "q", Value: []byte(v)} }
+	del := CellMutation{Family: "doc", Qualifier: "q", Del: true}
+	read := func() string {
+		v, ok := tbl.Get("r", "doc", "q")
+		if !ok {
+			return "<none>"
+		}
+		return string(v)
+	}
+	for _, step := range []struct {
+		version int64
+		cell    CellMutation
+		want    string
+	}{
+		{5, put("v5"), "v5"},
+		{3, put("v3"), "v5"},     // older write delivered late
+		{5, put("v5"), "v5"},     // duplicate delivery
+		{7, del, "<none>"},       // tombstone
+		{6, put("v6"), "<none>"}, // older than the tombstone: stays deleted
+		{8, put("v8"), "v8"},     // newer than the tombstone
+		{4, del, "v8"},           // stale tombstone
+	} {
+		apply(step.version, step.cell)
+		if got := read(); got != step.want {
+			t.Fatalf("after version %d: %s, want %s", step.version, got, step.want)
+		}
+	}
+	if row := tbl.GetRow("r"); len(row) != 1 || row[0].Version != 8 {
+		t.Fatalf("row = %+v, want one cell at version 8", row)
+	}
+	if tbl.VersionClock() != 8 {
+		t.Fatalf("version clock = %d, want 8", tbl.VersionClock())
 	}
 }
 
@@ -287,36 +375,6 @@ func TestEmptyValueStoredNotNil(t *testing.T) {
 	got, ok := tbl.Get("r", "doc", "q")
 	if !ok || got == nil || len(got) != 0 {
 		t.Fatalf("nil value put: got %v, %v (a nil value would read as a tombstone)", got, ok)
-	}
-}
-
-func TestGetVersions(t *testing.T) {
-	tbl := newTable(t, 0) // doc family keeps 3 versions
-	for i := 1; i <= 5; i++ {
-		tbl.Put("r", "doc", "q", []byte(fmt.Sprintf("v%d", i)))
-	}
-	vs := tbl.GetVersions("r", "doc", "q")
-	if len(vs) != 3 {
-		t.Fatalf("versions = %d, want 3", len(vs))
-	}
-	if string(vs[0].Value) != "v5" || string(vs[2].Value) != "v3" {
-		t.Fatalf("version order: %q ... %q", vs[0].Value, vs[2].Value)
-	}
-	tbl.Put("r", "doc", "q", []byte("v6"))
-	vs = tbl.GetVersions("r", "doc", "q")
-	if len(vs) < 2 || string(vs[0].Value) != "v6" || string(vs[1].Value) != "v5" {
-		t.Fatalf("after one more put: %v", vs)
-	}
-	// A tombstone cuts history.
-	tbl.Delete("r", "doc", "q")
-	if vs := tbl.GetVersions("r", "doc", "q"); len(vs) != 0 {
-		t.Fatalf("versions after delete = %v", vs)
-	}
-	if vs := tbl.GetVersions("", "doc", "q"); vs != nil {
-		t.Fatal("empty row returned versions")
-	}
-	if vs := tbl.GetVersions("ghost", "doc", "q"); len(vs) != 0 {
-		t.Fatal("ghost row returned versions")
 	}
 }
 

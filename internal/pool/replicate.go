@@ -86,8 +86,4 @@ func (t *Table) ApplyReplicated(m Mutation) error {
 // VersionClock returns the table's current logical version clock. A
 // cluster coordinator seeds its global clock from the maximum across its
 // nodes on startup, so versions keep ascending across restarts.
-func (t *Table) VersionClock() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.seq
-}
+func (t *Table) VersionClock() int64 { return t.seq.Load() }

@@ -11,8 +11,8 @@ import (
 // Snapshot support: a table's full live state can be exported to a stream
 // and imported into a freshly created table — the operational escape hatch
 // for the in-memory pool (backups, process restarts of cmd/draportal,
-// migrations between clusters). The snapshot holds the latest live version
-// of every cell; tombstoned and superseded versions are not carried.
+// migrations between clusters). The snapshot holds every live cell with
+// its version; tombstones are not carried.
 //
 // The same stream format doubles as the Store checkpoint format: a
 // checkpoint is a snapshot whose header additionally records the WAL

@@ -61,33 +61,6 @@ func TestSnapshotSkipsTombstonedCells(t *testing.T) {
 
 // TestSnapshotMultiVersionFamilies: export carries only the latest live
 // version of each cell, even when the family retains several.
-func TestSnapshotMultiVersionFamilies(t *testing.T) {
-	src := newTable(t, 0) // family "doc" keeps MaxVersions: 3
-	for _, v := range []string{"v1", "v2", "v3"} {
-		if err := src.Put("row", "doc", "xml", []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := src.GetVersions("row", "doc", "xml"); len(got) != 3 {
-		t.Fatalf("fixture holds %d versions, want 3", len(got))
-	}
-
-	var buf bytes.Buffer
-	if err := src.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := newTable(t, 0)
-	if _, err := dst.Import(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := dst.Get("row", "doc", "xml"); string(got) != "v3" {
-		t.Fatalf("imported latest = %q, want v3", got)
-	}
-	if got := dst.GetVersions("row", "doc", "xml"); len(got) != 1 {
-		t.Fatalf("import carried %d versions, want only the latest", len(got))
-	}
-}
-
 func TestSnapshotImportIntoNonEmptyTable(t *testing.T) {
 	src := newTable(t, 0)
 	if err := src.Put("row", "doc", "xml", []byte("v")); err != nil {

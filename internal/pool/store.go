@@ -294,13 +294,14 @@ func (s *Store) checkpointFiles() ([]string, error) {
 // logMutation journals one mutation and applies it to the table. It is
 // the table-mutator entry point: the record is durable (per the fsync
 // policy) before the table sees it.
-func (s *Store) logMutation(m Mutation) (*Region, error) {
+func (s *Store) logMutation(m Mutation) error {
 	s.applyMu.RLock()
 	defer s.applyMu.RUnlock()
 	if err := s.appendRec(m); err != nil {
-		return nil, err
+		return err
 	}
-	return s.table.applyMem(m), nil
+	s.table.applyMem(m)
+	return nil
 }
 
 // appendRec journals m as one frame: one append and, unless NoFsync, one

@@ -609,13 +609,13 @@ func heapGrowth(f func()) int64 {
 	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
-// TestOverwritesDoNotPinOldVersions: a MaxVersions-1 cell overwritten 200
-// times with 1 MiB must retain about one value, in memory and through a
-// durable store. The in-memory region WAL this package used to keep pinned
+// TestOverwritesDoNotPinOldVersions: a cell overwritten 200 times with
+// 1 MiB must retain about one value, in memory and through a durable
+// store. The in-memory region WAL this package used to keep pinned
 // every version ever written (~200 MiB here) for the life of the process.
 func TestOverwritesDoNotPinOldVersions(t *testing.T) {
 	for _, durable := range []bool{false, true} {
-		tbl := newTable(t, 0) // meta family: MaxVersions 1
+		tbl := newTable(t, 0)
 		if durable {
 			s, _, err := Open(tbl, t.TempDir(), StoreOptions{NoFsync: true})
 			if err != nil {

@@ -71,7 +71,7 @@ func decodeWALRec(payload []byte) (walRec, error) {
 }
 
 // mutation rebuilds the journaled write. A nil and an empty put value
-// encode alike (omitempty drops both); Region.apply stores either as the
+// encode alike (omitempty drops both); the table stores either as the
 // empty value, Del alone makes a tombstone.
 func (r walRec) mutation() Mutation {
 	m := Mutation{Row: r.Row, Version: r.Version, Cells: r.Cells}

@@ -18,13 +18,7 @@ import (
 // testNode builds an in-process node with the standard document families.
 func testNode(t *testing.T, id string) *Node {
 	t.Helper()
-	cl, err := pool.NewCluster([]string{id}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := cl.CreateTable("docs",
-		pool.FamilySpec{Name: "doc", MaxVersions: 3},
-		pool.FamilySpec{Name: "meta", MaxVersions: 1})
+	tbl, err := pool.NewTable("docs", pool.FamilySpec{Name: "doc"}, pool.FamilySpec{Name: "meta"})
 	if err != nil {
 		t.Fatal(err)
 	}

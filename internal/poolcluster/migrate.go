@@ -9,10 +9,9 @@ import (
 
 // Region migration holds the region's entry lock for the duration of the
 // move, so concurrent writers simply block and then proceed against the
-// new owner — the same wait-and-retry discipline pool.putKV uses for
-// offline regions during splits. Nothing is lost mid-move: the snapshot
-// is taken only once the outgoing primary has applied every acknowledged
-// record, and the sequence numbering continues unbroken across the swap.
+// new owner. Nothing is lost mid-move: the snapshot is taken only once
+// the outgoing primary has applied every acknowledged record, and the
+// sequence numbering continues unbroken across the swap.
 
 // migrateQuiesce bounds how long a migration waits for the outgoing
 // primary to finish applying acknowledged records before giving up.

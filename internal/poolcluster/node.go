@@ -87,7 +87,6 @@ type NodeRef interface {
 	// barrier; a node short of it answers ErrBehind instead of stale data.
 	Get(ctx context.Context, at Barrier, row, family, qualifier string) ([]byte, bool, error)
 	GetRow(at Barrier, row string) ([]pool.KeyValue, error)
-	GetVersions(at Barrier, row, family, qualifier string) ([]pool.Cell, error)
 	Scan(ctx context.Context, at Barrier, opts pool.ScanOptions) ([]pool.KeyValue, error)
 }
 
@@ -325,14 +324,6 @@ func (n *Node) GetRow(at Barrier, row string) ([]pool.KeyValue, error) {
 		return nil, err
 	}
 	return n.table.GetRow(row), nil
-}
-
-// GetVersions serves a versioned read from the local table.
-func (n *Node) GetVersions(at Barrier, row, family, qualifier string) ([]pool.Cell, error) {
-	if err := n.readable(at); err != nil {
-		return nil, err
-	}
-	return n.table.GetVersions(row, family, qualifier), nil
 }
 
 // Scan serves a range scan from the local table.

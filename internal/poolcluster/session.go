@@ -176,18 +176,6 @@ func (s *Session) GetRow(row string) (kvs []pool.KeyValue) {
 	return kvs
 }
 
-// GetVersions returns the retained versions of a cell, newest first.
-func (s *Session) GetVersions(row, family, qualifier string) (cells []pool.Cell) {
-	if row == "" {
-		return nil
-	}
-	s.read(s.c.entryFor(row), func(ref NodeRef, at Barrier) (err error) {
-		cells, err = ref.GetVersions(at, row, family, qualifier)
-		return err
-	})
-	return cells
-}
-
 // Scan merges per-region scans in directory order, which is global row
 // order — the range directory's payoff: each scan span touches only the
 // nodes owning it. Filter and Limit are applied client-side (a filter

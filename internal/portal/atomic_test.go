@@ -91,11 +91,7 @@ type hopBackend struct {
 }
 
 func memoryBackend(t *testing.T, _ string) hopBackend {
-	cluster, err := pool.NewCluster([]string{"rs1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := CreateTable(cluster)
+	table, err := pool.NewTable(TableName, Families...)
 	if err != nil {
 		t.Fatal(err)
 	}

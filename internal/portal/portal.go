@@ -55,18 +55,15 @@ var (
 )
 
 // Column families of the documents table.
-var Families = []pool.FamilySpec{
-	{Name: "doc", MaxVersions: 3},
-	{Name: "meta", MaxVersions: 1},
-	{Name: "idx", MaxVersions: 1},
-}
+var Families = []pool.FamilySpec{{Name: "doc"}, {Name: "meta"}, {Name: "idx"}}
 
 // TableName is the pool table portals use.
 const TableName = "dra4wfms_documents"
 
-// CreateTable declares the documents table on a cluster.
-func CreateTable(c *pool.Cluster) (*pool.Table, error) {
-	return c.CreateTable(TableName, Families...)
+// CreateTable is pool.NewTable(TableName, Families...), a shim kept for
+// benchmarks/system/replay.go, its only caller; it goes with pool.Cluster.
+func CreateTable(*pool.Cluster) (*pool.Table, error) {
+	return pool.NewTable(TableName, Families...)
 }
 
 // Errors.

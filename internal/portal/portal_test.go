@@ -27,11 +27,7 @@ type cloud struct {
 func newCloud(t *testing.T) *cloud {
 	t.Helper()
 	env := testenv.Fig9(0)
-	cluster, err := pool.NewCluster([]string{"rs1", "rs2"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := CreateTable(cluster)
+	table, err := pool.NewTable(TableName, Families...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ const (
 
 // JournalFamily is the column family every table holding a forwarding log
 // declares.
-var JournalFamily = pool.FamilySpec{Name: "rec", MaxVersions: 1}
+var JournalFamily = pool.FamilySpec{Name: "rec"}
 
 func journalRow(n uint64) string { return fmt.Sprintf(journalPrefix+"%020d", n) }
 

@@ -12,11 +12,7 @@ import (
 
 func journalTable(t *testing.T, extra ...pool.FamilySpec) *pool.Table {
 	t.Helper()
-	c, err := pool.NewCluster([]string{"rs"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := c.CreateTable(JournalTable, append(extra, JournalFamily)...)
+	tab, err := pool.NewTable(JournalTable, append(extra, JournalFamily)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +147,7 @@ func TestJournalRefusesDamagedRows(t *testing.T) {
 // On a clustered pool the table is shared with the portal's rows; only
 // rows under the journal prefix are the forwarding log.
 func TestJournalReadsOnlyItsPrefix(t *testing.T) {
-	tab := journalTable(t, pool.FamilySpec{Name: "doc", MaxVersions: 1})
+	tab := journalTable(t, pool.FamilySpec{Name: "doc"})
 	for _, put := range [][3]string{
 		{"proc-1", "doc", "<xml/>"},
 		{"proc-1", JournalFamily.Name, "not a record"},

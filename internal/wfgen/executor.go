@@ -12,9 +12,12 @@ import (
 	"dra4wfms/internal/wfdef"
 )
 
-// Executor drives a generated workflow to completion under the basic
-// operational model, choosing random decision values (with loop exits
-// forced after LoopBudget iterations so every run terminates).
+// maxSteps aborts runaway executions.
+const maxSteps = 500
+
+// Executor drives a generated workflow to completion, choosing random
+// decision values (with loop exits forced after LoopBudget iterations so
+// every run terminates).
 type Executor struct {
 	// Gen is the generated workflow.
 	Gen *Generated
@@ -25,96 +28,33 @@ type Executor struct {
 	// LoopBudget bounds how often each loop variable may come up true
 	// (default 2).
 	LoopBudget int
-	// MaxSteps aborts runaway executions (default 500).
-	MaxSteps int
 
 	loopUses map[string]int
 }
 
-// Run executes the instance starting from the given initial document and
-// returns the final document. Every routed branch document is merged into
-// a single logical inbox, mirroring what a portal does.
-func (e *Executor) Run(r *rand.Rand, initial *document.Document, now time.Time) (*document.Document, error) {
-	if e.LoopBudget <= 0 {
-		e.LoopBudget = 2
-	}
-	if e.MaxSteps <= 0 {
-		e.MaxSteps = 500
-	}
-	e.loopUses = map[string]int{}
+// step executes one activity and returns the document that follows it.
+type step func(agent *aea.AEA, current *document.Document, act string, inputs aea.Inputs) (*document.Document, error)
 
-	agents := map[string]*aea.AEA{}
-	def := e.Gen.Def
-	current := initial
-	for steps := 0; ; steps++ {
-		if steps > e.MaxSteps {
-			return nil, fmt.Errorf("wfgen: execution exceeded %d steps", e.MaxSteps)
-		}
-		enabled, completed, err := document.Enabled(def, current)
-		if err != nil {
-			return nil, err
-		}
-		if completed {
-			return current, nil
-		}
-		if len(enabled) == 0 {
-			return nil, fmt.Errorf("wfgen: stuck (no enabled activity, not completed):\n%s", current.Summary())
-		}
-		act := enabled[r.Intn(len(enabled))]
-		participant := def.Activity(act).Participant
-		agent, ok := agents[participant]
-		if !ok {
-			agent = aea.New(e.Keys[participant], e.Registry)
-			agents[participant] = agent
-		}
-		inputs := e.inputsFor(r, def.Activity(act))
+// Run executes the instance under the basic operational model, starting
+// from the given initial document, and returns the final document. Every
+// routed branch document is merged into a single logical inbox, mirroring
+// what a portal does.
+func (e *Executor) Run(r *rand.Rand, initial *document.Document, now time.Time) (*document.Document, error) {
+	return e.run(r, initial, func(agent *aea.AEA, current *document.Document, act string, inputs aea.Inputs) (*document.Document, error) {
 		out, err := agent.Execute(current, act, inputs, now)
 		if err != nil {
 			return nil, fmt.Errorf("wfgen: executing %s: %w", act, err)
 		}
-		// Merge all routed branches back into one logical document (the
-		// portal's view); out.Doc already contains everything.
-		current = out.Doc
-	}
+		// out.Doc already holds every routed branch: the portal's view.
+		return out.Doc, nil
+	})
 }
 
 // RunAdvanced executes the instance under the advanced operational model:
 // every step goes AEA → TFC server → next. The generated definition must
 // declare the server's principal as its TFC.
 func (e *Executor) RunAdvanced(r *rand.Rand, initial *document.Document, server *tfc.Server) (*document.Document, error) {
-	if e.LoopBudget <= 0 {
-		e.LoopBudget = 2
-	}
-	if e.MaxSteps <= 0 {
-		e.MaxSteps = 500
-	}
-	e.loopUses = map[string]int{}
-
-	agents := map[string]*aea.AEA{}
-	def := e.Gen.Def
-	current := initial
-	for steps := 0; ; steps++ {
-		if steps > e.MaxSteps {
-			return nil, fmt.Errorf("wfgen: execution exceeded %d steps", e.MaxSteps)
-		}
-		enabled, completed, err := document.Enabled(def, current)
-		if err != nil {
-			return nil, err
-		}
-		if completed {
-			return current, nil
-		}
-		if len(enabled) == 0 {
-			return nil, fmt.Errorf("wfgen: stuck (no enabled activity, not completed):\n%s", current.Summary())
-		}
-		act := enabled[r.Intn(len(enabled))]
-		participant := def.Activity(act).Participant
-		agent, ok := agents[participant]
-		if !ok {
-			agent = aea.New(e.Keys[participant], e.Registry)
-			agents[participant] = agent
-		}
-		inputs := e.inputsFor(r, def.Activity(act))
+	return e.run(r, initial, func(agent *aea.AEA, current *document.Document, act string, inputs aea.Inputs) (*document.Document, error) {
 		interm, err := agent.ExecuteToTFC(current, act, inputs)
 		if err != nil {
 			return nil, fmt.Errorf("wfgen: executing %s to TFC: %w", act, err)
@@ -123,7 +63,45 @@ func (e *Executor) RunAdvanced(r *rand.Rand, initial *document.Document, server 
 		if err != nil {
 			return nil, fmt.Errorf("wfgen: TFC after %s: %w", act, err)
 		}
-		current = out.Doc
+		return out.Doc, nil
+	})
+}
+
+// run picks a random enabled activity and applies next to it until the
+// instance completes.
+func (e *Executor) run(r *rand.Rand, initial *document.Document, next step) (*document.Document, error) {
+	if e.LoopBudget <= 0 {
+		e.LoopBudget = 2
+	}
+	e.loopUses = map[string]int{}
+
+	agents := map[string]*aea.AEA{}
+	def := e.Gen.Def
+	current := initial
+	for steps := 0; ; steps++ {
+		if steps > maxSteps {
+			return nil, fmt.Errorf("wfgen: execution exceeded %d steps", maxSteps)
+		}
+		enabled, completed, err := document.Enabled(def, current)
+		if err != nil {
+			return nil, err
+		}
+		if completed {
+			return current, nil
+		}
+		if len(enabled) == 0 {
+			return nil, fmt.Errorf("wfgen: stuck (no enabled activity, not completed):\n%s", current.Summary())
+		}
+		act := enabled[r.Intn(len(enabled))]
+		participant := def.Activity(act).Participant
+		agent, ok := agents[participant]
+		if !ok {
+			agent = aea.New(e.Keys[participant], e.Registry)
+			agents[participant] = agent
+		}
+		if current, err = next(agent, current, act, e.inputsFor(r, def.Activity(act))); err != nil {
+			return nil, err
+		}
 	}
 }
 
