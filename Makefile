@@ -59,15 +59,15 @@ benchquick:
 benchpairs:
 	./scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
-# benchsmoke compiles and runs every dsig/xmltree/xmlenc/aea benchmark
-# and the root pool benchmark (BenchmarkPoolPutGetScan) once, so the
-# fast-path benchmarks (BenchmarkVerifyAll, BenchmarkCanonicalMemo,
-# BenchmarkOpenDeepCascade) and the pool's put/get/scan/parallel mix
-# cannot rot between perf-focused PRs, then regenerates the paper's
-# Table 1 with drabench and checks its -json document carries the table1
-# rows.
+# benchsmoke compiles and runs every dsig/xmltree/xmlenc/aea/httpapi
+# benchmark and the root pool benchmark (BenchmarkPoolPutGetScan) once, so
+# the fast-path benchmarks (BenchmarkVerifyAll, BenchmarkCanonicalMemo,
+# BenchmarkOpenDeepCascade, BenchmarkSignVerifyRequest per request suite,
+# BenchmarkNonceRemember) and the pool's put/get/scan/parallel mix cannot
+# rot between perf-focused PRs, then regenerates the paper's Table 1 with
+# drabench and checks its -json document carries the table1 rows.
 benchsmoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/dsig/... ./internal/xmltree/... ./internal/xmlenc/... ./internal/aea/...
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/dsig/... ./internal/xmltree/... ./internal/xmlenc/... ./internal/aea/... ./internal/httpapi/...
 	$(GO) test -run=NONE -bench=BenchmarkPool -benchtime=1x .
 	$(GO) run ./cmd/drabench -experiment table1 -bits 1024 -reps 1 -json | \
 		python3 -c 'import json, sys; rows = json.load(sys.stdin)["table1"]; assert len(rows) == 11, rows; print("drabench table1: %d rows" % len(rows))'
@@ -82,14 +82,17 @@ faults:
 	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestReceiverIdempotency|TestOutbox' ./internal/relay/ ./internal/httpapi/ ./internal/wal/
 
 # fuzzsmoke runs the log-format fuzz target, the pool's record-payload
-# target, the XML parser's differential target (against encoding/xml)
-# and the traceparent parser's round-trip target for ten seconds each;
-# plain `go test` already replays their seed corpora on every run.
+# target, the XML parser's differential target (against encoding/xml),
+# the traceparent parser's round-trip target and the request
+# authenticator's target (accepts only genuinely signed header tuples)
+# for ten seconds each; plain `go test` already replays their seed
+# corpora on every run.
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpen -fuzztime=10s ./internal/wal/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRec -fuzztime=10s ./internal/pool/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/xmltree/
 	$(GO) test -run=NONE -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
+	$(GO) test -run=NONE -fuzz=FuzzVerifyRequest -fuzztime=10s ./internal/httpapi/
 
 # loc prints the non-test, non-comment Go line count ROADMAP tracks.
 loc:

@@ -109,9 +109,9 @@ func (s *System) Portal(i int) *portal.Portal {
 }
 
 // Enroll generates a key pair for the principal, has the CA issue a
-// certificate (valid one year from the system clock), registers it, and
-// returns the key pair. Enrolling an existing principal returns the
-// existing keys.
+// certificate binding both its RSA and Ed25519 halves (valid one year
+// from the system clock), registers it, and returns the key pair.
+// Enrolling an existing principal returns the existing keys.
 func (s *System) Enroll(id string, roles ...string) (*pki.KeyPair, error) {
 	if kp, ok := s.keys[id]; ok {
 		return kp, nil
@@ -127,8 +127,8 @@ func (s *System) Enroll(id string, roles ...string) (*pki.KeyPair, error) {
 			break
 		}
 	}
-	cert, err := s.CA.Issue(pki.Identity{ID: id, DisplayName: id, Org: org, Roles: roles},
-		kp.Public(), s.clock(), 365*24*time.Hour)
+	cert, err := s.CA.IssueKeys(pki.Identity{ID: id, DisplayName: id, Org: org, Roles: roles},
+		kp, s.clock(), 365*24*time.Hour)
 	if err != nil {
 		return nil, err
 	}
@@ -145,8 +145,8 @@ func (s *System) EnrollWithKeys(kp *pki.KeyPair, roles ...string) error {
 	if _, ok := s.keys[kp.Owner]; ok {
 		return nil
 	}
-	cert, err := s.CA.Issue(pki.Identity{ID: kp.Owner, DisplayName: kp.Owner, Roles: roles},
-		kp.Public(), s.clock(), 365*24*time.Hour)
+	cert, err := s.CA.IssueKeys(pki.Identity{ID: kp.Owner, DisplayName: kp.Owner, Roles: roles},
+		kp, s.clock(), 365*24*time.Hour)
 	if err != nil {
 		return err
 	}

@@ -88,7 +88,7 @@ func (t *HTTPTransport) Deliver(ctx context.Context, e relay.Entry) error {
 	}
 	// The relay put the entry's persisted trace context into ctx; forward
 	// it so the receiving tier joins the same trace. Signature-safe:
-	// SignRequest covers method, path, date, nonce, and body only.
+	// SignRequest covers algorithm, method, path, date, nonce, and body.
 	if tp := trace.TraceparentFromContext(ctx); tp != "" {
 		req.Header.Set(TraceparentHeader, tp)
 	}
