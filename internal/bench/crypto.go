@@ -138,10 +138,6 @@ func RunCrypto(bits, reps int) ([]CryptoRow, error) {
 	}
 	env := testenv.Fig9(bits)
 
-	// One shared pool, as in a real process; fresh caches make runs cold.
-	pool := dsig.NewVerifyPool(0, 0)
-	defer pool.Close()
-
 	var rows []CryptoRow
 	for _, alg := range []string{dsig.SignatureAlg, dsig.SignatureAlgEd25519} {
 		suite, ok := dsig.SuiteFor(alg)
@@ -185,7 +181,8 @@ func RunCrypto(bits, reps int) ([]CryptoRow, error) {
 		}
 
 		coldVerify, err := timeMedian(1, reps, func() error {
-			v := &dsig.Verifier{Cache: dsig.NewCache(dsig.DefaultCacheSize), Pool: pool}
+			// A fresh cache per rep keeps every rep cold.
+			v := &dsig.Verifier{Cache: dsig.NewCache(dsig.DefaultCacheSize)}
 			var verr error
 			sigs, verr = doc.VerifyAllWith(v, env.Registry)
 			return verr
@@ -198,7 +195,7 @@ func RunCrypto(bits, reps int) ([]CryptoRow, error) {
 			Verify: coldVerify, Sign: sign, Hop: coldVerify + sign,
 		})
 
-		warm := &dsig.Verifier{Cache: dsig.NewCache(dsig.DefaultCacheSize), Pool: pool}
+		warm := &dsig.Verifier{Cache: dsig.NewCache(dsig.DefaultCacheSize)}
 		warmVerify, err := timeMedian(1, reps, func() error {
 			var verr error
 			sigs, verr = doc.VerifyAllWith(warm, env.Registry)

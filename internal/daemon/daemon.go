@@ -82,11 +82,10 @@ type env struct {
 	fsync      bool
 	checkpoint time.Duration
 	// trust/crypto/trace/admission group (coordinators)
-	trust, key                 string
-	verifyWorkers, verifyCache int
-	suite, traceOut            string
-	traceSample                float64
-	maxInflight                int
+	trust, key      string
+	suite, traceOut string
+	traceSample     float64
+	maxInflight     int
 	// cluster-client group (coordinators)
 	clusterNodes, clusterWAL string
 	replicas                 int
@@ -150,8 +149,6 @@ func (role Role) flagSet(e *env) (*flag.FlagSet, builder) {
 	}
 	fs.StringVar(&e.trust, "trust", "deploy/trust.json", "trust bundle path")
 	fs.StringVar(&e.key, "key", "", "this server's private-key PEM (dratfc: required; draportal: enables signed webhook notifications)")
-	fs.IntVar(&e.verifyWorkers, "verify-workers", 0, "max concurrent signature verifications per document (0 = all cores, 1 = serial)")
-	fs.IntVar(&e.verifyCache, "verify-cache", dsig.DefaultCacheSize, "verified-prefix cache entries (0 disables the cache)")
 	fs.StringVar(&e.suite, "suite", dsig.SignatureAlg, "signature suite for locally produced signatures; verification always honors each signature's recorded algorithm")
 	fs.StringVar(&e.traceOut, "trace-out", "", "append finished trace spans to this file as JSONL (empty disables the export; GET /v1/traces always serves the in-memory ring)")
 	fs.Float64Var(&e.traceSample, "trace-sample", 1, "fraction of locally rooted traces to record, 0..1; hops continuing an inbound traceparent honor its sampled flag instead")
@@ -214,9 +211,9 @@ func checkFlags(fs *flag.FlagSet, required string) error {
 	return nil
 }
 
-// setup is the process-wide half of boot: verifier pool and signature
-// suite, trace sampling and export, slow-operation logging, and for
-// coordinators the trust registry and the server's own key.
+// setup is the process-wide half of boot: signature suite, trace
+// sampling and export, slow-operation logging, and for coordinators the
+// trust registry and the server's own key.
 func (e *env) setup(role Role) error {
 	if e.slowOps > 0 {
 		trace.Default().SetSlowOpThreshold(e.slowOps)
@@ -226,7 +223,6 @@ func (e *env) setup(role Role) error {
 	if !role.coordinator {
 		return nil
 	}
-	dsig.Configure(e.verifyWorkers, e.verifyCache)
 	if err := dsig.ConfigureSuite(e.suite); err != nil {
 		return fmt.Errorf("-suite: %w", err)
 	}
@@ -336,8 +332,8 @@ func (e *env) openTable(name string, families ...pool.FamilySpec) (pool.DocTable
 // admission is the -max-inflight gate: nil (admit everything) when the
 // flag is 0, otherwise a bound on in-flight requests that sheds the
 // excess with 429 before any RSA work is bought, writes before reads.
-// Pressure signals — the shared verify pool's depth and, when given, the
-// webhook relay's backlog — shed writes early.
+// When given, the webhook relay's backlog is a pressure signal that
+// sheds writes early.
 func (e *env) admission(relayPending func() int) *httpapi.Admission {
 	if e.maxInflight <= 0 {
 		return nil
@@ -345,7 +341,6 @@ func (e *env) admission(relayPending func() int) *httpapi.Admission {
 	log.Printf("admission control: max %d in-flight requests", e.maxInflight)
 	return httpapi.NewAdmission(httpapi.AdmissionConfig{
 		MaxInFlight:  e.maxInflight,
-		VerifyDepth:  dsig.PoolDepth,
 		RelayPending: relayPending,
 	})
 }

@@ -474,8 +474,8 @@ func (d *Document) AppendCER(spec AppendSpec) (CER, error) {
 // (intermediate CERs are participant-signed, final advanced CERs are
 // TFC-signed; callers with a definition can check executor assignment).
 // It returns the total number of signatures verified — the quantity behind
-// the paper's α column — and uses the process-wide default dsig verifier
-// (parallel workers plus the verified-prefix cache).
+// the paper's α column — and uses dsig.DefaultVerifier (fanned out over
+// the verify slots, with the verified-prefix cache).
 func (d *Document) VerifyAll(resolver dsig.KeyResolver) (int, error) {
 	return d.VerifyAllWith(dsig.DefaultVerifier(), resolver)
 }
@@ -488,8 +488,8 @@ func (d *Document) VerifyAllCtx(ctx context.Context, resolver dsig.KeyResolver) 
 }
 
 // VerifyAllWith is VerifyAll with an explicit verifier, letting callers
-// (benchmarks, ablations, servers with custom knobs) pick the worker count
-// and prefix cache instead of the process-wide default.
+// (benchmarks, ablations) pick serial verification or their own prefix
+// cache instead of the process-wide default.
 //
 // The cheap structural checks run serially first; the signatures then
 // verify as one batch sharing a single id→digest index, so on failure the
@@ -545,6 +545,10 @@ func (d *Document) verifyAllWithCtx(ctx context.Context, v *dsig.Verifier, resol
 	}
 	n, idx, err := v.VerifyBatchCtx(ctx, d.Root, sigs, resolver)
 	if err != nil {
+		if idx < 0 {
+			// No single signature failed: the batch was refused whole.
+			return n, fmt.Errorf("document: %w", err)
+		}
 		if idx == 0 {
 			return n, fmt.Errorf("document: designer signature: %w", err)
 		}

@@ -1,7 +1,9 @@
 package document
 
 import (
+	"context"
 	"crypto/rsa"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -302,6 +304,46 @@ func TestTamperAnywhereDetected(t *testing.T) {
 		if _, err := d.VerifyAll(resolver); err == nil {
 			t.Errorf("%s: tamper not detected", m.name)
 		}
+	}
+}
+
+// TestSignatureWrappingRejected plants a signed copy of a CER's Result
+// ahead of the CER, under the same Id, and forges the Result the CER
+// carries: the signature must not vouch for the forgery through the copy.
+func TestSignatureWrappingRejected(t *testing.T) {
+	doc, _ := runFig9(t)
+	cer, ok := doc.FindCER(KindFinal, "D", 1)
+	if !ok {
+		t.Fatal("no final CER D#1")
+	}
+	doc.Root.InsertChild(0, cer.Result().Clone())
+	for _, f := range Fields(cer.Result()) {
+		if f.AttrDefault("Variable", "") == "accept" {
+			f.SetText("false")
+		}
+	}
+	if got := doc.Values()["accept"]; got != "false" {
+		t.Fatalf("forged accept = %q, want the forged value visible", got)
+	}
+	parsed, err := Parse(doc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*Document{"in memory": doc, "parsed": parsed} {
+		n, err := d.VerifyAll(fig9Resolver())
+		if !errors.Is(err, dsig.ErrDuplicateID) || !strings.Contains(err.Error(), "res-D-1") {
+			t.Fatalf("%s: VerifyAll = %d, %v; want ErrDuplicateID naming res-D-1", name, n, err)
+		}
+	}
+}
+
+// An abandoned batch fails the document without naming a CER.
+func TestVerifyAllCtxCanceled(t *testing.T) {
+	doc, _ := runFig9(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := doc.VerifyAllCtx(ctx, fig9Resolver()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("VerifyAllCtx on a canceled context = %v, want context.Canceled", err)
 	}
 }
 

@@ -89,6 +89,10 @@ var ErrDigestMismatch = errors.New("dsig: digest mismatch (referenced element wa
 // ErrBadSignature is returned when the RSA signature over SignedInfo fails.
 var ErrBadSignature = errors.New("dsig: signature value invalid")
 
+// ErrDuplicateID is returned when two elements of the document carry the
+// same Id, so a Reference to it cannot name one subtree.
+var ErrDuplicateID = errors.New("dsig: duplicate Id")
+
 // Sign creates a Signature element covering the elements of root whose Id
 // attributes appear in refIDs (order preserved), signing under the
 // process-wide default suite (see ConfigureSuite). The signature is labeled
@@ -109,7 +113,10 @@ func SignWith(suite Suite, root *xmltree.Node, refIDs []string, key *pki.KeyPair
 	if suite == nil {
 		suite = DefaultSuite()
 	}
-	ix := newDigestIndex(root)
+	ix, err := newDigestIndex(root)
+	if err != nil {
+		return nil, err
+	}
 	signedInfo := xmltree.NewElement(signedInfoElem)
 	signedInfo.Elem(c14nMethodElem, "").SetAttr("Algorithm", CanonicalizationAlg)
 	signedInfo.Elem(signatureMethodElem, "").SetAttr("Algorithm", suite.Alg())
@@ -249,18 +256,22 @@ func checkSignatureValue(si, sig *xmltree.Node, signer string, pub crypto.Public
 // Verify checks a Signature element against the current state of root:
 // every Reference digest must match the present canonical bytes of its
 // target, and the RSA signature over SignedInfo must verify under the
-// public key the resolver returns for the recorded KeyName. It uses no
-// cache; batch verification goes through Verifier.VerifyAll.
+// public key the resolver returns for the recorded KeyName. A root that
+// carries an Id twice fails with ErrDuplicateID. It uses no cache; batch
+// verification goes through Verifier.VerifyAll.
 func Verify(root, sig *xmltree.Node, resolver KeyResolver) error {
-	return verifyWith(newDigestIndex(root), sig, resolver, nil)
+	ix, err := newDigestIndex(root)
+	if err != nil {
+		return err
+	}
+	return verifyWith(ix, sig, resolver, nil)
 }
 
 // VerifyAll verifies every Signature element found in the subtree rooted at
-// container against the document root using the process-wide default
-// verifier (parallel workers plus the verified-prefix cache; see
-// Configure). It reports the number of signatures that verified; on
-// failure that count excludes the failing signature and the error names the
-// failing signature's Id.
+// container against the document root using DefaultVerifier (fanned
+// out over the verify slots, with the verified-prefix cache). It reports
+// the number of signatures that verified; on failure that count excludes
+// the failing signature and the error names the failing signature's Id.
 func VerifyAll(root, container *xmltree.Node, resolver KeyResolver) (int, error) {
 	return DefaultVerifier().VerifyAll(root, container, resolver)
 }

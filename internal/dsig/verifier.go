@@ -7,8 +7,9 @@
 //
 //  1. a one-pass id→digest index shared by every signature in a batch
 //     (replacing a full-document FindByID walk per Reference);
-//  2. a bounded worker pool fanning independent RSA verifications out over
-//     the available cores, with fail-fast cancellation;
+//  2. a fan-out bounded by one process-wide set of verify slots, one per
+//     core: a batch hands a signature to a goroutine while it can take a
+//     slot and verifies it inline otherwise, with fail-fast cancellation;
 //  3. a verified-prefix cache: an LRU of (signature canonical bytes, signer
 //     public key) pairs whose RSA signature has already verified. On a hit
 //     the RSA operation is skipped — the Reference digests are still
@@ -48,15 +49,15 @@ var (
 	mCacheEvictions = telemetry.Default().Counter("dsig_verify_cache_evictions_total")
 )
 
-// DefaultCacheSize is the verified-prefix cache capacity used by the
-// process-wide default verifier. Each entry is a fixed 64-byte key, so the
+// DefaultCacheSize is the verified-prefix cache capacity of
+// DefaultVerifier. Each entry is a fixed 64-byte key, so the
 // default costs a few hundred KB at worst.
 const DefaultCacheSize = 4096
 
 // digestIndex resolves Reference URIs for a batch of signatures against one
 // document: the id→element map is built in a single walk, and each target's
 // SHA-256 digest is computed at most once per batch regardless of how many
-// signatures reference it. Safe for concurrent use by the worker pool.
+// signatures reference it. Safe for concurrent use by a batch's goroutines.
 type digestIndex struct {
 	byID map[string]*xmltree.Node
 
@@ -64,22 +65,27 @@ type digestIndex struct {
 	sums map[string][]byte
 }
 
-// newDigestIndex walks root once, recording the first element (in document
-// order) carrying each Id value — the same element FindByID would return.
-func newDigestIndex(root *xmltree.Node) *digestIndex {
+// newDigestIndex walks root once, mapping each Id value to the element
+// carrying it. An Id carried by two elements fails with ErrDuplicateID:
+// a Reference to it would be ambiguous, and resolving it to either copy
+// lets a signed original vouch for a forged twin (signature wrapping).
+func newDigestIndex(root *xmltree.Node) (*digestIndex, error) {
 	ix := &digestIndex{
 		byID: make(map[string]*xmltree.Node),
 		sums: make(map[string][]byte),
 	}
+	var dup error
 	root.Walk(func(e *xmltree.Node) bool {
 		if v, ok := e.Attr("Id"); ok {
-			if _, dup := ix.byID[v]; !dup {
-				ix.byID[v] = e
+			if _, seen := ix.byID[v]; seen {
+				dup = fmt.Errorf("%w: %q", ErrDuplicateID, v)
+				return false
 			}
+			ix.byID[v] = e
 		}
 		return true
 	})
-	return ix
+	return ix, dup
 }
 
 // digest returns the SHA-256 of the canonical bytes of the element with the
@@ -96,7 +102,7 @@ func (ix *digestIndex) digest(id string) ([]byte, error) {
 	if target == nil {
 		return nil, fmt.Errorf("%w: #%s", ErrMissingReference, id)
 	}
-	// Canonical is memoized and safe for concurrent readers; two workers
+	// Canonical is memoized and safe for concurrent readers; two goroutines
 	// racing on the same id compute identical bytes, so last-write-wins on
 	// the sums map is harmless.
 	s := sha256.Sum256(target.Canonical())
@@ -198,57 +204,29 @@ func (c *Cache) Len() int {
 	return len(c.items)
 }
 
-// Verifier verifies signature batches through a shared worker pool and an
-// optional verified-prefix cache. The zero value verifies serially with no
-// cache; the package-level default (see Configure) feeds the process-wide
-// pool and a shared cache.
+// Verifier verifies signature batches with an optional verified-prefix
+// cache. The zero value fans batches out over the verify slots with no
+// cache.
 type Verifier struct {
-	// Workers bounds concurrent signature verifications in a batch.
-	// 0 means GOMAXPROCS; 1 forces serial verification.
+	// Workers is 1 to verify a batch serially on the calling goroutine;
+	// any other value lets the batch use the process-wide verify slots.
 	Workers int
 	// Cache is the verified-prefix cache; nil disables it.
 	Cache *Cache
-	// Pool is the shared verify pool batches submit to. nil with
-	// Workers != 1 falls back to a per-batch goroutine fan-out (the
-	// pre-pool behavior, kept for standalone Verifier values).
-	Pool *VerifyPool
 }
 
-// defaultVerifier is what package-level VerifyAll uses; replaced atomically
-// by Configure so servers can apply flags after init.
-var defaultVerifier atomic.Pointer[Verifier]
+var defaultVerifier = &Verifier{Cache: NewCache(DefaultCacheSize)}
 
-func init() {
-	defaultVerifier.Store(&Verifier{
-		Cache: NewCache(DefaultCacheSize),
-		Pool:  NewVerifyPool(0, 0),
-	})
-}
+// DefaultVerifier returns the process-wide verifier used by VerifyAll:
+// fanned out, with a verified-prefix cache of DefaultCacheSize entries.
+func DefaultVerifier() *Verifier { return defaultVerifier }
 
-// DefaultVerifier returns the process-wide verifier used by VerifyAll.
-func DefaultVerifier() *Verifier { return defaultVerifier.Load() }
-
-// Configure replaces the process-wide verifier: workers sizes the shared
-// verify pool (0 = GOMAXPROCS, 1 = serial, no pool) and cacheSize sizes a
-// fresh verified-prefix cache (0 disables caching). Binaries expose these
-// as -verify-workers and -verify-cache flags.
-//
-// Reconfiguration is safe while verifications are in flight: the new
-// verifier is swapped in atomically, and the previous pool is retired
-// asynchronously — its queued work is drained to completion, and batches
-// still holding it simply fall back to inline execution once it refuses
-// submissions. Concurrent Configure calls each retire exactly the
-// verifier they displaced.
-func Configure(workers, cacheSize int) {
-	v := &Verifier{Workers: workers, Cache: NewCache(cacheSize)}
-	if workers != 1 {
-		v.Pool = NewVerifyPool(workers, 0)
-	}
-	old := defaultVerifier.Swap(v)
-	if old != nil && old.Pool != nil {
-		go old.Pool.Close()
-	}
-}
+// verifySlots bounds the goroutines all in-flight batches of the process
+// add, one per core. A batch hands a signature to a goroutine only when
+// it can take a slot and verifies it inline otherwise, so total
+// parallelism stays bounded by cores plus in-flight requests and
+// saturation degrades to inline work instead of a queue.
+var verifySlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // VerifyAll verifies every Signature element found in the subtree rooted at
 // container against the document root. It returns the number of signatures
@@ -284,17 +262,16 @@ func sigLabel(sig *xmltree.Node, idx int) string {
 	return fmt.Sprintf("#%d", idx)
 }
 
-// VerifyBatch verifies the given signatures against root, sharing one
-// id→digest index across the batch and fanning the work over the worker
-// pool. It returns the number of signatures that verified and, on failure,
-// the index of the failing signature (the lowest failing index when several
-// fail) so callers can attribute the error; failedIdx is -1 on success.
-func (v *Verifier) VerifyBatch(root *xmltree.Node, sigs []*xmltree.Node, resolver KeyResolver) (verified int, failedIdx int, err error) {
-	return v.VerifyBatchCtx(context.Background(), root, sigs, resolver)
-}
-
-// VerifyBatchCtx is VerifyBatch carrying the caller's trace context
-// (see VerifyAllCtx).
+// VerifyBatchCtx verifies the given signatures against root, sharing one
+// id→digest index across the batch. Each signature but the last runs on a
+// goroutine while a verify slot is free and inline otherwise; the first
+// failure stops the rest. It returns the number of signatures that
+// verified and, on failure, the index of the failing signature (the lowest
+// failing index when several fail) so callers can attribute the error.
+// failedIdx is -1 on success and when the batch as a whole is refused:
+// the caller's context ended, or root carries a duplicate Id. Inside a
+// sampled distributed trace the batch lands as a dsig-tier span (see
+// VerifyAllCtx).
 func (v *Verifier) VerifyBatchCtx(tctx context.Context, root *xmltree.Node, sigs []*xmltree.Node, resolver KeyResolver) (verified int, failedIdx int, err error) {
 	if len(sigs) == 0 {
 		return 0, -1, nil
@@ -309,41 +286,25 @@ func (v *Verifier) VerifyBatchCtx(tctx context.Context, root *xmltree.Node, sigs
 	defer span.End()
 	span.SetAttr("sigs", strconv.Itoa(len(sigs)))
 
-	ix := newDigestIndex(root)
-	workers := v.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	ix, err := newDigestIndex(root)
+	if err != nil {
+		return 0, -1, err
 	}
-	if workers > len(sigs) {
-		workers = len(sigs)
-	}
-
-	if workers <= 1 {
-		for i, s := range sigs {
-			if cerr := tctx.Err(); cerr != nil {
-				return i, -1, cerr
-			}
-			if err := verifyWith(ix, s, resolver, v.Cache); err != nil {
-				return i, i, err
-			}
-		}
-		return len(sigs), -1, nil
-	}
-
-	// Parallel path. Each signature becomes one task; the first failure
-	// cancels the rest, and when several signatures fail in the same batch
-	// the lowest index wins so error attribution is stable. The cancel
-	// context derives from tctx so an expiring propagated deadline
-	// abandons the remainder of the batch mid-flight.
-	ctx, cancel := context.WithCancel(tctx)
-	defer cancel()
+	// A failure stops the dispatch of further signatures; those already
+	// dispatched still run, so every index below the lowest failing one
+	// has verified and attribution does not depend on scheduling.
 	var (
 		okCount atomic.Int64
+		failed  atomic.Bool
 		mu      sync.Mutex
 		wg      sync.WaitGroup
 	)
 	failedIdx = -1
-	record := func(i int, verr error) {
+	run := func(i int) {
+		if tctx.Err() != nil {
+			return
+		}
+		verr := verifyWith(ix, sigs[i], resolver, v.Cache)
 		if verr == nil {
 			okCount.Add(1)
 			return
@@ -353,69 +314,34 @@ func (v *Verifier) VerifyBatchCtx(tctx context.Context, root *xmltree.Node, sigs
 			failedIdx, err = i, verr
 		}
 		mu.Unlock()
-		cancel()
+		failed.Store(true)
 	}
-
-	if v.Pool != nil {
-		// Shared-pool path: offer every signature to the process-wide
-		// pool; when the admission queue is saturated (or the pool was
-		// retired by a concurrent Configure) the batch goroutine lends
-		// itself and runs the task inline, so total parallelism degrades
-		// gracefully instead of queueing without bound.
-		for i := range sigs {
-			if ctx.Err() != nil {
-				break // fail-fast: stop feeding a failed batch
-			}
-			i := i
-			wg.Add(1)
-			task := func() {
-				defer wg.Done()
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				record(i, verifyWith(ix, sigs[i], resolver, v.Cache))
-			}
-			if !v.Pool.TrySubmit(task) {
-				mPoolInline.Inc()
-				task()
+	for i := range sigs {
+		if failed.Load() || tctx.Err() != nil {
+			break // fail-fast: stop feeding a failed or abandoned batch
+		}
+		// The last signature always runs inline: the batch goroutine
+		// would otherwise only wait for it.
+		if v.Workers != 1 && i < len(sigs)-1 {
+			select {
+			case verifySlots <- struct{}{}:
+				wg.Add(1)
+				go func() {
+					defer func() { <-verifySlots; wg.Done() }()
+					run(i)
+				}()
+				continue
+			default:
 			}
 		}
-		wg.Wait()
-	} else {
-		// Standalone fan-out: workers pull indices from an atomic counter.
-		var next atomic.Int64
-		next.Store(-1)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= len(sigs) {
-						return
-					}
-					select {
-					case <-ctx.Done():
-						return
-					default:
-					}
-					if verr := verifyWith(ix, sigs[i], resolver, v.Cache); verr != nil {
-						record(i, verr)
-						return
-					}
-					okCount.Add(1)
-				}
-			}()
-		}
-		wg.Wait()
+		run(i)
 	}
+	wg.Wait()
 	if err != nil {
 		return int(okCount.Load()), failedIdx, err
 	}
 	// The batch may have been cancelled by the caller's deadline rather
-	// than a bad signature: tasks skipped after cancellation verified
+	// than a bad signature: signatures skipped after cancellation verified
 	// nothing, so success may only be claimed when every signature ran.
 	if cerr := tctx.Err(); cerr != nil && int(okCount.Load()) != len(sigs) {
 		return int(okCount.Load()), -1, cerr

@@ -1,6 +1,8 @@
 package dsig
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -195,25 +197,129 @@ func TestVerifyAllConcurrentCallers(t *testing.T) {
 	}
 }
 
-func TestConfigureReplacesDefaultVerifier(t *testing.T) {
-	orig := DefaultVerifier()
-	defer defaultVerifier.Store(orig)
-	Configure(3, 7)
-	v := DefaultVerifier()
-	if v.Workers != 3 || v.Cache == nil {
-		t.Fatalf("Configure not applied: %+v", v)
+// TestVerifySlotsSaturationRunsInline holds every verify slot: a fanned-out
+// batch must still verify every signature, inline on its own goroutine,
+// and leave the slots as it found them.
+func TestVerifySlotsSaturationRunsInline(t *testing.T) {
+	root, resolver := buildCascade(t, 8)
+	for i := 0; i < cap(verifySlots); i++ {
+		verifySlots <- struct{}{}
 	}
-	Configure(1, 0)
-	if DefaultVerifier().Cache != nil {
-		t.Fatal("Configure(1, 0) left a cache enabled")
+	defer func() {
+		for i := 0; i < cap(verifySlots); i++ {
+			<-verifySlots
+		}
+	}()
+	for _, v := range []*Verifier{{}, {Cache: NewCache(64)}} {
+		if n, err := v.VerifyAll(root, root, resolver); err != nil || n != 8 {
+			t.Fatalf("saturated VerifyAll = %d, %v", n, err)
+		}
+	}
+	if len(verifySlots) != cap(verifySlots) {
+		t.Fatalf("%d of %d slots held after the batch, want all (held by the test)", len(verifySlots), cap(verifySlots))
+	}
+}
+
+// TestVerifySlotsBatchMatchesSerial compares the fan-out with serial
+// verification on every tamper position, with other batches contending
+// for the slots: same count on success, same failing index always.
+func TestVerifySlotsBatchMatchesSerial(t *testing.T) {
+	const n = 12
+	base, resolver := buildCascade(t, n)
+	serial, fanned := &Verifier{Workers: 1}, &Verifier{}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := fanned.VerifyAll(base, base, resolver); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+
+	for tamper := -1; tamper < n; tamper++ {
+		root := base.Clone()
+		if tamper >= 0 {
+			root.FindByID(fmt.Sprintf("p%d", tamper)).SetText("tampered")
+		}
+		sigs := root.FindAll(SignatureElem)
+		sn, sidx, serr := serial.VerifyBatchCtx(context.Background(), root, sigs, resolver)
+		fn, fidx, ferr := fanned.VerifyBatchCtx(context.Background(), root, sigs, resolver)
+		if sidx != tamper || fidx != tamper {
+			t.Fatalf("tamper p%d: failing index serial %d, fanned %d", tamper, sidx, fidx)
+		}
+		if (serr == nil) != (ferr == nil) || (serr != nil && serr.Error() != ferr.Error()) {
+			t.Fatalf("tamper p%d: errors differ: serial %v, fanned %v", tamper, serr, ferr)
+		}
+		if tamper < 0 && (sn != n || fn != n) {
+			t.Fatalf("healthy batch: serial %d, fanned %d verified, want %d", sn, fn, n)
+		}
+	}
+}
+
+// TestVerifySlotsFailFastAttribution tampers two payloads: whichever
+// signature fails first, the batch reports the lowest failing index.
+func TestVerifySlotsFailFastAttribution(t *testing.T) {
+	root, resolver := buildCascade(t, 16)
+	root.FindByID("p3").SetText("tampered")
+	root.FindByID("p9").SetText("tampered")
+	sigs := root.FindAll(SignatureElem)
+	for i := 0; i < 20; i++ {
+		n, idx, err := (&Verifier{}).VerifyBatchCtx(context.Background(), root, sigs, resolver)
+		if idx != 3 || !errors.Is(err, ErrDigestMismatch) {
+			t.Fatalf("run %d: failing index %d (%v), want 3", i, idx, err)
+		}
+		if n < 3 {
+			t.Fatalf("run %d: %d verified, want at least the 3 signatures below the failure", i, n)
+		}
+	}
+	if _, err := DefaultVerifier().VerifyAll(root, root, resolver); err == nil || !strings.Contains(err.Error(), "sig3") {
+		t.Fatalf("default verifier error does not name sig3: %v", err)
+	}
+}
+
+// TestDuplicateIDRejected is signature wrapping on a bare cascade: a
+// signed payload copied ahead of its forged original satisfies the
+// first-match Reference, so any Id carried twice must fail the batch,
+// for single-signature Verify and for signing as well.
+func TestDuplicateIDRejected(t *testing.T) {
+	root, resolver := buildCascade(t, 4)
+	orig := root.FindByID("p2")
+	root.InsertChild(0, orig.Clone())
+	orig.SetText("forged")
+	for _, v := range []*Verifier{{Workers: 1}, {}} {
+		n, err := v.VerifyAll(root, root, resolver)
+		if !errors.Is(err, ErrDuplicateID) || !strings.Contains(err.Error(), `"p2"`) || n != 0 {
+			t.Fatalf("Workers=%d: VerifyAll = %d, %v; want 0 and ErrDuplicateID naming p2", v.Workers, n, err)
+		}
+	}
+	if err := Verify(root, root.FindByID("sig0"), resolver); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("Verify = %v, want ErrDuplicateID", err)
+	}
+	if _, err := Sign(root, []string{"p0"}, cache.MustGet("user0"), "sig-new"); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("Sign = %v, want ErrDuplicateID", err)
 	}
 }
 
 // BenchmarkVerifyAll measures the 32-CER cascade of the acceptance
-// criterion. "serial" is the pre-optimization baseline (one worker, no
-// cache); "parallel" adds the worker pool; "warm" is the steady state a
-// tier reaches after verifying the prefix once — the verified-prefix cache
-// plus memoized canonical bytes reduce the hop to digest re-checks.
+// criterion. "serial" is the pre-optimization baseline (one goroutine, no
+// cache); "parallel" fans out over the verify slots; "warm" is the steady
+// state a tier reaches after verifying the prefix once — the
+// verified-prefix cache plus memoized canonical bytes reduce the hop to
+// digest re-checks. "contended" runs more concurrent batches than there
+// are slots, so most signatures take the inline path.
 func BenchmarkVerifyAll(b *testing.B) {
 	root, resolver := buildCascade(b, 32)
 	bench := func(v *Verifier) func(*testing.B) {
@@ -234,6 +340,19 @@ func BenchmarkVerifyAll(b *testing.B) {
 	b.Run("parallel", bench(&Verifier{}))
 	b.Run("warm", bench(&Verifier{Cache: NewCache(64)}))
 	b.Run("warm-serial", bench(&Verifier{Workers: 1, Cache: NewCache(64)}))
+	b.Run("contended", func(b *testing.B) {
+		v := &Verifier{}
+		b.ReportAllocs()
+		b.SetParallelism(2) // 2×GOMAXPROCS batches for GOMAXPROCS slots
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if n, err := v.VerifyAll(root, root, resolver); err != nil || n != 32 {
+					b.Errorf("VerifyAll = %d, %v", n, err)
+					return
+				}
+			}
+		})
+	})
 }
 
 // BenchmarkCanonicalMemo isolates the xmltree contribution: canonicalizing

@@ -13,7 +13,7 @@ import (
 // accepting a document store means RSA-verifying its whole signature
 // cascade and fanning replication through the relay, so by the time a
 // server notices it is drowning, every queued request has already bought
-// its spot in the verify pool. The admission layer keeps a hard cap on
+// its share of the RSA wall. The admission layer keeps a hard cap on
 // in-flight requests and answers the overflow with 429 + Retry-After —
 // an honest signal the client (httpapi.Client) obeys — instead of
 // letting queues grow until deadlines expire inside the RSA wall.
@@ -24,9 +24,8 @@ import (
 //     balancers must see a drowning server, not a timeout;
 //   - reads are shed only when the server is fully saturated;
 //   - writes are shed first: they are bounded to WriteShare of the
-//     in-flight cap, and additionally when a pressure signal (verify
-//     pool depth, relay backlog) reports the tier behind this one is
-//     already behind. Shedding a write early costs the client one
+//     in-flight cap, and additionally when the pressure signal (relay
+//     backlog) reports the tier behind this one is already behind. Shedding a write early costs the client one
 //     Retry-After wait; accepting it costs signature verification,
 //     WAL appends, and replication the cluster cannot afford.
 
@@ -45,7 +44,7 @@ var (
 
 // AdmissionConfig tunes an Admission gate. The zero value is usable:
 // 256 in-flight requests, writes capped at 75% of them, 1s Retry-After,
-// no pressure signals.
+// no pressure signal.
 type AdmissionConfig struct {
 	// MaxInFlight bounds concurrently served requests (default 256).
 	MaxInFlight int
@@ -54,10 +53,6 @@ type AdmissionConfig struct {
 	WriteShare float64
 	// RetryAfter is the backoff advertised on a shed response (default 1s).
 	RetryAfter time.Duration
-	// VerifyDepth, when set, reports the verify-pool backlog (use
-	// dsig.PoolDepth); writes are shed while it exceeds MaxVerifyDepth.
-	VerifyDepth    func() int
-	MaxVerifyDepth int
 	// RelayPending, when set, reports the outbound relay backlog; writes
 	// are shed while it exceeds MaxRelayPending. Accepting a write the
 	// relay cannot drain just moves the queue somewhere less visible.
@@ -74,9 +69,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.MaxVerifyDepth <= 0 {
-		c.MaxVerifyDepth = 64
 	}
 	if c.MaxRelayPending <= 0 {
 		c.MaxRelayPending = 1024
@@ -136,10 +128,6 @@ func (a *Admission) admit(class string) (release func(), reason string) {
 		if limit := float64(a.cfg.MaxInFlight) * a.cfg.WriteShare; a.cfg.WriteShare < 1 && float64(wr) > limit {
 			undo()
 			return nil, "write share exhausted"
-		}
-		if a.cfg.VerifyDepth != nil && a.cfg.VerifyDepth() > a.cfg.MaxVerifyDepth {
-			undo()
-			return nil, "verify pool saturated"
 		}
 		if a.cfg.RelayPending != nil && a.cfg.RelayPending() > a.cfg.MaxRelayPending {
 			undo()

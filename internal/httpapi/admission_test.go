@@ -135,11 +135,11 @@ func TestAdmissionWritesShedBeforeReads(t *testing.T) {
 }
 
 func TestAdmissionPressureSignalsShedWrites(t *testing.T) {
-	depth := 0
+	pending := 0
 	a := NewAdmission(AdmissionConfig{
-		MaxInFlight:    16,
-		VerifyDepth:    func() int { return depth },
-		MaxVerifyDepth: 8,
+		MaxInFlight:     16,
+		RelayPending:    func() int { return pending },
+		MaxRelayPending: 8,
 	})
 	ok := func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) }
 	writes := a.Middleware(ClassWrite, ok)
@@ -152,8 +152,8 @@ func TestAdmissionPressureSignalsShedWrites(t *testing.T) {
 		t.Fatalf("unpressured write answered %d", rec.Code)
 	}
 
-	// Verify pool saturated: writes shed, reads keep flowing.
-	depth = 9
+	// Relay backlog past its bound: writes shed, reads keep flowing.
+	pending = 9
 	rec = httptest.NewRecorder()
 	writes(rec, httptest.NewRequest(http.MethodPost, "/v1/test", nil))
 	if rec.Code != http.StatusTooManyRequests {
@@ -166,7 +166,7 @@ func TestAdmissionPressureSignalsShedWrites(t *testing.T) {
 	}
 
 	// Pressure released: writes recover, and no slots leaked on the way.
-	depth = 0
+	pending = 0
 	rec = httptest.NewRecorder()
 	writes(rec, httptest.NewRequest(http.MethodPost, "/v1/test", nil))
 	if rec.Code != http.StatusOK {

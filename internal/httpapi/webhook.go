@@ -168,20 +168,6 @@ func (d *WebhookDispatcher) NotifyCtx(ctx context.Context, n portal.Notification
 	_, _, _ = rly.EnqueueTraced(target, KindWebhook, relay.IdempotencyKey(KindWebhook, target, keyed), trace.TraceparentFromContext(ctx), body)
 }
 
-// Wait blocks until all accepted deliveries have settled.
-//
-// Deprecated: Notify no longer spawns a goroutine per delivery — a
-// bounded relay drains the queue — so Wait is simply a flush of that
-// relay, kept for compatibility.
-func (d *WebhookDispatcher) Wait() {
-	d.mu.Lock()
-	rly := d.rly
-	d.mu.Unlock()
-	if rly != nil {
-		rly.Flush()
-	}
-}
-
 // Relay exposes the delivery relay (DLQ inspection, stats); nil before
 // the first Notify.
 func (d *WebhookDispatcher) Relay() *relay.Relay {

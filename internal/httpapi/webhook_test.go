@@ -105,7 +105,7 @@ func TestWebhookDelivery(t *testing.T) {
 	if _, err := designer.StoreInitial(doc); err != nil {
 		t.Fatal(err)
 	}
-	dispatcher.Wait()
+	dispatcher.Relay().Flush()
 
 	notes := rcv.all()
 	if len(notes) != 1 || notes[0].Participant != alice || notes[0].Activity != "A" {
@@ -128,7 +128,7 @@ func TestWebhookDelivery(t *testing.T) {
 	if _, err := aliceCli.Store(out.Doc); err != nil {
 		t.Fatal(err)
 	}
-	dispatcher.Wait()
+	dispatcher.Relay().Flush()
 	if len(rcv.all()) != 1 {
 		t.Fatalf("unexpected deliveries for unregistered participants: %v", rcv.all())
 	}
@@ -167,7 +167,7 @@ func TestWebhookValidation(t *testing.T) {
 	if _, err := w.clientFor(t, "designer@acme").StoreInitial(doc); err != nil {
 		t.Fatal(err)
 	}
-	dispatcher.Wait()
+	dispatcher.Relay().Flush()
 	if _, failed := dispatcher.Stats(); failed != 1 {
 		t.Fatalf("failed deliveries = %d, want 1", failed)
 	}

@@ -108,11 +108,18 @@ const nodeRegionLog = 4096
 type nodeRegion struct {
 	applied uint64
 	// pending parks out-of-order records until the gap closes.
-	pending map[uint64]Record
-	// log holds recently applied records for RecordsSince; logFrom is
-	// the seq of log[0] (log covers [logFrom, applied]).
+	pending map[uint64]parkedRecord
+	// log is a ring of recently applied records for RecordsSince: the
+	// record with seq s in [logFrom, applied] sits at log[s%nodeRegionLog].
 	log     []Record
 	logFrom uint64
+}
+
+// parkedRecord is a validated record waiting for its predecessors, kept
+// with the mutation its frame decoded to so the frame is decoded once.
+type parkedRecord struct {
+	rec Record
+	m   pool.Mutation
 }
 
 // Node is an in-process pool node: one table, replication bookkeeping
@@ -159,7 +166,7 @@ func (n *Node) Up() {
 func (n *Node) region(region string) *nodeRegion {
 	r, ok := n.regions[region]
 	if !ok {
-		r = &nodeRegion{pending: make(map[uint64]Record), logFrom: 1}
+		r = &nodeRegion{pending: make(map[uint64]parkedRecord), logFrom: 1}
 		n.regions[region] = r
 	}
 	return r
@@ -184,10 +191,11 @@ func (n *Node) Apply(ctx context.Context, rec Record) error {
 	if rec.Seq <= r.applied {
 		return nil // duplicate delivery
 	}
-	if _, _, err := pool.DecodeMutationFrame(rec.Frame); err != nil {
+	_, m, err := pool.DecodeMutationFrame(rec.Frame)
+	if err != nil {
 		return fmt.Errorf("%w: %v", errBadFrame, err)
 	}
-	r.pending[rec.Seq] = rec
+	r.pending[rec.Seq] = parkedRecord{rec: rec, m: m}
 	return n.drainLocked(r)
 }
 
@@ -198,20 +206,17 @@ func (n *Node) drainLocked(r *nodeRegion) error {
 		if !ok {
 			return nil
 		}
-		_, m, err := pool.DecodeMutationFrame(next.Frame)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errBadFrame, err)
-		}
-		if err := n.table.ApplyReplicated(m); err != nil {
+		if err := n.table.ApplyReplicated(next.m); err != nil {
 			return err
 		}
-		delete(r.pending, next.Seq)
-		r.applied = next.Seq
-		r.log = append(r.log, next)
-		if len(r.log) > nodeRegionLog {
-			drop := len(r.log) - nodeRegionLog
-			r.log = append([]Record(nil), r.log[drop:]...)
-			r.logFrom += uint64(drop)
+		delete(r.pending, next.rec.Seq)
+		r.applied = next.rec.Seq
+		if r.log == nil {
+			r.log = make([]Record, nodeRegionLog)
+		}
+		r.log[r.applied%nodeRegionLog] = next.rec
+		if r.applied-r.logFrom >= nodeRegionLog {
+			r.logFrom = r.applied - nodeRegionLog + 1
 		}
 	}
 }
@@ -241,10 +246,8 @@ func (n *Node) RecordsSince(region string, after uint64) ([]Record, bool, error)
 		return nil, false, nil // trimmed; caller must snapshot
 	}
 	out := make([]Record, 0, r.applied-after)
-	for _, rec := range r.log {
-		if rec.Seq > after {
-			out = append(out, rec)
-		}
+	for s := after + 1; s <= r.applied; s++ {
+		out = append(out, r.log[s%nodeRegionLog])
 	}
 	return out, true, nil
 }

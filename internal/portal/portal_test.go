@@ -9,6 +9,7 @@ import (
 
 	"dra4wfms/internal/aea"
 	"dra4wfms/internal/document"
+	"dra4wfms/internal/dsig"
 	"dra4wfms/internal/pool"
 	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/wfdef"
@@ -234,6 +235,43 @@ func TestStoreRejectsTamperAndReplay(t *testing.T) {
 	}
 	if _, err := c.portal.StoreInitial(bad); err == nil {
 		t.Fatal("tampered initial stored")
+	}
+}
+
+// TestStoreRejectsSignatureWrapping plants a signed copy of A's Result
+// ahead of the CER and forges the Result the CER carries: the portal must
+// refuse the document and keep serving the genuine one.
+func TestStoreRejectsSignatureWrapping(t *testing.T) {
+	c := newCloud(t)
+	doc := c.initial(t)
+	pid := doc.ProcessID()
+	if _, err := c.portal.StoreInitial(doc); err != nil {
+		t.Fatal(err)
+	}
+	c.run(t, pid, "A", aea.Inputs{"request": "r"})
+	b1 := wfdef.Fig9Participants["B1"]
+	genuine, err := c.portal.Retrieve(b1, pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	forged := genuine.Clone()
+	cer, ok := forged.FindCER(document.KindFinal, "A", 0)
+	if !ok {
+		t.Fatal("no final CER A#0")
+	}
+	forged.Root.InsertChild(0, cer.Result().Clone())
+	cer.Result().SetAttr("Forged", "true")
+	if _, err := c.portal.Store(forged); !errors.Is(err, dsig.ErrDuplicateID) {
+		t.Fatalf("Store(wrapped) = %v, want dsig.ErrDuplicateID", err)
+	}
+
+	back, err := c.portal.Retrieve(b1, pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(back.Bytes()) != string(genuine.Bytes()) {
+		t.Fatal("pool document changed by a refused store")
 	}
 }
 
