@@ -72,27 +72,30 @@ benchsmoke:
 	$(GO) run ./cmd/drabench -experiment table1 -bits 1024 -reps 1 -json | \
 		python3 -c 'import json, sys; rows = json.load(sys.stdin)["table1"]; assert len(rows) == 11, rows; print("drabench table1: %d rows" % len(rows))'
 
-# faults is the relay reliability gate: fault-injection workflows (20% of
-# hops dropped/duplicated, 10% un-acked, judged by internal/chaos), crash
-# recovery from the outbox journal (torn tail, flipped byte, mid-file
-# damage, compaction that loses its handle), and receiver-side
-# idempotency, all under the race detector. The race target covers these
+# faults is the relay reliability gate: fault injection (20% of
+# deliveries dropped/duplicated, 10% un-acked, judged by internal/chaos)
+# in process and on webhook deliveries over HTTP, crash recovery from the
+# outbox journal (torn tail, flipped byte, mid-file damage, compaction
+# that loses its handle), and a journaled webhook delivered when the
+# portal boots, all under the race detector. The race target covers these
 # too; the split keeps the gate visible and fast to re-run.
 faults:
-	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestReceiverIdempotency|TestOutbox' ./internal/relay/ ./internal/httpapi/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestWebhookOutboxReplaysAtBoot|TestOutbox' ./internal/relay/ ./internal/httpapi/ ./internal/wal/
 
 # fuzzsmoke runs the log-format fuzz target, the pool's record-payload
 # target, the XML parser's differential target (against encoding/xml),
-# the traceparent parser's round-trip target and the request
+# the traceparent parser's round-trip target, the request
 # authenticator's target (accepts only genuinely signed header tuples)
-# for ten seconds each; plain `go test` already replays their seed
-# corpora on every run.
+# and the client's Retry-After parser (never a negative wait) for ten
+# seconds each; plain `go test` already replays their seed corpora on
+# every run.
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpen -fuzztime=10s ./internal/wal/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRec -fuzztime=10s ./internal/pool/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=10s ./internal/xmltree/
 	$(GO) test -run=NONE -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzVerifyRequest -fuzztime=10s ./internal/httpapi/
+	$(GO) test -run=NONE -fuzz=FuzzParseRetryAfter -fuzztime=10s ./internal/httpapi/
 
 # loc prints the non-test, non-comment Go line count ROADMAP tracks.
 loc:

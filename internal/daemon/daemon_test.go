@@ -222,6 +222,18 @@ func durablePortal(t *testing.T, d *deployment, grace string) (*env, context.Can
 	return e, cancel, doc.ProcessID()
 }
 
+// TestUnopenableWebhookWALFailsBoot: a -webhook-wal the portal cannot
+// open fails the boot (exit 1 from Main) instead of dropping every
+// notification at the first store.
+func TestUnopenableWebhookWALFailsBoot(t *testing.T) {
+	d := deploy(t)
+	_, _, err := Start(context.Background(), Portal, []string{"-listen", "127.0.0.1:0",
+		"-trust", d.path("trust.json"), "-key", d.path("tfc.pem"), "-webhook-wal", d.path("missing/webhooks.wal")})
+	if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), "webhook outbox") {
+		t.Fatalf("Start over an unopenable -webhook-wal = %v, want a webhook outbox error", err)
+	}
+}
+
 var portalCloseOrder = []string{"webhooks", "store", "trace export"}
 
 func TestCleanDrainRunsClosersInOrder(t *testing.T) {

@@ -37,17 +37,15 @@ func wirePortal(fs *flag.FlagSet) builder {
 		srv.EnablePprof, srv.Probes, srv.Cluster = e.pprof, e.probes, e.cluster
 		var relayPending func() int
 		if e.keys != nil {
-			webhooks := srv.EnableWebhooksAt(e.keys, *webhookWAL)
+			webhooks, err := srv.EnableWebhooks(e.keys, *webhookWAL)
+			if err != nil {
+				return nil, err
+			}
 			// Registered after the table: the outbox is flushed first, while
 			// the pool it may still append relay state to is open.
 			e.onClose("webhooks", webhooks.Close)
-			e.probes.AddCheck("relay", httpapi.RelaySaturationCheck(webhooks.Relay, maxRelayBacklog))
-			relayPending = func() int {
-				if r := webhooks.Relay(); r != nil {
-					return int(r.Stats().Pending)
-				}
-				return 0
-			}
+			e.probes.AddCheck("relay", httpapi.RelaySaturationCheck(webhooks.Relay(), maxRelayBacklog))
+			relayPending = func() int { return webhooks.Relay().Stats().Pending }
 			log.Printf("webhook notifications enabled, signing as %s, outbox WAL %q", e.keys.Owner, *webhookWAL)
 		}
 		srv.Admission = e.admission(relayPending)

@@ -4,6 +4,12 @@
 // by AEAs. This is the network substrate the paper's Figure 7 deployment
 // implies — participants connect to portals over a public network.
 //
+// A document hop (AEA→portal store, AEA→TFC process) is one synchronous
+// signed Client call, retried only when the server sheds it with
+// 429/503 and a Retry-After; a repeated portal store is harmless, since
+// merging CER sets is a set union. The portal's asynchronous webhook
+// notifications go through a durable relay (webhook.go).
+//
 // Every request is authenticated with a detached signature: the client
 // signs (method, path, date, nonce, SHA-256(body)) with the Ed25519 half
 // of its key pair — RSA only for RSA-only pairs — and names the algorithm

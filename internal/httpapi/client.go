@@ -64,6 +64,11 @@ const maxShedRetries = 2
 // the next attempt expire mid-flight helps nobody.
 const retryHeadroom = 100 * time.Millisecond
 
+// maxRetryAfter caps the wait a server's Retry-After can ask for: far
+// past any request deadline, so the deadline check declines the retry,
+// and small enough that no arithmetic on it wraps.
+const maxRetryAfter = 24 * time.Hour
+
 func (c *Client) doCtx(ctx context.Context, method, path string, body []byte) (*http.Response, []byte, error) {
 	timeout := c.Timeout
 	if timeout == 0 {
@@ -114,8 +119,9 @@ func (c *Client) doCtx(ctx context.Context, method, path string, body []byte) (*
 }
 
 // parseRetryAfter decodes a Retry-After value: delta-seconds or an HTTP
-// date. A missing or malformed value reports ok=false — without the
-// server's guidance the client does not invent a retry schedule.
+// date, clamped to [0, maxRetryAfter]. A missing or malformed value
+// reports ok=false — without the server's guidance the client does not
+// invent a retry schedule.
 func parseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 	if v == "" {
 		return 0, false
@@ -124,14 +130,13 @@ func parseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 		if secs < 0 {
 			return 0, false
 		}
+		if secs > int(maxRetryAfter/time.Second) {
+			return maxRetryAfter, true
+		}
 		return time.Duration(secs) * time.Second, true
 	}
 	if at, err := http.ParseTime(v); err == nil {
-		d := at.Sub(now)
-		if d < 0 {
-			d = 0
-		}
-		return d, true
+		return min(max(at.Sub(now), 0), maxRetryAfter), true
 	}
 	return 0, false
 }
@@ -330,8 +335,7 @@ func (c *Client) ProcessViaTFC(doc *document.Document) (*ProcessResponse, *docum
 }
 
 // ProcessViaTFCCtx is ProcessViaTFC bounded by the caller's context —
-// the AEA→TFC forwarding hop. For delivery that survives crashes and
-// peer outages, route the hop through a Forwarder instead.
+// the AEA→TFC forwarding hop.
 func (c *Client) ProcessViaTFCCtx(ctx context.Context, doc *document.Document) (*ProcessResponse, *document.Document, error) {
 	_, body, err := c.doCtx(ctx, http.MethodPost, "/v1/process", doc.Bytes())
 	if err != nil {

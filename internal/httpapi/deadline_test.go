@@ -106,6 +106,31 @@ func TestParseRetryAfter(t *testing.T) {
 	if _, ok := parseRetryAfter("soonish", now); ok {
 		t.Fatal("garbage parsed")
 	}
+	// 10^10 s does not fit a Duration: unclamped, it wraps negative and
+	// the client retries at once instead of declining.
+	if d, ok := parseRetryAfter("10000000000", now); !ok || d != maxRetryAfter {
+		t.Fatalf("overflowing seconds: %v %v, want %v", d, ok, maxRetryAfter)
+	}
+	if d, ok := parseRetryAfter(now.AddDate(400, 0, 0).Format(http.TimeFormat), now); !ok || d != maxRetryAfter {
+		t.Fatalf("far-future date: %v %v, want %v", d, ok, maxRetryAfter)
+	}
+}
+
+// FuzzParseRetryAfter: whatever a server sends, an accepted Retry-After
+// is a wait in [0, maxRetryAfter].
+func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
+	for _, seed := range []string{
+		"3", now.Add(90 * time.Second).Format(http.TimeFormat), now.Add(-time.Minute).Format(http.TimeFormat),
+		"", "-5", "soonish", "10000000000", now.AddDate(400, 0, 0).Format(http.TimeFormat),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		if d, ok := parseRetryAfter(v, now); ok && (d < 0 || d > maxRetryAfter) {
+			t.Fatalf("parseRetryAfter(%q) = %v, want a wait in [0, %v]", v, d, maxRetryAfter)
+		}
+	})
 }
 
 // shedServer answers 429 + Retry-After for the first n requests, then 200.

@@ -177,18 +177,9 @@ func readyzHandler(p *Probes) http.HandlerFunc {
 // RelaySaturationCheck returns a readiness check that fails when the
 // webhook relay's pending backlog exceeds maxPending — the portal keeps
 // accepting reads but signals that notification delivery is falling
-// behind. rly is a getter because the dispatcher creates its relay
-// lazily on first use; both a nil getter and a nil relay count as an
-// empty (healthy) backlog.
-func RelaySaturationCheck(rly func() *relay.Relay, maxPending int) func() error {
+// behind.
+func RelaySaturationCheck(r *relay.Relay, maxPending int) func() error {
 	return func() error {
-		if rly == nil {
-			return nil
-		}
-		r := rly()
-		if r == nil {
-			return nil
-		}
 		if pending := r.Stats().Pending; pending > maxPending {
 			return fmt.Errorf("relay backlog %d exceeds %d", pending, maxPending)
 		}

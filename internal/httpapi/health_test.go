@@ -83,14 +83,35 @@ func TestReadyzWithoutProbesAlwaysReady(t *testing.T) {
 	}
 }
 
-func TestRelaySaturationCheckNilTolerant(t *testing.T) {
-	if err := RelaySaturationCheck(nil, 10)(); err != nil {
-		t.Fatalf("nil getter: %v", err)
+// TestRelaySaturationCheck: readiness fails once more deliveries wait in
+// the relay than the bound allows, and recovers when they drain.
+func TestRelaySaturationCheck(t *testing.T) {
+	ob, err := relay.OpenOutbox("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The webhook dispatcher's relay is created lazily; before the first
-	// notification the getter returns nil and the check must pass.
-	if err := RelaySaturationCheck(func() *relay.Relay { return nil }, 10)(); err != nil {
-		t.Fatalf("nil relay: %v", err)
+	release := make(chan struct{})
+	r := relay.New(ob, relay.TransportFunc(func(ctx context.Context, e relay.Entry) error {
+		<-release
+		return nil
+	}), relay.Config{Workers: 1})
+	defer r.Close()
+	check := RelaySaturationCheck(r, 2)
+	if err := check(); err != nil {
+		t.Fatalf("empty relay: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := r.Enqueue("peer", KindWebhook, fmt.Sprintf("k%d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := check(); err == nil {
+		t.Fatal("3 pending deliveries passed a bound of 2")
+	}
+	close(release)
+	r.Flush()
+	if err := check(); err != nil {
+		t.Fatalf("drained relay: %v", err)
 	}
 }
 

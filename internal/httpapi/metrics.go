@@ -18,9 +18,6 @@ import (
 var (
 	tel       = telemetry.Default()
 	mRejected = tel.Counter("http_requests_rejected_total")
-	// mDeduplicated counts mutating requests answered from the
-	// idempotency cache instead of being re-applied (relay redeliveries).
-	mDeduplicated = tel.Counter("http_requests_deduplicated_total")
 )
 
 // MetricsContentType is the Prometheus text exposition content type

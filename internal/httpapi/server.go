@@ -16,7 +16,6 @@ import (
 	"dra4wfms/internal/pki"
 	"dra4wfms/internal/poolcluster"
 	"dra4wfms/internal/portal"
-	"dra4wfms/internal/relay"
 	"dra4wfms/internal/tfc"
 	"dra4wfms/internal/xmltree"
 )
@@ -45,8 +44,8 @@ type PortalServer struct {
 	Portal  *portal.Portal
 	Monitor *monitor.Monitor
 	Auth    *Authenticator
-	// Webhooks, when non-nil, enables PUT /v1/webhook registration and
-	// should also be wired as the portal's OnNotify.
+	// Webhooks, when non-nil, enables PUT /v1/webhook registration; set
+	// it with EnableWebhooks, which also wires the portal's OnNotify.
 	Webhooks *WebhookDispatcher
 	// EnablePprof additionally serves /debug/pprof/* (CPU/heap/goroutine
 	// profiling) from the same listener. Off by default: profiles expose
@@ -65,10 +64,6 @@ type PortalServer struct {
 	// control-plane routes stay ungated — a drowning server must still be
 	// inspectable and repairable.
 	Admission *Admission
-
-	// dedup caches the responses of applied idempotency keys so a
-	// redelivered store is answered, not re-applied.
-	dedup relay.Deduper
 }
 
 // NewPortalServer assembles the HTTP facade of a portal.
@@ -76,22 +71,25 @@ func NewPortalServer(p *portal.Portal, m *monitor.Monitor, auth *Authenticator) 
 	return &PortalServer{Portal: p, Monitor: m, Auth: auth}
 }
 
-// EnableWebhooks attaches a dispatcher signing as keys.Owner and wires it
-// into the portal's notification hook. The dispatcher's outbox lives in
-// memory; use EnableWebhooksAt for one that survives restarts.
-func (s *PortalServer) EnableWebhooks(keys *pki.KeyPair) *WebhookDispatcher {
-	return s.EnableWebhooksAt(keys, "")
-}
-
-// EnableWebhooksAt is EnableWebhooks with a persistent outbox WAL at
-// walPath (empty = memory-only): notifications not yet delivered when
-// the portal stops are retried on the next start.
-func (s *PortalServer) EnableWebhooksAt(keys *pki.KeyPair, walPath string) *WebhookDispatcher {
-	s.Webhooks = NewWebhookDispatcher(keys)
-	s.Webhooks.WALPath = walPath
-	s.Portal.OnNotify = s.Webhooks.Notify
-	s.Portal.OnNotifyCtx = s.Webhooks.NotifyCtx
-	return s.Webhooks
+// EnableWebhooks attaches a dispatcher signing as keys.Owner, with the
+// portal's clock, and wires it into the portal's notification hook. Its
+// outbox WAL at walPath (empty = memory-only) is opened here and drained
+// at once: notifications not yet delivered when the portal last stopped
+// — or requeued from the dead-letter queue since — go out on boot,
+// before any participant re-registers. An outbox that cannot be opened
+// is an error.
+func (s *PortalServer) EnableWebhooks(keys *pki.KeyPair, walPath string) (*WebhookDispatcher, error) {
+	clock := s.Portal.Clock
+	if clock == nil {
+		clock = time.Now
+	}
+	d, err := newWebhookDispatcher(keys, clock, walPath, http.DefaultClient, webhookRelay)
+	if err != nil {
+		return nil, err
+	}
+	s.Webhooks = d
+	s.Portal.OnNotify = d.Notify
+	return d, nil
 }
 
 // Handler returns the routed http.Handler. Every route is wrapped with
@@ -104,8 +102,8 @@ func (s *PortalServer) Handler() http.Handler {
 		// but ahead of auth, so a shed request never buys RSA work.
 		mux.HandleFunc(pattern, instrument(pattern, s.Admission.Middleware(ClassOf(pattern), s.auth(h))))
 	}
-	route("POST /v1/documents/initial", idempotent(&s.dedup, s.handleStoreInitial))
-	route("POST /v1/documents", idempotent(&s.dedup, s.handleStore))
+	route("POST /v1/documents/initial", s.handleStoreInitial)
+	route("POST /v1/documents", s.handleStore)
 	route("GET /v1/documents/{pid}", s.handleRetrieve)
 	route("GET /v1/worklist", s.handleWorklist)
 	route("GET /v1/processes", s.handleProcesses)
@@ -183,68 +181,6 @@ func authWrap(a *Authenticator, h handlerFunc) http.HandlerFunc {
 			return
 		}
 		h(w, r, principal, body)
-	}
-}
-
-// cachedResponse is one remembered idempotent outcome.
-type cachedResponse struct {
-	status      int
-	contentType string
-	body        []byte
-}
-
-// responseCapture tees a handler's response into a buffer so a 2xx
-// outcome can be cached for replay.
-type responseCapture struct {
-	http.ResponseWriter
-	status int
-	buf    []byte
-}
-
-func (rc *responseCapture) WriteHeader(code int) {
-	rc.status = code
-	rc.ResponseWriter.WriteHeader(code)
-}
-
-func (rc *responseCapture) Write(b []byte) (int, error) {
-	rc.buf = append(rc.buf, b...)
-	return rc.ResponseWriter.Write(b)
-}
-
-// idempotent makes a mutating handler safe under redelivery: a request
-// carrying HeaderIdempotencyKey whose (principal, key) pair was already
-// applied gets the original 2xx response replayed — marked with
-// HeaderIdempotentReplay — instead of a second application. Only 2xx
-// outcomes are cached; errors stay retryable. The key is scoped to the
-// authenticated principal, so one caller cannot replay another's result.
-func idempotent(d *relay.Deduper, h handlerFunc) handlerFunc {
-	return func(w http.ResponseWriter, r *http.Request, principal string, body []byte) {
-		key := r.Header.Get(HeaderIdempotencyKey)
-		if key == "" {
-			h(w, r, principal, body)
-			return
-		}
-		scoped := principal + "|" + key
-		if v, ok := d.Lookup(scoped); ok {
-			cr := v.(cachedResponse)
-			mDeduplicated.Inc()
-			w.Header().Set(HeaderIdempotentReplay, "true")
-			if cr.contentType != "" {
-				w.Header().Set("Content-Type", cr.contentType)
-			}
-			w.WriteHeader(cr.status)
-			_, _ = w.Write(cr.body)
-			return
-		}
-		rc := &responseCapture{ResponseWriter: w, status: http.StatusOK}
-		h(rc, r, principal, body)
-		if rc.status/100 == 2 {
-			d.Remember(scoped, cachedResponse{
-				status:      rc.status,
-				contentType: rc.Header().Get("Content-Type"),
-				body:        rc.buf,
-			})
-		}
 	}
 }
 
@@ -420,10 +356,6 @@ type TFCServer struct {
 	Probes *Probes
 	// Admission gates the business routes (see PortalServer.Admission).
 	Admission *Admission
-
-	// dedup replays responses of already-applied process submissions
-	// (see PortalServer.dedup).
-	dedup relay.Deduper
 }
 
 // NewTFCServer assembles the HTTP facade of a TFC server.
@@ -448,7 +380,7 @@ type ProcessResponse struct {
 // portal's and likewise serving GET /v1/metrics.
 func (s *TFCServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/process", instrument("POST /v1/process", s.Admission.Middleware(ClassWrite, authWrap(s.Auth, idempotent(&s.dedup, s.handleProcess)))))
+	mux.HandleFunc("POST /v1/process", instrument("POST /v1/process", s.Admission.Middleware(ClassWrite, authWrap(s.Auth, s.handleProcess))))
 	mux.HandleFunc("GET /v1/records", instrument("GET /v1/records", s.Admission.Middleware(ClassRead, authWrap(s.Auth, s.handleRecords))))
 	registerObservability(mux, s.EnablePprof, s.Probes)
 	return mux

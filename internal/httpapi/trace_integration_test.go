@@ -3,44 +3,51 @@ package httpapi
 import (
 	"bytes"
 	"context"
-	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dra4wfms/internal/aea"
 	"dra4wfms/internal/document"
-	"dra4wfms/internal/relay"
 	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/trace"
 	"dra4wfms/internal/wfdef"
 )
 
-// failFirst fails the first round trip — the forwarder's KindProcess
-// delivery — so the relay is forced into a retry; both attempts must land
-// in the same trace.
-type failFirst struct{ failed atomic.Bool }
-
-func (f *failFirst) RoundTrip(req *http.Request) (*http.Response, error) {
-	if f.failed.CompareAndSwap(false, true) {
-		return nil, errors.New("injected: first process delivery dropped")
-	}
-	return http.DefaultTransport.RoundTrip(req)
-}
-
-// TestDistributedTraceAcrossTiers is the acceptance test for the tracing
-// tentpole: one Fig. 9 review workflow driven over real HTTP through
-// portal and TFC servers — the AEA→TFC hop routed through a durable
-// relay whose first delivery attempt is dropped — must yield ONE trace
-// whose assembled tree contains correctly parent-linked spans from the
-// client, http, portal, tfc, relay, pool, and dsig tiers, with the relay
-// retry visible as two attempts of the same trace.
+// TestDistributedTraceAcrossTiers: one Fig. 9 review workflow driven
+// over real HTTP through portal and TFC servers — every AEA→TFC hop a
+// signed Client call, as the benchmark driver makes it, and the portal's
+// webhook to the first participant answered 503 once — must yield ONE
+// trace whose assembled tree contains correctly parent-linked spans from
+// the client, http, portal, tfc, relay, pool, and dsig tiers, with the
+// relay retry visible as two attempts of the same trace.
 func TestDistributedTraceAcrossTiers(t *testing.T) {
 	col := trace.Default()
 	col.Reset()
 	w := newWorld(t)
+	w.env.MustRegister("portal@cloud")
+	_, webhooks := w.webhookPortal(t, "")
+
+	// A's callback refuses the first delivery and records the traceparent
+	// the retry carries.
+	var (
+		hits         atomic.Int32
+		retryParent  atomic.Value
+		participantA = wfdef.Fig9Participants["A"]
+	)
+	callback := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if hits.Add(1) == 1 {
+			http.Error(rw, "busy", http.StatusServiceUnavailable)
+			return
+		}
+		retryParent.Store(req.Header.Get(TraceparentHeader))
+	}))
+	t.Cleanup(callback.Close)
+	if err := w.clientFor(t, participantA).RegisterWebhook(callback.URL, ""); err != nil {
+		t.Fatal(err)
+	}
 
 	// Fig. 9 under the advanced operational model: identical process graph
 	// to Fig. 9A, but every hop passes through the TFC tier — the only
@@ -60,22 +67,6 @@ func TestDistributedTraceAcrossTiers(t *testing.T) {
 	if _, err := designer.StoreInitialCtx(ctx, doc); err != nil {
 		t.Fatal(err)
 	}
-
-	// Activity A's TFC hop goes through a relay forwarder with an injected
-	// first-attempt failure: at-least-once delivery, same trace.
-	fwd, err := NewForwarder("", w.env.KeyOf(wfdef.Fig9Participants["A"]), relay.Config{
-		Workers:        2,
-		MaxAttempts:    4,
-		AttemptTimeout: 5 * time.Second,
-		Backoff:        relay.BackoffPolicy{Base: time.Millisecond, Cap: 5 * time.Millisecond},
-		Breaker:        relay.BreakerPolicy{Threshold: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = fwd.Close() })
-	fwd.SetHTTP(&http.Client{Transport: &failFirst{}})
-	fwd.SetClock(w.clock)
 
 	steps := []struct {
 		act    string
@@ -98,13 +89,7 @@ func TestDistributedTraceAcrossTiers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var outDoc *document.Document
-		if s.act == "A" {
-			// Durable relay hop with the forced retry.
-			_, outDoc, err = fwd.Process(ctx, w.tfcSrv.URL, interm)
-		} else {
-			_, outDoc, err = w.tfcClientFor(t, participant).ProcessViaTFCCtx(ctx, interm)
-		}
+		_, outDoc, err := w.tfcClientFor(t, participant).ProcessViaTFCCtx(ctx, interm)
 		if err != nil {
 			t.Fatalf("%s via TFC: %v", s.act, err)
 		}
@@ -113,6 +98,7 @@ func TestDistributedTraceAcrossTiers(t *testing.T) {
 		}
 	}
 	rootSpan.End()
+	webhooks.Relay().Flush()
 
 	// Fetch the trace over the wire exactly as dractl trace does — from
 	// both tiers, merged (here both tiers share one process and ring, so
@@ -158,10 +144,21 @@ func TestDistributedTraceAcrossTiers(t *testing.T) {
 		}
 	}
 
-	rootID := rootSpan.Context().SpanID.String()
+	// Every TFC hop crossed the wire with correct links: the TFC's
+	// processing span is a child of the http span of POST /v1/process.
+	tfcHops := 0
+	for _, fs := range byID {
+		if parent, ok := byID[fs.ParentID]; ok && fs.Tier == "tfc" &&
+			parent.Tier == "http" && parent.Attrs["route"] == "POST /v1/process" {
+			tfcHops++
+		}
+	}
+	if tfcHops != len(steps) {
+		t.Fatalf("tfc spans under a POST /v1/process http span = %d, want %d", tfcHops, len(steps))
+	}
 
-	// The relay retry: two delivery attempts, both children of the root
-	// (the forwarder enqueued under the driver's span), first errored.
+	// The relay retry: two delivery attempts of A's webhook, both children
+	// of the portal span of the store that enabled A, the first errored.
 	var attempts []trace.FinishedSpan
 	for _, fs := range byID {
 		if fs.Name == "relay_delivery_seconds" {
@@ -172,50 +169,28 @@ func TestDistributedTraceAcrossTiers(t *testing.T) {
 		t.Fatalf("relay delivery spans = %d, want 2 (failed attempt + retry)", len(attempts))
 	}
 	var sawFail, sawOK bool
+	var retrySpan trace.FinishedSpan
 	for _, a := range attempts {
-		if a.ParentID != rootID {
-			t.Errorf("relay attempt parent = %s, want root %s", a.ParentID, rootID)
+		if a.ParentID != attempts[0].ParentID || byID[a.ParentID].Tier != "portal" {
+			t.Errorf("relay attempt parent = %+v, want the portal store span, shared by both attempts", byID[a.ParentID])
 		}
 		switch a.Attrs["attempt"] {
 		case "1":
 			sawFail = a.Status == "error"
 		case "2":
 			sawOK = a.Status == ""
+			retrySpan = a
 		}
 	}
 	if !sawFail || !sawOK {
 		t.Fatalf("attempts = %+v, want attempt 1 errored and attempt 2 clean", attempts)
 	}
 
-	// The retried delivery's HTTP hop is a child of the retry span, and
-	// the TFC's processing span is a child of that HTTP hop: the trace
-	// crosses the wire with correct links.
-	var retrySpan trace.FinishedSpan
-	for _, a := range attempts {
-		if a.Attrs["attempt"] == "2" {
-			retrySpan = a
-		}
-	}
-	var tfcHTTP trace.FinishedSpan
-	for _, fs := range byID {
-		if fs.Tier == "http" && fs.ParentID == retrySpan.SpanID {
-			tfcHTTP = fs
-		}
-	}
-	if tfcHTTP.SpanID == "" {
-		t.Fatal("no http span parented to the relay retry — traceparent not forwarded on redelivery")
-	}
-	if route := tfcHTTP.Attrs["route"]; route != "POST /v1/process" {
-		t.Fatalf("relay retry's http span route = %q, want POST /v1/process", route)
-	}
-	foundTFCChild := false
-	for _, fs := range byID {
-		if fs.Tier == "tfc" && fs.ParentID == tfcHTTP.SpanID {
-			foundTFCChild = true
-		}
-	}
-	if !foundTFCChild {
-		t.Fatal("no tfc span parented to the retried hop's http span")
+	// The retried delivery carried the retry span as its parent: the
+	// callback can join the trace under the attempt that reached it.
+	got, _ := retryParent.Load().(string)
+	if sc, ok := trace.ParseTraceparent(got); !ok || sc.TraceID.String() != traceID || sc.SpanID.String() != retrySpan.SpanID {
+		t.Fatalf("retried webhook traceparent = %q, want trace %s, parent span %s", got, traceID, retrySpan.SpanID)
 	}
 
 	// Assembly: the merged (duplicated) fetch collapses to one tree rooted

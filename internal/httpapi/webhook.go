@@ -1,9 +1,11 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -26,40 +28,57 @@ import (
 // activities becomes enabled. Receivers verify the same signed-request
 // headers clients use, so notifications cannot be forged.
 //
-// Deliveries go through an internal relay: a bounded worker pool with
-// retries, per-destination circuit breakers, and (with a WAL path) an
-// outbox that survives portal restarts. A notification that exhausts its
-// retry budget lands in the relay's dead-letter queue and is counted as
-// failed.
+// Deliveries go through a relay: a bounded worker pool with retries,
+// per-destination circuit breakers, and (with a WAL path) an outbox that
+// survives portal restarts and is drained from the moment the portal
+// boots. A notification that exhausts its retry budget lands in the
+// relay's dead-letter queue and is counted as failed.
+
+// KindWebhook is the relay entry kind of a webhook delivery; Dest is the
+// participant's callback URL.
+const KindWebhook = "webhook"
+
+// HeaderIdempotencyKey carries a webhook delivery's relay key. Every
+// attempt of one notification sends the same key, so a receiver can drop
+// a redelivery whose acknowledgement was lost.
+const HeaderIdempotencyKey = "X-DRA-Idempotency-Key"
+
+// webhookRelay is the delivery policy: a notification is a latency
+// optimization (the worklist stays the source of truth), so it gets a
+// few quick attempts of at most 5s each.
+var webhookRelay = relay.Config{
+	MaxAttempts:    3,
+	AttemptTimeout: 5 * time.Second,
+	Backoff:        relay.BackoffPolicy{Base: 25 * time.Millisecond, Cap: 500 * time.Millisecond},
+}
 
 // WebhookDispatcher keeps the URL registry and delivers notifications.
-// Configure the public fields before the first Notify; they are frozen
-// once the delivery relay starts.
 type WebhookDispatcher struct {
-	// Keys signs outgoing deliveries under the portal's identity.
-	Keys *pki.KeyPair
-	// HTTP performs the deliveries (default http.DefaultClient).
-	HTTP *http.Client
-	// Clock supplies delivery timestamps (default time.Now).
-	Clock func() time.Time
-	// Timeout bounds one delivery attempt (default 5s).
-	Timeout time.Duration
-	// WALPath, when set, persists undelivered notifications across
-	// restarts (draportal -webhook-wal). Empty keeps the outbox in memory.
-	WALPath string
-	// RelayConfig tunes retries; zero fields get webhook defaults
-	// (3 attempts, short backoff, per-attempt Timeout).
-	RelayConfig relay.Config
+	keys  *pki.KeyPair
+	clock func() time.Time
+	httpc *http.Client
+	rly   *relay.Relay
 
 	mu   sync.Mutex
 	urls map[string]string // principal (or "role:<r>") → callback URL
-	rly  *relay.Relay
-	seq  atomic.Uint64 // distinguishes legitimately repeated notifications
+	seq  atomic.Uint64     // distinguishes legitimately repeated notifications
 }
 
-// NewWebhookDispatcher creates a dispatcher signing as keys.Owner.
-func NewWebhookDispatcher(keys *pki.KeyPair) *WebhookDispatcher {
-	return &WebhookDispatcher{Keys: keys, urls: map[string]string{}}
+// newWebhookDispatcher opens (or replays) the outbox WAL at walPath — ""
+// keeps it in memory — and starts the relay, which at once resumes every
+// delivery journaled there by an earlier run. Deliveries are signed as
+// keys.Owner with request dates from clock and sent through httpc.
+func newWebhookDispatcher(keys *pki.KeyPair, clock func() time.Time, walPath string, httpc *http.Client, cfg relay.Config) (*WebhookDispatcher, error) {
+	ob, err := relay.OpenOutbox(walPath)
+	if err != nil {
+		return nil, fmt.Errorf("httpapi: webhook outbox: %w", err)
+	}
+	if rec := ob.Recovery(); rec.DamagedBytes > 0 {
+		log.Printf("WARNING: webhook outbox %s: quarantined %d damaged bytes to %s (%s); notifications journaled there are lost, worklists remain the source of truth", walPath, rec.DamagedBytes, rec.QuarantineFile, rec.Reason)
+	}
+	d := &WebhookDispatcher{keys: keys, clock: clock, httpc: httpc, urls: map[string]string{}}
+	d.rly = relay.New(ob, relay.TransportFunc(d.deliver), cfg)
+	return d, nil
 }
 
 // Register binds the principal (or role key) to a callback URL; an empty
@@ -92,67 +111,21 @@ func (d *WebhookDispatcher) URL(principal string) (string, bool) {
 // Stats returns (delivered, failed) counters: acknowledged deliveries
 // and deliveries that exhausted their retries into the DLQ.
 func (d *WebhookDispatcher) Stats() (delivered, failed int) {
-	d.mu.Lock()
-	rly := d.rly
-	d.mu.Unlock()
-	if rly == nil {
-		return 0, 0
-	}
-	st := rly.Stats()
+	st := d.rly.Stats()
 	return int(st.Delivered), int(st.DeadLettered)
 }
 
-// ensureRelay starts the delivery relay on first use, freezing the
-// dispatcher's configuration fields into it.
-func (d *WebhookDispatcher) ensureRelay() (*relay.Relay, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.rly != nil {
-		return d.rly, nil
-	}
-	ob, err := relay.OpenOutbox(d.WALPath)
-	if err != nil {
-		return nil, err
-	}
-	if rec := ob.Recovery(); rec.DamagedBytes > 0 {
-		log.Printf("WARNING: webhook outbox %s: quarantined %d damaged bytes to %s (%s); notifications journaled there are lost, worklists remain the source of truth", d.WALPath, rec.DamagedBytes, rec.QuarantineFile, rec.Reason)
-	}
-	cfg := d.RelayConfig
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.AttemptTimeout <= 0 {
-		cfg.AttemptTimeout = d.timeout()
-	}
-	if cfg.Backoff == (relay.BackoffPolicy{}) {
-		cfg.Backoff = relay.BackoffPolicy{Base: 25 * time.Millisecond, Cap: 500 * time.Millisecond}
-	}
-	tr := &HTTPTransport{Keys: d.Keys, HTTP: d.HTTP, Clock: d.Clock}
-	d.rly = relay.New(ob, tr, cfg)
-	return d.rly, nil
-}
-
-// Notify implements the portal.OnNotify contract: the notification is
-// journaled and delivered asynchronously to the participant's registered
-// URL (if any), with retries and breaker protection. A delivery that
-// exhausts its budget is dead-lettered, not lost silently — but the
+// Notify is the portal's OnNotify hook: the notification is journaled
+// and delivered asynchronously to the participant's registered URL (if
+// any), with retries and breaker protection. ctx's traceparent is
+// journaled with it, so the webhook POST (and any retry of it) appears
+// as a relay span of the store that enabled the activity. A delivery
+// that exhausts its budget is dead-lettered, not lost silently — but the
 // worklist remains the source of truth; webhooks are a latency
 // optimization.
-func (d *WebhookDispatcher) Notify(n portal.Notification) {
-	d.NotifyCtx(context.Background(), n)
-}
-
-// NotifyCtx is Notify carrying the triggering request's trace context:
-// the delivery is journaled with ctx's traceparent, so the asynchronous
-// webhook POST (and any retry of it) appears as a relay span of the
-// store that enabled the activity.
-func (d *WebhookDispatcher) NotifyCtx(ctx context.Context, n portal.Notification) {
+func (d *WebhookDispatcher) Notify(ctx context.Context, n portal.Notification) {
 	target, ok := d.URL(n.Participant)
 	if !ok {
-		return
-	}
-	rly, err := d.ensureRelay()
-	if err != nil {
 		return
 	}
 	body, err := json.Marshal(n)
@@ -165,35 +138,58 @@ func (d *WebhookDispatcher) NotifyCtx(ctx context.Context, n portal.Notification
 	keyed := append(strconv.AppendUint(nil, d.seq.Add(1), 10), '|')
 	keyed = append(keyed, body...)
 	//lint:ignore cryptoerr webhook dispatch is fire-and-forget by contract: an enqueue failure (closed relay, journal write error) must not fail the document store that triggered the notification, and the worklist remains the source of truth
-	_, _, _ = rly.EnqueueTraced(target, KindWebhook, relay.IdempotencyKey(KindWebhook, target, keyed), trace.TraceparentFromContext(ctx), body)
+	_, _, _ = d.rly.EnqueueTraced(target, KindWebhook, relay.IdempotencyKey(KindWebhook, target, keyed), trace.TraceparentFromContext(ctx), body)
 }
 
-// Relay exposes the delivery relay (DLQ inspection, stats); nil before
-// the first Notify.
-func (d *WebhookDispatcher) Relay() *relay.Relay {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.rly
+// deliver makes one signed POST of a journaled notification. Every
+// attempt is signed afresh — the receivers' nonce replay cache rejects a
+// reused signature — and carries the entry's idempotency key. Statuses
+// retrying cannot fix (4xx other than 408/429) fail permanently and go
+// straight to the dead-letter queue.
+func (d *WebhookDispatcher) deliver(ctx context.Context, e relay.Entry) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.Dest, bytes.NewReader(e.Payload))
+	if err != nil {
+		return relay.Permanent(err)
+	}
+	req.Header.Set("Content-Type", ContentJSON)
+	req.Header.Set(HeaderIdempotencyKey, e.Key)
+	// The relay put the entry's persisted trace context into ctx; forward
+	// it so the receiver can join the same trace. Signature-safe:
+	// SignRequest covers algorithm, method, path, date, nonce, and body.
+	if tp := trace.TraceparentFromContext(ctx); tp != "" {
+		req.Header.Set(TraceparentHeader, tp)
+	}
+	AttachDeadline(ctx, req.Header)
+	if err := SignRequest(req, e.Payload, d.keys, d.clock()); err != nil {
+		return relay.Permanent(err)
+	}
+	resp, err := d.httpc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode/100 != 2 {
+		err := fmt.Errorf("httpapi: webhook %s: %s: %s", e.Dest, resp.Status, bytes.TrimSpace(body))
+		if resp.StatusCode/100 == 4 &&
+			resp.StatusCode != http.StatusRequestTimeout &&
+			resp.StatusCode != http.StatusTooManyRequests {
+			return relay.Permanent(err)
+		}
+		return err
+	}
+	return nil
 }
+
+// Relay exposes the delivery relay (DLQ inspection, stats).
+func (d *WebhookDispatcher) Relay() *relay.Relay { return d.rly }
 
 // Close stops the delivery relay; with a WAL, undelivered notifications
 // survive for the next start.
-func (d *WebhookDispatcher) Close() error {
-	d.mu.Lock()
-	rly := d.rly
-	d.mu.Unlock()
-	if rly == nil {
-		return nil
-	}
-	return rly.Close()
-}
-
-func (d *WebhookDispatcher) timeout() time.Duration {
-	if d.Timeout > 0 {
-		return d.Timeout
-	}
-	return 5 * time.Second
-}
+func (d *WebhookDispatcher) Close() error { return d.rly.Close() }
 
 // --- server-side registration endpoint -------------------------------------------
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"dra4wfms/internal/monitor"
 	"dra4wfms/internal/pool"
 	"dra4wfms/internal/portal"
+	"dra4wfms/internal/relay"
 	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/wfdef"
 )
@@ -68,6 +70,15 @@ func webhookWorld(t *testing.T) (*world, *PortalServer, *WebhookDispatcher) {
 	t.Helper()
 	w := newWorld(t)
 	w.env.MustRegister("portal@cloud")
+	ps, dispatcher := w.webhookPortal(t, "")
+	return w, ps, dispatcher
+}
+
+// webhookPortal points w at a fresh portal server, signing webhooks as
+// portal@cloud (registered by the caller) with its outbox WAL at walPath
+// ("" = memory).
+func (w *world) webhookPortal(t *testing.T, walPath string) (*PortalServer, *WebhookDispatcher) {
+	t.Helper()
 	table, err := pool.NewTable(portal.TableName, portal.Families...)
 	if err != nil {
 		t.Fatal(err)
@@ -77,13 +88,15 @@ func webhookWorld(t *testing.T) (*world, *PortalServer, *WebhookDispatcher) {
 		Monitor: monitor.New(table),
 		Auth:    NewAuthenticator(w.env.Registry, w.clock),
 	}
-	dispatcher := ps.EnableWebhooks(w.env.KeyOf("portal@cloud"))
-	dispatcher.Clock = w.clock
+	dispatcher, err := ps.EnableWebhooks(w.env.KeyOf("portal@cloud"), walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { _ = dispatcher.Close() })
 	srv := httptest.NewServer(ps.Handler())
 	t.Cleanup(srv.Close)
 	w.portalSrv = srv
-	return w, ps, dispatcher
+	return ps, dispatcher
 }
 
 func TestWebhookDelivery(t *testing.T) {
@@ -172,4 +185,38 @@ func TestWebhookValidation(t *testing.T) {
 		t.Fatalf("failed deliveries = %d, want 1", failed)
 	}
 	_ = ps
+}
+
+// TestWebhookOutboxReplaysAtBoot: a delivery journaled by an earlier run
+// goes out as soon as a portal boots over the outbox. No store triggers
+// it and nobody re-registers (registrations live in memory only).
+func TestWebhookOutboxReplaysAtBoot(t *testing.T) {
+	w := newWorld(t)
+	w.env.MustRegister("portal@cloud")
+	rcv := newReceiver(t, w)
+	path := filepath.Join(t.TempDir(), "webhooks.wal")
+	want := portal.Notification{Participant: wfdef.Fig9Participants["A"], ProcessID: "p-journaled", Activity: "A"}
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob, err := relay.OpenOutbox(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ob.Append(rcv.srv.URL, KindWebhook, relay.IdempotencyKey(KindWebhook, rcv.srv.URL, body), "", body); err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, dispatcher := w.webhookPortal(t, path)
+	dispatcher.Relay().Flush()
+	if notes := rcv.all(); len(notes) != 1 || notes[0] != want {
+		t.Fatalf("delivered after boot = %v, want [%v]", notes, want)
+	}
+	if delivered, failed := dispatcher.Stats(); delivered != 1 || failed != 0 {
+		t.Fatalf("stats = %d delivered, %d failed", delivered, failed)
+	}
 }

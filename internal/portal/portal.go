@@ -107,14 +107,11 @@ type Portal struct {
 	Clock func() time.Time
 	// OnNotify, when set, receives every notification produced by Store
 	// and StoreInitial (after the document is durably persisted) — the
-	// paper's "notify the subsequent participants" hook. It is called
-	// outside the portal's lock; implementations deliver asynchronously.
-	OnNotify func(Notification)
-	// OnNotifyCtx is OnNotify carrying the trace context of the store
-	// that produced the notification, so asynchronous webhook deliveries
-	// continue the originating trace. When both hooks are set,
-	// OnNotifyCtx wins.
-	OnNotifyCtx func(context.Context, Notification)
+	// paper's "notify the subsequent participants" hook — with the trace
+	// context of that store, so asynchronous webhook deliveries continue
+	// the originating trace. It is called outside the portal's lock;
+	// implementations deliver asynchronously.
+	OnNotify func(context.Context, Notification)
 
 	// stripes serialize the read-merge-write cycles of one process
 	// instance; see lockFor.
@@ -157,7 +154,7 @@ func (p *Portal) Store(doc *document.Document) ([]Notification, error) {
 // StoreCtx is Store carrying the caller's trace context: inside a
 // sampled distributed trace the verification/merge/persist work lands as
 // a portal-tier span (with the process ID and CER count as attributes),
-// pool writes nest under it, and notifications dispatched to OnNotifyCtx
+// pool writes nest under it, and notifications dispatched to OnNotify
 // continue the same trace through the webhook relay.
 func (p *Portal) StoreCtx(ctx context.Context, doc *document.Document) ([]Notification, error) {
 	ctx, span := tel.StartSpan(ctx, "portal_store_seconds")
@@ -196,19 +193,15 @@ func (p *Portal) StoreCtx(ctx context.Context, doc *document.Document) ([]Notifi
 	return notes, nil
 }
 
-// dispatch fans notifications out to OnNotifyCtx/OnNotify. Must be
-// called without the instance's lock.
+// dispatch fans notifications out to OnNotify. Must be called without
+// the instance's lock.
 func (p *Portal) dispatch(ctx context.Context, notes []Notification) {
 	mNotifications.Add(int64(len(notes)))
-	switch {
-	case p.OnNotifyCtx != nil:
-		for _, n := range notes {
-			p.OnNotifyCtx(ctx, n)
-		}
-	case p.OnNotify != nil:
-		for _, n := range notes {
-			p.OnNotify(n)
-		}
+	if p.OnNotify == nil {
+		return
+	}
+	for _, n := range notes {
+		p.OnNotify(ctx, n)
 	}
 }
 

@@ -5,7 +5,7 @@ import "dra4wfms/internal/telemetry"
 // Relay observability, recorded into the process-wide registry and thus
 // visible at GET /v1/metrics and through `dractl metrics`. Gauges are
 // updated by delta so several relays in one process (webhook dispatcher,
-// client forwarder) compose into process totals.
+// replication coordinator) compose into process totals.
 var (
 	tel = telemetry.Default()
 

@@ -1,6 +1,8 @@
 package relay
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -20,7 +22,7 @@ import (
 // tail quarantine and atomic rewrite the pool's WAL uses — whose frame
 // payloads are JSON records:
 //
-//	{"op":"enq","seq":7,"dest":"http://...","kind":"store","key":"ab12...","payload":"...base64..."}
+//	{"op":"enq","seq":7,"dest":"http://...","kind":"webhook","key":"ab12...","payload":"...base64..."}
 //	{"op":"fail","seq":7}                      one attempt failed (attempt count survives restart)
 //	{"op":"ack","seq":7}                       delivered; entry is logically gone
 //	{"op":"dead","seq":9,"reason":"..."}       moved to the dead-letter queue
@@ -30,6 +32,22 @@ import (
 // Acked entries accumulate as dead weight in the file; Compact rewrites
 // the journal with only live state. Ack triggers compaction automatically
 // every compactEvery acknowledgements.
+
+// IdempotencyKey derives the key that identifies one logical delivery:
+// the digest of (kind, destination, payload). Retries of the same hop
+// collide on it, so the outbox refuses a second enqueue. Callers whose
+// payloads legitimately repeat (a loop re-notifying the same worklist)
+// must fold a local sequence number into the payload or supply their own
+// key.
+func IdempotencyKey(kind, dest string, payload []byte) string {
+	h := sha256.New()
+	h.Write([]byte(kind))
+	h.Write([]byte{0})
+	h.Write([]byte(dest))
+	h.Write([]byte{0})
+	h.Write(payload)
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // walRecord is one journal record.
 type walRecord struct {
@@ -48,10 +66,10 @@ type walRecord struct {
 type Entry struct {
 	// Seq is the append sequence number, unique within one outbox.
 	Seq uint64
-	// Dest is the destination the transport delivers to (a URL for the
-	// HTTP transport).
+	// Dest is the destination the transport delivers to (a callback URL
+	// for a webhook, a node ID for replication).
 	Dest string
-	// Kind names the delivery type (e.g. "webhook", "store", "process");
+	// Kind names the delivery type (e.g. "webhook", "replicate");
 	// transports dispatch on it.
 	Kind string
 	// Key is the idempotency key; the outbox refuses to enqueue a key

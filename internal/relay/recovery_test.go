@@ -18,11 +18,10 @@ import (
 )
 
 // receiver is a fake peer that applies deliveries exactly once per
-// idempotency key, like the httpapi servers do: a redelivered key is
+// idempotency key, like a webhook callback should: a redelivered key is
 // acknowledged without a second application.
 type receiver struct {
 	mu       sync.Mutex
-	dedup    Deduper
 	applied  map[string]int // key → times actually applied
 	received map[string]int // key → times a delivery arrived
 }
@@ -35,11 +34,9 @@ func (rc *receiver) deliver(e Entry) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	rc.received[e.Key]++
-	if _, seen := rc.dedup.Lookup(e.Key); seen {
-		return
+	if rc.applied[e.Key] == 0 {
+		rc.applied[e.Key]++
 	}
-	rc.dedup.Remember(e.Key, true)
-	rc.applied[e.Key]++
 }
 
 func (rc *receiver) appliedCount(key string) int {

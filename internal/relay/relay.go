@@ -1,9 +1,10 @@
-// Package relay is the durable delivery subsystem every outbound hop of
-// the DRA4WfMS reproduction routes through. The paper's engine-less
+// Package relay is the durable delivery subsystem behind the daemons'
+// asynchronous hops: the portal's webhook notifications and the
+// clustered pool's replication intents. The paper's engine-less
 // architecture (Sections 2.1–2.2, Fig. 7) makes the routed document the
-// only carrier of process state, so a hop that is silently lost stalls a
-// workflow and a hop that is silently duplicated corrupts one. The relay
-// closes that gap with three cooperating pieces:
+// only carrier of process state, so those side channels must not be lost
+// silently either. The relay closes that gap with three cooperating
+// pieces:
 //
 //   - an append-only outbox WAL (outbox.go): every delivery is persisted
 //     before the first attempt and replayed after a crash;
@@ -11,10 +12,9 @@
 //     exponential backoff + full jitter, per-destination circuit breakers
 //     (breaker.go), and a dead-letter queue for deliveries that exhaust
 //     their attempt budget;
-//   - idempotency keys (dedup.go), deduplicated at the sender (the outbox
-//     refuses keys it has seen) and at the receiver (httpapi replays the
-//     cached response), so at-least-once delivery yields exactly-once
-//     effects.
+//   - idempotency keys (IdempotencyKey), which the outbox refuses to
+//     enqueue twice and which travel with every attempt, so a receiver
+//     can drop a redelivery whose acknowledgement was lost.
 package relay
 
 import (
@@ -88,10 +88,6 @@ type Config struct {
 	Rand func() float64
 	// Clock overrides time.Now for breaker and scheduling decisions.
 	Clock func() time.Time
-	// OnSettle, when set, is called once a delivery settles: err is nil
-	// for an acknowledged delivery, the final delivery error for a
-	// dead-lettered one. Called from worker goroutines — keep it fast.
-	OnSettle func(e Entry, err error)
 }
 
 func (c Config) withDefaults() Config {
@@ -362,17 +358,14 @@ func (r *Relay) process(e Entry) {
 		r.br.success(e.Dest)
 		r.bud.success(e.Dest)
 		// An ack that fails to journal leaves the entry pending in the
-		// WAL; the redelivery after restart is absorbed by receiver-side
-		// idempotency.
+		// WAL; the redelivery after restart carries the same key, for
+		// the receiver to drop.
 		if aerr := r.ob.Ack(e.Seq); aerr == nil {
 			mQueueDepth.Add(-1)
 		}
 		r.delivered.Add(1)
 		mDelivered.Inc()
 		r.finish()
-		if r.cfg.OnSettle != nil {
-			r.cfg.OnSettle(e, nil)
-		}
 		return
 	}
 	r.br.failure(e.Dest, r.now())
@@ -390,9 +383,6 @@ func (r *Relay) process(e Entry) {
 		r.deadLettered.Add(1)
 		mDeadletters.Inc()
 		r.finish()
-		if r.cfg.OnSettle != nil {
-			r.cfg.OnSettle(e, err)
-		}
 		return
 	}
 	if ok, retryAt := r.bud.allowRetry(e.Dest, r.now()); !ok {

@@ -294,31 +294,6 @@ func TestRelayBreakerParksDeliveries(t *testing.T) {
 	}
 }
 
-func TestDeduper(t *testing.T) {
-	var d Deduper
-	d.Cap = 2
-	d.Remember("a", 1)
-	d.Remember("a", 99) // first outcome wins
-	d.Remember("b", 2)
-	if v, ok := d.Lookup("a"); !ok || v.(int) != 1 {
-		t.Fatalf("Lookup(a) = %v %v", v, ok)
-	}
-	d.Remember("c", 3) // evicts a
-	if _, ok := d.Lookup("a"); ok {
-		t.Fatal("a should have been evicted")
-	}
-	if _, ok := d.Lookup("c"); !ok {
-		t.Fatal("c should be retained")
-	}
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", d.Len())
-	}
-	d.Remember("", 0)
-	if _, ok := d.Lookup(""); ok {
-		t.Fatal("empty key must not be remembered")
-	}
-}
-
 func TestIdempotencyKeyDistinguishesHops(t *testing.T) {
 	base := IdempotencyKey("store", "d1", []byte("p"))
 	if IdempotencyKey("store", "d1", []byte("p")) != base {
