@@ -62,9 +62,11 @@ benchpairs:
 # benchsmoke compiles and runs every dsig/xmltree/xmlenc/aea/httpapi
 # benchmark and the root pool benchmark (BenchmarkPoolPutGetScan) once, so
 # the fast-path benchmarks (BenchmarkVerifyAll, BenchmarkCanonicalMemo,
-# BenchmarkOpenDeepCascade, BenchmarkSignVerifyRequest per request suite,
-# BenchmarkNonceRemember) and the pool's put/get/scan/parallel mix cannot
-# rot between perf-focused PRs, then regenerates the paper's Table 1 with
+# BenchmarkOpenDeepCascade, BenchmarkHopDeepCascade — a whole 7-reject
+# instance of participant hops, reporting unwraps/op —,
+# BenchmarkSignVerifyRequest per request suite, BenchmarkNonceRemember)
+# and the pool's put/get/scan/parallel mix cannot rot between
+# perf-focused PRs, then regenerates the paper's Table 1 with
 # drabench and checks its -json document carries the table1 rows.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/dsig/... ./internal/xmltree/... ./internal/xmlenc/... ./internal/aea/... ./internal/httpapi/...
@@ -76,18 +78,20 @@ benchsmoke:
 # deliveries dropped/duplicated, 10% un-acked, judged by internal/chaos)
 # in process and on webhook deliveries over HTTP, crash recovery from the
 # outbox journal (torn tail, flipped byte, mid-file damage, compaction
-# that loses its handle), and a journaled webhook delivered when the
-# portal boots, all under the race detector. The race target covers these
+# that loses its handle), a journaled webhook delivered when the portal
+# boots and a callback registration kept across a restart, all under the
+# race detector. The race target covers these
 # too; the split keeps the gate visible and fast to re-run.
 faults:
-	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestWebhookOutboxReplaysAtBoot|TestOutbox' ./internal/relay/ ./internal/httpapi/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestWebhookOutboxReplaysAtBoot|TestWebhookRegistrationSurvivesRestart|TestOutbox' ./internal/relay/ ./internal/httpapi/ ./internal/wal/
 
 # fuzzsmoke runs the log-format fuzz target, the pool's record-payload
 # target, the XML parser's differential target (against encoding/xml),
 # the traceparent parser's round-trip target, the request
-# authenticator's target (accepts only genuinely signed header tuples)
-# and the client's Retry-After parser (never a negative wait) for ten
-# seconds each; plain `go test` already replays their seed corpora on
+# authenticator's target (accepts only genuinely signed header tuples),
+# the client's Retry-After parser (never a negative wait) and the
+# condition language (no panic; evaluation looks up only the variables
+# the expression reports) for ten seconds each; plain `go test` already replays their seed corpora on
 # every run.
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpen -fuzztime=10s ./internal/wal/
@@ -96,6 +100,7 @@ fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzVerifyRequest -fuzztime=10s ./internal/httpapi/
 	$(GO) test -run=NONE -fuzz=FuzzParseRetryAfter -fuzztime=10s ./internal/httpapi/
+	$(GO) test -run=NONE -fuzz=FuzzExpr -fuzztime=10s ./internal/expr/
 
 # loc prints the non-test, non-comment Go line count ROADMAP tracks.
 loc:

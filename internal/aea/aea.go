@@ -9,8 +9,10 @@
 //     altered (the paper's α phase);
 //  2. checks that its principal is the assigned executor of the activity
 //     and that the activity is actually enabled by the control-flow state;
-//  3. decrypts the elements its principal may read and presents the
-//     activity's requests to the participant;
+//  3. decrypts the latest value of each variable the activity requests,
+//     and only those elements, and presents them to the participant (a
+//     routing condition later opens the latest value of each variable it
+//     names, the same way; see document.Lookup);
 //  4. appends the participant's element-wise encrypted execution result;
 //  5. embeds a digital signature covering the result and the signatures of
 //     all predecessor activities (the β phase, the nonrepudiation cascade);
@@ -33,7 +35,6 @@ import (
 
 	"dra4wfms/internal/document"
 	"dra4wfms/internal/dsig"
-	"dra4wfms/internal/expr"
 	"dra4wfms/internal/pki"
 	"dra4wfms/internal/secpol"
 	"dra4wfms/internal/telemetry"
@@ -85,7 +86,7 @@ type Inputs map[string]string
 // across goroutines.
 type AEA struct {
 	// Keys is the participant's key pair; Keys.Owner is the principal ID.
-	// Views are decrypted with the key pair passed to New.
+	// Elements are decrypted with the key pair passed to New.
 	Keys *pki.KeyPair
 	// Registry resolves and trusts other principals' public keys.
 	Registry *pki.Registry
@@ -105,25 +106,29 @@ func New(keys *pki.KeyPair, reg *pki.Registry) *AEA {
 }
 
 // Session is an opened activity: the document has been verified and the
-// participant's view decrypted (phase α); Complete or CompleteToTFC
+// activity's requests decrypted (phase α); Complete or CompleteToTFC
 // performs phase β.
 type Session struct {
-	aea  *AEA
-	work *document.Document // verified clone, still encrypted
-	view *document.Document // decrypted view for this participant
-	def  *wfdef.Definition
-	act  *wfdef.Activity
-	iter int
+	aea      *AEA
+	work     *document.Document // verified clone, still encrypted
+	def      *wfdef.Definition
+	act      *wfdef.Activity
+	iter     int
+	lookup   *document.Lookup // this principal's reads of work
+	requests map[string]string
 
 	// VerifiedSignatures is the number of signatures checked during Open —
 	// the count behind the paper's "number of signatures to verify".
 	VerifiedSignatures int
-	// DecryptedElements is the number of elements decrypted for the view.
+	// DecryptedElements is the number of elements the session decrypted:
+	// the latest readable element of each requested variable in Open,
+	// plus any a routing condition needed in Complete.
 	DecryptedElements int
 }
 
-// Open verifies the received document and prepares the participant's view
-// (the paper's α phase: decrypt cipher data and verify digital signatures).
+// Open verifies the received document and decrypts the activity's
+// requests (the paper's α phase: verify digital signatures, decrypt
+// cipher data).
 func (a *AEA) Open(doc *document.Document, activityID string) (*Session, error) {
 	return a.OpenCtx(context.Background(), doc, activityID)
 }
@@ -150,6 +155,9 @@ func (a *AEA) OpenCtx(ctx context.Context, doc *document.Document, activityID st
 	}
 	if err := def.Validate(); err != nil {
 		return nil, fmt.Errorf("aea: embedded definition invalid: %w", err)
+	}
+	if err := document.CheckDeclared(def, work); err != nil {
+		return nil, fmt.Errorf("aea: %w", err)
 	}
 	act := def.Activity(activityID)
 	if act == nil {
@@ -183,18 +191,36 @@ func (a *AEA) OpenCtx(ctx context.Context, doc *document.Document, activityID st
 		return nil, fmt.Errorf("%w: %s#%d of process %s", ErrReplay, activityID, iter, work.ProcessID())
 	}
 
-	view := work.Clone()
-	_, decryptSpan := tel.StartSpan(ctx, "aea_decrypt_view_seconds")
-	ndec, err := a.opener.DecryptVisible(view.Root)
-	decryptSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("aea: decrypting view: %w", err)
+	s := &Session{
+		aea: a, work: work, def: def, act: act, iter: iter,
+		lookup:             document.NewLookup(work, def, a.opener),
+		requests:           map[string]string{},
+		VerifiedSignatures: nsigs,
 	}
-	mDecryptedElements.Add(int64(ndec))
-	return &Session{
-		aea: a, work: work, view: view, def: def, act: act, iter: iter,
-		VerifiedSignatures: nsigs, DecryptedElements: ndec,
-	}, nil
+	_, decryptSpan := tel.StartSpan(ctx, "aea_decrypt_requests_seconds")
+	for _, r := range act.Requests {
+		var v string
+		var ok bool
+		if v, ok, err = s.lookup.Value(r.Variable); err != nil {
+			break
+		}
+		if ok {
+			s.requests[r.Variable] = v
+		}
+	}
+	decryptSpan.End()
+	s.countDecrypted()
+	if err != nil {
+		return nil, fmt.Errorf("aea: decrypting requests: %w", err)
+	}
+	return s, nil
+}
+
+// countDecrypted brings DecryptedElements and the decrypt counter up to
+// the lookup's count.
+func (s *Session) countDecrypted() {
+	mDecryptedElements.Add(int64(s.lookup.Decrypted - s.DecryptedElements))
+	s.DecryptedElements = s.lookup.Decrypted
 }
 
 // Activity returns the activity being executed.
@@ -206,20 +232,13 @@ func (s *Session) Iteration() int { return s.iter }
 // Definition returns the embedded workflow definition.
 func (s *Session) Definition() *wfdef.Definition { return s.def }
 
-// View returns the participant-visible document (encrypted elements this
-// principal may read have been decrypted in place).
-func (s *Session) View() *document.Document { return s.view }
-
 // Requests returns the values of the activity's requested variables as
 // visible to this participant; variables the participant cannot read are
 // absent.
 func (s *Session) Requests() map[string]string {
-	vals := s.view.Values()
-	out := map[string]string{}
-	for _, r := range s.act.Requests {
-		if v, ok := vals[r.Variable]; ok {
-			out[r.Variable] = v
-		}
+	out := make(map[string]string, len(s.requests))
+	for k, v := range s.requests {
+		out[k] = v
 	}
 	return out
 }
@@ -405,12 +424,8 @@ func (a *AEA) ExecuteToTFCCtx(ctx context.Context, doc *document.Document, activ
 }
 
 func (s *Session) validateInputs(inputs Inputs) error {
-	declared := map[string]wfdef.Response{}
-	for _, r := range s.act.Responses {
-		declared[r.Variable] = r
-	}
 	for v := range inputs {
-		if _, ok := declared[v]; !ok {
+		if !s.act.Produces(v) {
 			return fmt.Errorf("%w: %q (activity %s)", ErrUnknownInput, v, s.act.ID)
 		}
 	}
@@ -425,10 +440,14 @@ func (s *Session) validateInputs(inputs Inputs) error {
 }
 
 // route evaluates the activity's outgoing transitions under the basic
-// model, using every variable visible to this participant plus the fresh
-// inputs.
+// model: a condition reads the fresh inputs first, and any other variable
+// it names is looked up, and decrypted, as this participant sees it.
 func (s *Session) route(inputs Inputs) ([]string, error) {
-	next, err := secpol.Route(s.def, s.act, s.env(inputs))
+	next, err := secpol.Route(s.def, s.act, s.lookup.Env(inputs))
+	s.countDecrypted()
+	if lerr := s.lookup.Err(); lerr != nil {
+		return nil, fmt.Errorf("aea: routing: %w", lerr)
+	}
 	if err != nil {
 		switch {
 		case errors.Is(err, secpol.ErrUnreadableCondition):
@@ -439,14 +458,6 @@ func (s *Session) route(inputs Inputs) ([]string, error) {
 		return nil, err
 	}
 	return next, nil
-}
-
-func (s *Session) env(inputs Inputs) expr.MapEnv {
-	vals := s.view.Values()
-	for k, v := range inputs {
-		vals[k] = v
-	}
-	return secpol.Env(vals)
 }
 
 func (a *AEA) alreadySeen(key string) bool {

@@ -9,9 +9,11 @@ import (
 	"dra4wfms/internal/document"
 	"dra4wfms/internal/dsig"
 	"dra4wfms/internal/pki"
+	"dra4wfms/internal/secpol"
 	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/wfdef"
 	"dra4wfms/internal/xmlenc"
+	"dra4wfms/internal/xmltree"
 )
 
 var now = time.Date(2026, 7, 6, 10, 0, 0, 0, time.UTC)
@@ -21,9 +23,10 @@ type fixture struct {
 	def    *wfdef.Definition
 	doc    *document.Document
 	agents map[string]*AEA
-	// onOpen, when set, sees every hop's input document and the session
-	// its agent opened from it, before the session completes.
-	onOpen func(activity string, in *document.Document, s *Session)
+	// onHop, when set, sees every hop after it completed: the input
+	// document, the inputs, the session its agent opened from it and the
+	// outcome.
+	onHop func(activity string, in *document.Document, inputs Inputs, s *Session, out *Outcome)
 }
 
 func newFixture(t testing.TB) *fixture {
@@ -48,12 +51,12 @@ func (f *fixture) hop(t testing.TB, doc *document.Document, activity string, inp
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.onOpen != nil {
-		f.onOpen(activity, doc, s)
-	}
 	out, err := s.Complete(inputs, now)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f.onHop != nil {
+		f.onHop(activity, doc, inputs, s, out)
 	}
 	return out
 }
@@ -156,11 +159,8 @@ func TestSessionAccessorsAndRequests(t *testing.T) {
 	if reqs["request"] != "the request" {
 		t.Fatalf("Requests = %v", reqs)
 	}
-	if s.DecryptedElements == 0 {
-		t.Fatal("no elements decrypted for view")
-	}
-	if s.View() == nil {
-		t.Fatal("nil view")
+	if s.DecryptedElements != 1 {
+		t.Fatalf("DecryptedElements = %d, want 1 (the one requested variable)", s.DecryptedElements)
 	}
 }
 
@@ -426,4 +426,76 @@ func TestEd25519AgentsInterop(t *testing.T) {
 			t.Fatalf("CER signature algorithm = %q, want %s", alg, dsig.SignatureAlgEd25519)
 		}
 	}
+}
+
+// TestUndeclaredResultRefused: A leaves the optional attachment out, and
+// B1's participant signs a CER that also sets it, a variable only A
+// declares. Whether the forged value travels under its own label, in
+// plaintext, or under B1's techReview label, C's agent refuses the
+// document instead of showing the value to C and, later, to D.
+func TestUndeclaredResultRefused(t *testing.T) {
+	f := newFixture(t)
+	reg := f.env.Registry
+	encrypted, err := secpol.EncryptFields(f.def, reg, "B1", 0, map[string]string{"techReview": "sound", "attachment": "forged-by-B1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	review, err := secpol.EncryptFields(f.def, reg, "B1", 0, map[string]string{"techReview": "sound"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers, err := secpol.Recipients(f.def, reg, "techReview")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mislabelled, err := xmlenc.Encrypt(document.Field("attachment", "forged-by-B1"), "encf-B1-0-0", readers...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mislabelled.SetAttr("Variable", "techReview")
+	outA, err := f.agents["A"].Execute(f.doc, "A", Inputs{"request": "r"}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outB2, err := f.agents["B2"].Execute(outA.Routed["B2"], "B2", Inputs{"budgetReview": "ok"}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fields := range map[string][]*xmltree.Node{
+		"labelled":    encrypted,
+		"plaintext":   append(review, document.Field("attachment", "forged-by-B1")),
+		"mislabelled": {mislabelled},
+	} {
+		t.Run(name, func(t *testing.T) {
+			forged := outA.Routed["B1"].Clone()
+			preds, err := document.PredecessorSignatures(f.def, forged, "B1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := forged.AppendCER(document.AppendSpec{
+				ActivityID: "B1", Kind: document.KindFinal, Participant: wfdef.Fig9Participants["B1"],
+				ResultChildren: fields, Next: []string{"C"}, PredSigIDs: preds, Signer: f.agents["B1"].Keys,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			merged, err := document.Merge(forged, outB2.Routed["C"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := merged.VerifyAll(reg); err != nil {
+				t.Fatalf("the forged CER is validly signed, yet VerifyAll = %d, %v", n, err)
+			}
+			s, err := New(f.env.KeyOf(wfdef.Fig9Participants["C"]), reg).Open(merged, "C")
+			if !errors.Is(err, document.ErrUndeclaredVariable) {
+				t.Fatalf("C opened B1's result setting attachment: err = %v, requests %v", err, requestsOf(s))
+			}
+		})
+	}
+}
+
+func requestsOf(s *Session) map[string]string {
+	if s == nil {
+		return nil
+	}
+	return s.Requests()
 }

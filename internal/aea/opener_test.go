@@ -2,10 +2,14 @@ package aea
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"dra4wfms/internal/document"
+	"dra4wfms/internal/pki"
+	"dra4wfms/internal/secpol"
 	"dra4wfms/internal/telemetry"
 	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/wfdef"
@@ -16,25 +20,46 @@ import (
 // seven times, so the instance has 40 hops and 40 CERs.
 const deepRejects = 7
 
-// TestOpenViewMatchesColdDecrypt is the differential check for the AEA's
-// opener: at every hop of a 7-reject Figure 9A instance the view an agent
-// builds through its (by then warm) opener is byte-identical to the cold
-// xmlenc.DecryptVisible result, and counts the same elements.
-func TestOpenViewMatchesColdDecrypt(t *testing.T) {
+// coldRequests is the reference for Session.Requests: a whole copy of in
+// decrypted for key, its Values(), kept to the activity's requests.
+func coldRequests(t testing.TB, in *document.Document, key *pki.KeyPair, act *wfdef.Activity) (map[string]string, map[string]string) {
+	t.Helper()
+	cold := in.Clone()
+	if _, err := xmlenc.DecryptVisible(cold.Root, key); err != nil {
+		t.Fatal(err)
+	}
+	vals := cold.Values()
+	reqs := map[string]string{}
+	for _, r := range act.Requests {
+		if v, ok := vals[r.Variable]; ok {
+			reqs[r.Variable] = v
+		}
+	}
+	return reqs, vals
+}
+
+// TestOpenMatchesColdDecrypt is the differential check for the
+// need-driven lookup: at every hop of a 7-reject Figure 9A instance the
+// agent's Requests() and routing decision equal those computed from a
+// cold xmlenc.DecryptVisible of the whole document.
+func TestOpenMatchesColdDecrypt(t *testing.T) {
 	f := newFixture(t)
 	hops := 0
-	f.onOpen = func(activity string, in *document.Document, s *Session) {
+	f.onHop = func(activity string, in *document.Document, inputs Inputs, s *Session, out *Outcome) {
 		hops++
-		cold := in.Clone()
-		n, err := xmlenc.DecryptVisible(cold.Root, f.agents[activity].Keys)
+		reqs, vals := coldRequests(t, in, f.agents[activity].Keys, s.Activity())
+		if got := s.Requests(); !reflect.DeepEqual(got, reqs) {
+			t.Fatalf("hop %d (%s): Requests() = %v, cold = %v", hops, activity, got, reqs)
+		}
+		for k, v := range inputs {
+			vals[k] = v
+		}
+		next, err := secpol.Route(f.def, s.Activity(), secpol.Env(vals))
 		if err != nil {
-			t.Fatalf("hop %d (%s): cold decrypt: %v", hops, activity, err)
+			t.Fatalf("hop %d (%s): cold route: %v", hops, activity, err)
 		}
-		if n != s.DecryptedElements {
-			t.Fatalf("hop %d (%s): DecryptedElements = %d, cold = %d", hops, activity, s.DecryptedElements, n)
-		}
-		if string(s.View().Root.Canonical()) != string(cold.Root.Canonical()) {
-			t.Fatalf("hop %d (%s): opener view differs from cold view", hops, activity)
+		if !reflect.DeepEqual(out.Next, next) {
+			t.Fatalf("hop %d (%s): routed to %v, cold route %v", hops, activity, out.Next, next)
 		}
 	}
 	f.run(t, deepRejects)
@@ -44,13 +69,15 @@ func TestOpenViewMatchesColdDecrypt(t *testing.T) {
 }
 
 // TestUnwrapsPerReaderOnce counts RSA unwraps over a 7-reject Figure 9A
-// instance: exactly one per content key a reader had not opened before,
-// where a cold decrypt pays one per readable element on every hop.
+// instance: one per requested variable per hop (6 per iteration, 48 in
+// all), where opening every readable element once per reader costs 223
+// and a cold decrypt of every hop's document 944.
 func TestUnwrapsPerReaderOnce(t *testing.T) {
 	f := newFixture(t)
 	opened := map[string]map[string]bool{}
-	var fresh, cold int
-	f.onOpen = func(activity string, in *document.Document, _ *Session) {
+	var requested, fresh, cold int
+	f.onHop = func(activity string, in *document.Document, _ Inputs, s *Session, _ *Outcome) {
+		requested += len(s.Requests())
 		owner := f.agents[activity].Keys.Owner
 		if opened[owner] == nil {
 			opened[owner] = map[string]bool{}
@@ -67,31 +94,27 @@ func TestUnwrapsPerReaderOnce(t *testing.T) {
 	before := unwraps.Value()
 	f.run(t, deepRejects)
 	got := int(unwraps.Value() - before)
-	t.Logf("unwraps over the instance: %d with the opener, %d cold (one per readable element per hop)", got, cold)
-	if got != fresh {
-		t.Fatalf("unwraps = %d, want %d (one per element each reader had not opened)", got, fresh)
-	}
-	if fresh >= cold/2 {
-		t.Fatalf("opener saved too little: %d unwraps against %d cold", fresh, cold)
+	t.Logf("unwraps over the instance: %d; every readable element once per reader: %d; cold: %d", got, fresh, cold)
+	if want := 6 * (deepRejects + 1); got != want || requested != want {
+		t.Fatalf("unwraps = %d for %d requested values, want %d for both", got, requested, want)
 	}
 }
 
 // TestConcurrentOpens opens one deep document from many goroutines on one
-// agent; every view equals the cold one.
+// agent; every session shows the cold requests.
 func TestConcurrentOpens(t *testing.T) {
 	f := newFixture(t)
 	var deep *document.Document
-	f.onOpen = func(activity string, in *document.Document, _ *Session) {
+	f.onHop = func(activity string, in *document.Document, _ Inputs, _ *Session, _ *Outcome) {
 		if activity == "D" {
 			deep = in
 		}
 	}
 	f.run(t, 2)
-	cold := deep.Clone()
-	if _, err := xmlenc.DecryptVisible(cold.Root, f.agents["D"].Keys); err != nil {
-		t.Fatal(err)
+	want, _ := coldRequests(t, deep, f.agents["D"].Keys, f.def.Activity("D"))
+	if len(want) != 2 {
+		t.Fatalf("cold requests of D = %v, want summary and attachment", want)
 	}
-	want := string(cold.Root.Canonical())
 	agent := New(f.agents["D"].Keys, f.env.Registry)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -100,8 +123,8 @@ func TestConcurrentOpens(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			s, err := agent.Open(deep, "D")
-			if err == nil && string(s.View().Root.Canonical()) != want {
-				err = errors.New("view differs from cold view")
+			if err == nil && !reflect.DeepEqual(s.Requests(), want) {
+				err = fmt.Errorf("requests %v differ from cold %v", s.Requests(), want)
 			}
 			if err != nil {
 				errs <- err
@@ -179,9 +202,9 @@ func TestCompleteClaimsOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkOpenDeepCascade measures phase α at hop 35 of a 7-reject
-// instance (A opening the eighth iteration): "cold" builds a fresh agent
-// per Open, so every visible element costs an RSA unwrap; "warm" reuses
+// BenchmarkOpenDeepCascade measures phase α at the last hop of a 7-reject
+// instance (D opening the eighth iteration's decision): "cold" builds a fresh agent
+// per Open, so each requested element costs an RSA unwrap; "warm" reuses
 // one agent that has opened the document before. Signature verification
 // is warm in both (the process-wide verified-prefix cache), so the gap is
 // the unwraps.
@@ -189,31 +212,85 @@ func BenchmarkOpenDeepCascade(b *testing.B) {
 	f := newFixture(b)
 	var in *document.Document
 	hops := 0
-	f.onOpen = func(_ string, doc *document.Document, _ *Session) {
-		if hops == 35 {
+	f.onHop = func(_ string, doc *document.Document, _ Inputs, _ *Session, _ *Outcome) {
+		if hops == 39 {
 			in = doc
 		}
 		hops++
 	}
 	f.run(b, deepRejects)
-	keys := f.agents["A"].Keys
+	keys := f.agents["D"].Keys
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := New(keys, f.env.Registry).Open(in, "A"); err != nil {
+			if _, err := New(keys, f.env.Registry).Open(in, "D"); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		agent := New(keys, f.env.Registry)
-		if _, err := agent.Open(in, "A"); err != nil {
+		if _, err := agent.Open(in, "D"); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := agent.Open(in, "A"); err != nil {
+			if _, err := agent.Open(in, "D"); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// BenchmarkHopDeepCascade runs one whole 7-reject Figure 9A instance per
+// op, 40 hops, with long-lived agents. Each hop is what a participant's
+// process does: parse the retrieved bytes, Open, Complete, serialize.
+// Every instance encrypts under fresh content keys, as the system
+// benchmark's instances do, so the agents' memos only help within an
+// instance. It reports the RSA unwraps per instance.
+func BenchmarkHopDeepCascade(b *testing.B) {
+	f := newFixture(b)
+	hop := func(in []byte, activity string, inputs Inputs) []byte {
+		doc, err := document.Parse(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := f.agents[activity].Open(doc, activity)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := s.Complete(inputs, now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out.Doc.Bytes()
+	}
+	parse := func(in []byte) *document.Document {
+		doc, err := document.Parse(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return doc
+	}
+	unwraps := telemetry.Default().Counter("xmlenc_unwraps_total")
+	before := unwraps.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc, err := document.New(f.def, f.env.KeyOf("designer@acme"), testenv.ProcessID(), now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in := doc.Bytes()
+		for iter := 0; iter <= deepRejects; iter++ {
+			a := hop(in, "A", Inputs{"request": "buy 10 servers", "attachment": "specs.pdf"})
+			b1 := hop(a, "B1", Inputs{"techReview": "sound"})
+			b2 := hop(a, "B2", Inputs{"budgetReview": "within budget"})
+			merged, err := document.Merge(parse(b1), parse(b2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := hop(merged.Bytes(), "C", Inputs{"summary": "all reviews positive"})
+			in = hop(c, "D", Inputs{"accept": fmt.Sprint(iter == deepRejects)})
+		}
+	}
+	b.ReportMetric(float64(unwraps.Value()-before)/float64(b.N), "unwraps/op")
 }

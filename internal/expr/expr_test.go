@@ -18,44 +18,47 @@ func env() MapEnv {
 	}
 }
 
+// evalTable holds conditions and their value in env(); FuzzExpr seeds
+// from it too.
+var evalTable = []struct {
+	src  string
+	want bool
+}{
+	{`amount > 10000`, true},
+	{`amount >= 15000`, true},
+	{`amount < 15000`, false},
+	{`amount <= 14999`, false},
+	{`status == "approved"`, true},
+	{`status = "approved"`, true}, // paper notation Func(X)=True
+	{`status != "rejected"`, true},
+	{`ok`, true},
+	{`!ok`, false},
+	{`ok && amount > 0`, true},
+	{`ok && amount < 0`, false},
+	{`!ok || amount > 0`, true},
+	{`len(attachment) == 0`, true},
+	{`len(comment) > 5`, true},
+	{`contains(comment, "good")`, true},
+	{`contains(comment, "bad")`, false},
+	{`startswith(comment, "looks")`, true},
+	{`(amount > 10000 && status == "approved") || retries >= 3`, true},
+	{`amount + 1000 == 16000`, true},
+	{`amount - 5000 == 10000`, true},
+	{`amount * 2 > 29999`, true},
+	{`amount / 3 < 5001`, true},
+	{`-amount < 0`, true},
+	{`num("42") == 42`, true},
+	{`true`, true},
+	{`True`, true},
+	{`false`, false},
+	{`False`, false},
+	{`"b" > "a"`, true},
+	{`defined(amount)`, true},
+	{`retries >= 3`, false},
+}
+
 func TestEvalTable(t *testing.T) {
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{`amount > 10000`, true},
-		{`amount >= 15000`, true},
-		{`amount < 15000`, false},
-		{`amount <= 14999`, false},
-		{`status == "approved"`, true},
-		{`status = "approved"`, true}, // paper notation Func(X)=True
-		{`status != "rejected"`, true},
-		{`ok`, true},
-		{`!ok`, false},
-		{`ok && amount > 0`, true},
-		{`ok && amount < 0`, false},
-		{`!ok || amount > 0`, true},
-		{`len(attachment) == 0`, true},
-		{`len(comment) > 5`, true},
-		{`contains(comment, "good")`, true},
-		{`contains(comment, "bad")`, false},
-		{`startswith(comment, "looks")`, true},
-		{`(amount > 10000 && status == "approved") || retries >= 3`, true},
-		{`amount + 1000 == 16000`, true},
-		{`amount - 5000 == 10000`, true},
-		{`amount * 2 > 29999`, true},
-		{`amount / 3 < 5001`, true},
-		{`-amount < 0`, true},
-		{`num("42") == 42`, true},
-		{`true`, true},
-		{`True`, true},
-		{`false`, false},
-		{`False`, false},
-		{`"b" > "a"`, true},
-		{`defined(amount)`, true},
-		{`retries >= 3`, false},
-	}
-	for _, c := range cases {
+	for _, c := range evalTable {
 		e, err := Parse(c.src)
 		if err != nil {
 			t.Errorf("Parse(%q): %v", c.src, err)
@@ -72,36 +75,40 @@ func TestEvalTable(t *testing.T) {
 	}
 }
 
+// parseErrors are sources Parse refuses.
+var parseErrors = []string{
+	``, `   `, `amount >`, `(amount`, `amount))`, `"unterminated`,
+	`nosuchfn(1)`, `amount @ 2`, `"bad \q escape"`, `x ==`, `&& y`,
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		``, `   `, `amount >`, `(amount`, `amount))`, `"unterminated`,
-		`nosuchfn(1)`, `amount @ 2`, `"bad \q escape"`, `x ==`, `&& y`,
-	}
-	for _, src := range bad {
+	for _, src := range parseErrors {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
 		}
 	}
 }
 
+// evalErrors parse but fail to evaluate in env().
+var evalErrors = []string{
+	`missing > 1`,            // undefined variable
+	`amount && ok`,           // non-bool logical operand
+	`!amount`,                // non-bool negation
+	`amount == status`,       // cross-type equality
+	`ok < true`,              // ordering bools
+	`amount + status`,        // mixed +
+	`status - "x"`,           // strings with -
+	`amount / 0`,             // division by zero
+	`len(amount)`,            // len of number
+	`contains(amount, "x")`,  // wrong arg type
+	`num(ok)`,                // num of bool
+	`num("not-a-number")`,    // unparsable
+	`len("a", "b")`,          // arity
+	`5 > 1 && missing == ""`, // error on RHS after short-circuit passes
+}
+
 func TestEvalErrors(t *testing.T) {
-	cases := []string{
-		`missing > 1`,            // undefined variable
-		`amount && ok`,           // non-bool logical operand
-		`!amount`,                // non-bool negation
-		`amount == status`,       // cross-type equality
-		`ok < true`,              // ordering bools
-		`amount + status`,        // mixed +
-		`status - "x"`,           // strings with -
-		`amount / 0`,             // division by zero
-		`len(amount)`,            // len of number
-		`contains(amount, "x")`,  // wrong arg type
-		`num(ok)`,                // num of bool
-		`num("not-a-number")`,    // unparsable
-		`len("a", "b")`,          // arity
-		`5 > 1 && missing == ""`, // error on RHS after short-circuit passes
-	}
-	for _, src := range cases {
+	for _, src := range evalErrors {
 		e, err := Parse(src)
 		if err != nil {
 			t.Errorf("Parse(%q) failed at parse time: %v (want eval-time error)", src, err)

@@ -63,7 +63,7 @@ func TestFaultInjectionWebhooks(t *testing.T) {
 	net.SetDefault(chaos.LinkFaults{Drop: 0.2, Dup: 0.2, AckLoss: 0.1})
 	src := rand.New(rand.NewSource(9))
 	var srcMu sync.Mutex
-	d, err := newWebhookDispatcher(w.env.KeyOf("portal@cloud"), w.clock, "",
+	d, err := newWebhookDispatcher(w.env.KeyOf("portal@cloud"), w.clock, w.portal.Table, "",
 		&http.Client{Transport: net.RoundTripper("portal@cloud", nil, nil)},
 		relay.Config{
 			Workers:        2,

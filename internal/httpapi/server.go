@@ -72,18 +72,18 @@ func NewPortalServer(p *portal.Portal, m *monitor.Monitor, auth *Authenticator) 
 }
 
 // EnableWebhooks attaches a dispatcher signing as keys.Owner, with the
-// portal's clock, and wires it into the portal's notification hook. Its
+// portal's clock, and wires it into the portal's notification hook. The
+// callback registrations kept in the portal's table are loaded, and the
 // outbox WAL at walPath (empty = memory-only) is opened here and drained
 // at once: notifications not yet delivered when the portal last stopped
-// — or requeued from the dead-letter queue since — go out on boot,
-// before any participant re-registers. An outbox that cannot be opened
-// is an error.
+// — or requeued from the dead-letter queue since — go out on boot. An
+// outbox that cannot be opened is an error.
 func (s *PortalServer) EnableWebhooks(keys *pki.KeyPair, walPath string) (*WebhookDispatcher, error) {
 	clock := s.Portal.Clock
 	if clock == nil {
 		clock = time.Now
 	}
-	d, err := newWebhookDispatcher(keys, clock, walPath, http.DefaultClient, webhookRelay)
+	d, err := newWebhookDispatcher(keys, clock, s.Portal.Table, walPath, http.DefaultClient, webhookRelay)
 	if err != nil {
 		return nil, err
 	}

@@ -10,11 +10,13 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dra4wfms/internal/pki"
+	"dra4wfms/internal/pool"
 	"dra4wfms/internal/portal"
 	"dra4wfms/internal/relay"
 	"dra4wfms/internal/trace"
@@ -52,23 +54,41 @@ var webhookRelay = relay.Config{
 	Backoff:        relay.BackoffPolicy{Base: 25 * time.Millisecond, Cap: 500 * time.Millisecond},
 }
 
+// webhookRowPrefix namespaces registration rows in the portal's document
+// table, as "tpl#" does the template catalog: row "wh#<principal>" holds
+// the callback URL in meta:webhook.
+const webhookRowPrefix = "wh#"
+
 // WebhookDispatcher keeps the URL registry and delivers notifications.
+// Registrations are rows of the portal's document table, so they survive
+// a restart; urls is their in-memory copy, read on every notification.
 type WebhookDispatcher struct {
 	keys  *pki.KeyPair
 	clock func() time.Time
 	httpc *http.Client
 	rly   *relay.Relay
+	table pool.DocTable
 
-	mu   sync.Mutex
-	urls map[string]string // principal (or "role:<r>") → callback URL
-	seq  atomic.Uint64     // distinguishes legitimately repeated notifications
+	// regMu orders registrations, so the table row and urls agree; it is
+	// held across the table write, which Notify never waits for.
+	regMu sync.Mutex
+	mu    sync.Mutex
+	urls  map[string]string // principal (or "role:<r>") → callback URL
+	seq   atomic.Uint64     // distinguishes legitimately repeated notifications
 }
 
-// newWebhookDispatcher opens (or replays) the outbox WAL at walPath — ""
-// keeps it in memory — and starts the relay, which at once resumes every
-// delivery journaled there by an earlier run. Deliveries are signed as
-// keys.Owner with request dates from clock and sent through httpc.
-func newWebhookDispatcher(keys *pki.KeyPair, clock func() time.Time, walPath string, httpc *http.Client, cfg relay.Config) (*WebhookDispatcher, error) {
+// newWebhookDispatcher loads the registrations kept in table, opens (or
+// replays) the outbox WAL at walPath — "" keeps it in memory — and starts
+// the relay, which at once resumes every delivery journaled there by an
+// earlier run. Deliveries are signed as keys.Owner with request dates
+// from clock and sent through httpc.
+func newWebhookDispatcher(keys *pki.KeyPair, clock func() time.Time, table pool.DocTable, walPath string, httpc *http.Client, cfg relay.Config) (*WebhookDispatcher, error) {
+	d := &WebhookDispatcher{keys: keys, clock: clock, httpc: httpc, table: table, urls: map[string]string{}}
+	for _, kv := range table.Scan(pool.ScanOptions{Prefix: webhookRowPrefix, Family: "meta"}) {
+		if kv.Qualifier == "webhook" {
+			d.urls[strings.TrimPrefix(kv.Row, webhookRowPrefix)] = string(kv.Value)
+		}
+	}
 	ob, err := relay.OpenOutbox(walPath)
 	if err != nil {
 		return nil, fmt.Errorf("httpapi: webhook outbox: %w", err)
@@ -76,19 +96,24 @@ func newWebhookDispatcher(keys *pki.KeyPair, clock func() time.Time, walPath str
 	if rec := ob.Recovery(); rec.DamagedBytes > 0 {
 		log.Printf("WARNING: webhook outbox %s: quarantined %d damaged bytes to %s (%s); notifications journaled there are lost, worklists remain the source of truth", walPath, rec.DamagedBytes, rec.QuarantineFile, rec.Reason)
 	}
-	d := &WebhookDispatcher{keys: keys, clock: clock, httpc: httpc, urls: map[string]string{}}
 	d.rly = relay.New(ob, relay.TransportFunc(d.deliver), cfg)
 	return d, nil
 }
 
 // Register binds the principal (or role key) to a callback URL; an empty
-// URL unregisters.
+// URL unregisters. The binding is written to the document table before
+// it takes effect, so an acknowledged registration survives a restart.
 func (d *WebhookDispatcher) Register(principal, callbackURL string) error {
-	if callbackURL != "" {
-		u, err := url.Parse(callbackURL)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return fmt.Errorf("httpapi: invalid callback URL %q", callbackURL)
-		}
+	cell := pool.CellMutation{Family: "meta", Qualifier: "webhook", Value: []byte(callbackURL)}
+	if callbackURL == "" {
+		cell = pool.CellMutation{Family: "meta", Qualifier: "webhook", Del: true}
+	} else if u, err := url.Parse(callbackURL); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return fmt.Errorf("httpapi: invalid callback URL %q", callbackURL)
+	}
+	d.regMu.Lock()
+	defer d.regMu.Unlock()
+	if err := d.table.Mutate(context.Background(), webhookRowPrefix+principal, []pool.CellMutation{cell}); err != nil {
+		return fmt.Errorf("httpapi: keeping webhook registration: %w", err)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

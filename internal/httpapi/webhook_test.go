@@ -187,9 +187,70 @@ func TestWebhookValidation(t *testing.T) {
 	_ = ps
 }
 
+// TestWebhookRegistrationSurvivesRestart: a participant registers once;
+// after the portal restarts over the same data dir, a store that enables
+// the participant's activity is still delivered to the callback.
+func TestWebhookRegistrationSurvivesRestart(t *testing.T) {
+	w := newWorld(t)
+	w.env.MustRegister("portal@cloud")
+	rcv := newReceiver(t, w)
+	dir := t.TempDir()
+	boot := func() (*WebhookDispatcher, func()) {
+		table, err := pool.NewTable(portal.TableName, portal.Families...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, _, err := pool.Open(table, dir, pool.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := &PortalServer{
+			Portal:  portal.New("wh-portal", w.env.Registry, table, w.clock),
+			Monitor: monitor.New(table),
+			Auth:    NewAuthenticator(w.env.Registry, w.clock),
+		}
+		dispatcher, err := ps.EnableWebhooks(w.env.KeyOf("portal@cloud"), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(ps.Handler())
+		w.portalSrv = srv
+		return dispatcher, func() {
+			srv.Close()
+			if err := dispatcher.Close(); err != nil {
+				t.Error(err)
+			}
+			if err := store.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+
+	_, stop := boot()
+	alice := wfdef.Fig9Participants["A"]
+	if err := w.clientFor(t, alice).RegisterWebhook(rcv.srv.URL, ""); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+
+	dispatcher, stop := boot()
+	defer stop()
+	doc, err := document.New(wfdef.Fig9A(), w.env.KeyOf("designer@acme"), testenv.ProcessID(), now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.clientFor(t, "designer@acme").StoreInitial(doc); err != nil {
+		t.Fatal(err)
+	}
+	dispatcher.Relay().Flush()
+	if notes := rcv.all(); len(notes) != 1 || notes[0].Participant != alice || notes[0].Activity != "A" {
+		t.Fatalf("delivered after restart = %v, want A's notification for %s", notes, alice)
+	}
+}
+
 // TestWebhookOutboxReplaysAtBoot: a delivery journaled by an earlier run
 // goes out as soon as a portal boots over the outbox. No store triggers
-// it and nobody re-registers (registrations live in memory only).
+// it and nobody registers.
 func TestWebhookOutboxReplaysAtBoot(t *testing.T) {
 	w := newWorld(t)
 	w.env.MustRegister("portal@cloud")

@@ -101,7 +101,7 @@ type Server struct {
 	OnRecord func(ForwardRecord) error
 
 	// opener unwraps each content key the server can read once: the
-	// intermediate result, the history it routes on and the condition
+	// intermediate result, the variables it routes on and the condition
 	// vault all go through it.
 	opener *xmlenc.Opener
 
@@ -169,6 +169,9 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	if err := def.Validate(); err != nil {
 		return nil, fmt.Errorf("tfc: embedded definition invalid: %w", err)
 	}
+	if err := document.CheckDeclared(def, work); err != nil {
+		return nil, fmt.Errorf("tfc: %w", err)
+	}
 	pending, err := pendingIntermediate(work)
 	if err != nil {
 		return nil, err
@@ -231,21 +234,22 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	}
 	values := map[string]string{}
 	for _, f := range document.Fields(plain) {
-		values[f.AttrDefault("Variable", "")] = f.TextContent()
+		v := f.AttrDefault("Variable", "")
+		if !act.Produces(v) {
+			return nil, fmt.Errorf("tfc: intermediate result of %s: %w: %q", act.ID, document.ErrUndeclaredVariable, v)
+		}
+		values[v] = f.TextContent()
 	}
 
-	// Routing environment: everything the TFC itself can read from the
-	// document history plus the fresh raw values.
-	hist, _, err := s.history(work)
-	if err != nil {
-		return nil, err
-	}
-	envVals := hist.Values()
-	for k, v := range values {
-		envVals[k] = v
-	}
+	// Routing: a condition reads the fresh raw values first; any other
+	// variable it names is looked up, and decrypted, as this server sees
+	// it in the document.
+	lookup := document.NewLookup(work, def, s.opener)
+	next, err := secpol.Route(def, act, lookup.Env(values))
 	verifyDur := time.Since(verifyStart)
-	next, err := secpol.Route(def, act, secpol.Env(envVals))
+	if lerr := lookup.Err(); lerr != nil {
+		err = lerr
+	}
 	if err != nil {
 		return nil, fmt.Errorf("tfc: routing after %s: %w", act.ID, err)
 	}
@@ -324,17 +328,6 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	s.records = append(s.records, rec)
 	s.mu.Unlock()
 	return out, nil
-}
-
-// history returns a copy of work with every element the server may read
-// decrypted in place, and the number of elements decrypted.
-func (s *Server) history(work *document.Document) (*document.Document, int, error) {
-	hist := work.Clone()
-	n, err := s.opener.DecryptVisible(hist.Root)
-	if err != nil {
-		return nil, 0, fmt.Errorf("tfc: decrypting history: %w", err)
-	}
-	return hist, n, nil
 }
 
 // Records returns a copy of the forwarding log, the data source for

@@ -8,6 +8,7 @@ import (
 
 	"dra4wfms/internal/aea"
 	"dra4wfms/internal/document"
+	"dra4wfms/internal/telemetry"
 	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/wfdef"
 	"dra4wfms/internal/xmlenc"
@@ -336,3 +337,79 @@ func TestDefaultClock(t *testing.T) {
 		t.Fatal("default clock is not wall time")
 	}
 }
+
+// TestUndeclaredIntermediateRefused: A's participant encrypts to the TFC
+// a result that also sets accept, a variable only D declares. The server
+// refuses it before policy-encrypting anything.
+func TestUndeclaredIntermediateRefused(t *testing.T) {
+	f := newFig9B(t)
+	alice := f.env.KeyOf(wfdef.Fig9Participants["A"])
+	doc := f.doc.Clone()
+	tfcKey, _ := f.env.Registry.PublicKey("tfc@cloud")
+	plain := xmltree.NewElement("PlainResult")
+	plain.AppendChild(document.Field("accept", "true"))
+	plain.AppendChild(document.Field("request", "r"))
+	enc, err := xmlenc.Encrypt(plain, "encit-A-0", xmlenc.Recipient{ID: "tfc@cloud", Key: tfcKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doc.AppendCER(document.AppendSpec{
+		ActivityID: "A", Kind: document.KindIntermediate, Participant: alice.Owner,
+		ResultChildren: []*xmltree.Node{enc}, PredSigIDs: []string{document.DesignerSig}, Signer: alice,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.server.Process(doc); !errors.Is(err, document.ErrUndeclaredVariable) {
+		t.Fatalf("err = %v, want ErrUndeclaredVariable", err)
+	}
+}
+
+// TestRoutesOnLookedUpVariable: Q's XOR split reads amount, which P
+// produced two hops earlier. The server decrypts P's amount element, and
+// nothing else beyond Q's own payload, to route.
+func TestRoutesOnLookedUpVariable(t *testing.T) {
+	env := testenv.New(0)
+	env.MustRegister("designer@x", "p@x", "q@x", "r@x", "tfc@x")
+	def := wfdef.NewBuilder("lookup", "designer@x").
+		Activity("P", "", "p@x").Response("amount", "number", true).Response("memo", "string", false).Done().
+		Activity("Q", "", "q@x").Response("note", "string", true).Split(wfdef.SplitXOR).Done().
+		Activity("R", "", "r@x").Response("ok", "bool", true).Done().
+		Start("P").Edge("P", "Q").
+		EdgeIf("Q", "R", "amount > 100").EndIf("Q", "amount <= 100").
+		End("R").
+		DefaultReaders("p@x", "q@x", "r@x", wfdef.TFCReader).
+		TFC("tfc@x").
+		MustBuild()
+	server := New(env.KeyOf("tfc@x"), env.Registry, clock())
+	for amount, want := range map[string]string{"500": "R", "50": wfdef.EndID} {
+		doc, err := document.New(def, env.KeyOf("designer@x"), testenv.ProcessID(), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		interm, err := aea.New(env.KeyOf("p@x"), env.Registry).ExecuteToTFC(doc, "P", aea.Inputs{"amount": amount, "memo": "m"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outP, err := server.Process(interm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		interm, err = aea.New(env.KeyOf("q@x"), env.Registry).ExecuteToTFC(outP.Routed["Q"], "Q", aea.Inputs{"note": "n"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := unwraps.Value()
+		outQ, err := server.Process(interm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(outQ.Next) != 1 || outQ.Next[0] != want {
+			t.Fatalf("amount %s: Q routed to %v, want %s", amount, outQ.Next, want)
+		}
+		if n := unwraps.Value() - before; n != 2 {
+			t.Fatalf("amount %s: %d unwraps routing Q, want 2 (Q's payload and P's amount)", amount, n)
+		}
+	}
+}
+
+var unwraps = telemetry.Default().Counter("xmlenc_unwraps_total")

@@ -105,6 +105,20 @@ type Activity struct {
 	Join JoinKind
 }
 
+// Produces reports whether the activity declares v as a response. A nil
+// activity produces nothing.
+func (a *Activity) Produces(v string) bool {
+	if a == nil {
+		return false
+	}
+	for _, r := range a.Responses {
+		if r.Variable == v {
+			return true
+		}
+	}
+	return false
+}
+
 // Transition is one control-flow edge of the graph.
 type Transition struct {
 	// ID uniquely identifies the transition.

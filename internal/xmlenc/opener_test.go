@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -177,38 +176,6 @@ func TestOpenerMemoBounded(t *testing.T) {
 	}
 	if d := before.delta(); d != (counts{0, 1}) {
 		t.Fatalf("latest element not remembered: %+v", d)
-	}
-}
-
-func TestOpenerDecryptVisibleMatchesCold(t *testing.T) {
-	amy := cache.MustGet("amy")
-	doc := xmltree.NewElement("Doc")
-	for i, readers := range [][]Recipient{
-		{recipient("amy")}, {recipient("bob")}, {recipient("amy"), recipient("bob")},
-	} {
-		el := xmltree.NewElement("Field")
-		el.SetText(strings.Repeat("x", i+1))
-		enc, err := Encrypt(el, fmt.Sprintf("f%d", i), readers...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc.AppendChild(enc)
-	}
-	cold := doc.Clone()
-	nCold, err := DecryptVisible(cold, amy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := NewOpener(amy)
-	for pass := 0; pass < 2; pass++ {
-		warm := doc.Clone()
-		n, err := o.DecryptVisible(warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != nCold || string(warm.Canonical()) != string(cold.Canonical()) {
-			t.Fatalf("pass %d: opener view (%d elements) differs from cold view (%d)", pass, n, nCold)
-		}
 	}
 }
 

@@ -328,12 +328,10 @@ func DecryptInPlace(parent, enc *xmltree.Node, key *pki.KeyPair) (*xmltree.Node,
 // DecryptVisible walks the subtree rooted at n and decrypts, in place,
 // every EncryptedData element the key's owner is a recipient of. Elements
 // for other readers are left intact. It returns the number of elements
-// decrypted. This is what an AEA does to build the participant's view.
+// decrypted. It is the cold whole-document decrypt, paying an unwrap per
+// element: offline tools and the differential tests use it, while the AEA
+// and the TFC open only the elements they read (document.Lookup).
 func DecryptVisible(n *xmltree.Node, key *pki.KeyPair) (int, error) {
-	return decryptVisible(n, key, nil)
-}
-
-func decryptVisible(n *xmltree.Node, key *pki.KeyPair, memo *cekMemo) (int, error) {
 	count := 0
 	var rec func(parent *xmltree.Node) error
 	rec = func(parent *xmltree.Node) error {
@@ -343,7 +341,7 @@ func decryptVisible(n *xmltree.Node, key *pki.KeyPair, memo *cekMemo) (int, erro
 				continue
 			}
 			if IsEncrypted(c) && CanDecrypt(c, key.Owner) {
-				el, err := decrypt(c, key, memo)
+				el, err := Decrypt(c, key)
 				if err != nil {
 					return err
 				}
@@ -390,11 +388,8 @@ func (o *Opener) Decrypt(enc *xmltree.Node) (*xmltree.Node, error) {
 	return decrypt(enc, o.key, &o.memo)
 }
 
-// DecryptVisible is xmlenc.DecryptVisible with the opener's key, reusing
-// remembered content keys.
-func (o *Opener) DecryptVisible(n *xmltree.Node) (int, error) {
-	return decryptVisible(n, o.key, &o.memo)
-}
+// Owner returns the principal the opener decrypts for.
+func (o *Opener) Owner() string { return o.key.Owner }
 
 // memoGeneration is the capacity of one memo generation: when the current
 // generation is full it replaces the previous one, so at most twice this
