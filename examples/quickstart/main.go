@@ -81,7 +81,7 @@ func main() {
 	fmt.Printf("after 'request':  %d bytes, next: %v\n", out1.Doc.Size(), out1.Next)
 
 	// The manager's AEA decrypts the fields the manager may read.
-	session, err := agents["manager@eng"].Open(out1.Routed["approve"], "approve")
+	session, err := agents["manager@eng"].Open(out1.Doc, "approve")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func main() {
 	}
 
 	// HR cannot see the reason — the element stays encrypted for them.
-	session3, err := agents["hr@corp"].Open(out2.Routed["record"], "record")
+	session3, err := agents["hr@corp"].Open(out2.Doc, "record")
 	if err != nil {
 		log.Fatal(err)
 	}

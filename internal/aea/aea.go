@@ -110,7 +110,7 @@ func New(keys *pki.KeyPair, reg *pki.Registry) *AEA {
 // performs phase β.
 type Session struct {
 	aea      *AEA
-	work     *document.Document // verified clone, still encrypted
+	work     *document.Document // verified fork of the input, still encrypted
 	def      *wfdef.Definition
 	act      *wfdef.Activity
 	iter     int
@@ -128,7 +128,9 @@ type Session struct {
 
 // Open verifies the received document and decrypts the activity's
 // requests (the paper's α phase: verify digital signatures, decrypt
-// cipher data).
+// cipher data). The session works on a Fork of doc, which it leaves
+// unchanged: several sessions may open one document, as the targets of an
+// AND-split do.
 func (a *AEA) Open(doc *document.Document, activityID string) (*Session, error) {
 	return a.OpenCtx(context.Background(), doc, activityID)
 }
@@ -141,7 +143,7 @@ func (a *AEA) OpenCtx(ctx context.Context, doc *document.Document, activityID st
 	defer span.End()
 	span.SetAttr("process", doc.ProcessID())
 	span.SetAttr("activity", activityID)
-	work := doc.Clone()
+	work := doc.Fork()
 	vctx, verifySpan := tel.StartSpan(ctx, "aea_verify_cascade_seconds")
 	nsigs, err := work.VerifyAllCtx(vctx, a.Registry)
 	verifySpan.End()
@@ -245,7 +247,9 @@ func (s *Session) Requests() map[string]string {
 
 // Outcome is the result of completing an activity under the basic model.
 type Outcome struct {
-	// Doc is the document including this activity's new CER.
+	// Doc is the document including this activity's new CER. Every
+	// target in Next receives it; since Open forks what it opens, the
+	// targets of an AND-split may share it.
 	Doc *document.Document
 	// CER is the appended characteristic execution result.
 	CER document.CER
@@ -253,9 +257,6 @@ type Outcome struct {
 	Next []string
 	// Completed reports whether the process instance reached the end.
 	Completed bool
-	// Routed holds one independent document clone per next activity, ready
-	// to forward (AND-splits fork the document).
-	Routed map[string]*document.Document
 }
 
 // Complete executes phase β of the basic operational model: validate the
@@ -315,15 +316,7 @@ func (s *Session) CompleteCtx(ctx context.Context, inputs Inputs, now time.Time)
 	}
 	mSignedCERs.Inc()
 
-	out := &Outcome{Doc: s.work, CER: cer, Next: next, Routed: map[string]*document.Document{}}
-	for _, to := range next {
-		if to == wfdef.EndID {
-			out.Completed = true
-			continue
-		}
-		out.Routed[to] = s.work.Clone()
-	}
-	return out, nil
+	return &Outcome{Doc: s.work, CER: cer, Next: next, Completed: contains(next, wfdef.EndID)}, nil
 }
 
 // CompleteToTFC executes phase β of the advanced operational model: the

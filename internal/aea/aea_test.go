@@ -2,6 +2,7 @@ package aea
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -66,9 +67,9 @@ func (f *fixture) hop(t testing.TB, doc *document.Document, activity string, inp
 func (f *fixture) runIteration(t testing.TB, doc *document.Document, accept bool) *Outcome {
 	t.Helper()
 	outA := f.hop(t, doc, "A", Inputs{"request": "buy 10 servers", "attachment": "specs.pdf"})
-	outB1 := f.hop(t, outA.Routed["B1"], "B1", Inputs{"techReview": "sound"})
-	outB2 := f.hop(t, outA.Routed["B2"], "B2", Inputs{"budgetReview": "within budget"})
-	merged, err := document.Merge(outB1.Routed["C"], outB2.Routed["C"])
+	outB1 := f.hop(t, outA.Doc, "B1", Inputs{"techReview": "sound"})
+	outB2 := f.hop(t, outA.Doc, "B2", Inputs{"budgetReview": "within budget"})
+	merged, err := document.Merge(outB1.Doc, outB2.Doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func (f *fixture) runIteration(t testing.TB, doc *document.Document, accept bool
 	if accept {
 		acceptStr = "true"
 	}
-	return f.hop(t, outC.Routed["D"], "D", Inputs{"accept": acceptStr})
+	return f.hop(t, outC.Doc, "D", Inputs{"accept": acceptStr})
 }
 
 // run drives a whole Figure 9A instance in which D rejects `rejects`
@@ -90,17 +91,17 @@ func (f *fixture) run(t testing.TB, rejects int) *Outcome {
 		if i == rejects {
 			return out
 		}
-		doc = out.Routed["A"]
+		doc = out.Doc
 	}
 }
 
 func TestBasicModelFullRun(t *testing.T) {
 	f := newFixture(t)
 	outD := f.runIteration(t, f.doc, false)
-	if outD.Completed || len(outD.Routed) != 1 || outD.Routed["A"] == nil {
+	if outD.Completed || !slices.Equal(outD.Next, []string{"A"}) {
 		t.Fatalf("first pass should loop back to A: %+v", outD.Next)
 	}
-	outD2 := f.runIteration(t, outD.Routed["A"], true)
+	outD2 := f.runIteration(t, outD.Doc, true)
 	if !outD2.Completed {
 		t.Fatal("second pass should complete the process")
 	}
@@ -136,7 +137,7 @@ func TestAlphaGrowsBetaObservable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := f.agents["B1"].Open(out.Routed["B1"], "B1")
+	s2, err := f.agents["B1"].Open(out.Doc, "B1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestAlphaGrowsBetaObservable(t *testing.T) {
 func TestSessionAccessorsAndRequests(t *testing.T) {
 	f := newFixture(t)
 	outA, _ := f.agents["A"].Execute(f.doc, "A", Inputs{"request": "the request"}, now)
-	s, err := f.agents["B1"].Open(outA.Routed["B1"], "B1")
+	s, err := f.agents["B1"].Open(outA.Doc, "B1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +207,8 @@ func TestNotEnabledRejected(t *testing.T) {
 	}
 	// C requires both branches (AND-join).
 	outA, _ := f.agents["A"].Execute(f.doc, "A", Inputs{"request": "r"}, now)
-	outB1, _ := f.agents["B1"].Execute(outA.Routed["B1"], "B1", Inputs{"techReview": "x"}, now)
-	if _, err := f.agents["C"].Open(outB1.Routed["C"], "C"); !errors.Is(err, ErrNotEnabled) {
+	outB1, _ := f.agents["B1"].Execute(outA.Doc, "B1", Inputs{"techReview": "x"}, now)
+	if _, err := f.agents["C"].Open(outB1.Doc, "C"); !errors.Is(err, ErrNotEnabled) {
 		t.Fatalf("AND-join with one branch: %v", err)
 	}
 	// Unknown activity.
@@ -241,7 +242,7 @@ func TestReplayRejected(t *testing.T) {
 func TestTamperedDocumentRejected(t *testing.T) {
 	f := newFixture(t)
 	outA, _ := f.agents["A"].Execute(f.doc, "A", Inputs{"request": "legit"}, now)
-	forged := outA.Routed["B1"].Clone()
+	forged := outA.Doc.Clone()
 	forged.Root.FindByID("res-A-0").SetText("forged result")
 	if _, err := f.agents["B1"].Open(forged, "B1"); err == nil {
 		t.Fatal("tampered document opened")
@@ -284,9 +285,9 @@ func TestConfidentialityAcrossParticipants(t *testing.T) {
 		agents[act] = New(env.KeyOf(p), env.Registry)
 	}
 	outA, _ := agents["A"].Execute(doc, "A", Inputs{"request": "r"}, now)
-	outB1, _ := agents["B1"].Execute(outA.Routed["B1"], "B1", Inputs{"techReview": "secret assessment"}, now)
-	outB2, _ := agents["B2"].Execute(outA.Routed["B2"], "B2", Inputs{"budgetReview": "ok"}, now)
-	merged, _ := document.Merge(outB1.Routed["C"], outB2.Routed["C"])
+	outB1, _ := agents["B1"].Execute(outA.Doc, "B1", Inputs{"techReview": "secret assessment"}, now)
+	outB2, _ := agents["B2"].Execute(outA.Doc, "B2", Inputs{"budgetReview": "ok"}, now)
+	merged, _ := document.Merge(outB1.Doc, outB2.Doc)
 
 	// B2's participant cannot see techReview even holding the whole doc.
 	spy := merged.Clone()
@@ -335,14 +336,14 @@ func TestConcealedConditionBlocksBasicRouting(t *testing.T) {
 		agents[act] = New(env.KeyOf(p), env.Registry)
 	}
 	outA, _ := agents["A"].Execute(doc, "A", Inputs{"request": "r"}, now)
-	outB1, _ := agents["B1"].Execute(outA.Routed["B1"], "B1", Inputs{"techReview": "t"}, now)
-	outB2, _ := agents["B2"].Execute(outA.Routed["B2"], "B2", Inputs{"budgetReview": "b"}, now)
-	merged, _ := document.Merge(outB1.Routed["C"], outB2.Routed["C"])
+	outB1, _ := agents["B1"].Execute(outA.Doc, "B1", Inputs{"techReview": "t"}, now)
+	outB2, _ := agents["B2"].Execute(outA.Doc, "B2", Inputs{"budgetReview": "b"}, now)
+	merged, _ := document.Merge(outB1.Doc, outB2.Doc)
 	outC, err := agents["C"].Execute(merged, "C", Inputs{"summary": "s"}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = agents["D"].Execute(outC.Routed["D"], "D", Inputs{"accept": "true"}, now)
+	_, err = agents["D"].Execute(outC.Doc, "D", Inputs{"accept": "true"}, now)
 	if !errors.Is(err, ErrConcealed) {
 		t.Fatalf("err = %v, want ErrConcealed", err)
 	}
@@ -457,7 +458,7 @@ func TestUndeclaredResultRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outB2, err := f.agents["B2"].Execute(outA.Routed["B2"], "B2", Inputs{"budgetReview": "ok"}, now)
+	outB2, err := f.agents["B2"].Execute(outA.Doc, "B2", Inputs{"budgetReview": "ok"}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +468,7 @@ func TestUndeclaredResultRefused(t *testing.T) {
 		"mislabelled": {mislabelled},
 	} {
 		t.Run(name, func(t *testing.T) {
-			forged := outA.Routed["B1"].Clone()
+			forged := outA.Doc.Clone()
 			preds, err := document.PredecessorSignatures(f.def, forged, "B1")
 			if err != nil {
 				t.Fatal(err)
@@ -478,7 +479,7 @@ func TestUndeclaredResultRefused(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			merged, err := document.Merge(forged, outB2.Routed["C"])
+			merged, err := document.Merge(forged, outB2.Doc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,7 +37,7 @@ func TestAEARejectsTamperAfterWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := outA.Routed["B1"]
+	doc := outA.Doc
 	// Warm: the same signatures verify cleanly first.
 	if _, err := doc.VerifyAll(f.env.Registry); err != nil {
 		t.Fatalf("pristine document rejected: %v", err)

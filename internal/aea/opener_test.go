@@ -1,13 +1,17 @@
 package aea
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"dra4wfms/internal/document"
+	"dra4wfms/internal/dsig"
 	"dra4wfms/internal/pki"
 	"dra4wfms/internal/secpol"
 	"dra4wfms/internal/telemetry"
@@ -135,6 +139,143 @@ func TestConcurrentOpens(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// cerIDs lists the Ids of d's CERs in document order.
+func cerIDs(d *document.Document) []string {
+	var ids []string
+	for _, c := range d.CERs() {
+		ids = append(ids, c.ID())
+	}
+	return ids
+}
+
+// TestForkedSessionsKeepInputs: sessions fork the document they open, so
+// B1 and B2 executing concurrently on one parsed document both complete,
+// each output holds only its own new CER and serializes to its fresh
+// canonical bytes, and neither the input nor, after the AND-join, the
+// merged branches change a byte.
+func TestForkedSessionsKeepInputs(t *testing.T) {
+	f := newFixture(t)
+	outA := f.hop(t, f.doc, "A", Inputs{"request": "buy 10 servers", "attachment": "specs.pdf"})
+	in, err := document.Parse(outA.Doc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := string(in.Bytes())
+	inputs := map[string]Inputs{"B1": {"techReview": "sound"}, "B2": {"budgetReview": "within budget"}}
+	outs := map[string]*Outcome{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for act, inp := range inputs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := f.agents[act].ExecuteCtx(context.Background(), in, act, inp, now)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			outs[act] = out
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if got := string(in.Bytes()); got != before || got != string(in.Root.Clone().Canonical()) {
+		t.Fatal("executing B1 and B2 changed their input document")
+	}
+	for act, out := range outs {
+		want := append(cerIDs(in), "cer-"+act+"-0")
+		if got := cerIDs(out.Doc); !slices.Equal(got, want) {
+			t.Errorf("%s output CERs = %v, want %v", act, got, want)
+		}
+		if !bytes.Equal(out.Doc.Bytes(), out.Doc.Root.Clone().Canonical()) {
+			t.Errorf("%s output bytes differ from its fresh serialization", act)
+		}
+		if _, err := out.Doc.VerifyAll(f.env.Registry); err != nil {
+			t.Errorf("%s output: %v", act, err)
+		}
+	}
+	b1, b2 := string(outs["B1"].Doc.Bytes()), string(outs["B2"].Doc.Bytes())
+	merged, err := document.Merge(outs["B1"].Doc, outs["B2"].Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(outs["B1"].Doc.Bytes()) != b1 || string(outs["B2"].Doc.Bytes()) != b2 {
+		t.Fatal("Merge changed a branch document")
+	}
+	if got := cerIDs(merged); len(got) != len(cerIDs(in))+2 {
+		t.Fatalf("merged CERs = %v", got)
+	}
+	if !bytes.Equal(merged.Bytes(), merged.Root.Clone().Canonical()) {
+		t.Fatal("merged bytes differ from their fresh serialization")
+	}
+	if _, err := f.agents["C"].Execute(merged, "C", Inputs{"summary": "ok"}, now); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExecuteToTFCKeepsInput: the advanced-model completion appends its
+// intermediate CER to a fork, not to the document it was given.
+func TestExecuteToTFCKeepsInput(t *testing.T) {
+	env := testenv.Fig9(0)
+	doc, err := document.New(wfdef.Fig9B(), env.KeyOf("designer@acme"), testenv.ProcessID(), now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := document.Parse(doc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := string(in.Bytes())
+	agent := New(env.KeyOf(wfdef.Fig9Participants["A"]), env.Registry)
+	interm, err := agent.ExecuteToTFCCtx(context.Background(), in, "A", Inputs{"request": "r"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(in.Bytes()) != before || len(in.CERs()) != 0 {
+		t.Fatal("ExecuteToTFC changed its input document")
+	}
+	if got := cerIDs(interm); !slices.Equal(got, []string{"cer-it-A-0"}) {
+		t.Fatalf("intermediate CERs = %v", got)
+	}
+}
+
+// TestOpenParsedMissesNoMemo: Parse seeds the canonical bytes of every
+// element a signature references or verifies (SignedInfo), and Open forks
+// instead of cloning, so verifying a received document, with or without
+// the verified-prefix cache, and opening it re-serialize nothing.
+func TestOpenParsedMissesNoMemo(t *testing.T) {
+	f := newFixture(t)
+	var deep *document.Document
+	f.onHop = func(activity string, in *document.Document, _ Inputs, _ *Session, _ *Outcome) {
+		if activity == "D" {
+			deep = in
+		}
+	}
+	f.run(t, 2)
+	in, err := document.Parse(deep.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := telemetry.Default().Counter("xmltree_canon_memo_misses_total")
+	before := misses.Value()
+	if _, err := in.VerifyAllWith(&dsig.Verifier{Workers: 1}, f.env.Registry); err != nil {
+		t.Fatal(err)
+	}
+	if d := misses.Value() - before; d != 0 {
+		t.Fatalf("cold verification of a parsed document missed %d canonical memos, want 0", d)
+	}
+	if _, err := New(f.agents["D"].Keys, f.env.Registry).Open(in, "D"); err != nil {
+		t.Fatal(err)
+	}
+	if d := misses.Value() - before; d != 0 {
+		t.Fatalf("opening a parsed document missed %d canonical memos, want 0", d)
 	}
 }
 

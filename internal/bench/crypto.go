@@ -106,20 +106,8 @@ func runFig9(env *testenv.Env, suite dsig.Suite) (*document.Document, error) {
 			final = out.Doc
 			break
 		}
-		for to, d := range out.Routed {
-			if existing := inbox[to]; existing != nil && to != s.act && hasNewCERs(existing, d) {
-				merged, err := document.Merge(existing, d)
-				if err != nil {
-					return nil, err
-				}
-				inbox[to] = merged
-			} else {
-				inbox[to] = d
-			}
-		}
-		delete(inbox, s.act)
-		if again, ok := out.Routed[s.act]; ok {
-			inbox[s.act] = again
+		if err := deliver(inbox, s.act, out.Next, out.Doc); err != nil {
+			return nil, err
 		}
 	}
 	if final == nil {

@@ -112,7 +112,7 @@ func chainDocs(env *testenv.Env, n int) ([]*document.Document, error) {
 			docs = append(docs, out.Doc)
 			break
 		}
-		cur = out.Routed[ids[i+1]]
+		cur = out.Doc
 		docs = append(docs, cur)
 	}
 	return docs, nil
@@ -733,16 +733,9 @@ func RunEngineVsDRA(bits, n int) (*EngineVsDRAResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			for to, d := range out.Routed {
-				if existing := inbox[to]; existing != nil && hasNewCERs(existing, d) {
-					if inbox[to], err = document.Merge(existing, d); err != nil {
-						return nil, err
-					}
-				} else {
-					inbox[to] = d
-				}
+			if err := deliver(inbox, s.act, out.Next, out.Doc); err != nil {
+				return nil, err
 			}
-			delete(inbox, s.act)
 			lastDoc = out.Doc
 		}
 	}

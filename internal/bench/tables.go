@@ -119,22 +119,8 @@ func RunTable1(bits, reps int) ([]Table1Row, error) {
 			row.SigsVerified = session.VerifiedSignatures
 			row.CERs = len(out.Doc.FinalCERs())
 
-			// Deliver to successors; AND-join merges branch documents.
-			for to, d := range out.Routed {
-				if existing := inbox[to]; existing != nil && existing.ProcessID() == d.ProcessID() &&
-					to != s.act && hasNewCERs(existing, d) {
-					merged, err := document.Merge(existing, d)
-					if err != nil {
-						return nil, err
-					}
-					inbox[to] = merged
-				} else {
-					inbox[to] = d
-				}
-			}
-			delete(inbox, s.act)
-			if _, again := out.Routed[s.act]; again {
-				inbox[s.act] = out.Routed[s.act]
+			if err := deliver(inbox, s.act, out.Next, out.Doc); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -144,6 +130,29 @@ func RunTable1(bits, reps int) ([]Table1Row, error) {
 		rows[i].Sigma /= reps
 	}
 	return rows, nil
+}
+
+// deliver hands doc, just produced by activity from, to each activity in
+// next (wfdef.EndID aside): an activity already holding a document with
+// CERs doc lacks gets the two merged (the AND-join), any other gets doc.
+// The targets share doc, since every AEA session forks what it opens.
+func deliver(inbox map[string]*document.Document, from string, next []string, doc *document.Document) error {
+	delete(inbox, from)
+	for _, to := range next {
+		if to == wfdef.EndID {
+			continue
+		}
+		if existing := inbox[to]; existing != nil && hasNewCERs(existing, doc) {
+			merged, err := document.Merge(existing, doc)
+			if err != nil {
+				return err
+			}
+			inbox[to] = merged
+		} else {
+			inbox[to] = doc
+		}
+	}
+	return nil
 }
 
 // hasNewCERs reports whether d carries CERs absent from existing (a real
@@ -256,20 +265,8 @@ func RunTable2(bits, reps int) ([]Table2Row, error) {
 			tfcRow.SigsVerified = out.VerifiedSignatures
 			tfcRow.CERs = len(out.Doc.CERs())
 
-			for to, d := range out.Routed {
-				if existing := inbox[to]; existing != nil && to != s.act && hasNewCERs(existing, d) {
-					merged, err := document.Merge(existing, d)
-					if err != nil {
-						return nil, err
-					}
-					inbox[to] = merged
-				} else {
-					inbox[to] = d
-				}
-			}
-			delete(inbox, s.act)
-			if d, again := out.Routed[s.act]; again {
-				inbox[s.act] = d
+			if err := deliver(inbox, s.act, out.Next, out.Doc); err != nil {
+				return nil, err
 			}
 		}
 	}

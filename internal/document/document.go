@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -120,6 +121,30 @@ func (d *Document) Size() int { return len(d.Bytes()) }
 
 // Clone returns an independent deep copy.
 func (d *Document) Clone() *Document { return &Document{Root: d.Root.Clone()} }
+
+// Fork returns a document that can take new CERs without changing d: the
+// root and ActivityResults elements are copied, and every other element
+// is shared with d. The shared elements are read-only in both documents;
+// a caller that edits one in place (decrypting it where it stands, a
+// tamper test) must Clone instead. AppendCER only appends to the copied
+// ActivityResults, so an AEA session, the TFC and Merge fork instead of
+// deep-copying a tree they only append to.
+func (d *Document) Fork() *Document {
+	root := shallowCopy(d.Root)
+	for i, c := range root.Children {
+		if c.IsElement() && c.Name == "ActivityResults" {
+			root.Children[i] = shallowCopy(c)
+			break
+		}
+	}
+	return &Document{Root: root}
+}
+
+// shallowCopy copies element n and its attribute and child lists; the
+// children themselves are shared.
+func shallowCopy(n *xmltree.Node) *xmltree.Node {
+	return &xmltree.Node{Kind: n.Kind, Name: n.Name, Attrs: slices.Clone(n.Attrs), Children: slices.Clone(n.Children)}
+}
 
 // Header returns the header element.
 func (d *Document) Header() *xmltree.Node { return d.Root.Child("Header") }
@@ -562,14 +587,15 @@ func (d *Document) verifyAllWithCtx(ctx context.Context, v *dsig.Verifier, resol
 // Merge combines documents of the same process instance — the AND-join of
 // the paper's Section 2.1, where the resulting document carries the union
 // of the branch documents' CER sets. All inputs must share identical
-// header and application-definition sections. The result starts from the
-// first document and appends, in encounter order, CERs present only in
-// later documents.
+// header and application-definition sections. The result is a Fork of the
+// first document with, in encounter order, the CERs present only in later
+// documents appended; it shares its elements with the inputs, which it
+// leaves unchanged.
 func Merge(docs ...*Document) (*Document, error) {
 	if len(docs) == 0 {
 		return nil, errors.New("document: nothing to merge")
 	}
-	base := docs[0].Clone()
+	base := docs[0].Fork()
 	baseHeader := docs[0].Header().Canonical()
 	baseAppDef := docs[0].Root.Child("ApplicationDefinition").Canonical()
 	present := map[string]bool{}
@@ -592,7 +618,7 @@ func Merge(docs ...*Document) (*Document, error) {
 				continue
 			}
 			present[c.ID()] = true
-			base.resultsEl().AppendChild(c.El.Clone())
+			base.resultsEl().AppendChild(c.El)
 		}
 	}
 	return base, nil

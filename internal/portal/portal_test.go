@@ -1,6 +1,7 @@
 package portal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -25,7 +26,7 @@ type cloud struct {
 	agents  map[string]*aea.AEA
 }
 
-func newCloud(t *testing.T) *cloud {
+func newCloud(t testing.TB) *cloud {
 	t.Helper()
 	env := testenv.Fig9(0)
 	table, err := pool.NewTable(TableName, Families...)
@@ -46,7 +47,7 @@ func newCloud(t *testing.T) *cloud {
 	}
 }
 
-func (c *cloud) initial(t *testing.T) *document.Document {
+func (c *cloud) initial(t testing.TB) *document.Document {
 	t.Helper()
 	doc, err := document.New(wfdef.Fig9A(), c.env.KeyOf("designer@acme"), testenv.ProcessID(), now)
 	if err != nil {
@@ -202,6 +203,62 @@ func TestBranchDocumentsMergeInPool(t *testing.T) {
 	stored, _ := c.portal.Retrieve(wfdef.Fig9Participants["C"], pid)
 	if len(stored.FinalCERs()) != 3 {
 		t.Fatalf("merged CERs = %d, want 3", len(stored.FinalCERs()))
+	}
+}
+
+// TestStoredRowsAreFreshSerializations: documents that arrive as bytes
+// (parsed, so their memos are seeded from the wire) and are merged with
+// the stored row are stored as exactly the fresh serialization of their
+// tree, on the plain path and on the AND-join merge path.
+func TestStoredRowsAreFreshSerializations(t *testing.T) {
+	c := newCloud(t)
+	doc := c.initial(t)
+	pid := doc.ProcessID()
+	if _, err := c.portal.StoreInitial(doc); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	raw := func(activity string) []byte {
+		b, err := c.portal.RetrieveRawCtx(ctx, wfdef.Fig9Participants[activity], pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	hop := func(in []byte, activity string, inputs aea.Inputs) {
+		got, err := document.Parse(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.agents[activity].Execute(got, activity, inputs, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent, err := document.Parse(out.Doc.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.portal.StoreCtx(ctx, sent); err != nil {
+			t.Fatal(err)
+		}
+		stored, err := document.Parse(raw(activity))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw(activity)) != string(stored.Root.Clone().Canonical()) {
+			t.Fatalf("row stored after %s is not the fresh serialization of its tree", activity)
+		}
+	}
+	hop(raw("A"), "A", aea.Inputs{"request": "r"})
+	postA := raw("B1")
+	hop(postA, "B1", aea.Inputs{"techReview": "x"})
+	hop(postA, "B2", aea.Inputs{"budgetReview": "y"})
+	merged, err := document.Parse(raw("C"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(merged.FinalCERs()); n != 3 {
+		t.Fatalf("merged row holds %d final CERs, want 3", n)
 	}
 }
 

@@ -93,7 +93,7 @@ func TestJournalWritesPastAGap(t *testing.T) {
 	f.restart(t, tab)
 
 	outA := f.step(t, f.doc, "A", aea.Inputs{"request": "req"}) // row 0
-	b1 := f.intermediate(t, outA.Routed["B1"], "B1", aea.Inputs{"techReview": "ok"})
+	b1 := f.intermediate(t, outA.Doc, "B1", aea.Inputs{"techReview": "ok"})
 	tab.fail = true
 	if _, err := f.server.Process(b1); err == nil { // index 1 is lost
 		t.Fatal("Process acknowledged a record its journal refused")
@@ -110,7 +110,7 @@ func TestJournalWritesPastAGap(t *testing.T) {
 	if n := f.restart(t, tab); n != 2 {
 		t.Fatalf("restored %d records, want 2", n)
 	}
-	f.step(t, outA.Routed["B2"], "B2", aea.Inputs{"budgetReview": "ok"})
+	f.step(t, outA.Doc, "B2", aea.Inputs{"budgetReview": "ok"})
 	want = append(want, journalRow(3))
 	if got := journalRows(tab); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("rows after restart = %v, want %v (row 2 must not be overwritten)", got, want)

@@ -142,9 +142,9 @@ func TestFig9BOpenersMatchColdDecrypt(t *testing.T) {
 	p := wfdef.Fig9Participants
 	for i := 0; ; i++ {
 		outA := d.step(doc, "A", p["A"], aea.Inputs{"request": "req"})
-		outB1 := d.step(outA.Routed["B1"], "B1", p["B1"], aea.Inputs{"techReview": "ok"})
-		outB2 := d.step(outA.Routed["B2"], "B2", p["B2"], aea.Inputs{"budgetReview": "ok"})
-		merged, err := document.Merge(outB1.Routed["C"], outB2.Routed["C"])
+		outB1 := d.step(outA.Doc, "B1", p["B1"], aea.Inputs{"techReview": "ok"})
+		outB2 := d.step(outA.Doc, "B2", p["B2"], aea.Inputs{"budgetReview": "ok"})
+		merged, err := document.Merge(outB1.Doc, outB2.Doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestFig9BOpenersMatchColdDecrypt(t *testing.T) {
 		if i == 3 {
 			accept = "true"
 		}
-		outD := d.step(outC.Routed["D"], "D", p["D"], aea.Inputs{"accept": accept})
+		outD := d.step(outC.Doc, "D", p["D"], aea.Inputs{"accept": accept})
 		if outD.Completed {
 			break
 		}
-		doc = outD.Routed["A"]
+		doc = outD.Doc
 	}
 	// Every condition reads the fresh accept: one unwrap per hop.
 	d.checkUnwraps(d.hops)

@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -120,7 +121,8 @@ func New(keys *pki.KeyPair, reg *pki.Registry, clock func() time.Time) *Server {
 
 // Outcome is the result of processing one intermediate document.
 type Outcome struct {
-	// Doc is the document after the TFC appended the final CER.
+	// Doc is the document after the TFC appended the final CER; every
+	// target in Next receives it.
 	Doc *document.Document
 	// CER is the appended final characteristic execution result.
 	CER document.CER
@@ -128,8 +130,6 @@ type Outcome struct {
 	Next []string
 	// Completed reports whether the process instance reached the end.
 	Completed bool
-	// Routed holds one document clone per next activity.
-	Routed map[string]*document.Document
 	// VerifiedSignatures counts signatures checked (the TFC share of α).
 	VerifiedSignatures int
 	// Timestamp is the witnessed finish time embedded in the CER.
@@ -157,7 +157,9 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	defer span.End()
 	span.SetAttr("process", doc.ProcessID())
 	verifyStart := time.Now()
-	work := doc.Clone()
+	// A fork suffices: the server only appends the final CER, and
+	// RevealConditions fills the parsed definition, not the tree.
+	work := doc.Fork()
 	nsigs, err := work.VerifyAllCtx(ctx, s.Registry)
 	if err != nil {
 		return nil, fmt.Errorf("tfc: document verification failed after %d valid signatures: %w", nsigs, err)
@@ -222,6 +224,17 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	}
 	s.seen[key] = true
 	s.mu.Unlock()
+	// Any refusal from here on disarms the guard again: the intermediate
+	// was not notarized, so the participant's corrected or retried
+	// submission for the same iteration must go through.
+	notarized := false
+	defer func() {
+		if !notarized {
+			s.mu.Lock()
+			delete(s.seen, key)
+			s.mu.Unlock()
+		}
+	}()
 
 	// Unwrap the raw result the AEA encrypted to this server.
 	res := pending.Result()
@@ -285,18 +298,11 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 
 	out := &Outcome{
 		Doc: work, CER: cer, Next: next,
-		Routed:              map[string]*document.Document{},
+		Completed:           slices.Contains(next, wfdef.EndID),
 		VerifiedSignatures:  nsigs,
 		Timestamp:           now,
 		VerifyDuration:      verifyDur,
 		EncryptSignDuration: encryptSignDur,
-	}
-	for _, to := range next {
-		if to == wfdef.EndID {
-			out.Completed = true
-			continue
-		}
-		out.Routed[to] = work.Clone()
 	}
 
 	// The record outlives the request: Participant is cloned so it does
@@ -313,20 +319,19 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	}
 	// Journal before the in-memory append: the record must be durable (per
 	// the hook's policy) before the process response is acknowledged. On
-	// failure the replay guard is disarmed again — after a restart the
-	// unpersisted record would not re-arm it anyway, so keeping it armed
-	// in memory would only block a legitimate retry until then.
+	// failure the replay guard is disarmed like on any other refusal —
+	// after a restart the unpersisted record would not re-arm it anyway,
+	// so keeping it armed in memory would only block a legitimate retry
+	// until then.
 	if s.OnRecord != nil {
 		if err := s.OnRecord(rec); err != nil {
-			s.mu.Lock()
-			delete(s.seen, key)
-			s.mu.Unlock()
 			return nil, fmt.Errorf("tfc: persisting forwarding record for %s: %w", key, err)
 		}
 	}
 	s.mu.Lock()
 	s.records = append(s.records, rec)
 	s.mu.Unlock()
+	notarized = true
 	return out, nil
 }
 

@@ -1,7 +1,9 @@
 package tfc
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -70,23 +72,23 @@ func (f *fixture) step(t *testing.T, doc *document.Document, activity string, in
 func (f *fixture) runIteration(t *testing.T, doc *document.Document, accept string) *Outcome {
 	t.Helper()
 	outA := f.step(t, doc, "A", aea.Inputs{"request": "req"})
-	outB1 := f.step(t, outA.Routed["B1"], "B1", aea.Inputs{"techReview": "ok"})
-	outB2 := f.step(t, outA.Routed["B2"], "B2", aea.Inputs{"budgetReview": "ok"})
-	merged, err := document.Merge(outB1.Routed["C"], outB2.Routed["C"])
+	outB1 := f.step(t, outA.Doc, "B1", aea.Inputs{"techReview": "ok"})
+	outB2 := f.step(t, outA.Doc, "B2", aea.Inputs{"budgetReview": "ok"})
+	merged, err := document.Merge(outB1.Doc, outB2.Doc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	outC := f.step(t, merged, "C", aea.Inputs{"summary": "fine"})
-	return f.step(t, outC.Routed["D"], "D", aea.Inputs{"accept": accept})
+	return f.step(t, outC.Doc, "D", aea.Inputs{"accept": accept})
 }
 
 func TestAdvancedModelFullRun(t *testing.T) {
 	f := newFig9B(t)
 	outD := f.runIteration(t, f.doc, "false")
-	if outD.Completed || outD.Routed["A"] == nil {
+	if outD.Completed || !slices.Equal(outD.Next, []string{"A"}) {
 		t.Fatalf("first pass should loop back: %v", outD.Next)
 	}
-	outD2 := f.runIteration(t, outD.Routed["A"], "true")
+	outD2 := f.runIteration(t, outD.Doc, "true")
 	if !outD2.Completed {
 		t.Fatal("second pass should complete")
 	}
@@ -206,7 +208,7 @@ func TestFig4ConcealedRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interm, err = newAgent(p.Tony).ExecuteToTFC(o1.Routed["A2"], "A2", aea.Inputs{"Y": "secret-Y"})
+		interm, err = newAgent(p.Tony).ExecuteToTFC(o1.Doc, "A2", aea.Inputs{"Y": "secret-Y"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +216,7 @@ func TestFig4ConcealedRouting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interm, err = newAgent(p.Amy).ExecuteToTFC(o2.Routed["A3"], "A3", aea.Inputs{"reviewed": "true"})
+		interm, err = newAgent(p.Amy).ExecuteToTFC(o2.Doc, "A3", aea.Inputs{"reviewed": "true"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,11 +340,11 @@ func TestDefaultClock(t *testing.T) {
 	}
 }
 
-// TestUndeclaredIntermediateRefused: A's participant encrypts to the TFC
-// a result that also sets accept, a variable only D declares. The server
-// refuses it before policy-encrypting anything.
-func TestUndeclaredIntermediateRefused(t *testing.T) {
-	f := newFig9B(t)
+// undeclaredIntermediate returns f's initial document with an
+// intermediate CER in which A's participant encrypts to the TFC a result
+// that also sets accept, a variable only D declares.
+func undeclaredIntermediate(t *testing.T, f *fixture) *document.Document {
+	t.Helper()
 	alice := f.env.KeyOf(wfdef.Fig9Participants["A"])
 	doc := f.doc.Clone()
 	tfcKey, _ := f.env.Registry.PublicKey("tfc@cloud")
@@ -359,8 +361,64 @@ func TestUndeclaredIntermediateRefused(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.server.Process(doc); !errors.Is(err, document.ErrUndeclaredVariable) {
+	return doc
+}
+
+// TestUndeclaredIntermediateRefused: the server refuses an intermediate
+// result carrying an undeclared variable before policy-encrypting
+// anything.
+func TestUndeclaredIntermediateRefused(t *testing.T) {
+	f := newFig9B(t)
+	if _, err := f.server.Process(undeclaredIntermediate(t, f)); !errors.Is(err, document.ErrUndeclaredVariable) {
 		t.Fatalf("err = %v, want ErrUndeclaredVariable", err)
+	}
+}
+
+// TestRefusalDisarmsReplayGuard: a refused intermediate was not
+// notarized, so A's honest submission for the same iteration is; a
+// replay of the notarized one is still refused.
+func TestRefusalDisarmsReplayGuard(t *testing.T) {
+	f := newFig9B(t)
+	if _, err := f.server.Process(undeclaredIntermediate(t, f)); !errors.Is(err, document.ErrUndeclaredVariable) {
+		t.Fatalf("err = %v, want ErrUndeclaredVariable", err)
+	}
+	interm, err := f.agents["A"].ExecuteToTFC(f.doc, "A", aea.Inputs{"request": "req"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.server.Process(interm); err != nil {
+		t.Fatalf("honest submission after a refusal: %v", err)
+	}
+	if _, err := f.server.Process(interm); !errors.Is(err, ErrReplay) {
+		t.Fatalf("replay of a notarized intermediate: err = %v, want ErrReplay", err)
+	}
+}
+
+// TestProcessKeepsInput: the server appends the final CER to a fork of
+// the parsed intermediate document, which keeps every byte.
+func TestProcessKeepsInput(t *testing.T) {
+	f := newFig9B(t)
+	interm, err := f.agents["A"].ExecuteToTFC(f.doc, "A", aea.Inputs{"request": "req"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := document.Parse(interm.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := string(in.Bytes())
+	out, err := f.server.ProcessCtx(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(in.Bytes()) != before || len(in.CERs()) != 1 {
+		t.Fatal("Process changed its input document")
+	}
+	if got := len(out.Doc.CERs()); got != 2 {
+		t.Fatalf("output has %d CERs, want 2", got)
+	}
+	if got, fresh := out.Doc.Bytes(), out.Doc.Root.Clone().Canonical(); string(got) != string(fresh) {
+		t.Fatal("output bytes differ from their fresh serialization")
 	}
 }
 
@@ -394,7 +452,7 @@ func TestRoutesOnLookedUpVariable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interm, err = aea.New(env.KeyOf("q@x"), env.Registry).ExecuteToTFC(outP.Routed["Q"], "Q", aea.Inputs{"note": "n"})
+		interm, err = aea.New(env.KeyOf("q@x"), env.Registry).ExecuteToTFC(outP.Doc, "Q", aea.Inputs{"note": "n"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package xmltree
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -193,5 +194,153 @@ func TestConcurrentCanonical(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestParseSeedsCanonicalSpans: Parse seeds an element's memo with its
+// input span exactly when that span is the element's canonical form and
+// the element is one seedable names. The non-canonical spellings
+// below are each one the canonical form writes differently; the named
+// elements must be left unseeded and the others seeded as the rule says,
+// and every element's Canonical must equal a fresh serialization.
+func TestParseSeedsCanonicalSpans(t *testing.T) {
+	cases := []struct {
+		name, in string
+		unseeded []string // element names whose span is not canonical
+	}{
+		{"canonical", `<r><a Id="i" x="1">t</a><b></b></r>`, nil},
+		{"canonical escapes", "<r Id=\"&amp;&lt;&quot;&#x9;&#xA;&#xD;'>\">&amp;&lt;&gt;&#xD;\"'\t\n</r>", nil},
+		{"utf8", "<r Id=\"\u00e9\" é=\"\u00e9\">\U0001F600\ufffd</r>", nil},
+		{"xml declaration outside root", "<?xml version=\"1.0\"?>\n<r><a Id=\"i\"></a></r>\n", nil},
+		{"attribute order", `<r><a x="1" Id="i"></a><b></b></r>`, []string{"r", "a"}},
+		{"single quotes", `<r><a Id='i'></a></r>`, []string{"r", "a"}},
+		{"self-closing", `<r><a Id="i"/><b Id="j"></b></r>`, []string{"r", "a"}},
+		{"space before >", `<r><a Id="i" ></a></r>`, []string{"r", "a"}},
+		{"two spaces", `<r><a  Id="i"></a></r>`, []string{"r", "a"}},
+		{"newline before attribute", "<r><a\nId=\"i\"></a></r>", []string{"r", "a"}},
+		{"space around =", `<r><a Id = "i"></a></r>`, []string{"r", "a"}},
+		{"space in end tag", `<r><a Id="i"></a ></r>`, []string{"r", "a"}},
+		{"no space between attributes", `<r><a Id="i"x="1"></a></r>`, []string{"r", "a"}},
+		{"apos entity", `<r><a Id="i">&apos;</a></r>`, []string{"r", "a"}},
+		{"quot entity in text", `<r><a Id="i">&quot;</a></r>`, []string{"r", "a"}},
+		{"gt entity in attribute", `<r><a Id="&gt;"></a></r>`, []string{"r", "a"}},
+		{"decimal reference", `<r><a Id="i">&#65;</a></r>`, []string{"r", "a"}},
+		{"lowercase hex reference", `<r><a Id="i">&#xd;</a></r>`, []string{"r", "a"}},
+		{"tab reference in text", `<r><a Id="i">&#x9;</a></r>`, []string{"r", "a"}},
+		{"literal > in text", `<r><a Id="i">x>y</a></r>`, []string{"r", "a"}},
+		{"literal tab in attribute", "<r><a Id=\"1\t2\"></a></r>", []string{"r", "a"}},
+		{"literal LF in attribute", "<r><a Id=\"1\n2\"></a></r>", []string{"r", "a"}},
+		{"CRLF", "<r><a Id=\"i\">x\r\ny</a></r>", []string{"r", "a"}},
+		{"CR in attribute", "<r><a Id=\"1\r2\"></a></r>", []string{"r", "a"}},
+		{"comment", `<r><a Id="i">x<!--c-->y</a><b Id="j"></b></r>`, []string{"r", "a"}},
+		{"processing instruction", `<r><a Id="i"><?p q?></a></r>`, []string{"r", "a"}},
+		{"CDATA", `<r><a Id="i"><![CDATA[<x>]]></a></r>`, []string{"r", "a"}},
+		{"declaration", `<r><a Id="i"><!x></a></r>`, []string{"r", "a"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root, err := ParseString(tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds := seedable(root)
+			root.Walk(func(e *Node) bool {
+				want := !slices.Contains(tc.unseeded, e.Name) && seeds[e]
+				if got := e.memo.Load() != nil; got != want {
+					t.Errorf("<%s> seeded = %v, want %v", e.Name, got, want)
+				}
+				if c, fresh := e.Canonical(), freshCanonical(e); !bytes.Equal(c, fresh) {
+					t.Errorf("<%s>: Canonical %q, fresh serialization %q", e.Name, c, fresh)
+				}
+				return true
+			})
+		})
+	}
+}
+
+// seedable returns the elements under root that Parse seeds when their
+// spans are canonical: those carrying an Id, the non-leaf children of
+// those, and the ancestors of any of them.
+func seedable(root *Node) map[*Node]bool {
+	set := map[*Node]bool{}
+	var visit func(e *Node, parentID bool) bool
+	visit = func(e *Node, parentID bool) bool {
+		kids := e.ChildElements()
+		seeded := e.hasID() || len(kids) > 0 && parentID
+		for _, c := range kids {
+			if visit(c, e.hasID()) {
+				seeded = true
+			}
+		}
+		set[e] = seeded
+		return seeded
+	}
+	visit(root, false)
+	return set
+}
+
+// TestSeededMemoInvalidatedByMutation: a seeded memo is an ordinary memo,
+// so every mutation after the parse — through a method, or a same-length
+// direct field write followed by Invalidate — makes the enclosing
+// elements serialize afresh.
+func TestSeededMemoInvalidatedByMutation(t *testing.T) {
+	const in = `<r><a Id="i" x="1">t</a><b></b></r>`
+	cases := []struct {
+		name   string
+		mutate func(r *Node)
+		want   string
+	}{
+		{"SetAttr", func(r *Node) { r.Child("a").SetAttr("x", "2") }, `<r><a Id="i" x="2">t</a><b></b></r>`},
+		{"AppendChild", func(r *Node) { r.Child("b").AppendChild(NewElement("c")) }, `<r><a Id="i" x="1">t</a><b><c></c></b></r>`},
+		{"SetText", func(r *Node) { r.Child("a").SetText("u") }, `<r><a Id="i" x="1">u</a><b></b></r>`},
+		{"direct write and Invalidate", func(r *Node) {
+			a := r.Child("a")
+			a.Attrs[1].Value = "9"
+			a.Invalidate()
+		}, `<r><a Id="i" x="9">t</a><b></b></r>`},
+		{"direct text write and Invalidate", func(r *Node) {
+			txt := r.Child("a").Children[0]
+			txt.Text = "u"
+			txt.Invalidate()
+		}, `<r><a Id="i" x="1">u</a><b></b></r>`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := ParseString(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.memo.Load() == nil || r.Child("a").memo.Load() == nil {
+				t.Fatal("canonical input left <r> or <a> unseeded")
+			}
+			tc.mutate(r)
+			if got := string(r.Canonical()); got != tc.want {
+				t.Fatalf("Canonical after %s = %s, want %s", tc.name, got, tc.want)
+			}
+			if got := string(freshCanonical(r)); got != tc.want {
+				t.Fatalf("fresh serialization after %s = %s, want %s", tc.name, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestParsedFixtureCanonicalHitsMemo: every seedable element of the
+// canonical Figure 9A fixture is seeded, so canonicalizing all of them
+// after the parse misses no memo.
+func TestParsedFixtureCanonicalHitsMemo(t *testing.T) {
+	root, err := ParseBytes(readFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := seedable(root)
+	misses := mMemoMisses.Value()
+	root.Walk(func(e *Node) bool {
+		if seeds[e] {
+			_ = e.Canonical()
+		}
+		return true
+	})
+	if d := mMemoMisses.Value() - misses; d != 0 {
+		t.Fatalf("canonicalizing the parsed fixture missed %d memos, want 0", d)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // ErrNamespace is returned by Parse when the input declares or uses XML
@@ -26,7 +27,8 @@ func Parse(r io.Reader) (*Node, error) {
 	return parse(b.String())
 }
 
-// ParseBytes parses an XML document held in b. See Parse.
+// ParseBytes parses an XML document held in b. See Parse. The tree never
+// refers to b, so the caller may reuse it.
 func ParseBytes(b []byte) (*Node, error) { return parse(string(b)) }
 
 // ParseString parses an XML document held in s. See Parse.
@@ -42,20 +44,35 @@ const maxChunk = 4096
 // lists are carved from shared slabs with their capacity clipped, so a
 // later append on a parsed node reallocates instead of overwriting a
 // neighbour.
+//
+// The parser also seeds canonical memos. An element whose input span is
+// byte for byte its canonical serialization (startTag, value and endTag
+// check the spelling; endTag says which elements qualify) gets that span
+// as its memo, valid under the accumulator value computed at its end tag
+// from its children's values; Canonical then serves the span until a
+// mutation changes the accumulator.
 type parser struct {
-	s     string
-	i     int // read position
-	chunk int // slab refill size
+	s string
+	i int // read position
+
+	// Slab refill sizes, estimated from byte counts so that a typical
+	// document fills about one slab of each: an element has two tags,
+	// there are about half as many text nodes as elements and fewer
+	// seeded memos than that, and an attribute has an '='. An estimate
+	// that falls short costs one more slab.
+	nodeChunk, attrChunk, memoChunk int
 
 	nodes []Node
 	attrs []Attr
 	ptrs  []*Node
+	memos []canonMemo
 
 	root *Node
 	open []frame
-	kids []*Node // children of the open elements, innermost last
-	tag  []Attr  // attributes of the start tag being read
-	buf  []byte  // decoded character data
+	kids []*Node  // children of the open elements, innermost last
+	kacc []uint64 // accum of each closed element in kids (text: unused)
+	tag  []Attr   // attributes of the start tag being read
+	buf  []byte   // decoded character data
 
 	// merged is the text node whose Text is being accumulated in mbuf:
 	// adjacent character data (text, CDATA, text around a comment) is one
@@ -65,12 +82,22 @@ type parser struct {
 }
 
 type frame struct {
-	n    *Node
-	kids int // index in parser.kids of n's first child
+	n      *Node
+	kids   int  // index in parser.kids of n's first child
+	start  int  // offset of n's '<' in the input
+	canon  bool // n's input so far is its canonical form
+	id     bool // n carries an Id
+	seeded bool // a child of n was seeded
 }
 
 func parse(s string) (*Node, error) {
-	p := &parser{s: s, chunk: min(strings.Count(s, "<")+1, maxChunk)}
+	elems := strings.Count(s, "<")/2 + 1
+	p := &parser{
+		s:         s,
+		nodeChunk: min(elems+elems/2, maxChunk),
+		attrChunk: min(strings.Count(s, "=")+1, maxChunk),
+		memoChunk: min(elems/2+1, maxChunk),
+	}
 	for p.i < len(s) {
 		var err error
 		switch {
@@ -81,8 +108,12 @@ func parse(s string) (*Node, error) {
 		case s[p.i+1] == '/':
 			err = p.endTag()
 		case s[p.i+1] == '?':
+			p.nonCanonical()
 			err = p.procInst()
 		case s[p.i+1] == '!':
+			// A comment, CDATA section or declaration has no canonical
+			// form: Canonical drops it or writes it as text.
+			p.nonCanonical()
 			err = p.bang()
 		default:
 			err = p.startTag()
@@ -118,11 +149,28 @@ func (p *parser) errorf(at int, format string, args ...any) error {
 
 func (p *parser) eof() error { return p.errorf(len(p.s), "unexpected EOF") }
 
+// nonCanonical records that the innermost open element's span is not its
+// canonical form, so neither it nor any ancestor gets a memo seeded.
+func (p *parser) nonCanonical() {
+	if len(p.open) > 0 {
+		p.open[len(p.open)-1].canon = false
+	}
+}
+
+// addKid makes n the next child of the innermost open element.
+func (p *parser) addKid(n *Node) {
+	p.kids = append(p.kids, n)
+	p.kacc = append(p.kacc, 0)
+}
+
 // charData reads text up to the next '<' and adds it to the open element.
 func (p *parser) charData() error {
-	t, err := p.value(0)
+	t, canon, err := p.value(0)
 	if err != nil {
 		return err
+	}
+	if !canon {
+		p.nonCanonical()
 	}
 	return p.addText(t)
 }
@@ -148,9 +196,9 @@ func (p *parser) addText(t string) error {
 		return nil
 	}
 	p.flushText()
-	n := &carve(&p.nodes, 1, p.chunk)[0]
+	n := &carve(&p.nodes, 1, p.nodeChunk)[0]
 	n.Kind, n.Text = TextKind, t
-	p.kids = append(p.kids, n)
+	p.addKid(n)
 	return nil
 }
 
@@ -162,21 +210,26 @@ func (p *parser) flushText() {
 	}
 }
 
-// startTag reads <name attr="value" ...> or <name .../> at p.i.
+// startTag reads <name attr="value" ...> or <name .../> at p.i. The tag
+// is canonical when it reads <name a="v" b="w"> exactly: one space before
+// each attribute, none around '=' or before '>', double quotes, names in
+// ascending order and values as the canonical form escapes them.
 func (p *parser) startTag() error {
-	s := p.s
+	s, start := p.s, p.i
 	name, j := p.name(p.i + 1)
 	prefixed, err := p.checkName(name, p.i+1, "element name after <")
 	if err != nil {
 		return err
 	}
-	attrs, empty := p.tag[:0], false
+	attrs, empty, canon := p.tag[:0], false, true
 	for {
+		sp := j
 		j = skipSpace(s, j)
 		if j >= len(s) {
 			return p.eof()
 		}
 		if s[j] == '>' {
+			canon = canon && j == sp
 			j++
 			break
 		}
@@ -191,6 +244,7 @@ func (p *parser) startTag() error {
 			empty = true
 			break
 		}
+		canon = canon && j == sp+1 && s[sp] == ' '
 		at := j
 		var a Attr
 		a.Name, j = p.name(j)
@@ -199,6 +253,7 @@ func (p *parser) startTag() error {
 			return err
 		}
 		prefixed = prefixed || ns || a.Name == "xmlns"
+		eq := j
 		if j = skipSpace(s, j); j >= len(s) {
 			return p.eof()
 		}
@@ -211,10 +266,14 @@ func (p *parser) startTag() error {
 		if q := s[j]; q != '"' && q != '\'' {
 			return p.errorf(j, "unquoted or missing attribute value in element")
 		}
+		canon = canon && j == eq+1 && s[j] == '"' &&
+			(len(attrs) == 0 || attrs[len(attrs)-1].Name < a.Name)
 		p.i = j + 1
-		if a.Value, err = p.value(s[j]); err != nil {
+		var vcanon bool
+		if a.Value, vcanon, err = p.value(s[j]); err != nil {
 			return err
 		}
+		canon = canon && vcanon
 		j = p.i
 		attrs = append(attrs, a)
 	}
@@ -228,21 +287,24 @@ func (p *parser) startTag() error {
 	if len(p.open) == 0 && p.root != nil {
 		return errors.New("xmltree: multiple root elements")
 	}
-	e := &carve(&p.nodes, 1, p.chunk)[0]
+	e := &carve(&p.nodes, 1, p.nodeChunk)[0]
 	e.Name = name
 	if len(attrs) > 0 {
-		e.Attrs = carve(&p.attrs, len(attrs), p.chunk)
+		e.Attrs = carve(&p.attrs, len(attrs), p.attrChunk)
 		copy(e.Attrs, attrs)
 	}
 	if p.root == nil {
 		p.root = e
 	} else {
-		p.kids = append(p.kids, e)
+		p.addKid(e)
 	}
 	p.i = j
-	if !empty {
-		p.open = append(p.open, frame{n: e, kids: len(p.kids)})
+	if empty {
+		// <a/> is not canonical (<a></a> is), so its parent is not either.
+		p.nonCanonical()
+		return nil
 	}
+	p.open = append(p.open, frame{n: e, kids: len(p.kids), start: start, canon: canon, id: e.hasID()})
 	return nil
 }
 
@@ -295,14 +357,60 @@ func (p *parser) endTag() error {
 		return p.errorf(p.i, "element <%s> closed by </%s>", f.n.Name, name)
 	}
 	p.flushText()
-	if kids := p.kids[f.kids:]; len(kids) > 0 {
-		f.n.Children = carve(&p.ptrs, len(kids), p.chunk)
+	kids := p.kids[f.kids:]
+	if len(kids) > 0 {
+		f.n.Children = carve(&p.ptrs, len(kids), p.nodeChunk)
 		copy(f.n.Children, kids)
 	}
-	p.kids = p.kids[:f.kids]
+	// Only a canonical element needs its accumulator value: it is seeded,
+	// and its parent may be. A non-canonical one makes its ancestors
+	// non-canonical too.
+	if f.canon = f.canon && j == p.i+2+len(name); f.canon {
+		acc, leaf := f.n.accumHead(), true
+		for i, k := range kids {
+			if k.Kind == TextKind {
+				acc = mix(acc, k.accumHead())
+			} else {
+				acc, leaf = mix(acc, p.kacc[f.kids+i]), false
+			}
+		}
+		if f.kids > 0 {
+			p.kacc[f.kids-1] = acc
+		}
+		// Seeded are the elements whose bytes are asked for alone or
+		// spliced from: one that carries an Id (a signature reference),
+		// a non-leaf child of one (a signature's SignedInfo), and any
+		// ancestor of a seeded element. The rest is serialized only
+		// inside a rebuilt parent, one pass over it, and seeding every
+		// element would cost each parse more than that saves.
+		var parent *frame
+		if len(p.open) > 1 {
+			parent = &p.open[len(p.open)-2]
+		}
+		if f.id || f.seeded || !leaf && parent != nil && parent.id {
+			p.seed(f.n, acc, p.s[f.start:j+1])
+			if parent != nil {
+				parent.seeded = true
+			}
+		}
+	}
+	p.kids, p.kacc = p.kids[:f.kids], p.kacc[:f.kids]
 	p.open = p.open[:len(p.open)-1]
+	if !f.canon {
+		p.nonCanonical()
+	}
 	p.i = j + 1
 	return nil
+}
+
+// seed installs span, n's canonical form as it stands in the input, as
+// n's memo under accumulator value acc. The memo shares the input's
+// memory, which the tree's strings pin already; Canonical's callers treat
+// its result as immutable.
+func (p *parser) seed(n *Node, acc uint64, span string) {
+	m := &carve(&p.memos, 1, p.memoChunk)[0]
+	m.acc, m.data = acc, unsafe.Slice(unsafe.StringData(span), len(span))
+	n.memo.Store(m)
 }
 
 // procInst skips <?target ...?> at p.i. The XML declaration is checked:
@@ -499,13 +607,16 @@ func (p *parser) checkName(name string, at int, what string) (prefixed bool, err
 // EOF (quote == 0), or an attribute value up to its closing quote byte,
 // which it consumes. References are decoded and CR / CRLF become LF; the
 // result is a substring of the input unless something was rewritten.
-func (p *parser) value(quote byte) (string, error) {
+// canon reports whether the input spells the value exactly as the
+// canonical form escapes it.
+func (p *parser) value(quote byte) (v string, canon bool, err error) {
 	s, start := p.s, p.i
 	plain := &plainText
 	if quote != 0 {
 		plain = &plainAttr
 	}
 	out := p.buf[:0]
+	canon = quote != '\''
 	// s[mark:i] is not yet copied to out; mark moves past start at the
 	// first rewrite.
 	mark := start
@@ -520,27 +631,29 @@ func (p *parser) value(quote byte) (string, error) {
 		switch c := s[i]; {
 		case c == quote && quote != 0:
 			p.i = i + 1
-			return p.finish(start, i, mark, out), nil
+			return p.finish(start, i, mark, out), canon, nil
 		case c == '<':
 			if quote != 0 {
-				return "", p.errorf(i, "unescaped < inside quoted string")
+				return "", false, p.errorf(i, "unescaped < inside quoted string")
 			}
 			p.i = i
-			return p.finish(start, i, mark, out), nil
+			return p.finish(start, i, mark, out), canon, nil
 		case c == ']':
 			if quote == 0 && strings.HasPrefix(s[i:], "]]>") {
-				return "", p.errorf(i, "unescaped ]]> not in CDATA section")
+				return "", false, p.errorf(i, "unescaped ]]> not in CDATA section")
 			}
 			i++
 		case c == '&':
-			r, n, err := p.reference(i)
-			if err != nil {
-				return "", err
+			r, n, rerr := p.reference(i)
+			if rerr != nil {
+				return "", false, rerr
 			}
+			canon = canon && canonicalRef(s[i:i+n], quote != 0)
 			out = utf8.AppendRune(append(out, s[mark:i]...), r)
 			i += n
 			mark = i
 		case c == '\r':
+			canon = false
 			out = append(append(out, s[mark:i]...), '\n')
 			if i++; i < len(s) && s[i] == '\n' {
 				i++
@@ -548,19 +661,25 @@ func (p *parser) value(quote byte) (string, error) {
 			mark = i
 		case c == '"' || c == '\'':
 			i++ // the other quote inside an attribute value
+		case c == '>' || c == '\t' || c == '\n':
+			// Plain XML, but the canonical form escapes '>' in text and
+			// TAB and LF in attribute values; the byte tables send each
+			// here only in the context that escapes it.
+			canon = false
+			i++
 		default:
-			n, err := p.char(i)
-			if err != nil {
-				return "", err
+			n, cerr := p.char(i)
+			if cerr != nil {
+				return "", false, cerr
 			}
 			i += n
 		}
 	}
 	if quote != 0 {
-		return "", p.eof()
+		return "", false, p.eof()
 	}
 	p.i = i
-	return p.finish(start, i, mark, out), nil
+	return p.finish(start, i, mark, out), canon, nil
 }
 
 // finish returns the value read from s[start:end]: the substring itself,
@@ -572,6 +691,21 @@ func (p *parser) finish(start, end, mark int, out []byte) string {
 	out = append(out, p.s[mark:end]...)
 	p.buf = out
 	return string(out)
+}
+
+// canonicalRef reports whether ref, a reference the parser decoded, is
+// the form the canonical serialization writes for its character: escapeAttr
+// in an attribute value, escapeText in text.
+func canonicalRef(ref string, attr bool) bool {
+	switch ref {
+	case "&amp;", "&lt;", "&#xD;":
+		return true
+	case "&gt;":
+		return !attr
+	case "&quot;", "&#x9;", "&#xA;":
+		return attr
+	}
+	return false
 }
 
 // cdata checks the body of a CDATA section read at offset at and
@@ -707,7 +841,9 @@ func isNameUnicode(s string) bool {
 
 // Byte classes. nameByte: bytes a name run may contain (ASCII name
 // characters and every non-ASCII byte). plainText / plainAttr: printable
-// ASCII a text or attribute value scan passes over without a second look.
+// ASCII a text or attribute value scan passes over without a second look,
+// which excludes what the canonical form would escape there ('>' in text;
+// TAB and LF in attribute values).
 var nameByte, plainText, plainAttr [256]bool
 
 func init() {
@@ -716,7 +852,7 @@ func init() {
 		nameByte[c] = b >= utf8.RuneSelf || b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' ||
 			b >= '0' && b <= '9' || b == '_' || b == ':' || b == '.' || b == '-'
 		printable := b < utf8.RuneSelf && (b >= 0x20 || b == '\t' || b == '\n')
-		plainText[c] = printable && b != '<' && b != '&' && b != ']'
-		plainAttr[c] = printable && b != '<' && b != '&' && b != '"' && b != '\''
+		plainText[c] = printable && b != '<' && b != '&' && b != ']' && b != '>'
+		plainAttr[c] = printable && b != '<' && b != '&' && b != '"' && b != '\'' && b != '\t' && b != '\n'
 	}
 }

@@ -112,12 +112,14 @@ func hasSurrogateRef(in []byte) bool {
 	return false
 }
 
-// FuzzParse checks Parse two ways. Differentially: it accepts exactly
+// FuzzParse checks Parse three ways. Differentially: it accepts exactly
 // what the encoding/xml oracle accepts, up to the two tightenings, and
-// builds an Equal tree. And by round trip: the canonical form of an
-// accepted tree reparses to an Equal tree (normalized first, since an
-// empty CDATA section leaves an empty text node that canonical bytes
-// cannot carry) with the same canonical bytes.
+// builds an Equal tree. By the seeded memos: every element's Canonical,
+// served from its input span where Parse found that canonical, equals
+// the fresh serialization of a clone. And by round trip: the canonical
+// form of an accepted tree reparses to an Equal tree (normalized first,
+// since an empty CDATA section leaves an empty text node that canonical
+// bytes cannot carry) with the same canonical bytes.
 func FuzzParse(f *testing.F) {
 	for _, s := range parseSeeds {
 		f.Add([]byte(s))
@@ -140,6 +142,12 @@ func FuzzParse(f *testing.F) {
 		if !Equal(got, want) {
 			t.Fatalf("trees differ for %q:\nParse  %s\noracle %s", in, got, want)
 		}
+		got.Walk(func(e *Node) bool {
+			if c, fresh := e.Canonical(), e.Clone().Canonical(); !bytes.Equal(c, fresh) {
+				t.Fatalf("<%s> of %q: Canonical %q, fresh serialization %q", e.Name, in, c, fresh)
+			}
+			return true
+		})
 		canon := got.Canonical()
 		back, err := ParseBytes(canon)
 		if err != nil {

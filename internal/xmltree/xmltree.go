@@ -18,8 +18,14 @@
 // Parse is one hand-written pass over the input bytes. The tree's names,
 // attribute values and text are substrings of one copy of the input, so a
 // caller that keeps a small piece of a parsed tree beyond the tree's life
-// (a map key, a long-lived record) should strings.Clone it. Parse accepts
-// what encoding/xml's strict decoder accepts, with the same checks:
+// (a map key, a long-lived record) should strings.Clone it. Where an
+// element's input span is already its canonical form (the rules below),
+// Parse seeds the element's canonical memo with that span, so Canonical
+// on a freshly parsed canonical document returns the input's own bytes
+// without serializing. Seeded are the elements that carry an Id, their
+// non-leaf children, and the ancestors of those.
+// Parse accepts what encoding/xml's strict decoder accepts, with the same
+// checks:
 //
 //   - UTF-8 only: invalid UTF-8, characters outside XML 1.0's Char
 //     production, and an XML declaration naming another encoding (or a
@@ -153,35 +159,41 @@ func (n *Node) touch() {
 // implicitly.
 func (n *Node) Invalidate() { n.touch() }
 
-// accum folds the subtree rooted at n into an order-sensitive FNV-style
-// accumulator. It covers each node's generation counter plus enough shape
-// information (kind, name/text/attribute lengths, child count) that direct
-// field edits which change any length are caught even without a gen bump.
+// accum folds the subtree rooted at n into an FNV-style accumulator. It
+// covers each node's generation counter plus enough shape information
+// (kind, name/text/attribute lengths, child count) that direct field edits
+// which change any length are caught even without a gen bump. The fold is
+// composable: a node's value depends only on its own fields and its
+// children's values, in order, so Parse computes every element's value
+// bottom-up at its end tag and seeds the memo with it. Each step is a
+// bijection of the running value, so a changed generation anywhere in the
+// subtree always changes the result.
 func (n *Node) accum() uint64 {
-	h := uint64(14695981039346656037) // FNV-64 offset basis
-	n.accumInto(&h)
+	h := n.accumHead()
+	for _, c := range n.Children {
+		h = mix(h, c.accum())
+	}
 	return h
 }
 
-func (n *Node) accumInto(h *uint64) {
-	mix := func(v uint64) {
-		*h ^= v
-		*h *= 1099511628211 // FNV-64 prime
-	}
-	mix(n.gen)
-	mix(uint64(n.Kind))
-	mix(uint64(len(n.Name)))
-	mix(uint64(len(n.Text)))
-	mix(uint64(len(n.Attrs)))
+// accumHead folds n's own generation and shape, the part of accum that
+// does not recurse.
+func (n *Node) accumHead() uint64 {
+	h := mix(fnvOffset, n.gen)
+	h = mix(h, uint64(len(n.Text))<<1|uint64(n.Kind&1))
+	h = mix(h, uint64(len(n.Name))<<40^uint64(len(n.Attrs))<<24^uint64(len(n.Children)))
 	for _, a := range n.Attrs {
-		mix(uint64(len(a.Name)))
-		mix(uint64(len(a.Value)))
+		h = mix(h, uint64(len(a.Name))<<40^uint64(len(a.Value)))
 	}
-	mix(uint64(len(n.Children)))
-	for _, c := range n.Children {
-		c.accumInto(h)
-	}
+	return h
 }
+
+const (
+	fnvOffset = 14695981039346656037 // FNV-64 offset basis
+	fnvPrime  = 1099511628211        // FNV-64 prime
+)
+
+func mix(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
 
 // NewElement returns a new element node with the given name.
 func NewElement(name string) *Node {
@@ -363,6 +375,12 @@ func (n *Node) FindAll(name string) []*Node {
 	return out
 }
 
+// hasID reports whether n carries an "Id" attribute.
+func (n *Node) hasID() bool {
+	_, ok := n.Attr("Id")
+	return ok
+}
+
 // FindByID returns the element in the subtree whose "Id" attribute equals
 // id, or nil. DRA4WfMS signatures reference signed subtrees by Id.
 func (n *Node) FindByID(id string) *Node {
@@ -454,7 +472,9 @@ func (n *Node) SetText(s string) *Node {
 // Clone returns a deep copy of the subtree rooted at n. Canonical memos
 // are deliberately not carried over: a clone is a common prelude to direct
 // field surgery (tamper tests, element-wise encryption), and a fresh tree
-// must never serve bytes cached on its original.
+// must never serve bytes cached on its original. A copy that is only
+// appended to need not be deep: document.Fork shares the unchanged
+// elements, memos included.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
@@ -512,22 +532,26 @@ func Equal(a, b *Node) bool {
 // unchanged subtree costs one O(nodes) walk instead of a full
 // re-serialization, and valid memos cached on descendants are spliced in
 // when the subtree around them changed. The returned slice is shared with
-// the memo and with future callers: treat it as immutable.
+// the memo and with future callers, and for a memo Parse seeded, with the
+// parsed input and the tree's strings: treat it as immutable.
 //
 // Concurrent Canonical calls on a shared tree are safe with each other;
 // they are not safe against concurrent mutation (the usual reader/writer
 // contract of the tree itself).
 func (n *Node) Canonical() []byte {
 	acc := n.accum()
-	if m := n.memo.Load(); m != nil && m.acc == acc {
+	m := n.memo.Load()
+	if m != nil && m.acc == acc {
 		mMemoHits.Inc()
 		return m.data
 	}
 	mMemoMisses.Inc()
 	b := scratchPool.Get().(*bytes.Buffer)
 	b.Reset()
-	if hint := n.lastLen.Load(); hint > 0 {
-		b.Grow(int(hint))
+	if hint := int(n.lastLen.Load()); hint > 0 {
+		b.Grow(hint)
+	} else if m != nil {
+		b.Grow(len(m.data)) // a stale seed from Parse
 	}
 	if n.IsText() {
 		escapeText(b, n.Text)
