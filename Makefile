@@ -1,16 +1,22 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lintdefs build test race bench benchsmoke benchquick benchpairs faults crash smoke clustersmoke chaossmoke fuzzsmoke loc
+.PHONY: check fmt vet lint lintdefs build test race bench benchsmoke benchquick benchpairs faults crash smoke clustersmoke chaossmoke examples fuzzsmoke loc
 
 # check is the CI gate: formatting, static analysis (go vet plus the
 # repo's own dralint rules and the workflow-definition lint over every
 # shipped definition), build, the benchmark smoke run for the
 # verification fast path, the relay reliability gate, the pool
 # crash-recovery gate, the daemon lifecycle smokes (single-node,
-# clustered failover, and chaos partition), one quick round of the system
-# benchmark against real daemons, and the full test suite under the race
-# detector.
-check: fmt vet lint build lintdefs benchsmoke faults crash smoke clustersmoke chaossmoke benchquick race
+# clustered failover, and chaos partition), the examples and demo runs,
+# one quick round of the system benchmark against real daemons, and the
+# full test suite under the race detector.
+check: fmt vet lint build lintdefs benchsmoke faults crash smoke clustersmoke chaossmoke examples benchquick race
+
+# examples runs every examples/* main and `dractl demo -workflow
+# fig9a|fig9b|fig4 -bits 1024`, and fails on a non-zero exit or on a
+# missing completion or signature-count line.
+examples:
+	./scripts/examples_smoke.sh
 
 # crash is the pool durability gate: kill-mid-write recovery (torn and
 # bit-flipped WAL tails), checkpoint fallback, and concurrent

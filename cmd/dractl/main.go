@@ -33,9 +33,10 @@ import (
 	"strings"
 
 	"dra4wfms/internal/aea"
-	"dra4wfms/internal/core"
 	"dra4wfms/internal/document"
+	"dra4wfms/internal/driver"
 	"dra4wfms/internal/dsig"
+	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/wfdef"
 	"dra4wfms/internal/xmltree"
 )
@@ -111,71 +112,54 @@ func cmdDemo(args []string) {
 	bits := fs.Int("bits", 2048, "RSA modulus size")
 	fs.Parse(args)
 
-	var (
-		def      *wfdef.Definition
-		designer string
-	)
+	var inputs map[string]aea.Inputs
 	switch *workflow {
-	case "fig9a":
-		def, designer = wfdef.Fig9A(), "designer@acme"
-	case "fig9b":
-		def, designer = wfdef.Fig9B(), "designer@acme"
+	case "fig9a", "fig9b":
+		inputs = map[string]aea.Inputs{
+			"A":  {"request": "purchase 10 servers", "attachment": "quote.pdf"},
+			"B1": {"techReview": "adequate"},
+			"B2": {"budgetReview": "within budget"},
+			"C":  {"summary": "both positive"},
+			"D":  {"accept": "true"},
+		}
 	case "fig4":
-		def, designer = wfdef.Fig4(), "designer@p0"
+		inputs = map[string]aea.Inputs{
+			"A1": {"X": "1500"},
+			"A2": {"Y": "dossier"},
+			"A3": {"reviewed": "true"},
+			"A4": {"highResult": "approved"},
+			"A5": {"lowResult": "approved"},
+		}
 	default:
 		log.Fatalf("unknown workflow %q", *workflow)
 	}
+	def, _ := defByName(*workflow)
 
-	sys, err := core.NewSystem(core.Config{KeyBits: *bits})
-	if err != nil {
-		log.Fatal(err)
-	}
-	designerKeys, err := sys.Enroll(designer)
-	if err != nil {
-		log.Fatal(err)
-	}
+	env := testenv.New(*bits)
+	ids := append([]string{def.Designer}, def.TFCs()...)
 	for _, a := range def.Activities {
-		if _, err := sys.Enroll(a.Participant); err != nil {
-			log.Fatal(err)
-		}
+		ids = append(ids, a.Participant)
 	}
-	if def.Policy.TFC != "" {
-		if _, err := sys.EnrollTFC(def.Policy.TFC); err != nil {
-			log.Fatal(err)
-		}
+	if err := env.Register(ids...); err != nil {
+		log.Fatal(err)
 	}
-
-	doc, _, err := sys.StartProcess(def, designerKeys)
+	sys := driver.New(env)
+	doc, _, err := sys.Start(def)
 	if err != nil {
 		log.Fatal(err)
 	}
-	runner := sys.NewRunner()
-	switch *workflow {
-	case "fig9a", "fig9b":
-		first := true
-		runner.RespondValues("A", aea.Inputs{"request": "purchase 10 servers", "attachment": "quote.pdf"}).
-			RespondValues("B1", aea.Inputs{"techReview": "adequate"}).
-			RespondValues("B2", aea.Inputs{"budgetReview": "within budget"}).
-			RespondValues("C", aea.Inputs{"summary": "both positive"}).
-			Respond("D", func(*aea.Session) (aea.Inputs, error) {
-				if first {
-					first = false
-					return aea.Inputs{"accept": "false"}, nil
-				}
-				return aea.Inputs{"accept": "true"}, nil
-			})
-	case "fig4":
-		runner.RespondValues("A1", aea.Inputs{"X": "1500"}).
-			RespondValues("A2", aea.Inputs{"Y": "dossier"}).
-			RespondValues("A3", aea.Inputs{"reviewed": "true"}).
-			RespondValues("A4", aea.Inputs{"highResult": "approved"}).
-			RespondValues("A5", aea.Inputs{"lowResult": "approved"})
-	}
-	final, err := runner.Run(doc.ProcessID())
+	rejected := false // D rejects once, looping back to A
+	final, err := sys.Run(doc.ProcessID(), driver.Walk{Respond: func(s *aea.Session) (aea.Inputs, error) {
+		if s.Activity().ID == "D" && !rejected {
+			rejected = true
+			return aea.Inputs{"accept": "false"}, nil
+		}
+		return inputs[s.Activity().ID], nil
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, err := final.VerifyAll(sys.Registry)
+	n, err := final.VerifyAll(env.Registry)
 	if err != nil {
 		log.Fatal(err)
 	}

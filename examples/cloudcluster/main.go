@@ -22,56 +22,43 @@ import (
 	"time"
 
 	"dra4wfms/internal/aea"
-	"dra4wfms/internal/core"
 	"dra4wfms/internal/document"
+	"dra4wfms/internal/driver"
 	"dra4wfms/internal/engine"
+	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/wfdef"
 )
 
 const instances = 8
 
 func main() {
-	sys, err := core.NewSystem(core.Config{Portals: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	designer, err := sys.Enroll("designer@acme")
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, p := range wfdef.Fig9Participants {
-		if _, err := sys.Enroll(p); err != nil {
-			log.Fatal(err)
-		}
-	}
+	sys := driver.New(testenv.Fig9(2048))
 
 	def := wfdef.Fig9A()
 	fmt.Printf("=== running %d instances of %s through the cloud system ===\n", instances, def.Name)
 	start := time.Now()
 	var pids []string
 	for i := 0; i < instances; i++ {
-		doc, _, err := sys.StartProcess(def, designer)
+		doc, _, err := sys.Start(def)
 		if err != nil {
 			log.Fatal(err)
 		}
-		runner := sys.NewRunner()
-		accept := "true"
-		if i%3 == 0 {
-			accept = "false" // every third instance loops once
+		reject := i%3 == 0 // every third instance loops once
+		inputs := map[string]aea.Inputs{
+			"A":  {"request": fmt.Sprintf("order %d", i)},
+			"B1": {"techReview": "ok"},
+			"B2": {"budgetReview": "ok"},
+			"C":  {"summary": "fine"},
+			"D":  {"accept": "true"},
 		}
-		first := true
-		runner.RespondValues("A", aea.Inputs{"request": fmt.Sprintf("order %d", i)}).
-			RespondValues("B1", aea.Inputs{"techReview": "ok"}).
-			RespondValues("B2", aea.Inputs{"budgetReview": "ok"}).
-			RespondValues("C", aea.Inputs{"summary": "fine"}).
-			Respond("D", func(s *aea.Session) (aea.Inputs, error) {
-				if first && accept == "false" {
-					first = false
-					return aea.Inputs{"accept": "false"}, nil
-				}
-				return aea.Inputs{"accept": "true"}, nil
-			})
-		if _, err := runner.Run(doc.ProcessID()); err != nil {
+		respond := func(s *aea.Session) (aea.Inputs, error) {
+			if s.Activity().ID == "D" && reject {
+				reject = false
+				return aea.Inputs{"accept": "false"}, nil
+			}
+			return inputs[s.Activity().ID], nil
+		}
+		if _, err := sys.Run(doc.ProcessID(), driver.Walk{Respond: respond}); err != nil {
 			log.Fatal(err)
 		}
 		pids = append(pids, doc.ProcessID())
@@ -127,7 +114,7 @@ func main() {
 		log.Fatal(err)
 	}
 	doc.Root.FindByID("res-A-0").SetText("order 500 gold-plated servers")
-	if _, err := doc.VerifyAll(sys.Registry); err != nil {
+	if _, err := doc.VerifyAll(sys.Env.Registry); err != nil {
 		fmt.Printf("alteration detected by signature verification: %v\n", err)
 	} else {
 		log.Fatal("BUG: tamper went undetected")

@@ -21,75 +21,70 @@ import (
 
 	"dra4wfms/internal/aea"
 	"dra4wfms/internal/audit"
-	"dra4wfms/internal/core"
 	"dra4wfms/internal/document"
+	"dra4wfms/internal/driver"
+	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/wfdef"
 )
 
 func main() {
-	sys, err := core.NewSystem(core.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	designer, err := sys.Enroll("designer@corp")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := sys.Enroll("emma@eng"); err != nil {
-		log.Fatal(err)
-	}
+	env := testenv.New(2048)
+	env.MustRegister("designer@corp", "emma@eng", "finance@corp")
 	// Two approvers hold the role; finance just reads.
 	for _, mgr := range []string{"mgr-north@corp", "mgr-south@corp"} {
-		if _, err := sys.Enroll(mgr, "approver"); err != nil {
+		if err := env.RegisterRoles(mgr, "approver"); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if _, err := sys.Enroll("finance@corp"); err != nil {
-		log.Fatal(err)
-	}
+	sys := driver.New(env)
 
 	// The shared fixture keeps this example and `dractl lint
 	// expense-approval` on one definition.
 	def := wfdef.ExpenseApproval()
 
 	// --- 1. the designer publishes the signed template --------------------
-	tpl, err := document.SignTemplate(def, designer)
+	tpl, err := document.SignTemplate(def, env.KeyOf(def.Designer))
 	if err != nil {
 		log.Fatal(err)
 	}
-	name, err := sys.Portal(0).StoreTemplate(tpl)
+	name, err := sys.Portals[0].StoreTemplate(tpl)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("template %q published: catalog = %v\n", name, sys.Portal(0).Templates())
+	fmt.Printf("template %q published: catalog = %v\n", name, sys.Portals[0].Templates())
 
 	// A participant fetches and verifies it before agreeing to take part.
-	fetched, _, err := sys.Portal(1).Template("emma@eng", name)
+	fetched, _, err := sys.Portals[1].Template("emma@eng", name)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("emma verified the template: %s\n", fetched.Summary())
 
 	// --- 2. run an instance ------------------------------------------------
-	doc, _, err := sys.StartProcess(def, designer)
+	doc, _, err := sys.Start(def)
 	if err != nil {
 		log.Fatal(err)
 	}
 	receipt := document.EncodeAttachment("dinner.jpg", "image/jpeg", []byte{0xFF, 0xD8, 0xFF, 0xE0, 'j', 'p', 'g'})
-	runner := sys.NewRunner()
-	runner.RespondValues("file", aea.Inputs{"amount": "86.50", "receipt": receipt}).
-		Respond("approve", func(s *aea.Session) (aea.Inputs, error) {
+	respond := func(s *aea.Session) (aea.Inputs, error) {
+		switch s.Activity().ID {
+		case "file":
+			return aea.Inputs{"amount": "86.50", "receipt": receipt}, nil
+		case "approve":
 			reqs := s.Requests()
 			fname, mediaType, data, _ := document.DecodeAttachment(reqs["receipt"])
 			fmt.Printf("approver %s sees amount=%s receipt=%s (%s, %d bytes)\n",
-				s.Definition().Activity("approve").Role, reqs["amount"], fname, mediaType, len(data))
+				s.Activity().Role, reqs["amount"], fname, mediaType, len(data))
 			return aea.Inputs{"approved": "true"}, nil
-		}).
-		RespondValues("payout", aea.Inputs{"paid": "true"}).
-		ActAs("approver", "mgr-south@corp") // the south manager claims it
-
-	// The role worklist offers the item to both managers before claiming.
-	final, err := runner.Run(doc.ProcessID())
+		}
+		return aea.Inputs{"paid": "true"}, nil
+	}
+	// The role worklist offers the item to both managers; the south
+	// manager claims it.
+	final, err := sys.Run(doc.ProcessID(), driver.Walk{
+		Respond: respond,
+		Actors:  map[string]string{"approver": "mgr-south@corp"},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +93,7 @@ func main() {
 
 	// --- 3. the dispute ----------------------------------------------------
 	fmt.Println("\nfinance disputes the payout: 'nobody approved 86.50!'")
-	report, err := audit.Audit(final, sys.Registry)
+	report, err := audit.Audit(final, env.Registry)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,7 +108,7 @@ func main() {
 	forged := final.Clone()
 	forged.Root.FindByID("res-file-0").SetText("forged amount")
 	//lint:ignore cryptoerr the forged document is SUPPOSED to fail; the report carries the verdict
-	badReport, _ := audit.Audit(forged, sys.Registry)
+	badReport, _ := audit.Audit(forged, env.Registry)
 	fmt.Printf("\nforged copy audit verdict: verified=%v (finding: %s)\n",
 		badReport.Verified, badReport.Findings[0].Message)
 }

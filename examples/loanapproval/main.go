@@ -20,31 +20,19 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"time"
 
 	"dra4wfms/internal/aea"
-	"dra4wfms/internal/core"
+	"dra4wfms/internal/driver"
+	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/wfdef"
 	"dra4wfms/internal/xmlenc"
 )
 
 func main() {
-	sys, err := core.NewSystem(core.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	env := testenv.Fig4(2048)
+	sys := driver.New(env)
 	p := wfdef.Fig4Participants
-	designer, err := sys.Enroll("designer@p0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, id := range []string{p.Peter, p.Tony, p.Amy, p.John, p.Mary} {
-		if _, err := sys.Enroll(id); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if _, err := sys.EnrollTFC("tfc@cloud"); err != nil {
-		log.Fatal(err)
-	}
 
 	def := wfdef.Fig4()
 	fmt.Println("=== concealed-flow workflow (paper, Figure 4) ===")
@@ -52,16 +40,16 @@ func main() {
 	fmt.Println("\npolicy: X readable by Amy+TFC only; Y by John/Mary/TFC; flow concealed")
 
 	// --- the basic model fails, as the paper argues ----------------------
-	doc, _, err := sys.StartProcess(def, designer)
+	doc, _, err := sys.Start(def)
 	if err != nil {
 		log.Fatal(err)
 	}
-	peterAEA, _ := sys.NewAEA(p.Peter)
+	peterAEA := aea.New(env.KeyOf(p.Peter), env.Registry)
 	session, err := peterAEA.Open(doc, "A1")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := session.Complete(aea.Inputs{"X": "1500"}, sys.Now()); errors.Is(err, aea.ErrAdvancedRequired) {
+	if _, err := session.Complete(aea.Inputs{"X": "1500"}, time.Now()); errors.Is(err, aea.ErrAdvancedRequired) {
 		fmt.Printf("\nbasic model refused (as expected): %v\n", err)
 	} else {
 		log.Fatalf("BUG: basic completion did not fail correctly: %v", err)
@@ -69,17 +57,20 @@ func main() {
 
 	// --- the advanced model succeeds --------------------------------------
 	run := func(amount string) {
-		doc, _, err := sys.StartProcess(def, designer)
+		doc, _, err := sys.Start(def)
 		if err != nil {
 			log.Fatal(err)
 		}
-		runner := sys.NewRunner()
-		runner.RespondValues("A1", aea.Inputs{"X": amount}).
-			RespondValues("A2", aea.Inputs{"Y": "dossier: salary slips, contracts"}).
-			RespondValues("A3", aea.Inputs{"reviewed": "true"}).
-			RespondValues("A4", aea.Inputs{"highResult": "senior banker approved"}).
-			RespondValues("A5", aea.Inputs{"lowResult": "teller approved"})
-		final, err := runner.Run(doc.ProcessID())
+		inputs := map[string]aea.Inputs{
+			"A1": {"X": amount},
+			"A2": {"Y": "dossier: salary slips, contracts"},
+			"A3": {"reviewed": "true"},
+			"A4": {"highResult": "senior banker approved"},
+			"A5": {"lowResult": "teller approved"},
+		}
+		final, err := sys.Run(doc.ProcessID(), driver.Walk{Respond: func(s *aea.Session) (aea.Inputs, error) {
+			return inputs[s.Activity().ID], nil
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -91,9 +82,8 @@ func main() {
 
 		// Who can read what in the final document?
 		for _, id := range []string{p.Tony, p.Amy, p.John, p.Mary} {
-			kp, _ := sys.Keys(id)
 			view := final.Clone()
-			if _, err := xmlenc.DecryptVisible(view.Root, kp); err != nil {
+			if _, err := xmlenc.DecryptVisible(view.Root, env.KeyOf(id)); err != nil {
 				log.Fatal(err)
 			}
 			vals := view.Values()
@@ -103,9 +93,8 @@ func main() {
 		}
 
 		// Every final CER carries the TFC's timestamp (the notary role).
-		srv, _ := sys.TFC("tfc@cloud")
 		fmt.Printf("  TFC forwarded %d documents for this instance\n",
-			len(srv.RecordsFor(final.ProcessID())))
+			len(sys.TFC("tfc@cloud").RecordsFor(final.ProcessID())))
 	}
 	run("1500") // Func(X)=True  -> John
 	run("800")  // Func(X)=False -> Mary

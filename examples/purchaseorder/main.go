@@ -15,33 +15,22 @@ import (
 	"log"
 
 	"dra4wfms/internal/aea"
-	"dra4wfms/internal/core"
 	"dra4wfms/internal/document"
+	"dra4wfms/internal/driver"
+	"dra4wfms/internal/testenv"
 	"dra4wfms/internal/wfdef"
 )
 
 func main() {
-	sys, err := core.NewSystem(core.Config{Portals: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Enroll the designer and the five participants from two enterprises
-	// (acme and bolt).
-	designer, err := sys.Enroll("designer@acme")
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, p := range wfdef.Fig9Participants {
-		if _, err := sys.Enroll(p); err != nil {
-			log.Fatal(err)
-		}
-	}
+	// Register the designer and the five participants from two
+	// enterprises (acme and bolt).
+	sys := driver.New(testenv.Fig9(2048))
 
 	def := wfdef.Fig9A()
 	fmt.Println("=== cross-enterprise workflow (paper, Figure 9A) ===")
 	fmt.Print(def)
 
-	doc, notes, err := sys.StartProcess(def, designer)
+	doc, notes, err := sys.Start(def)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +38,7 @@ func main() {
 	fmt.Printf("\nprocess %s started; notifications: %v\n", pid, notes)
 
 	// Worklist check: alice sees the first activity on her TO-DO list.
-	items, err := sys.Portal(0).Worklist(wfdef.Fig9Participants["A"])
+	items, err := sys.Portals[0].Worklist(wfdef.Fig9Participants["A"])
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,9 +46,9 @@ func main() {
 
 	// Scripted participants: first decision rejects, second accepts.
 	pass := 0
-	runner := sys.NewRunner()
-	runner.
-		Respond("A", func(s *aea.Session) (aea.Inputs, error) {
+	respond := func(s *aea.Session) (aea.Inputs, error) {
+		switch s.Activity().ID {
+		case "A":
 			pass++
 			attachment := ""
 			if pass > 1 {
@@ -70,31 +59,27 @@ func main() {
 			}
 			fmt.Printf("  [A ] alice prepares request (pass %d)\n", pass)
 			return aea.Inputs{"request": "10 build servers", "attachment": attachment}, nil
-		}).
-		Respond("B1", func(s *aea.Session) (aea.Inputs, error) {
+		case "B1":
 			fmt.Printf("  [B1] bob reviews tech: sees %v\n", s.Requests())
 			return aea.Inputs{"techReview": "adequate"}, nil
-		}).
-		Respond("B2", func(s *aea.Session) (aea.Inputs, error) {
+		case "B2":
 			fmt.Printf("  [B2] betty reviews budget (enterprise bolt)\n")
 			return aea.Inputs{"budgetReview": "within Q3 budget"}, nil
-		}).
-		Respond("C", func(s *aea.Session) (aea.Inputs, error) {
+		case "C":
 			fmt.Printf("  [C ] carol consolidates both reviews\n")
 			return aea.Inputs{"summary": "both reviews positive"}, nil
-		}).
-		Respond("D", func(s *aea.Session) (aea.Inputs, error) {
-			attachment := s.Requests()["attachment"]
-			if name, mediaType, data, ok := document.DecodeAttachment(attachment); ok {
-				fmt.Printf("  [D ] dave accepts (attachment %s, %s, %d bytes)\n", name, mediaType, len(data))
-				return aea.Inputs{"accept": "true"}, nil
-			}
-			fmt.Printf("  [D ] dave rejects: attachment is insufficient -> loop back to A\n")
-			return aea.Inputs{"accept": "false"}, nil
-		})
+		}
+		attachment := s.Requests()["attachment"]
+		if name, mediaType, data, ok := document.DecodeAttachment(attachment); ok {
+			fmt.Printf("  [D ] dave accepts (attachment %s, %s, %d bytes)\n", name, mediaType, len(data))
+			return aea.Inputs{"accept": "true"}, nil
+		}
+		fmt.Printf("  [D ] dave rejects: attachment is insufficient -> loop back to A\n")
+		return aea.Inputs{"accept": "false"}, nil
+	}
 
 	fmt.Println("\n=== execution ===")
-	final, err := runner.Run(pid)
+	final, err := sys.Run(pid, driver.Walk{Respond: respond})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +87,7 @@ func main() {
 	fmt.Println("\n=== result ===")
 	fmt.Println(final.Summary())
 
-	n, err := final.VerifyAll(sys.Registry)
+	n, err := final.VerifyAll(sys.Env.Registry)
 	if err != nil {
 		log.Fatal(err)
 	}

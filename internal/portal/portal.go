@@ -507,20 +507,3 @@ func (p *Portal) Templates() map[string]string {
 	}
 	return out
 }
-
-// Enabled recomputes the enabled activities of a stored instance.
-func (p *Portal) Enabled(processID string) ([]string, bool, error) {
-	raw, err := p.content(context.Background(), processID)
-	if err != nil {
-		return nil, false, err
-	}
-	doc, err := document.Parse(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	def, err := doc.Definition()
-	if err != nil {
-		return nil, false, err
-	}
-	return document.Enabled(def, doc)
-}

@@ -9,6 +9,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -77,21 +78,27 @@ func (e *Env) KeyOf(id string) *pki.KeyPair { return e.cache.MustGet(id) }
 // deriving the organization from the part after '@'.
 func (e *Env) Register(ids ...string) error {
 	for _, id := range ids {
-		org := ""
-		for i := 0; i < len(id); i++ {
-			if id[i] == '@' {
-				org = id[i+1:]
-				break
-			}
+		if err := e.RegisterRoles(id); err != nil {
+			return err
 		}
-		cert, err := e.CA.IssueKeys(pki.Identity{ID: id, DisplayName: id, Org: org},
-			e.KeyOf(id), e.Now, 24*365*time.Hour)
-		if err != nil {
-			return fmt.Errorf("testenv: issuing for %s: %w", id, err)
-		}
-		if err := e.Registry.Register(cert, e.Now); err != nil {
-			return fmt.Errorf("testenv: registering %s: %w", id, err)
-		}
+	}
+	return nil
+}
+
+// RegisterRoles registers one principal whose certificate claims the
+// given roles, so it may execute activities assigned to any of them.
+func (e *Env) RegisterRoles(id string, roles ...string) error {
+	org := ""
+	if i := strings.IndexByte(id, '@'); i >= 0 {
+		org = id[i+1:]
+	}
+	cert, err := e.CA.IssueKeys(pki.Identity{ID: id, DisplayName: id, Org: org, Roles: roles},
+		e.KeyOf(id), e.Now, 24*365*time.Hour)
+	if err != nil {
+		return fmt.Errorf("testenv: issuing for %s: %w", id, err)
+	}
+	if err := e.Registry.Register(cert, e.Now); err != nil {
+		return fmt.Errorf("testenv: registering %s: %w", id, err)
 	}
 	return nil
 }

@@ -1,5 +1,6 @@
 // Package wfgen generates random — but always structurally valid —
-// workflow definitions and drives random executions of them. It exists for
+// workflow definitions and chooses the inputs of random executions of
+// them (internal/driver walks them). It exists for
 // property-based testing across the whole stack: any generated definition
 // must validate, any random execution must terminate with a fully
 // verifiable document, and any tampering with that document must be
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dra4wfms/internal/aea"
 	"dra4wfms/internal/wfdef"
 )
 
@@ -56,8 +58,8 @@ func (o *Options) defaults() {
 	}
 }
 
-// Generated couples a definition with the knowledge a random executor
-// needs: which variables are loop/branch decisions.
+// Generated couples a definition with the knowledge a random walk needs:
+// which variables are loop/branch decisions.
 type Generated struct {
 	// Def is the generated, validated definition.
 	Def *wfdef.Definition
@@ -65,7 +67,7 @@ type Generated struct {
 	// produces them.
 	DecisionVars map[string]string
 	// LoopVars is the subset of DecisionVars guarding loop back edges;
-	// executors should eventually set them "false" to terminate.
+	// walks should eventually set them "false" to terminate.
 	LoopVars map[string]bool
 	// Leaks records the concealment leaks seeded by Options.Leaks, so a
 	// property test can assert the IFC lint finds every one.
@@ -126,6 +128,34 @@ func Generate(r *rand.Rand, opts Options) (*Generated, error) {
 	g.out.Def = def
 	g.out.Activities = len(def.Activities)
 	return g.out, nil
+}
+
+// Chooser returns a responder for g's activities that draws from r:
+// random text values, and decision variables true or false at random,
+// except that each loop variable comes up true at most budget times, so
+// every walk terminates.
+func (g *Generated) Chooser(r *rand.Rand, budget int) func(*aea.Session) (aea.Inputs, error) {
+	loopUses := map[string]int{}
+	return func(s *aea.Session) (aea.Inputs, error) {
+		in := aea.Inputs{}
+		for _, resp := range s.Activity().Responses {
+			if _, isDecision := g.DecisionVars[resp.Variable]; isDecision {
+				v := "false"
+				if g.LoopVars[resp.Variable] {
+					if loopUses[resp.Variable] < budget && r.Intn(2) == 0 {
+						v = "true"
+						loopUses[resp.Variable]++
+					}
+				} else if r.Intn(2) == 0 {
+					v = "true"
+				}
+				in[resp.Variable] = v
+				continue
+			}
+			in[resp.Variable] = fmt.Sprintf("value-%d", r.Int31())
+		}
+		return in, nil
+	}
 }
 
 // MustGenerate panics on generation failure (tests).

@@ -6,30 +6,62 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"dra4wfms/internal/document"
-	"dra4wfms/internal/pki"
+	"dra4wfms/internal/driver"
 	"dra4wfms/internal/testenv"
-	"dra4wfms/internal/tfc"
 	"dra4wfms/internal/wfdef"
 	"dra4wfms/internal/xmltree"
 )
 
-var now = time.Date(2026, 7, 6, 17, 0, 0, 0, time.UTC)
-
 var participants = []string{"p1@gen", "p2@gen", "p3@gen"}
 
-func newEnv(t *testing.T) (*testenv.Env, map[string]*pki.KeyPair) {
-	t.Helper()
+// newDriver is an in-process deployment with the generator's designer,
+// participants and TFC server registered.
+func newDriver() *driver.Driver {
 	env := testenv.New(0)
-	ids := append([]string{"designer@gen"}, participants...)
-	env.MustRegister(ids...)
-	keys := map[string]*pki.KeyPair{}
-	for _, id := range ids {
-		keys[id] = env.KeyOf(id)
+	env.MustRegister(append([]string{"designer@gen", "tfc@gen"}, participants...)...)
+	return driver.New(env)
+}
+
+// walk starts an instance of g and steps it to completion, picking the
+// next activity and every input with r (loop variables true at most
+// budget times). After every store it retrieves the row through a portal
+// and requires that the row holds every CER of the stored document byte
+// for byte and still verifies.
+func walk(t *testing.T, d *driver.Driver, seed int64, r *rand.Rand, g *Generated, budget int) *document.Document {
+	t.Helper()
+	start, _, err := d.Start(g.Def)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return env, keys
+	pid := start.ProcessID()
+	w := driver.Walk{Respond: g.Chooser(r, budget), Rand: r}
+	for steps := 0; ; steps++ {
+		if steps > driver.MaxSteps {
+			t.Fatalf("seed %d: execution exceeded %d steps", seed, driver.MaxSteps)
+		}
+		stored, done, err := d.Step(pid, w)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, g.Def)
+		}
+		if done {
+			return stored
+		}
+		row, err := d.Portals[0].Retrieve(g.Def.Designer, pid)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, c := range stored.CERs() {
+			got := row.Root.FindByID(c.ID())
+			if got == nil || !bytes.Equal(got.Canonical(), c.El.Canonical()) {
+				t.Fatalf("seed %d: stored row lost or altered %s", seed, c.ID())
+			}
+		}
+		if _, err := row.VerifyAll(d.Env.Registry); err != nil {
+			t.Fatalf("seed %d: stored row does not verify: %v", seed, err)
+		}
+	}
 }
 
 func opts(loops bool) Options {
@@ -76,20 +108,12 @@ func requireCanonicalFixpoint(t *testing.T, seed int64, doc *document.Document) 
 // TestPropRandomExecutionsVerify: random executions of random workflows
 // terminate and yield fully verifiable documents with intact cascades.
 func TestPropRandomExecutionsVerify(t *testing.T) {
-	env, keys := newEnv(t)
+	d := newDriver()
 	for seed := int64(100); seed < 120; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := MustGenerate(r, opts(true))
-		doc, err := document.New(g.Def, keys["designer@gen"], testenv.ProcessID(), now)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		ex := &Executor{Gen: g, Registry: env.Registry, Keys: keys}
-		final, err := ex.Run(r, doc, now)
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, g.Def)
-		}
-		nsigs, err := final.VerifyAll(env.Registry)
+		final := walk(t, d, seed, r, g, 2)
+		nsigs, err := final.VerifyAll(d.Env.Registry)
 		if err != nil {
 			t.Fatalf("seed %d: final doc does not verify: %v", seed, err)
 		}
@@ -119,19 +143,11 @@ func TestPropRandomExecutionsVerify(t *testing.T) {
 // TestPropRandomTamperDetected: after a random execution, mutating any
 // text node inside any signed region breaks verification.
 func TestPropRandomTamperDetected(t *testing.T) {
-	env, keys := newEnv(t)
+	d := newDriver()
 	r := rand.New(rand.NewSource(7))
 	g := MustGenerate(r, opts(false))
-	doc, err := document.New(g.Def, keys["designer@gen"], testenv.ProcessID(), now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := &Executor{Gen: g, Registry: env.Registry, Keys: keys}
-	final, err := ex.Run(r, doc, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := final.VerifyAll(env.Registry); err != nil {
+	final := walk(t, d, 7, r, g, 2)
+	if _, err := final.VerifyAll(d.Env.Registry); err != nil {
 		t.Fatal(err)
 	}
 
@@ -165,7 +181,7 @@ func TestPropRandomTamperDetected(t *testing.T) {
 		}
 		target := n.Children[s.path[len(s.path)-1]]
 		target.Text = target.Text + "x"
-		if _, err := clone.VerifyAll(env.Registry); err == nil {
+		if _, err := clone.VerifyAll(d.Env.Registry); err == nil {
 			t.Fatalf("mutating text under <%s> went undetected", n.Name)
 		}
 	}
@@ -225,21 +241,14 @@ func TestPropSeededLeaksDetected(t *testing.T) {
 	}
 }
 
-func TestExecutorTerminatesLoops(t *testing.T) {
-	env, keys := newEnv(t)
-	// Seeds chosen arbitrarily; with AllowLoops the executor must always
-	// terminate thanks to LoopBudget.
+func TestWalkTerminatesLoops(t *testing.T) {
+	d := newDriver()
+	// Seeds chosen arbitrarily; with AllowLoops every walk must terminate
+	// thanks to the chooser's loop budget.
 	for seed := int64(200); seed < 210; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := MustGenerate(r, Options{Participants: participants, MaxDepth: 2, MaxSegments: 2, AllowLoops: true})
-		doc, err := document.New(g.Def, keys["designer@gen"], testenv.ProcessID(), now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := &Executor{Gen: g, Registry: env.Registry, Keys: keys, LoopBudget: 1}
-		if _, err := ex.Run(r, doc, now); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		walk(t, d, seed, r, g, 1)
 	}
 }
 
@@ -269,29 +278,14 @@ func TestGeneratedShapesVary(t *testing.T) {
 // TestPropRandomAdvancedExecutionsVerify: random workflows through the
 // TFC server — intermediate+final CER pairs, timestamps, full cascade.
 func TestPropRandomAdvancedExecutionsVerify(t *testing.T) {
-	env := testenv.New(0)
-	ids := append([]string{"designer@gen", "tfc@gen"}, participants...)
-	env.MustRegister(ids...)
-	keys := map[string]*pki.KeyPair{}
-	for _, id := range ids {
-		keys[id] = env.KeyOf(id)
-	}
-	server := tfc.New(env.KeyOf("tfc@gen"), env.Registry, time.Now)
+	d := newDriver()
 	for seed := int64(300); seed < 312; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		o := opts(true)
 		o.TFC = "tfc@gen"
 		g := MustGenerate(r, o)
-		doc, err := document.New(g.Def, keys["designer@gen"], testenv.ProcessID(), now)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		ex := &Executor{Gen: g, Registry: env.Registry, Keys: keys}
-		final, err := ex.RunAdvanced(r, doc, server)
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, g.Def)
-		}
-		if _, err := final.VerifyAll(env.Registry); err != nil {
+		final := walk(t, d, seed, r, g, 2)
+		if _, err := final.VerifyAll(d.Env.Registry); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		requireCanonicalFixpoint(t, seed, final)
