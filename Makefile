@@ -69,9 +69,11 @@ benchpairs:
 # benchmark and the root pool benchmark (BenchmarkPoolPutGetScan) once, so
 # the fast-path benchmarks (BenchmarkVerifyAll, BenchmarkCanonicalMemo,
 # BenchmarkOpenDeepCascade, BenchmarkHopDeepCascade — a whole 7-reject
-# instance of participant hops, reporting unwraps/op —,
+# instance of participant hops, reporting unwraps/op and ms/hop —,
 # BenchmarkStoreDeepCascade — the same instance stored through a portal,
-# reporting ms/hop and canonical-memo misses per hop —,
+# by delta as the client stores and as whole documents, each reporting
+# ms/hop and canonical-memo misses per hop; both deep-cascade benchmarks
+# run on 2048-bit keys, as the daemons do —,
 # BenchmarkSignVerifyRequest per request suite, BenchmarkNonceRemember)
 # and the pool's put/get/scan/parallel mix cannot rot between
 # perf-focused PRs, then regenerates the paper's Table 1 with
@@ -84,7 +86,9 @@ benchsmoke:
 
 # faults is the relay reliability gate: fault injection (20% of
 # deliveries dropped/duplicated, 10% un-acked, judged by internal/chaos)
-# in process and on webhook deliveries over HTTP, crash recovery from the
+# in process, on webhook deliveries over HTTP and on the Fig. 9 document
+# hops, whose duplicates are signed afresh so they reach the store
+# handlers (the delta route included), crash recovery from the
 # outbox journal (torn tail, flipped byte, mid-file damage, compaction
 # that loses its handle), a journaled webhook delivered when the portal
 # boots and a callback registration kept across a restart, all under the
@@ -97,9 +101,12 @@ faults:
 # target, the XML parser's differential target (against encoding/xml),
 # the traceparent parser's round-trip target, the request
 # authenticator's target (accepts only genuinely signed header tuples),
-# the client's Retry-After parser (never a negative wait) and the
+# the client's Retry-After parser (never a negative wait), the
 # condition language (no panic; evaluation looks up only the variables
-# the expression reports) for ten seconds each; plain `go test` already replays their seed corpora on
+# the expression reports) and the portal's delta store (no panic; an
+# accepted delta leaves a row that verifies; its inputs are kilobytes of
+# XML, so minimizing a new one is capped at 100 runs instead of 60 s) for
+# ten seconds each; plain `go test` already replays their seed corpora on
 # every run.
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzOpen -fuzztime=10s ./internal/wal/
@@ -109,6 +116,7 @@ fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzVerifyRequest -fuzztime=10s ./internal/httpapi/
 	$(GO) test -run=NONE -fuzz=FuzzParseRetryAfter -fuzztime=10s ./internal/httpapi/
 	$(GO) test -run=NONE -fuzz=FuzzExpr -fuzztime=10s ./internal/expr/
+	$(GO) test -run=NONE -fuzz=FuzzStoreDelta -fuzztime=10s -fuzzminimizetime=100x ./internal/portal/
 
 # loc prints the non-test, non-comment Go line count ROADMAP tracks.
 loc:

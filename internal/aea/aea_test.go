@@ -30,9 +30,17 @@ type fixture struct {
 	onHop func(activity string, in *document.Document, inputs Inputs, s *Session, out *Outcome)
 }
 
-func newFixture(t testing.TB) *fixture {
+func newFixture(t testing.TB) *fixture { return newFixtureBits(t, 0) }
+
+// benchBits is the key size of the deep-cascade benchmarks: the paper's,
+// and the one the system benchmark's daemons run with.
+const benchBits = 2048
+
+// newFixtureBits is newFixture with RSA keys of the given size (0: the
+// tests' 1024).
+func newFixtureBits(t testing.TB, bits int) *fixture {
 	t.Helper()
-	env := testenv.Fig9(0)
+	env := testenv.Fig9(bits)
 	def := wfdef.Fig9A()
 	doc, err := document.New(def, env.KeyOf("designer@acme"), testenv.ProcessID(), now)
 	if err != nil {

@@ -105,7 +105,7 @@ func TestRoundTripperDropDupCorrupt(t *testing.T) {
 
 	n := NewNetwork(3)
 	resolve := func(*http.Request) string { return "srv" }
-	client := &http.Client{Transport: n.RoundTripper("cli", resolve, nil)}
+	client := &http.Client{Transport: n.RoundTripper("cli", resolve, nil, nil)}
 
 	// Clean hop.
 	resp, err := client.Get(srv.URL)
@@ -169,7 +169,7 @@ func TestRoundTripperDropDupCorrupt(t *testing.T) {
 func TestRoundTripperDelayHonorsContext(t *testing.T) {
 	n := NewNetwork(5)
 	n.SetDefault(LinkFaults{Latency: time.Hour})
-	rt := n.RoundTripper("cli", nil, http.DefaultTransport)
+	rt := n.RoundTripper("cli", nil, http.DefaultTransport, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://127.0.0.1:0/", nil)

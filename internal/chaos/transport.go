@@ -19,11 +19,16 @@ import (
 // loss sends the request and then fails the response, corruption flips a
 // byte of the response body in flight, and delays are ctx-aware sleeps
 // charged before the request leaves.
-func (n *Network) RoundTripper(src string, resolve func(*http.Request) string, base http.RoundTripper) http.RoundTripper {
+//
+// resign, when non-nil, is called on each duplicate with its body before
+// it is sent, to sign it afresh as a sender's retry is signed; a
+// receiver's replay guard then lets it through to the handler. With a nil
+// resign the duplicate is the same bytes, which a nonce check refuses.
+func (n *Network) RoundTripper(src string, resolve func(*http.Request) string, base http.RoundTripper, resign func(dup *http.Request, body []byte) error) http.RoundTripper {
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	return &roundTripper{net: n, src: src, resolve: resolve, base: base}
+	return &roundTripper{net: n, src: src, resolve: resolve, base: base, resign: resign}
 }
 
 type roundTripper struct {
@@ -31,6 +36,7 @@ type roundTripper struct {
 	src     string
 	resolve func(*http.Request) string
 	base    http.RoundTripper
+	resign  func(*http.Request, []byte) error
 }
 
 func (t *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -53,12 +59,10 @@ func (t *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	resp, err := t.base.RoundTrip(req)
 	if err == nil && v.Dup && req.GetBody != nil {
-		// Second delivery of the same bytes, its response discarded: the
+		// Second delivery of the request, its response discarded: the
 		// sender keeps the answer to its own request, and the receiver's
 		// replay guard and idempotency layer must make the copy invisible.
-		if body, berr := req.GetBody(); berr == nil {
-			dup := req.Clone(req.Context())
-			dup.Body = body
+		if dup, derr := t.duplicate(req); derr == nil {
 			if dresp, derr := t.base.RoundTrip(dup); derr == nil {
 				io.Copy(io.Discard, io.LimitReader(dresp.Body, 1<<20))
 				dresp.Body.Close()
@@ -86,4 +90,25 @@ func (t *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp.Body = io.NopCloser(bytes.NewReader(raw))
 	resp.ContentLength = int64(len(raw))
 	return resp, nil
+}
+
+// duplicate copies req for a second delivery, re-signed through resign
+// when one is set.
+func (t *roundTripper) duplicate(req *http.Request) (*http.Request, error) {
+	body, err := req.GetBody()
+	if err != nil {
+		return nil, err
+	}
+	dup := req.Clone(req.Context())
+	if t.resign == nil {
+		dup.Body = body
+		return dup, nil
+	}
+	b, err := io.ReadAll(body)
+	body.Close()
+	if err != nil {
+		return nil, err
+	}
+	dup.Body = io.NopCloser(bytes.NewReader(b))
+	return dup, t.resign(dup, b)
 }

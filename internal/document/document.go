@@ -23,6 +23,7 @@
 package document
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -59,6 +60,11 @@ const (
 type Document struct {
 	// Root is the DRA4WfMS root element.
 	Root *xmltree.Node
+
+	// marked records a retrieve (MarkRetrieved): the leading retrieved
+	// CERs came from a portal's stored row, and Delta ships the rest.
+	marked    bool
+	retrieved int
 }
 
 // New creates the secured initial document for one process instance:
@@ -100,9 +106,15 @@ func New(def *wfdef.Definition, designer *pki.KeyPair, processID string, now tim
 	return &Document{Root: root}, nil
 }
 
-// Parse reads a DRA4WfMS document from its canonical bytes.
-func Parse(b []byte) (*Document, error) {
-	root, err := xmltree.ParseBytes(b)
+// Parse reads a DRA4WfMS document from its canonical bytes. The document
+// never refers to b, so the caller may reuse it.
+func Parse(b []byte) (*Document, error) { return fromRoot(xmltree.ParseBytes(b)) }
+
+// ParseOwned is Parse without copying b (xmltree.ParseOwned): the caller
+// hands b over and must never write to it again.
+func ParseOwned(b []byte) (*Document, error) { return fromRoot(xmltree.ParseOwned(b)) }
+
+func fromRoot(root *xmltree.Node, err error) (*Document, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +131,9 @@ func (d *Document) Bytes() []byte { return d.Root.Canonical() }
 // column in Tables 1 and 2.
 func (d *Document) Size() int { return len(d.Bytes()) }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent deep copy. The copy does not remember a
+// retrieve (see MarkRetrieved): a clone is the copy a caller edits, and an
+// edited copy is stored whole.
 func (d *Document) Clone() *Document { return &Document{Root: d.Root.Clone()} }
 
 // Fork returns a document that can take new CERs without changing d: the
@@ -128,7 +142,8 @@ func (d *Document) Clone() *Document { return &Document{Root: d.Root.Clone()} }
 // a caller that edits one in place (decrypting it where it stands, a
 // tamper test) must Clone instead. AppendCER only appends to the copied
 // ActivityResults, so an AEA session, the TFC and Merge fork instead of
-// deep-copying a tree they only append to.
+// deep-copying a tree they only append to. The fork remembers d's
+// retrieve.
 func (d *Document) Fork() *Document {
 	root := shallowCopy(d.Root)
 	for i, c := range root.Children {
@@ -137,7 +152,7 @@ func (d *Document) Fork() *Document {
 			break
 		}
 	}
-	return &Document{Root: root}
+	return &Document{Root: root, marked: d.marked, retrieved: d.retrieved}
 }
 
 // shallowCopy copies element n and its attribute and child lists; the
@@ -529,9 +544,56 @@ func (d *Document) verifyAllWithCtx(ctx context.Context, v *dsig.Verifier, resol
 	if ds == nil {
 		return 0, errors.New("document: missing designer signature")
 	}
-	cers := d.CERs()
+	return d.verifyCtx(ds, d.CERs(), func(sigs []*xmltree.Node) (int, int, error) {
+		return v.VerifyBatchCtx(ctx, d.Root, sigs, resolver)
+	})
+}
+
+// VerifyAddedCtx verifies the CERs added, which d holds, as VerifyAll
+// verifies each CER: the structural checks and the signature, whose
+// references resolve against the whole of d. held indexes the Ids of d
+// without added (the row d extends); only the Ids inside added are
+// checked against it and one another, and they are returned for the
+// caller to add to held once it keeps d. The rest of d is taken as
+// verified. The portal calls it on a stored row extended by added: every
+// row was verified when it was written, a Reference names its target by
+// an Id that stays unique, and the only elements an append changes, the
+// root and ActivityResults, may carry no Id, so no earlier signature
+// covers them.
+func (d *Document) VerifyAddedCtx(ctx context.Context, resolver dsig.KeyResolver, held dsig.IDs, added []CER) (dsig.IDs, int, error) {
+	for _, n := range []*xmltree.Node{d.Root, d.Root.Child("ActivityResults")} {
+		if n == nil {
+			continue
+		}
+		if _, ok := n.Attr("Id"); ok {
+			return nil, 0, fmt.Errorf("document: <%s> carries an Id, so appending to it would change signed bytes", n.Name)
+		}
+	}
+	els := make([]*xmltree.Node, len(added))
+	for i, c := range added {
+		els[i] = c.El
+	}
+	appended, err := held.Appended(els)
+	if err != nil {
+		return nil, 0, fmt.Errorf("document: %w", err)
+	}
+	n, err := d.verifyCtx(nil, added, func(sigs []*xmltree.Node) (int, int, error) {
+		return dsig.DefaultVerifier().VerifyIndexedCtx(ctx, held, appended, sigs, resolver)
+	})
+	if err != nil {
+		return nil, n, err
+	}
+	return appended, n, nil
+}
+
+// verifyCtx checks the designer signature ds (when non-nil) and the given
+// CERs of d, whose signatures batch verifies.
+func (d *Document) verifyCtx(ds *xmltree.Node, cers []CER, batch func(sigs []*xmltree.Node) (int, int, error)) (int, error) {
 	sigs := make([]*xmltree.Node, 0, len(cers)+1)
-	sigs = append(sigs, ds)
+	if ds != nil {
+		sigs = append(sigs, ds)
+	}
+	first := len(sigs) // index of the first CER signature in sigs
 	for _, c := range cers {
 		sig := c.Signature()
 		if sig == nil {
@@ -568,16 +630,16 @@ func (d *Document) verifyAllWithCtx(ctx context.Context, v *dsig.Verifier, resol
 		}
 		sigs = append(sigs, sig)
 	}
-	n, idx, err := v.VerifyBatchCtx(ctx, d.Root, sigs, resolver)
+	n, idx, err := batch(sigs)
 	if err != nil {
 		if idx < 0 {
 			// No single signature failed: the batch was refused whole.
 			return n, fmt.Errorf("document: %w", err)
 		}
-		if idx == 0 {
+		if idx < first {
 			return n, fmt.Errorf("document: designer signature: %w", err)
 		}
-		return n, fmt.Errorf("document: CER %s: %w", cers[idx-1].ID(), err)
+		return n, fmt.Errorf("document: CER %s: %w", cers[idx-first].ID(), err)
 	}
 	return n, nil
 }
@@ -587,41 +649,52 @@ func (d *Document) verifyAllWithCtx(ctx context.Context, v *dsig.Verifier, resol
 // Merge combines documents of the same process instance — the AND-join of
 // the paper's Section 2.1, where the resulting document carries the union
 // of the branch documents' CER sets. All inputs must share identical
-// header and application-definition sections. The result is a Fork of the
-// first document with, in encounter order, the CERs present only in later
-// documents appended; it shares its elements with the inputs, which it
-// leaves unchanged.
+// header and application-definition sections, and a CER Id carried by
+// two inputs must carry the same bytes in both (see Diff). The result is
+// a Fork of the first document with, in encounter order, the CERs
+// present only in later documents appended; it shares its elements with
+// the inputs, which it leaves unchanged.
 func Merge(docs ...*Document) (*Document, error) {
 	if len(docs) == 0 {
 		return nil, errors.New("document: nothing to merge")
 	}
-	base := docs[0].Fork()
-	baseHeader := docs[0].Header().Canonical()
-	baseAppDef := docs[0].Root.Child("ApplicationDefinition").Canonical()
-	present := map[string]bool{}
-	for _, c := range base.CERs() {
-		present[c.ID()] = true
-	}
+	merged := docs[0].Fork()
 	for _, doc := range docs[1:] {
-		if doc.ProcessID() != docs[0].ProcessID() {
-			return nil, fmt.Errorf("document: cannot merge distinct process instances %q and %q",
-				docs[0].ProcessID(), doc.ProcessID())
+		if err := SameInstance(docs[0], doc); err != nil {
+			return nil, err
 		}
-		if string(doc.Header().Canonical()) != string(baseHeader) {
-			return nil, errors.New("document: merge with divergent header")
+		added, err := merged.Diff(nil, doc.CERs())
+		if err != nil {
+			return nil, err
 		}
-		if string(doc.Root.Child("ApplicationDefinition").Canonical()) != string(baseAppDef) {
-			return nil, errors.New("document: merge with divergent application definition")
-		}
-		for _, c := range doc.CERs() {
-			if present[c.ID()] {
-				continue
-			}
-			present[c.ID()] = true
-			base.resultsEl().AppendChild(c.El)
-		}
+		merged.appendCERs(added)
 	}
-	return base, nil
+	return merged, nil
+}
+
+// SameInstance checks that doc is a copy of the process instance held
+// describes: the same process id, header and application definition.
+func SameInstance(held, doc *Document) error {
+	if doc.ProcessID() != held.ProcessID() {
+		return fmt.Errorf("document: cannot merge distinct process instances %q and %q",
+			held.ProcessID(), doc.ProcessID())
+	}
+	if !bytes.Equal(sectionBytes(doc, "Header"), sectionBytes(held, "Header")) {
+		return errors.New("document: merge with divergent header")
+	}
+	if !bytes.Equal(sectionBytes(doc, "ApplicationDefinition"), sectionBytes(held, "ApplicationDefinition")) {
+		return errors.New("document: merge with divergent application definition")
+	}
+	return nil
+}
+
+// sectionBytes returns the canonical bytes of d's named top-level section,
+// nil when d has none.
+func sectionBytes(d *Document, name string) []byte {
+	if c := d.Root.Child(name); c != nil {
+		return c.Canonical()
+	}
+	return nil
 }
 
 // --- Algorithm 1: nonrepudiation scope ----------------------------------------

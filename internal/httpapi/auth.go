@@ -6,9 +6,11 @@
 //
 // A document hop (AEA→portal store, AEA→TFC process) is one synchronous
 // signed Client call, retried only when the server sheds it with
-// 429/503 and a Retry-After; a repeated portal store is harmless, since
-// merging CER sets is a set union. The portal's asynchronous webhook
-// notifications go through a durable relay (webhook.go).
+// 429/503 and a Retry-After. A document the client retrieved is stored
+// as the CERs the hop added (POST /v1/documents/{pid}/cers), and whole
+// only after a 412; a repeated portal store is harmless, since the
+// portal appends only the CERs its row lacks. The portal's asynchronous
+// webhook notifications go through a durable relay (webhook.go).
 //
 // Every request is authenticated with a detached signature: the client
 // signs (method, path, date, nonce, SHA-256(body)) with the Ed25519 half

@@ -143,7 +143,8 @@ func parseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 
 // attemptOnce performs one signed request. Each attempt re-signs with a
 // fresh date and nonce, so a retried request never replays a signature,
-// and carries the context deadline downstream via DeadlineHeader.
+// and carries the context deadline downstream via DeadlineHeader. The
+// response body is read into one buffer the caller owns.
 func (c *Client) attemptOnce(ctx context.Context, method, path string, body []byte, clock func() time.Time) (*http.Response, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
@@ -170,7 +171,7 @@ func (c *Client) attemptOnce(ctx context.Context, method, path string, body []by
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	respBody, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,9 +205,24 @@ func (c *Client) Store(doc *document.Document) ([]portal.Notification, error) {
 	return c.StoreCtx(context.Background(), doc)
 }
 
-// StoreCtx is Store bounded by the caller's context.
+// StoreCtx is Store bounded by the caller's context. A document that
+// remembers its retrieve (RetrieveCtx, kept by Fork and ProcessViaTFCCtx)
+// ships only the CERs it added, to POST /v1/documents/{pid}/cers; if the
+// portal's row lacks the CERs it was built on (412), the whole document
+// is posted once instead. Every other document is posted whole.
 func (c *Client) StoreCtx(ctx context.Context, doc *document.Document) ([]portal.Notification, error) {
-	_, body, err := c.doCtx(ctx, http.MethodPost, "/v1/documents", doc.Bytes())
+	var (
+		resp *http.Response
+		body []byte
+		err  error
+	)
+	delta, ok := doc.Delta()
+	if ok {
+		resp, body, err = c.doCtx(ctx, http.MethodPost, "/v1/documents/"+url.PathEscape(doc.ProcessID())+"/cers", delta.Bytes())
+	}
+	if !ok || (resp != nil && resp.StatusCode == http.StatusPreconditionFailed) {
+		_, body, err = c.doCtx(ctx, http.MethodPost, "/v1/documents", doc.Bytes())
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -222,13 +238,20 @@ func (c *Client) Retrieve(processID string) (*document.Document, error) {
 	return c.RetrieveCtx(context.Background(), processID)
 }
 
-// RetrieveCtx is Retrieve bounded by the caller's context.
+// RetrieveCtx is Retrieve bounded by the caller's context. The returned
+// document remembers the retrieve (document.MarkRetrieved), so storing
+// what is built from it ships only the CERs added.
 func (c *Client) RetrieveCtx(ctx context.Context, processID string) (*document.Document, error) {
 	_, body, err := c.doCtx(ctx, http.MethodGet, "/v1/documents/"+url.PathEscape(processID), nil)
 	if err != nil {
 		return nil, err
 	}
-	return document.Parse(body)
+	doc, err := document.ParseOwned(body)
+	if err != nil {
+		return nil, err
+	}
+	doc.MarkRetrieved()
+	return doc, nil
 }
 
 // Worklist fetches the caller's TO-DO list.
@@ -335,7 +358,9 @@ func (c *Client) ProcessViaTFC(doc *document.Document) (*ProcessResponse, *docum
 }
 
 // ProcessViaTFCCtx is ProcessViaTFC bounded by the caller's context —
-// the AEA→TFC forwarding hop.
+// the AEA→TFC forwarding hop. The notarized document keeps doc's retrieve
+// mark when its leading CERs are the retrieved ones (KeepRetrieved), so
+// its store ships only the two CERs of the hop.
 func (c *Client) ProcessViaTFCCtx(ctx context.Context, doc *document.Document) (*ProcessResponse, *document.Document, error) {
 	_, body, err := c.doCtx(ctx, http.MethodPost, "/v1/process", doc.Bytes())
 	if err != nil {
@@ -345,10 +370,11 @@ func (c *Client) ProcessViaTFCCtx(ctx context.Context, doc *document.Document) (
 	if err := json.Unmarshal(body, &pr); err != nil {
 		return nil, nil, fmt.Errorf("httpapi: decoding process response: %w", err)
 	}
-	out, err := document.Parse([]byte(pr.Document))
+	out, err := document.ParseOwned([]byte(pr.Document))
 	if err != nil {
 		return nil, nil, fmt.Errorf("httpapi: parsing returned document: %w", err)
 	}
+	out.KeepRetrieved(doc)
 	return &pr, out, nil
 }
 

@@ -31,8 +31,15 @@ type world struct {
 	clock     func() time.Time
 }
 
-func newWorld(t *testing.T) *world {
+func newWorld(t *testing.T) *world { return newWorldWith(t, nil) }
+
+// newWorldWith is newWorld with both servers' handlers wrapped by wrap
+// (nil: unwrapped).
+func newWorldWith(t *testing.T, wrap func(http.Handler) http.Handler) *world {
 	t.Helper()
+	if wrap == nil {
+		wrap = func(h http.Handler) http.Handler { return h }
+	}
 	env := testenv.Fig9(0)
 	table, err := pool.NewTable(portal.TableName, portal.Families...)
 	if err != nil {
@@ -50,11 +57,11 @@ func newWorld(t *testing.T) *world {
 	p := portal.New("portal-1", env.Registry, table, clock)
 	mon := monitor.New(table)
 	auth := NewAuthenticator(env.Registry, clock)
-	ps := httptest.NewServer(NewPortalServer(p, mon, auth).Handler())
+	ps := httptest.NewServer(wrap(NewPortalServer(p, mon, auth).Handler()))
 	t.Cleanup(ps.Close)
 
 	srv := tfc.New(env.KeyOf("tfc@cloud"), env.Registry, clock)
-	ts := httptest.NewServer(NewTFCServer(srv, NewAuthenticator(env.Registry, clock)).Handler())
+	ts := httptest.NewServer(wrap(NewTFCServer(srv, NewAuthenticator(env.Registry, clock)).Handler()))
 	t.Cleanup(ts.Close)
 
 	agents := map[string]*aea.AEA{}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,7 +65,7 @@ func TestFaultInjectionWebhooks(t *testing.T) {
 	src := rand.New(rand.NewSource(9))
 	var srcMu sync.Mutex
 	d, err := newWebhookDispatcher(w.env.KeyOf("portal@cloud"), w.clock, w.portal.Table, "",
-		&http.Client{Transport: net.RoundTripper("portal@cloud", nil, nil)},
+		&http.Client{Transport: net.RoundTripper("portal@cloud", nil, nil, nil)},
 		relay.Config{
 			Workers:        2,
 			MaxAttempts:    50,
@@ -129,32 +130,74 @@ func TestFaultInjectionWebhooks(t *testing.T) {
 // chaos network that drops 20% of the requests, duplicates 20% and
 // loses the response of 10%. Like an AEA whose request timed out, the
 // sender retries every hop whose response it did not get; each retry is
-// signed afresh, so only the receiver's own semantics (CER merge is a
-// set union) keep an applied-then-retried hop harmless.
+// signed afresh, and so is each duplicate, so it passes the receiver's
+// replay guard: only the receiver's own semantics (a store adds only the
+// CERs its row lacks) keep an applied-then-repeated hop harmless.
 type faultyHops struct {
 	w       *world
 	net     *chaos.Network
 	retries int
+	// dups counts the duplicates sent; handled lists those a handler
+	// answered (anything but 401, the replay guard's refusal).
+	dups    atomic.Int64
+	mu      sync.Mutex
+	handled []string
 }
+
+// dupHeader marks a duplicate, so the servers' wrapper can count it.
+const dupHeader = "X-Test-Duplicate"
 
 func newFaultyHops(t *testing.T, seed int64) *faultyHops {
 	t.Helper()
 	net := chaos.NewNetwork(seed)
 	net.SetDefault(chaos.LinkFaults{Drop: 0.2, Dup: 0.2, AckLoss: 0.1})
-	return &faultyHops{w: newWorld(t), net: net}
+	fh := &faultyHops{net: net}
+	fh.w = newWorldWith(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Header.Get(dupHeader) == "" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+			h.ServeHTTP(rec, r)
+			if rec.status != http.StatusUnauthorized {
+				fh.mu.Lock()
+				fh.handled = append(fh.handled, fmt.Sprintf("%s %s: %d", r.Method, r.URL.Path, rec.status))
+				fh.mu.Unlock()
+			}
+		})
+	})
+	return fh
+}
+
+// statusRecorder remembers the status a handler wrote.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
+}
+
+func (r *statusRecorder) WriteHeader(status int) {
+	r.status = status
+	r.ResponseWriter.WriteHeader(status)
 }
 
 // client is id's signed client for baseURL, its requests judged by the
-// chaos network on the link id → "portal" or id → "tfc".
+// chaos network on the link id → "portal" or id → "tfc". Duplicates are
+// signed afresh as id, as a retry is.
 func (fh *faultyHops) client(id, baseURL string) *Client {
-	c := NewClient(baseURL, fh.w.env.KeyOf(id))
+	keys := fh.w.env.KeyOf(id)
+	c := NewClient(baseURL, keys)
 	c.Clock = fh.w.clock
 	c.HTTP = &http.Client{Transport: fh.net.RoundTripper(id, func(req *http.Request) string {
 		if "http://"+req.URL.Host == fh.w.tfcSrv.URL {
 			return "tfc"
 		}
 		return "portal"
-	}, nil)}
+	}, nil, func(dup *http.Request, body []byte) error {
+		fh.dups.Add(1)
+		dup.Header.Set(dupHeader, "1")
+		return SignRequest(dup, body, keys, fh.w.clock())
+	})}
 	return c
 }
 
@@ -237,7 +280,12 @@ func (fh *faultyHops) verify(t *testing.T, pid string, wantSigs int) {
 	if fh.retries == 0 {
 		t.Fatal("no hop was ever retried: no fault fired; the run proved nothing")
 	}
-	t.Logf("faults forced %d retries", fh.retries)
+	fh.mu.Lock()
+	defer fh.mu.Unlock()
+	if len(fh.handled) == 0 {
+		t.Fatalf("none of %d duplicates reached a handler: the duplication proved nothing", fh.dups.Load())
+	}
+	t.Logf("faults forced %d retries; %d of %d duplicates reached a handler: %v", fh.retries, len(fh.handled), fh.dups.Load(), fh.handled)
 }
 
 // TestFaultInjectionBasicModel drives the Fig. 9A workflow with every

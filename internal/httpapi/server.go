@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -35,6 +36,9 @@ var maxBody int64 = 64 << 20
 //
 //	POST /v1/documents/initial      body: DRA4WfMS XML  → notifications JSON
 //	POST /v1/documents              body: DRA4WfMS XML  → notifications JSON
+//	POST /v1/documents/{processID}/cers
+//	                                body: Delta XML     → notifications JSON
+//	                                (412 when the row lacks a base CER)
 //	GET  /v1/documents/{processID}                      → DRA4WfMS XML
 //	GET  /v1/worklist                                   → work items JSON (caller's)
 //	GET  /v1/processes?state=running|completed          → ids JSON
@@ -104,6 +108,7 @@ func (s *PortalServer) Handler() http.Handler {
 	}
 	route("POST /v1/documents/initial", s.handleStoreInitial)
 	route("POST /v1/documents", s.handleStore)
+	route("POST /v1/documents/{pid}/cers", s.handleStoreCERs)
 	route("GET /v1/documents/{pid}", s.handleRetrieve)
 	route("GET /v1/worklist", s.handleWorklist)
 	route("GET /v1/processes", s.handleProcesses)
@@ -150,21 +155,42 @@ func (s *PortalServer) handleClusterRebalance(w http.ResponseWriter, r *http.Req
 }
 
 // handlerFunc is an authenticated handler: principal is the verified
-// caller, body the fully read request body.
+// caller, body the fully read request body. The handler owns body, so it
+// may parse it in place.
 type handlerFunc func(w http.ResponseWriter, r *http.Request, principal string, body []byte)
 
 func (s *PortalServer) auth(h handlerFunc) http.HandlerFunc {
 	return authWrap(s.Auth, h)
 }
 
+// errBodyTooLarge: a body longer than maxBody.
+var errBodyTooLarge = errors.New("httpapi: body exceeds the size limit")
+
+// readBody reads a body of declared length n (-1 when unknown) into one
+// buffer, allocated at its size when n is known and grown by io.ReadAll
+// otherwise. A body longer than maxBody fails with errBodyTooLarge.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	if n > maxBody {
+		return nil, errBodyTooLarge
+	}
+	if n < 0 {
+		b, err := io.ReadAll(io.LimitReader(r, maxBody+1))
+		if err == nil && int64(len(b)) > maxBody {
+			return nil, errBodyTooLarge
+		}
+		return b, err
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 func authWrap(a *Authenticator, h handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-		if err != nil {
-			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if int64(len(body)) > maxBody {
+		body, err := readBody(r.Body, r.ContentLength)
+		if errors.Is(err, errBodyTooLarge) {
 			// Deliberate 413 with a machine-readable JSON error (not an
 			// accidental connection reset), counted for operators.
 			mRejected.Inc()
@@ -173,6 +199,10 @@ func authWrap(a *Authenticator, h handlerFunc) http.HandlerFunc {
 			_ = json.NewEncoder(w).Encode(map[string]string{
 				"error": fmt.Sprintf("request body exceeds the %d-byte limit", maxBody),
 			})
+			return
+		}
+		if err != nil {
+			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		principal, err := a.Verify(r, body)
@@ -192,7 +222,7 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 }
 
 func (s *PortalServer) handleStoreInitial(w http.ResponseWriter, r *http.Request, principal string, body []byte) {
-	doc, err := document.Parse(body)
+	doc, err := document.ParseOwned(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -206,12 +236,26 @@ func (s *PortalServer) handleStoreInitial(w http.ResponseWriter, r *http.Request
 }
 
 func (s *PortalServer) handleStore(w http.ResponseWriter, r *http.Request, principal string, body []byte) {
-	doc, err := document.Parse(body)
+	doc, err := document.ParseOwned(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	notes, err := s.Portal.StoreCtx(r.Context(), doc)
+	if err != nil {
+		http.Error(w, err.Error(), verifyFailureStatus(err))
+		return
+	}
+	writeJSON(w, notes)
+}
+
+func (s *PortalServer) handleStoreCERs(w http.ResponseWriter, r *http.Request, principal string, body []byte) {
+	delta, err := document.ParseDelta(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	notes, err := s.Portal.StoreDeltaCtx(r.Context(), r.PathValue("pid"), delta)
 	if err != nil {
 		http.Error(w, err.Error(), verifyFailureStatus(err))
 		return
@@ -226,6 +270,7 @@ func (s *PortalServer) handleRetrieve(w http.ResponseWriter, r *http.Request, pr
 		return
 	}
 	w.Header().Set("Content-Type", ContentXML)
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	_, _ = w.Write(raw)
 }
 
@@ -266,7 +311,7 @@ func (s *PortalServer) handleStatistics(w http.ResponseWriter, r *http.Request, 
 }
 
 func (s *PortalServer) handleStoreTemplate(w http.ResponseWriter, r *http.Request, principal string, body []byte) {
-	tpl, err := xmltree.ParseBytes(body)
+	tpl, err := xmltree.ParseOwned(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -336,6 +381,10 @@ func verifyFailureStatus(err error) int {
 		return http.StatusUnauthorized
 	case errors.Is(err, pki.ErrMalformedKey):
 		return http.StatusUnprocessableEntity
+	case errors.Is(err, document.ErrUnknownBase):
+		// The delta names CERs the row lacks: the sender stores its
+		// whole document instead. No other refusal uses 412.
+		return http.StatusPreconditionFailed
 	default:
 		return http.StatusConflict
 	}
@@ -387,7 +436,7 @@ func (s *TFCServer) Handler() http.Handler {
 }
 
 func (s *TFCServer) handleProcess(w http.ResponseWriter, r *http.Request, principal string, body []byte) {
-	doc, err := document.Parse(body)
+	doc, err := document.ParseOwned(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

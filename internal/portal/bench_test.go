@@ -15,11 +15,21 @@ import (
 // per op, 40 hops, through a portal over a pool.Table. Each hop is what
 // the daemons do with it: the participant retrieves the stored bytes,
 // parses them, executes and serializes; the portal parses what it
-// receives and stores it (verify, merge with the stored row, persist).
-// B1 and B2 both execute on the post-A document, so B2's store merges.
-// It reports the time and the canonical-memo misses per hop.
+// receives and stores it. B1 and B2 both execute on the post-A document,
+// so B2's store merges. Sub-benchmark delta ships what the hop adds, as
+// the client stores (StoreDeltaCtx: the portal verifies only the new CER
+// against the tree it kept of its row); full ships the whole document
+// (StoreCtx: diffed against the row). Keys are 2048-bit, as the
+// daemons' are. Each reports the time and the canonical-memo misses per
+// hop.
 func BenchmarkStoreDeepCascade(b *testing.B) {
-	c := newCloud(b)
+	for _, path := range storePaths {
+		b.Run(path, func(b *testing.B) { benchStoreDeepCascade(b, path) })
+	}
+}
+
+func benchStoreDeepCascade(b *testing.B, path string) {
+	c := newCloudBits(b, 2048)
 	ctx := context.Background()
 	misses := telemetry.Default().Counter("xmltree_canon_memo_misses_total")
 	retrieve := func(pid, activity string) []byte {
@@ -35,16 +45,28 @@ func BenchmarkStoreDeepCascade(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		doc.MarkRetrieved()
 		out, err := c.agents[activity].ExecuteCtx(ctx, doc, activity, inputs, now)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sent, err := document.Parse(out.Doc.Bytes())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.portal.StoreCtx(ctx, sent); err != nil {
-			b.Fatal(err)
+		if path == "full" {
+			sent, err := document.Parse(out.Doc.Bytes())
+			if err == nil {
+				_, err = c.portal.StoreCtx(ctx, sent)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		} else {
+			d, _ := out.Doc.Delta()
+			sent, err := document.ParseDelta(d.Bytes())
+			if err == nil {
+				_, err = c.portal.StoreDeltaCtx(ctx, out.Doc.ProcessID(), sent)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 		hops++
 	}

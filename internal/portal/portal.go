@@ -24,13 +24,18 @@
 // cells always describe the doc:content beside them: a reader, a replica
 // and a recovered data dir see a whole hop or none of it. Monitoring and
 // worklists read the derived columns; only Retrieve ships the document.
+// A store verifies and appends only the CERs the row lacks (StoreDeltaCtx,
+// and StoreCtx after a diff against the row); every row verified whole
+// when it was first written, which keeps that sound (DESIGN.md §14).
 package portal
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,6 +43,7 @@ import (
 	"time"
 
 	"dra4wfms/internal/document"
+	"dra4wfms/internal/dsig"
 	"dra4wfms/internal/pki"
 	"dra4wfms/internal/pool"
 	"dra4wfms/internal/telemetry"
@@ -113,18 +119,44 @@ type Portal struct {
 	// implementations deliver asynchronously.
 	OnNotify func(context.Context, Notification)
 
-	// stripes serialize the read-merge-write cycles of one process
-	// instance; see lockFor.
-	stripes [64]sync.Mutex
+	stripes [64]stripe
 }
 
-// lockFor returns the mutex that stores of processID exclude each other
-// with. Instances hashing to the same stripe share it, which costs
-// concurrency, never correctness.
-func (p *Portal) lockFor(processID string) *sync.Mutex {
+// stripe serializes the read-merge-write cycles of the process instances
+// hashing to it (see stripeFor), and keeps the tree of the row it last
+// wrote with the index of its Ids, so the next store of that instance
+// parses nothing the portal wrote itself and walks only the CERs it
+// appends. The tree is set only after its row was written, and used only
+// while the stored bytes are still the ones written from it; it shares
+// no node with a caller's document. A row with no enabled activity (a
+// completed instance) is not kept.
+type stripe struct {
+	mu      sync.Mutex
+	pid     string
+	content []byte
+	doc     *document.Document
+	ids     dsig.IDs
+}
+
+// stripeFor returns the stripe of processID. Instances hashing to the same
+// stripe share it, which costs concurrency and tree reuse, never
+// correctness.
+func (p *Portal) stripeFor(processID string) *stripe {
 	h := fnv.New32a()
 	h.Write([]byte(processID))
 	return &p.stripes[h.Sum32()%uint32(len(p.stripes))]
+}
+
+// held returns the stored document of pid whose doc:content is raw with
+// the index of its Ids: the stripe's tree and index when the stripe wrote
+// exactly those bytes, a parse of them and a nil index otherwise. Caller
+// holds s.mu.
+func (s *stripe) held(pid string, raw []byte) (*document.Document, dsig.IDs, error) {
+	if s.doc != nil && s.pid == pid && bytes.Equal(s.content, raw) {
+		return s.doc, s.ids, nil
+	}
+	doc, err := document.Parse(raw)
+	return doc, nil, err
 }
 
 // New creates a portal server.
@@ -156,34 +188,121 @@ func (p *Portal) Store(doc *document.Document) ([]Notification, error) {
 // a portal-tier span (with the process ID and CER count as attributes),
 // pool writes nest under it, and notifications dispatched to OnNotify
 // continue the same trace through the webhook relay.
+//
+// A stored instance is extended the way StoreDeltaCtx extends it: doc is
+// diffed against the row, and only the CERs the row lacks are verified
+// and appended; a CER Id the row holds with other bytes is refused
+// (document.ErrEquivocation). Content outside the process's header,
+// definition and CERs is not stored. An instance with no row yet is
+// verified whole and stored as it is.
 func (p *Portal) StoreCtx(ctx context.Context, doc *document.Document) ([]Notification, error) {
-	ctx, span := tel.StartSpan(ctx, "portal_store_seconds")
-	defer span.End()
-	span.SetAttr("process", doc.ProcessID())
-	if nsigs, err := doc.VerifyAllCtx(ctx, p.Registry); err != nil {
-		span.SetStatus("error")
-		return nil, fmt.Errorf("portal: rejecting document (%d signatures verified before failure): %w", nsigs, err)
-	}
-	notes, err := func() ([]Notification, error) {
-		mu := p.lockFor(doc.ProcessID())
-		mu.Lock()
-		defer mu.Unlock()
-		stored := p.Table.GetRow(doc.ProcessID())
-		merged := doc
-		for _, kv := range stored {
-			if kv.Family != "doc" || kv.Qualifier != "content" {
-				continue
-			}
-			existing, err := document.Parse(kv.Value)
+	return p.extend(ctx, doc.ProcessID(), doc, func(held *document.Document) ([]document.CER, error) {
+		if err := document.SameInstance(held, doc); err != nil {
+			return nil, err
+		}
+		// A duplicate Id anywhere in doc, also in content the row would
+		// not take, is refused as the signature wrapping it is.
+		if _, err := dsig.IndexIDs(doc.Root); err != nil {
+			return nil, err
+		}
+		added, err := held.Diff(nil, doc.CERs())
+		if err != nil {
+			return nil, err
+		}
+		// The stripe keeps the extended row's tree, so it takes copies of
+		// the CERs instead of nodes of the caller's document.
+		for i, c := range added {
+			el, err := xmltree.ParseBytes(c.El.Canonical())
 			if err != nil {
 				return nil, err
 			}
-			if merged, err = document.Merge(existing, doc); err != nil {
-				return nil, err
+			added[i] = document.CER{El: el}
+		}
+		return added, nil
+	})
+}
+
+// StoreDeltaCtx stores what one hop adds to the stored instance
+// processID: the row must hold every CER Id in d.Base, or the store is
+// refused with document.ErrUnknownBase and the sender stores its whole
+// document instead. A CER of d the row holds with the same bytes is
+// skipped, one it holds with other bytes is refused
+// (document.ErrEquivocation), and the rest are verified against the
+// extended row and appended. The portal keeps d's CER elements; the
+// caller must not change them afterwards.
+func (p *Portal) StoreDeltaCtx(ctx context.Context, processID string, d document.Delta) ([]Notification, error) {
+	return p.extend(ctx, processID, nil, func(held *document.Document) ([]document.CER, error) {
+		return held.Diff(d.Base, d.CERs)
+	})
+}
+
+// extend is the one store path. Under the instance's stripe it reads the
+// row, asks diff which CERs of the incoming store the row lacks, verifies
+// only those against the extended tree, and writes the extended row with
+// everything derived from it. A store that adds nothing writes nothing.
+// whole, when non-nil, is the incoming document, stored verified whole if
+// the instance has no row yet.
+func (p *Portal) extend(ctx context.Context, processID string, whole *document.Document, diff func(held *document.Document) ([]document.CER, error)) ([]Notification, error) {
+	ctx, span := tel.StartSpan(ctx, "portal_store_seconds")
+	defer span.End()
+	span.SetAttr("process", processID)
+	notes, err := func() ([]Notification, error) {
+		s := p.stripeFor(processID)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		stored := p.Table.GetRow(processID)
+		var raw []byte
+		for _, kv := range stored {
+			if kv.Family == "doc" && kv.Qualifier == "content" {
+				raw = kv.Value
+			}
+		}
+		if raw == nil {
+			if whole == nil {
+				return nil, fmt.Errorf("portal: rejecting document: %w: no stored instance %s", document.ErrUnknownBase, processID)
+			}
+			if nsigs, err := whole.VerifyAllCtx(ctx, p.Registry); err != nil {
+				return nil, fmt.Errorf("portal: rejecting document (%d signatures verified before failure): %w", nsigs, err)
+			}
+			return p.persist(ctx, whole, stored)
+		}
+		held, ids, err := s.held(processID, raw)
+		if err != nil {
+			return nil, err
+		}
+		added, err := diff(held)
+		if err != nil {
+			return nil, fmt.Errorf("portal: rejecting document: %w", err)
+		}
+		merged, appended := held, dsig.IDs(nil)
+		if len(added) > 0 {
+			if ids == nil { // a row this stripe did not write: index it whole
+				if ids, err = dsig.IndexIDs(held.Root); err != nil {
+					return nil, fmt.Errorf("portal: stored instance %s: %w", processID, err)
+				}
+			}
+			merged = held.With(added)
+			var nsigs int
+			if appended, nsigs, err = merged.VerifyAddedCtx(ctx, p.Registry, ids, added); err != nil {
+				return nil, fmt.Errorf("portal: rejecting document (%d signatures verified before failure): %w", nsigs, err)
 			}
 		}
 		span.SetAttr("cers", strconv.Itoa(len(merged.FinalCERs())))
-		return p.persist(ctx, merged, stored)
+		cells, notes, err := p.rowCells(merged, stored)
+		if err != nil || len(added) == 0 {
+			return notes, err
+		}
+		if err := p.Table.Mutate(ctx, processID, cells); err != nil {
+			return nil, err
+		}
+		s.pid, s.content, s.doc, s.ids = "", nil, nil, nil
+		// With nothing enabled no hop extends the row again, so the
+		// stripe keeps no tree of it.
+		if len(notes) > 0 {
+			maps.Copy(ids, appended)
+			s.pid, s.content, s.doc, s.ids = processID, cells[0].Value, merged, ids
+		}
+		return notes, nil
 	}()
 	if err != nil {
 		span.SetStatus("error")
@@ -205,19 +324,32 @@ func (p *Portal) dispatch(ctx context.Context, notes []Notification) {
 	}
 }
 
-// persist writes the merged document and everything derived from it —
-// the meta cells and the rebuilt worklist index — as one row mutation,
-// and computes notifications. stored is the row as read before the merge
-// (its idx cells say which index entries went stale). Caller holds the
-// instance's lock.
+// persist writes doc and everything derived from it as one row mutation
+// (see rowCells) and returns the notifications. Caller holds the
+// instance's stripe.
 func (p *Portal) persist(ctx context.Context, doc *document.Document, stored []pool.KeyValue) ([]Notification, error) {
-	def, err := doc.Definition()
+	cells, notes, err := p.rowCells(doc, stored)
 	if err != nil {
 		return nil, err
 	}
+	if err := p.Table.Mutate(ctx, doc.ProcessID(), cells); err != nil {
+		return nil, err
+	}
+	return notes, nil
+}
+
+// rowCells derives the row of doc — doc:content first, then the meta
+// cells and the rebuilt worklist index — and the notifications for its
+// enabled activities. stored is the row as read before the store (its idx
+// cells say which index entries went stale).
+func (p *Portal) rowCells(doc *document.Document, stored []pool.KeyValue) ([]pool.CellMutation, []Notification, error) {
+	def, err := doc.Definition()
+	if err != nil {
+		return nil, nil, err
+	}
 	enabled, completed, err := document.Enabled(def, doc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	row := doc.ProcessID()
 	state := "running"
@@ -243,7 +375,7 @@ func (p *Portal) persist(ctx context.Context, doc *document.Document, stored []p
 	for _, act := range enabled {
 		a := def.Activity(act)
 		if a == nil {
-			return nil, fmt.Errorf("portal: enabled activity %q not in definition", act)
+			return nil, nil, fmt.Errorf("portal: enabled activity %q not in definition", act)
 		}
 		key := a.Participant
 		if key == "" {
@@ -265,16 +397,13 @@ func (p *Portal) persist(ctx context.Context, doc *document.Document, stored []p
 			notes = append(notes, Notification{Participant: participant, ProcessID: row, Activity: a})
 		}
 	}
-	if err := p.Table.Mutate(ctx, row, cells); err != nil {
-		return nil, err
-	}
 	sort.Slice(notes, func(i, j int) bool {
 		if notes[i].Participant != notes[j].Participant {
 			return notes[i].Participant < notes[j].Participant
 		}
 		return notes[i].Activity < notes[j].Activity
 	})
-	return notes, nil
+	return cells, notes, nil
 }
 
 // StoreInitial verifies and stores a freshly designed initial document,
@@ -300,9 +429,9 @@ func (p *Portal) StoreInitialCtx(ctx context.Context, doc *document.Document) ([
 		return nil, fmt.Errorf("portal: rejecting initial document (%d signatures verified before failure): %w", nsigs, err)
 	}
 	notes, err := func() ([]Notification, error) {
-		mu := p.lockFor(doc.ProcessID())
-		mu.Lock()
-		defer mu.Unlock()
+		s := p.stripeFor(doc.ProcessID())
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		if _, ok := p.Table.GetCtx(ctx, doc.ProcessID(), "doc", "content"); ok {
 			return nil, fmt.Errorf("portal: process %s already exists (replayed initial document?)", doc.ProcessID())
 		}

@@ -26,9 +26,13 @@ type cloud struct {
 	agents  map[string]*aea.AEA
 }
 
-func newCloud(t testing.TB) *cloud {
+func newCloud(t testing.TB) *cloud { return newCloudBits(t, 0) }
+
+// newCloudBits is newCloud with RSA keys of the given size (0: the tests'
+// 1024).
+func newCloudBits(t testing.TB, bits int) *cloud {
 	t.Helper()
-	env := testenv.Fig9(0)
+	env := testenv.Fig9(bits)
 	table, err := pool.NewTable(TableName, Families...)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +62,7 @@ func (c *cloud) initial(t testing.TB) *document.Document {
 
 // run executes the given activity by retrieving the current document from
 // the portal, running the AEA and storing the result.
-func (c *cloud) run(t *testing.T, processID, activity string, inputs aea.Inputs) []Notification {
+func (c *cloud) run(t testing.TB, processID, activity string, inputs aea.Inputs) []Notification {
 	t.Helper()
 	participant := wfdef.Fig9Participants[activity]
 	doc, err := c.portal.Retrieve(participant, processID)

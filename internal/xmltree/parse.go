@@ -31,6 +31,14 @@ func Parse(r io.Reader) (*Node, error) {
 // refers to b, so the caller may reuse it.
 func ParseBytes(b []byte) (*Node, error) { return parse(string(b)) }
 
+// ParseOwned parses an XML document held in b without copying it: the
+// tree's strings and seeded memos are views of b, so the caller hands b
+// over and must never write to it again. It is for buffers that were read
+// only to be parsed, such as a request or response body.
+func ParseOwned(b []byte) (*Node, error) {
+	return parse(unsafe.String(unsafe.SliceData(b), len(b)))
+}
+
 // ParseString parses an XML document held in s. See Parse.
 func ParseString(s string) (*Node, error) { return parse(s) }
 

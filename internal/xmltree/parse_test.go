@@ -255,6 +255,32 @@ func TestFixtureCanonicalIsIdentity(t *testing.T) {
 	}
 }
 
+// TestParseOwnedSharesItsInput: ParseOwned builds the tree ParseBytes
+// builds, and the seeded canonical form of the root is the input buffer
+// itself, not a copy of it.
+func TestParseOwnedSharesItsInput(t *testing.T) {
+	raw := readFixture(t)
+	copied, err := ParseBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned, err := ParseOwned(bytes.Clone(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(copied, owned) {
+		t.Fatal("ParseOwned and ParseBytes build different trees")
+	}
+	buf := bytes.Clone(raw)
+	root, err := ParseOwned(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := root.Canonical(); len(c) != len(buf) || &c[0] != &buf[0] {
+		t.Fatal("the owned buffer was copied")
+	}
+}
+
 // TestParseAllocsBounded pins the slab design: a 145 KB document with
 // thousands of nodes costs a handful of allocations, not one per token.
 func TestParseAllocsBounded(t *testing.T) {
