@@ -544,51 +544,32 @@ func (d *Document) verifyAllWithCtx(ctx context.Context, v *dsig.Verifier, resol
 	if ds == nil {
 		return 0, errors.New("document: missing designer signature")
 	}
-	return d.verifyCtx(ds, d.CERs(), func(sigs []*xmltree.Node) (int, int, error) {
-		return v.VerifyBatchCtx(ctx, d.Root, sigs, resolver)
-	})
+	return d.verifyCtx(ctx, v, resolver, ds, d.CERs())
 }
 
 // VerifyAddedCtx verifies the CERs added, which d holds, as VerifyAll
 // verifies each CER: the structural checks and the signature, whose
-// references resolve against the whole of d. held indexes the Ids of d
-// without added (the row d extends); only the Ids inside added are
-// checked against it and one another, and they are returned for the
-// caller to add to held once it keeps d. The rest of d is taken as
-// verified. The portal calls it on a stored row extended by added: every
-// row was verified when it was written, a Reference names its target by
-// an Id that stays unique, and the only elements an append changes, the
-// root and ActivityResults, may carry no Id, so no earlier signature
-// covers them.
-func (d *Document) VerifyAddedCtx(ctx context.Context, resolver dsig.KeyResolver, held dsig.IDs, added []CER) (dsig.IDs, int, error) {
+// references resolve against the whole of d, and no Id carried twice
+// anywhere in d. The rest of d is taken as verified. The portal calls it
+// on a stored row extended by added: every row was verified when it was
+// written, a Reference names its target by an Id that stays unique, and
+// the only elements an append changes, the root and ActivityResults, may
+// carry no Id, so no earlier signature covers them.
+func (d *Document) VerifyAddedCtx(ctx context.Context, resolver dsig.KeyResolver, added []CER) (int, error) {
 	for _, n := range []*xmltree.Node{d.Root, d.Root.Child("ActivityResults")} {
 		if n == nil {
 			continue
 		}
 		if _, ok := n.Attr("Id"); ok {
-			return nil, 0, fmt.Errorf("document: <%s> carries an Id, so appending to it would change signed bytes", n.Name)
+			return 0, fmt.Errorf("document: <%s> carries an Id, so appending to it would change signed bytes", n.Name)
 		}
 	}
-	els := make([]*xmltree.Node, len(added))
-	for i, c := range added {
-		els[i] = c.El
-	}
-	appended, err := held.Appended(els)
-	if err != nil {
-		return nil, 0, fmt.Errorf("document: %w", err)
-	}
-	n, err := d.verifyCtx(nil, added, func(sigs []*xmltree.Node) (int, int, error) {
-		return dsig.DefaultVerifier().VerifyIndexedCtx(ctx, held, appended, sigs, resolver)
-	})
-	if err != nil {
-		return nil, n, err
-	}
-	return appended, n, nil
+	return d.verifyCtx(ctx, dsig.DefaultVerifier(), resolver, nil, added)
 }
 
 // verifyCtx checks the designer signature ds (when non-nil) and the given
-// CERs of d, whose signatures batch verifies.
-func (d *Document) verifyCtx(ds *xmltree.Node, cers []CER, batch func(sigs []*xmltree.Node) (int, int, error)) (int, error) {
+// CERs of d, whose signatures v verifies in one batch over d.
+func (d *Document) verifyCtx(ctx context.Context, v *dsig.Verifier, resolver dsig.KeyResolver, ds *xmltree.Node, cers []CER) (int, error) {
 	sigs := make([]*xmltree.Node, 0, len(cers)+1)
 	if ds != nil {
 		sigs = append(sigs, ds)
@@ -630,7 +611,7 @@ func (d *Document) verifyCtx(ds *xmltree.Node, cers []CER, batch func(sigs []*xm
 		}
 		sigs = append(sigs, sig)
 	}
-	n, idx, err := batch(sigs)
+	n, idx, err := v.VerifyBatchCtx(ctx, d.Root, sigs, resolver)
 	if err != nil {
 		if idx < 0 {
 			// No single signature failed: the batch was refused whole.

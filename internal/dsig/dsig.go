@@ -93,46 +93,12 @@ var ErrBadSignature = errors.New("dsig: signature value invalid")
 // same Id, so a Reference to it cannot name one subtree.
 var ErrDuplicateID = errors.New("dsig: duplicate Id")
 
-// IDs maps each Id value of one document to the element carrying it: the
-// index every Reference resolves through. A holder of a verified document
-// keeps one beside it, so that verifying what is appended to the document
-// walks only the appended elements (Appended, Verifier.VerifyIndexedCtx).
-type IDs map[string]*xmltree.Node
-
-// IndexIDs walks root once and indexes its Ids. Two elements carrying one
-// Id fail with ErrDuplicateID, the check every verification batch makes.
-func IndexIDs(root *xmltree.Node) (IDs, error) {
-	ix, err := newDigestIndex(root)
-	if err != nil {
-		return nil, err
-	}
-	return ix.byID, nil
-}
-
-// Appended indexes the Ids inside the subtrees appended, which are being
-// added to the document ids indexes. It walks only those subtrees, and an
-// Id carried twice, in ids or among them, fails with ErrDuplicateID. ids
-// is left unchanged: its holder adds the result to it once the appended
-// elements are kept.
-func (ids IDs) Appended(appended []*xmltree.Node) (IDs, error) {
-	out := IDs{}
-	var dup error
-	for _, root := range appended {
-		root.Walk(func(e *xmltree.Node) bool {
-			if v, ok := e.Attr("Id"); ok {
-				if ids[v] != nil || out[v] != nil {
-					dup = fmt.Errorf("%w: %q", ErrDuplicateID, v)
-					return false
-				}
-				out[v] = e
-			}
-			return true
-		})
-		if dup != nil {
-			return nil, dup
-		}
-	}
-	return out, nil
+// CheckIDs reports ErrDuplicateID when two elements under root carry one
+// Id, the check every verification batch makes before it resolves a
+// Reference.
+func CheckIDs(root *xmltree.Node) error {
+	_, err := newDigestIndex(root)
+	return err
 }
 
 // Sign creates a Signature element covering the elements of root whose Id

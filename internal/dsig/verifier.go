@@ -59,8 +59,7 @@ const DefaultCacheSize = 4096
 // SHA-256 digest is computed at most once per batch regardless of how many
 // signatures reference it. Safe for concurrent use by a batch's goroutines.
 type digestIndex struct {
-	byID IDs
-	base IDs // consulted for Ids byID lacks; nil for a whole-document index
+	byID map[string]*xmltree.Node
 
 	mu   sync.Mutex
 	sums map[string][]byte
@@ -71,8 +70,22 @@ type digestIndex struct {
 // a Reference to it would be ambiguous, and resolving it to either copy
 // lets a signed original vouch for a forged twin (signature wrapping).
 func newDigestIndex(root *xmltree.Node) (*digestIndex, error) {
-	byID, err := IDs(nil).Appended([]*xmltree.Node{root})
-	return &digestIndex{byID: byID, sums: make(map[string][]byte)}, err
+	ix := &digestIndex{
+		byID: make(map[string]*xmltree.Node),
+		sums: make(map[string][]byte),
+	}
+	var dup error
+	root.Walk(func(e *xmltree.Node) bool {
+		if v, ok := e.Attr("Id"); ok {
+			if _, seen := ix.byID[v]; seen {
+				dup = fmt.Errorf("%w: %q", ErrDuplicateID, v)
+				return false
+			}
+			ix.byID[v] = e
+		}
+		return true
+	})
+	return ix, dup
 }
 
 // digest returns the SHA-256 of the canonical bytes of the element with the
@@ -86,9 +99,6 @@ func (ix *digestIndex) digest(id string) ([]byte, error) {
 		return sum, nil
 	}
 	target := ix.byID[id]
-	if target == nil {
-		target = ix.base[id]
-	}
 	if target == nil {
 		return nil, fmt.Errorf("%w: #%s", ErrMissingReference, id)
 	}
@@ -263,22 +273,6 @@ func sigLabel(sig *xmltree.Node, idx int) string {
 // sampled distributed trace the batch lands as a dsig-tier span (see
 // VerifyAllCtx).
 func (v *Verifier) VerifyBatchCtx(tctx context.Context, root *xmltree.Node, sigs []*xmltree.Node, resolver KeyResolver) (verified int, failedIdx int, err error) {
-	return v.verifyBatch(tctx, func() (*digestIndex, error) { return newDigestIndex(root) }, sigs, resolver)
-}
-
-// VerifyIndexedCtx is VerifyBatchCtx over a document that is indexed
-// instead of walked: References resolve through appended, then held (see
-// IDs.Appended). The caller vouches that the two indexes describe the
-// document the signatures are in and that no Id is carried twice.
-func (v *Verifier) VerifyIndexedCtx(tctx context.Context, held, appended IDs, sigs []*xmltree.Node, resolver KeyResolver) (verified int, failedIdx int, err error) {
-	return v.verifyBatch(tctx, func() (*digestIndex, error) {
-		return &digestIndex{byID: appended, base: held, sums: map[string][]byte{}}, nil
-	}, sigs, resolver)
-}
-
-// verifyBatch verifies sigs through the index that index builds; see
-// VerifyBatchCtx.
-func (v *Verifier) verifyBatch(tctx context.Context, index func() (*digestIndex, error), sigs []*xmltree.Node, resolver KeyResolver) (verified int, failedIdx int, err error) {
 	if len(sigs) == 0 {
 		return 0, -1, nil
 	}
@@ -292,7 +286,7 @@ func (v *Verifier) verifyBatch(tctx context.Context, index func() (*digestIndex,
 	defer span.End()
 	span.SetAttr("sigs", strconv.Itoa(len(sigs)))
 
-	ix, err := index()
+	ix, err := newDigestIndex(root)
 	if err != nil {
 		return 0, -1, err
 	}

@@ -171,7 +171,9 @@ func (c *Client) attemptOnce(ctx context.Context, method, path string, body []by
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := readBody(resp.Body, resp.ContentLength)
+	// The portal this client chose declares the length, so the buffer
+	// is allocated at that length whole.
+	respBody, err := readBody(resp.Body, resp.ContentLength, maxBody)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,10 +1,15 @@
 package httpapi
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -59,6 +64,51 @@ func TestBodyTooLarge413(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode == http.StatusRequestEntityTooLarge {
 		t.Fatal("body exactly at the limit was rejected as too large")
+	}
+}
+
+// TestDeclaredLengthNotPreallocated: a request body is read before its
+// sender is authenticated, so a Content-Length of maxBody with no body
+// behind it must not buy a maxBody buffer.
+func TestDeclaredLengthNotPreallocated(t *testing.T) {
+	w := newWorld(t)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(w.portalSrv.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fmt.Fprintf(conn, "POST /v1/documents HTTP/1.1\r\nHost: portal\r\nContent-Length: %d\r\n\r\n<DRA4WfMS>", maxBody)
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 for a body shorter than its Content-Length", resp.StatusCode)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(maxBody)/4 {
+		t.Fatalf("a request declaring %d bytes and sending 10 allocated %d bytes", maxBody, got)
+	}
+}
+
+// TestReadBody: a body is read whole whether its declared length fits the
+// up-front buffer or not, and a short one is an error.
+func TestReadBody(t *testing.T) {
+	body := strings.Repeat("<CER/>", 100)
+	for _, presize := range []int64{16, maxBody} {
+		for _, n := range []int64{int64(len(body)), -1} {
+			got, err := readBody(strings.NewReader(body), n, presize)
+			if err != nil || string(got) != body {
+				t.Fatalf("presize %d, length %d: read %d bytes, %v", presize, n, len(got), err)
+			}
+		}
+	}
+	if _, err := readBody(strings.NewReader(body), int64(len(body))+1, maxBody); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short body: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

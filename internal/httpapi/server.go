@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -166,30 +167,44 @@ func (s *PortalServer) auth(h handlerFunc) http.HandlerFunc {
 // errBodyTooLarge: a body longer than maxBody.
 var errBodyTooLarge = errors.New("httpapi: body exceeds the size limit")
 
+// requestPresize bounds the buffer a request body gets before its bytes
+// arrive. The request's Content-Length is not yet authenticated when the
+// body is read, so a larger declared length grows the buffer only as its
+// bytes come in; a request that declares maxBody and sends nothing costs
+// this much, not maxBody. Documents of most instances fit.
+const requestPresize = 1 << 20
+
 // readBody reads a body of declared length n (-1 when unknown) into one
-// buffer, allocated at its size when n is known and grown by io.ReadAll
-// otherwise. A body longer than maxBody fails with errBodyTooLarge.
-func readBody(r io.Reader, n int64) ([]byte, error) {
+// buffer. A known length up to presize is allocated up front, so a body
+// that size is read without growing the buffer; a longer one grows it as
+// it arrives. A body longer than maxBody fails with errBodyTooLarge, one
+// shorter than n with io.ErrUnexpectedEOF.
+func readBody(r io.Reader, n, presize int64) ([]byte, error) {
 	if n > maxBody {
 		return nil, errBodyTooLarge
 	}
-	if n < 0 {
-		b, err := io.ReadAll(io.LimitReader(r, maxBody+1))
-		if err == nil && int64(len(b)) > maxBody {
-			return nil, errBodyTooLarge
-		}
-		return b, err
+	size := int64(0)
+	if n > 0 {
+		size = min(n, presize)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	// ReadFrom asks for MinRead free bytes before each read, the one that
+	// sees EOF included.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(r, maxBody+1)); err != nil {
 		return nil, err
 	}
-	return b, nil
+	switch {
+	case int64(buf.Len()) > maxBody:
+		return nil, errBodyTooLarge
+	case n >= 0 && int64(buf.Len()) != n:
+		return nil, io.ErrUnexpectedEOF
+	}
+	return buf.Bytes(), nil
 }
 
 func authWrap(a *Authenticator, h handlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := readBody(r.Body, r.ContentLength)
+		body, err := readBody(r.Body, r.ContentLength, requestPresize)
 		if errors.Is(err, errBodyTooLarge) {
 			// Deliberate 413 with a machine-readable JSON error (not an
 			// accidental connection reset), counted for operators.

@@ -305,7 +305,7 @@ func TestStoresOfDifferentInstancesDoNotWait(t *testing.T) {
 		doc := c.initial(t)
 		distinct := true
 		for _, d := range docs {
-			if c.portal.stripeFor(d.ProcessID()) == c.portal.stripeFor(doc.ProcessID()) {
+			if c.portal.lockFor(d.ProcessID()) == c.portal.lockFor(doc.ProcessID()) {
 				distinct = false
 			}
 		}

@@ -163,6 +163,39 @@ func TestStoreRefusesDocumentBuiltOnDiscardedCER(t *testing.T) {
 	}
 }
 
+// TestStoreRefusesForgedDesignerSignature: StoreCtx checks a whole
+// document against the row it extends, not alone. The designer's
+// signature sits inside the application definition, which must carry the
+// row's bytes, so a document whose designer signature is forged or
+// missing is refused even though the CER it adds verifies, and the row is
+// unchanged.
+func TestStoreRefusesForgedDesignerSignature(t *testing.T) {
+	c := newCloud(t)
+	pid := c.startedAfterA(t)
+	b1 := execute(t, c.agents["B1"], c.retrieve(t, pid, "B1"), "B1", aea.Inputs{"techReview": "ok"})
+	forged, missing := b1.Clone(), b1.Clone()
+	sv := forged.DesignerSignature().Child("SignatureValue")
+	v := sv.TextContent()
+	flip := "A"
+	if v[0] == 'A' {
+		flip = "B"
+	}
+	sv.SetText(flip + v[1:])
+	missing.Root.Child("ApplicationDefinition").RemoveChild(missing.DesignerSignature())
+	before, _ := c.table.Get(pid, "doc", "content")
+	for name, doc := range map[string]*document.Document{"forged": forged, "missing": missing} {
+		if _, err := c.portal.Store(doc); err == nil {
+			t.Fatalf("a document with a %s designer signature was stored", name)
+		}
+	}
+	if after, _ := c.table.Get(pid, "doc", "content"); !bytes.Equal(before, after) {
+		t.Fatal("a refused document changed the row")
+	}
+	if _, err := c.portal.Store(b1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDeltaOnUnknownBaseRefused: a delta built on a CER the row lacks,
 // or sent for an instance with no row, is ErrUnknownBase and changes
 // nothing.
@@ -217,16 +250,16 @@ func TestRepeatedDeltaIsHarmless(t *testing.T) {
 	}
 }
 
-// TestStripeTreeFollowsTheRow: the tree a stripe keeps is used only while
-// the row holds the bytes written from it. Another portal's write in
-// between is read, not overwritten.
-func TestStripeTreeFollowsTheRow(t *testing.T) {
+// TestStoresThroughTwoPortals: B1 is stored whole through one portal,
+// then B2's delta, built on the same post-A row, through the other; the
+// row holds both.
+func TestStoresThroughTwoPortals(t *testing.T) {
 	c := newCloud(t)
 	pid := c.startedAfterA(t)
 	postA := c.retrieve(t, pid, "B1")
 	b1 := execute(t, c.agents["B1"], postA, "B1", aea.Inputs{"techReview": "ok"})
 	b2 := execute(t, c.agents["B2"], postA, "B2", aea.Inputs{"budgetReview": "ok"})
-	if _, err := c.portal2.Store(b1); err != nil { // portal's stripe still holds the post-A tree
+	if _, err := c.portal2.Store(b1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := storeVia(c.portal, "delta", b2); err != nil {
@@ -237,50 +270,9 @@ func TestStripeTreeFollowsTheRow(t *testing.T) {
 	}
 }
 
-// TestStripeTreeSharesNoCallerNode: a caller that edits the document it
-// stored whole cannot reach the row through the tree the portal keeps.
-func TestStripeTreeSharesNoCallerNode(t *testing.T) {
-	c := newCloud(t)
-	doc := c.initial(t)
-	pid := doc.ProcessID()
-	if _, err := c.portal.StoreInitial(doc); err != nil {
-		t.Fatal(err)
-	}
-	outA := execute(t, c.agents["A"], c.retrieve(t, pid, "A"), "A", aea.Inputs{"request": "r"})
-	if _, err := c.portal.Store(outA); err != nil {
-		t.Fatal(err)
-	}
-	flipCipherByte(t, outA) // in place, after the store
-	b1 := execute(t, c.agents["B1"], c.retrieve(t, pid, "B1"), "B1", aea.Inputs{"techReview": "ok"})
-	if _, err := storeVia(c.portal, "delta", b1); err != nil {
-		t.Fatal(err)
-	}
-	c.storedDoc(t, pid) // verifies
-}
-
-// TestStripeKeepsNoCompletedInstance: the stripe keeps the tree of a
-// running instance's row, and drops it once the instance has nothing
-// enabled, since no hop stores to it again.
-func TestStripeKeepsNoCompletedInstance(t *testing.T) {
-	c := newCloud(t)
-	pid := c.startedAfterA(t)
-	c.run(t, pid, "B1", aea.Inputs{"techReview": "ok"})
-	c.run(t, pid, "B2", aea.Inputs{"budgetReview": "ok"})
-	c.run(t, pid, "C", aea.Inputs{"summary": "s"})
-	s := c.portal.stripeFor(pid)
-	if s.pid != pid || s.doc == nil {
-		t.Fatal("the stripe keeps no tree of a running instance")
-	}
-	c.run(t, pid, "D", aea.Inputs{"accept": "true"})
-	if s.doc != nil || s.ids != nil || s.content != nil {
-		t.Fatal("the stripe still keeps the tree of a completed instance")
-	}
-}
-
 // TestConcurrentDeltaStoresOfOneInstance: B1's and B2's deltas, each
-// sent twice, reach one portal at once. The stripe's tree and Id index
-// are shared by all four stores; the row ends with A, B1 and B2 and
-// verifies, whatever the order.
+// sent twice, reach one portal at once; the row ends with A, B1 and B2
+// and verifies, whatever the order.
 func TestConcurrentDeltaStoresOfOneInstance(t *testing.T) {
 	c := newCloud(t)
 	pid := c.startedAfterA(t)
@@ -310,24 +302,20 @@ func TestConcurrentDeltaStoresOfOneInstance(t *testing.T) {
 // through internal/driver (an importer of this package).
 var SameRows = sameRows
 
-// TestDeltaRefusesHeldId: a delta whose CER carries, inside it, an Id
-// the row already holds (here A's Result Id, a wrapping attempt) is
-// refused with dsig.ErrDuplicateID both by a portal whose stripe keeps
-// the row's Id index and by one that indexes the row cold.
+// TestDeltaRefusesHeldId: a delta whose CER carries, inside it, a twin
+// of an element the row holds (here A's Result, under its Id: a wrapping
+// attempt) is refused with dsig.ErrDuplicateID and changes nothing.
 func TestDeltaRefusesHeldId(t *testing.T) {
 	c := newCloud(t)
-	pid := c.startedAfterA(t) // through c.portal: its stripe is warm
+	pid := c.startedAfterA(t)
 	postA := c.retrieve(t, pid, "B1")
 	a, _ := postA.FindCER(document.KindFinal, "A", 0)
-	aResult, _ := a.Result().Attr("Id")
 	b1 := execute(t, c.agents["B1"], postA, "B1", aea.Inputs{"techReview": "ok"})
 	cer, _ := b1.FindCER(document.KindFinal, "B1", 0)
-	cer.Result().SetAttr("Id", aResult)
+	cer.El.AppendChild(a.Result().Clone())
 	before, _ := c.table.Get(pid, "doc", "content")
-	for name, p := range map[string]*Portal{"warm": c.portal, "cold": c.portal2} {
-		if _, err := storeVia(p, "delta", b1); !errors.Is(err, dsig.ErrDuplicateID) {
-			t.Fatalf("%s stripe: %v, want dsig.ErrDuplicateID", name, err)
-		}
+	if _, err := storeVia(c.portal, "delta", b1); !errors.Is(err, dsig.ErrDuplicateID) {
+		t.Fatalf("delta repeating a held Id: %v, want dsig.ErrDuplicateID", err)
 	}
 	if after, _ := c.table.Get(pid, "doc", "content"); !bytes.Equal(before, after) {
 		t.Fatal("a refused delta changed the row")

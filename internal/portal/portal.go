@@ -30,12 +30,10 @@
 package portal
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,44 +117,18 @@ type Portal struct {
 	// implementations deliver asynchronously.
 	OnNotify func(context.Context, Notification)
 
-	stripes [64]stripe
+	// stripes serialize the read-merge-write cycles of one process
+	// instance; see lockFor.
+	stripes [64]sync.Mutex
 }
 
-// stripe serializes the read-merge-write cycles of the process instances
-// hashing to it (see stripeFor), and keeps the tree of the row it last
-// wrote with the index of its Ids, so the next store of that instance
-// parses nothing the portal wrote itself and walks only the CERs it
-// appends. The tree is set only after its row was written, and used only
-// while the stored bytes are still the ones written from it; it shares
-// no node with a caller's document. A row with no enabled activity (a
-// completed instance) is not kept.
-type stripe struct {
-	mu      sync.Mutex
-	pid     string
-	content []byte
-	doc     *document.Document
-	ids     dsig.IDs
-}
-
-// stripeFor returns the stripe of processID. Instances hashing to the same
-// stripe share it, which costs concurrency and tree reuse, never
-// correctness.
-func (p *Portal) stripeFor(processID string) *stripe {
+// lockFor returns the mutex that stores of processID exclude each other
+// with. Instances hashing to the same stripe share it, which costs
+// concurrency, never correctness.
+func (p *Portal) lockFor(processID string) *sync.Mutex {
 	h := fnv.New32a()
 	h.Write([]byte(processID))
 	return &p.stripes[h.Sum32()%uint32(len(p.stripes))]
-}
-
-// held returns the stored document of pid whose doc:content is raw with
-// the index of its Ids: the stripe's tree and index when the stripe wrote
-// exactly those bytes, a parse of them and a nil index otherwise. Caller
-// holds s.mu.
-func (s *stripe) held(pid string, raw []byte) (*document.Document, dsig.IDs, error) {
-	if s.doc != nil && s.pid == pid && bytes.Equal(s.content, raw) {
-		return s.doc, s.ids, nil
-	}
-	doc, err := document.Parse(raw)
-	return doc, nil, err
 }
 
 // New creates a portal server.
@@ -189,12 +161,16 @@ func (p *Portal) Store(doc *document.Document) ([]Notification, error) {
 // pool writes nest under it, and notifications dispatched to OnNotify
 // continue the same trace through the webhook relay.
 //
-// A stored instance is extended the way StoreDeltaCtx extends it: doc is
-// diffed against the row, and only the CERs the row lacks are verified
-// and appended; a CER Id the row holds with other bytes is refused
-// (document.ErrEquivocation). Content outside the process's header,
-// definition and CERs is not stored. An instance with no row yet is
-// verified whole and stored as it is.
+// A stored instance is extended the way StoreDeltaCtx extends it, so doc
+// is checked against the row it extends rather than alone: its header
+// and application definition, the designer's signature inside it
+// included, must carry the row's bytes; a CER the row holds must carry
+// the same bytes (else document.ErrEquivocation); no Id may appear twice
+// in doc; and only the CERs the row lacks are verified, against the
+// extended row, and appended. Everything else the row holds was verified
+// when it was written. Content outside the header, definition and CERs
+// is neither verified nor stored, as Merge never stored it. An instance
+// with no row yet is verified whole and stored as it is.
 func (p *Portal) StoreCtx(ctx context.Context, doc *document.Document) ([]Notification, error) {
 	return p.extend(ctx, doc.ProcessID(), doc, func(held *document.Document) ([]document.CER, error) {
 		if err := document.SameInstance(held, doc); err != nil {
@@ -202,23 +178,10 @@ func (p *Portal) StoreCtx(ctx context.Context, doc *document.Document) ([]Notifi
 		}
 		// A duplicate Id anywhere in doc, also in content the row would
 		// not take, is refused as the signature wrapping it is.
-		if _, err := dsig.IndexIDs(doc.Root); err != nil {
+		if err := dsig.CheckIDs(doc.Root); err != nil {
 			return nil, err
 		}
-		added, err := held.Diff(nil, doc.CERs())
-		if err != nil {
-			return nil, err
-		}
-		// The stripe keeps the extended row's tree, so it takes copies of
-		// the CERs instead of nodes of the caller's document.
-		for i, c := range added {
-			el, err := xmltree.ParseBytes(c.El.Canonical())
-			if err != nil {
-				return nil, err
-			}
-			added[i] = document.CER{El: el}
-		}
-		return added, nil
+		return held.Diff(nil, doc.CERs())
 	})
 }
 
@@ -228,8 +191,7 @@ func (p *Portal) StoreCtx(ctx context.Context, doc *document.Document) ([]Notifi
 // document instead. A CER of d the row holds with the same bytes is
 // skipped, one it holds with other bytes is refused
 // (document.ErrEquivocation), and the rest are verified against the
-// extended row and appended. The portal keeps d's CER elements; the
-// caller must not change them afterwards.
+// extended row and appended.
 func (p *Portal) StoreDeltaCtx(ctx context.Context, processID string, d document.Delta) ([]Notification, error) {
 	return p.extend(ctx, processID, nil, func(held *document.Document) ([]document.CER, error) {
 		return held.Diff(d.Base, d.CERs)
@@ -247,9 +209,9 @@ func (p *Portal) extend(ctx context.Context, processID string, whole *document.D
 	defer span.End()
 	span.SetAttr("process", processID)
 	notes, err := func() ([]Notification, error) {
-		s := p.stripeFor(processID)
-		s.mu.Lock()
-		defer s.mu.Unlock()
+		mu := p.lockFor(processID)
+		mu.Lock()
+		defer mu.Unlock()
 		stored := p.Table.GetRow(processID)
 		var raw []byte
 		for _, kv := range stored {
@@ -266,7 +228,7 @@ func (p *Portal) extend(ctx context.Context, processID string, whole *document.D
 			}
 			return p.persist(ctx, whole, stored)
 		}
-		held, ids, err := s.held(processID, raw)
+		held, err := document.Parse(raw)
 		if err != nil {
 			return nil, err
 		}
@@ -274,16 +236,10 @@ func (p *Portal) extend(ctx context.Context, processID string, whole *document.D
 		if err != nil {
 			return nil, fmt.Errorf("portal: rejecting document: %w", err)
 		}
-		merged, appended := held, dsig.IDs(nil)
+		merged := held
 		if len(added) > 0 {
-			if ids == nil { // a row this stripe did not write: index it whole
-				if ids, err = dsig.IndexIDs(held.Root); err != nil {
-					return nil, fmt.Errorf("portal: stored instance %s: %w", processID, err)
-				}
-			}
 			merged = held.With(added)
-			var nsigs int
-			if appended, nsigs, err = merged.VerifyAddedCtx(ctx, p.Registry, ids, added); err != nil {
+			if nsigs, err := merged.VerifyAddedCtx(ctx, p.Registry, added); err != nil {
 				return nil, fmt.Errorf("portal: rejecting document (%d signatures verified before failure): %w", nsigs, err)
 			}
 		}
@@ -294,13 +250,6 @@ func (p *Portal) extend(ctx context.Context, processID string, whole *document.D
 		}
 		if err := p.Table.Mutate(ctx, processID, cells); err != nil {
 			return nil, err
-		}
-		s.pid, s.content, s.doc, s.ids = "", nil, nil, nil
-		// With nothing enabled no hop extends the row again, so the
-		// stripe keeps no tree of it.
-		if len(notes) > 0 {
-			maps.Copy(ids, appended)
-			s.pid, s.content, s.doc, s.ids = processID, cells[0].Value, merged, ids
 		}
 		return notes, nil
 	}()
@@ -429,9 +378,9 @@ func (p *Portal) StoreInitialCtx(ctx context.Context, doc *document.Document) ([
 		return nil, fmt.Errorf("portal: rejecting initial document (%d signatures verified before failure): %w", nsigs, err)
 	}
 	notes, err := func() ([]Notification, error) {
-		s := p.stripeFor(doc.ProcessID())
-		s.mu.Lock()
-		defer s.mu.Unlock()
+		mu := p.lockFor(doc.ProcessID())
+		mu.Lock()
+		defer mu.Unlock()
 		if _, ok := p.Table.GetCtx(ctx, doc.ProcessID(), "doc", "content"); ok {
 			return nil, fmt.Errorf("portal: process %s already exists (replayed initial document?)", doc.ProcessID())
 		}
