@@ -66,23 +66,26 @@ benchpairs:
 	./scripts/benchpairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # benchsmoke compiles and runs every dsig/xmltree/xmlenc/aea/httpapi/portal
-# benchmark and the root pool benchmark (BenchmarkPoolPutGetScan) once, so
-# the fast-path benchmarks (BenchmarkVerifyAll, BenchmarkCanonicalMemo,
-# BenchmarkOpenDeepCascade, BenchmarkHopDeepCascade — a whole 7-reject
-# instance of participant hops, reporting unwraps/op and ms/hop —,
-# BenchmarkStoreDeepCascade — the same instance stored through a portal,
-# by delta as the client stores and as whole documents, each reporting
-# ms/hop and canonical-memo misses per hop; both deep-cascade benchmarks
-# run on 2048-bit keys, as the daemons do —,
-# BenchmarkSignVerifyRequest per request suite, BenchmarkNonceRemember)
-# and the pool's put/get/scan/parallel mix cannot rot between
-# perf-focused PRs, then regenerates the paper's Table 1 with
-# drabench and checks its -json document carries the table1 rows.
+# benchmark and every root benchmark once, so the fast-path benchmarks
+# (BenchmarkVerifyAll, BenchmarkCanonicalMemo, BenchmarkOpenDeepCascade,
+# BenchmarkHopDeepCascade — a whole 7-reject instance of participant hops,
+# reporting unwraps/op and ms/hop —, BenchmarkStoreDeepCascade — the same
+# instance stored through a portal, by delta as the client stores and as
+# whole documents, each reporting ms/hop and canonical-memo misses per
+# hop; both deep-cascade benchmarks run on 2048-bit keys, as the daemons
+# do —, BenchmarkSignVerifyRequest per request suite,
+# BenchmarkNonceRemember) and the root package's per-layer benchmarks
+# (cascade depth, Algorithm 1, element-wise encryption, key wrapping per
+# reader, the TFC hop, the pool's put/get/scan/parallel mix) cannot rot
+# between perf-focused PRs. It then runs every drabench experiment once and
+# checks the -json document: Table 1's 11 rows, Table 2's 21 rows, and the
+# engine baseline's superuser tamper missed by the engine and caught by
+# DRA4WfMS.
 benchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/dsig/... ./internal/xmltree/... ./internal/xmlenc/... ./internal/aea/... ./internal/httpapi/... ./internal/portal/...
-	$(GO) test -run=NONE -bench=BenchmarkPool -benchtime=1x .
-	$(GO) run ./cmd/drabench -experiment table1 -bits 1024 -reps 1 -json | \
-		python3 -c 'import json, sys; rows = json.load(sys.stdin)["table1"]; assert len(rows) == 11, rows; print("drabench table1: %d rows" % len(rows))'
+	$(GO) test -run=NONE -bench=. -benchtime=1x .
+	$(GO) run ./cmd/drabench -experiment all -bits 1024 -reps 1 -json | \
+		python3 -c 'import json, sys; d = json.load(sys.stdin); t1, t2, e = d["table1"], d["table2"], d["engine"]; assert len(t1) == 11, t1; assert len(t2) == 21, t2; assert e["EngineTamperCaught"] is False and e["DRATamperCaught"] is True, e; print("drabench: table1 %d rows, table2 %d rows, engine tamper caught by DRA4WfMS only" % (len(t1), len(t2)))'
 
 # faults is the relay reliability gate: fault injection (20% of
 # deliveries dropped/duplicated, 10% un-acked, judged by internal/chaos)

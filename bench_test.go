@@ -1,9 +1,11 @@
-// Root benchmarks: one testing.B benchmark per table and figure of the
-// paper's evaluation, plus the ablations indexed in DESIGN.md. They wrap
-// the runners of internal/bench; `cmd/drabench` prints the same results as
-// paper-style tables.
+// Root benchmarks: Tables 1 and 2 and the engine baseline through the
+// runners of internal/bench (`cmd/drabench` prints the same results as
+// paper-style tables), and one benchmark per single-layer cost the
+// evaluation decomposes into: cascade depth, Algorithm 1, element-wise
+// encryption, key wrapping per reader, the TFC hop, AEA Open, the pool
+// and a portal lifecycle. `make benchsmoke` runs each once.
 //
-// Run: go test -bench=. -benchmem
+// Run: go test -run=NONE -bench=. -benchmem .
 package dra4wfms
 
 import (
@@ -368,17 +370,6 @@ func newBenchTable(b *testing.B) *pool.Table {
 	return tbl
 }
 
-// BenchmarkScalabilitySim runs the calibrated discrete-event comparison at
-// a fixed load (it is a simulation: one op = simulating 200 instances).
-func BenchmarkScalabilitySim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := bench.RunScalability([]int{200}, time.Millisecond, 4*time.Millisecond, time.Millisecond, 2)
-		if len(rows) != 2 {
-			b.Fatal("bad row count")
-		}
-	}
-}
-
 // BenchmarkPortalLifecycle measures one full cloud-tier instance per op:
 // StoreInitial, then five retrieve→execute→store cycles through the
 // portal (the user-visible end-to-end cost of Figure 7's deployment).
@@ -423,30 +414,6 @@ func BenchmarkPortalLifecycle(b *testing.B) {
 			if _, err := p.Store(out.Doc); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// BenchmarkCryptoSuites regenerates the crypto-throughput ablation: one
-// op = the full suite × seed/cold/warm hop sweep on the Figure 9A
-// cascade, reporting the headline hops (see EXPERIMENTS.md).
-func BenchmarkCryptoSuites(b *testing.B) {
-	var rows []bench.CryptoRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = bench.RunCrypto(benchBits, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		switch {
-		case r.Suite == "rsa-sha256" && r.Mode == "seed":
-			b.ReportMetric(float64(r.Hop.Microseconds()), "rsaSeedHop_us")
-		case r.Suite == "rsa-sha256" && r.Mode == "warm":
-			b.ReportMetric(float64(r.Hop.Microseconds()), "rsaWarmHop_us")
-		case r.Suite == "ed25519" && r.Mode == "warm":
-			b.ReportMetric(float64(r.Hop.Microseconds()), "edWarmHop_us")
 		}
 	}
 }

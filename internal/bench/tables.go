@@ -1,9 +1,11 @@
-// Package bench implements the experiment harness that regenerates the
-// paper's evaluation: Table 1 (basic operational model) and Table 2
-// (advanced operational model) on the Figure 9 workflows, plus the
-// ablation and scalability experiments DESIGN.md calls out. The cmd/drabench
-// binary prints the rows; the repository-root benchmarks wrap the same
-// runners in testing.B.
+// Package bench implements the harness behind cmd/drabench: Table 1
+// (basic operational model) and Table 2 (advanced operational model) of
+// the paper's evaluation on the Figure 9 workflows, and the superuser
+// tamper against the engine-based baseline the paper's Section 1 argues
+// against. The repository-root benchmarks wrap the same runners in
+// testing.B; single-layer costs (cascade depth, verification cache,
+// encryption, the TFC hop) are timed by the benchmarks of the root
+// package and of the owning packages, not here.
 package bench
 
 import (

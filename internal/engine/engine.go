@@ -13,8 +13,9 @@
 // document.VerifyAll on DRA4WfMS documents).
 //
 // The distributed variant of Figure 1B, with instances migrating between
-// engines, is modelled on the discrete-event simulator instead
-// (bench.RunScalabilityDistributed).
+// engines, is not modelled: each of its engines keeps the same plaintext
+// store and so admits the same superuser tamper, and the paper argues its
+// scalability cost only qualitatively.
 package engine
 
 import (
