@@ -69,7 +69,7 @@ benchpairs:
 # benchmark and every root benchmark once, so the fast-path benchmarks
 # (BenchmarkVerifyAll, BenchmarkCanonicalMemo, BenchmarkOpenDeepCascade,
 # BenchmarkHopDeepCascade — a whole 7-reject instance of participant hops,
-# reporting unwraps/op and ms/hop —, BenchmarkStoreDeepCascade — the same
+# reporting unwraps/op, wraps/op and ms/hop —, BenchmarkStoreDeepCascade — the same
 # instance stored through a portal, by delta as the client stores and as
 # whole documents, each reporting ms/hop and canonical-memo misses per
 # hop; both deep-cascade benchmarks run on 2048-bit keys, as the daemons

@@ -19,6 +19,7 @@ import (
 	"dra4wfms/internal/aea"
 	"dra4wfms/internal/bench"
 	"dra4wfms/internal/document"
+	"dra4wfms/internal/engine"
 	"dra4wfms/internal/pool"
 	"dra4wfms/internal/portal"
 	"dra4wfms/internal/testenv"
@@ -266,14 +267,26 @@ func BenchmarkAEAOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineVsDRA compares one plaintext engine-based instance against
-// one full-crypto DRA4WfMS instance (single accepting pass of Figure 9A).
+// BenchmarkEngineVsDRA times one single accepting pass of Figure 9A per
+// op on each system under its own name: engine, the plaintext
+// engine-based baseline, and dra4wfms, the full-crypto basic model. The
+// tamper verdicts are checked by internal/bench's TestRunEngineVsDRA.
 func BenchmarkEngineVsDRA(b *testing.B) {
-	b.Run("engine-baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := bench.RunEngineVsDRA(benchBits, 1); err != nil {
-				b.Fatal(err)
-			}
+	b.Run("engine", func(b *testing.B) {
+		eng := engine.New("engine-1", nil)
+		if err := eng.Deploy(wfdef.Fig9A()); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		if _, err := bench.RunEngine(eng, b.N); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("dra4wfms", func(b *testing.B) {
+		env := testenv.Fig9(benchBits)
+		b.ResetTimer()
+		if _, err := bench.RunDRA(env, b.N); err != nil {
+			b.Fatal(err)
 		}
 	})
 }

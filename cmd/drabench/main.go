@@ -58,7 +58,9 @@ var experiments = []struct {
 		}
 		p.doc["table1"] = rows
 		fmt.Fprint(w, bench.FormatTable1(rows))
-		fmt.Fprintln(w, "expected shape: alpha grows ~linearly with #sigs; beta ~constant; Sigma linear.")
+		fmt.Fprintln(w, "times are the median over the reps (inter-quartile range in parentheses).")
+		fmt.Fprintln(w, "expected shape: alpha grows with #sigs within a pass and drops in the second pass, whose")
+		fmt.Fprintln(w, "content keys the readers already unwrapped; beta ~constant; Sigma linear.")
 		return nil
 	}},
 
@@ -70,8 +72,10 @@ var experiments = []struct {
 		}
 		p.doc["table2"] = rows
 		fmt.Fprint(w, bench.FormatTable2(rows))
-		fmt.Fprintln(w, "expected shape: alpha grows with #CERs on both AEA and TFC sides; beta, gamma ~constant;")
-		fmt.Fprintln(w, "documents larger than Table 1 (intermediate CERs + timestamps).")
+		fmt.Fprintln(w, "times are the median over the reps (inter-quartile range in parentheses).")
+		fmt.Fprintln(w, "expected shape: alpha grows with #CERs on both AEA and TFC sides within a pass and drops in")
+		fmt.Fprintln(w, "the second pass (content keys already unwrapped); beta, gamma ~constant; documents larger")
+		fmt.Fprintln(w, "than Table 1 (intermediate CERs + timestamps).")
 		return nil
 	}},
 
@@ -106,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	experiment := fs.String("experiment", "all", "which experiment to run: "+valid)
 	bits := fs.Int("bits", 2048, "RSA modulus size")
-	reps := fs.Int("reps", 5, "repetitions to average over (tables)")
+	reps := fs.Int("reps", 5, "repetitions of each table, reported as median and inter-quartile range")
 	jsonOut := fs.Bool("json", false, "emit the run's table rows and closing telemetry snapshot as one JSON document on stdout (tables move to stderr)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -82,8 +82,9 @@ var (
 type Inputs map[string]string
 
 // AEA is one participant's activity execution agent. It is safe for
-// concurrent use; the replay guard and the content-key memo are shared
-// across goroutines.
+// concurrent use; the replay guard and the content-key memos (the
+// opener's for reading, the sealer's for writing) are shared across
+// goroutines.
 type AEA struct {
 	// Keys is the participant's key pair; Keys.Owner is the principal ID.
 	// Elements are decrypted with the key pair passed to New.
@@ -95,6 +96,7 @@ type AEA struct {
 	Suite dsig.Suite
 
 	opener *xmlenc.Opener
+	sealer xmlenc.Sealer
 
 	mu   sync.Mutex
 	seen map[string]bool
@@ -284,7 +286,7 @@ func (s *Session) CompleteCtx(ctx context.Context, inputs Inputs, now time.Time)
 		return nil, err
 	}
 	_, encryptSpan := tel.StartSpan(ctx, "aea_encrypt_result_seconds")
-	fields, err := secpol.EncryptFields(s.def, s.aea.Registry, s.act.ID, s.iter, inputs)
+	fields, err := secpol.EncryptFields(&s.aea.sealer, s.work.ProcessID(), s.def, s.aea.Registry, s.act.ID, s.iter, inputs)
 	encryptSpan.End()
 	if err != nil {
 		return nil, err
@@ -356,7 +358,7 @@ func (s *Session) CompleteToTFCCtx(ctx context.Context, inputs Inputs) (*documen
 		plain.AppendChild(document.Field(v, inputs[v]))
 	}
 	encID := fmt.Sprintf("encit-%s-%d", s.act.ID, s.iter)
-	enc, err := xmlenc.Encrypt(plain, encID, xmlenc.Recipient{ID: tfcID, Key: tfcKey})
+	enc, err := s.aea.sealer.Encrypt(s.work.ProcessID(), plain, encID, xmlenc.Recipient{ID: tfcID, Key: tfcKey})
 	if err != nil {
 		return nil, err
 	}

@@ -445,11 +445,11 @@ func TestEd25519AgentsInterop(t *testing.T) {
 func TestUndeclaredResultRefused(t *testing.T) {
 	f := newFixture(t)
 	reg := f.env.Registry
-	encrypted, err := secpol.EncryptFields(f.def, reg, "B1", 0, map[string]string{"techReview": "sound", "attachment": "forged-by-B1"})
+	encrypted, err := secpol.EncryptFields(nil, "", f.def, reg, "B1", 0, map[string]string{"techReview": "sound", "attachment": "forged-by-B1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	review, err := secpol.EncryptFields(f.def, reg, "B1", 0, map[string]string{"techReview": "sound"})
+	review, err := secpol.EncryptFields(nil, "", f.def, reg, "B1", 0, map[string]string{"techReview": "sound"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dra4wfms/internal/aea"
@@ -55,19 +56,22 @@ type Table1Row struct {
 	// counted).
 	CERs int
 	// Alpha is the time to decrypt cipher data and verify signatures on
-	// receipt (the paper's α, seconds).
-	Alpha time.Duration
+	// receipt (the paper's α), the median over the repetitions;
+	// AlphaIQR is their inter-quartile range.
+	Alpha, AlphaIQR time.Duration
 	// Beta is the time to encrypt the result and embed the signature
-	// after the participant finished (the paper's β, seconds).
-	Beta time.Duration
-	// Sigma is the produced document's size in bytes (the paper's Σ).
+	// after the participant finished (the paper's β), median and IQR.
+	Beta, BetaIQR time.Duration
+	// Sigma is the produced document's size in bytes (the paper's Σ),
+	// the mean over the repetitions.
 	Sigma int
 }
 
 // RunTable1 executes the Figure 9A workflow under the basic operational
 // model reps times with RSA keys of the given size, and returns the
-// averaged per-document measurements. The first row is the secured initial
-// document (α, β not applicable).
+// per-document measurements: the median and inter-quartile range of each
+// time, the mean size. The first row is the secured initial document (α,
+// β not applicable).
 func RunTable1(bits, reps int) ([]Table1Row, error) {
 	if reps <= 0 {
 		reps = 1
@@ -77,6 +81,7 @@ func RunTable1(bits, reps int) ([]Table1Row, error) {
 	steps := fig9Steps()
 
 	rows := make([]Table1Row, len(steps)+1)
+	alphas, betas := make([][]time.Duration, len(rows)), make([][]time.Duration, len(rows))
 	rows[0] = Table1Row{Doc: "Initial"}
 	for i, s := range steps {
 		rows[i+1] = Table1Row{Doc: docName(s.act, s.iter)}
@@ -115,8 +120,8 @@ func RunTable1(bits, reps int) ([]Table1Row, error) {
 			beta := time.Since(t1)
 
 			row := &rows[i+1]
-			row.Alpha += alpha
-			row.Beta += beta
+			alphas[i+1] = append(alphas[i+1], alpha)
+			betas[i+1] = append(betas[i+1], beta)
 			row.Sigma += out.Doc.Size()
 			row.SigsVerified = session.VerifiedSignatures
 			row.CERs = len(out.Doc.FinalCERs())
@@ -127,11 +132,31 @@ func RunTable1(bits, reps int) ([]Table1Row, error) {
 		}
 	}
 	for i := range rows {
-		rows[i].Alpha /= time.Duration(reps)
-		rows[i].Beta /= time.Duration(reps)
+		rows[i].Alpha, rows[i].AlphaIQR = spread(alphas[i])
+		rows[i].Beta, rows[i].BetaIQR = spread(betas[i])
 		rows[i].Sigma /= reps
 	}
 	return rows, nil
+}
+
+// spread returns the median and the inter-quartile range of samples
+// (quartiles interpolated linearly between order statistics), zero for no
+// samples.
+func spread(samples []time.Duration) (median, iqr time.Duration) {
+	if len(samples) == 0 {
+		return 0, 0
+	}
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	q := func(p float64) time.Duration {
+		pos := float64(len(s)-1) * p
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[lo]
+		}
+		return s[lo] + time.Duration((pos-float64(lo))*float64(s[lo+1]-s[lo]))
+	}
+	return q(0.5), q(0.75) - q(0.25)
 }
 
 // deliver hands doc, just produced by activity from, to each activity in
@@ -189,18 +214,20 @@ type Table2Row struct {
 	// the produced document.
 	CERs int
 	// Alpha is the receive-side decrypt+verify time of this stage (the
-	// paper's α covers AEA and TFC).
-	Alpha time.Duration
+	// paper's α covers AEA and TFC). Each time is the median over the
+	// repetitions, beside its inter-quartile range.
+	Alpha, AlphaIQR time.Duration
 	// Beta is the AEA's encrypt+embed time (empty for TFC rows).
-	Beta time.Duration
+	Beta, BetaIQR time.Duration
 	// Gamma is the TFC's encrypt+stamp+sign time (empty for AEA rows).
-	Gamma time.Duration
-	// Sigma is the produced document's size in bytes.
+	Gamma, GammaIQR time.Duration
+	// Sigma is the produced document's size in bytes, the mean over the
+	// repetitions.
 	Sigma int
 }
 
 // RunTable2 executes the Figure 9B workflow under the advanced operational
-// model reps times and returns the averaged measurements.
+// model reps times and returns the measurements as RunTable1 does.
 func RunTable2(bits, reps int) ([]Table2Row, error) {
 	if reps <= 0 {
 		reps = 1
@@ -210,6 +237,7 @@ func RunTable2(bits, reps int) ([]Table2Row, error) {
 	steps := fig9Steps()
 
 	rows := make([]Table2Row, 2*len(steps)+1)
+	alphas, betas, gammas := make([][]time.Duration, len(rows)), make([][]time.Duration, len(rows)), make([][]time.Duration, len(rows))
 	rows[0] = Table2Row{Doc: "Initial", Stage: "designer"}
 	for i, s := range steps {
 		rows[1+2*i] = Table2Row{Doc: "X̄_" + s.act + fmt.Sprintf("(%d)", s.iter), Stage: "AEA"}
@@ -249,8 +277,8 @@ func RunTable2(bits, reps int) ([]Table2Row, error) {
 			aeaBeta := time.Since(t1)
 
 			aeaRow := &rows[1+2*i]
-			aeaRow.Alpha += aeaAlpha
-			aeaRow.Beta += aeaBeta
+			alphas[1+2*i] = append(alphas[1+2*i], aeaAlpha)
+			betas[1+2*i] = append(betas[1+2*i], aeaBeta)
 			aeaRow.Sigma += interm.Size()
 			aeaRow.SigsVerified = session.VerifiedSignatures
 			aeaRow.CERs = len(interm.CERs())
@@ -261,8 +289,8 @@ func RunTable2(bits, reps int) ([]Table2Row, error) {
 				return nil, fmt.Errorf("bench: tfc %s#%d: %w", s.act, s.iter, err)
 			}
 			tfcRow := &rows[2+2*i]
-			tfcRow.Alpha += out.VerifyDuration
-			tfcRow.Gamma += out.EncryptSignDuration
+			alphas[2+2*i] = append(alphas[2+2*i], out.VerifyDuration)
+			gammas[2+2*i] = append(gammas[2+2*i], out.EncryptSignDuration)
 			tfcRow.Sigma += out.Doc.Size()
 			tfcRow.SigsVerified = out.VerifiedSignatures
 			tfcRow.CERs = len(out.Doc.CERs())
@@ -273,38 +301,45 @@ func RunTable2(bits, reps int) ([]Table2Row, error) {
 		}
 	}
 	for i := range rows {
-		rows[i].Alpha /= time.Duration(reps)
-		rows[i].Beta /= time.Duration(reps)
-		rows[i].Gamma /= time.Duration(reps)
+		rows[i].Alpha, rows[i].AlphaIQR = spread(alphas[i])
+		rows[i].Beta, rows[i].BetaIQR = spread(betas[i])
+		rows[i].Gamma, rows[i].GammaIQR = spread(gammas[i])
 		rows[i].Sigma /= reps
 	}
 	return rows, nil
 }
 
-// FormatTable1 renders the rows in the paper's column layout.
+// FormatTable1 renders the rows in the paper's column layout, each time
+// as its median with the inter-quartile range in parentheses.
 func FormatTable1(rows []Table1Row) string {
-	out := fmt.Sprintf("%-10s %6s %6s %12s %12s %10s\n", "Document", "#sigs", "#CERs", "alpha", "beta", "Sigma(B)")
+	out := fmt.Sprintf("%-10s %6s %6s %21s %21s %10s\n", "Document", "#sigs", "#CERs", "alpha (IQR)", "beta (IQR)", "Sigma(B)")
 	for _, r := range rows {
-		out += fmt.Sprintf("%-10s %6d %6d %12s %12s %10d\n",
-			r.Doc, r.SigsVerified, r.CERs, fmtDur(r.Alpha), fmtDur(r.Beta), r.Sigma)
+		out += fmt.Sprintf("%-10s %6d %6d %21s %21s %10d\n",
+			r.Doc, r.SigsVerified, r.CERs, fmtSpread(r.Alpha, r.AlphaIQR), fmtSpread(r.Beta, r.BetaIQR), r.Sigma)
 	}
 	return out
 }
 
-// FormatTable2 renders the rows in the paper's column layout.
+// FormatTable2 renders the rows in the paper's column layout, like
+// FormatTable1.
 func FormatTable2(rows []Table2Row) string {
-	out := fmt.Sprintf("%-10s %-5s %6s %6s %12s %12s %12s %10s\n",
-		"Document", "stage", "#sigs", "#CERs", "alpha", "beta", "gamma", "Sigma(B)")
+	out := fmt.Sprintf("%-10s %-5s %6s %6s %21s %21s %21s %10s\n",
+		"Document", "stage", "#sigs", "#CERs", "alpha (IQR)", "beta (IQR)", "gamma (IQR)", "Sigma(B)")
 	for _, r := range rows {
-		out += fmt.Sprintf("%-10s %-5s %6d %6d %12s %12s %12s %10d\n",
-			r.Doc, r.Stage, r.SigsVerified, r.CERs, fmtDur(r.Alpha), fmtDur(r.Beta), fmtDur(r.Gamma), r.Sigma)
+		out += fmt.Sprintf("%-10s %-5s %6d %6d %21s %21s %21s %10d\n",
+			r.Doc, r.Stage, r.SigsVerified, r.CERs, fmtSpread(r.Alpha, r.AlphaIQR), fmtSpread(r.Beta, r.BetaIQR),
+			fmtSpread(r.Gamma, r.GammaIQR), r.Sigma)
 	}
 	return out
 }
 
-func fmtDur(d time.Duration) string {
-	if d == 0 {
+// fmtSpread renders a median and its IQR in milliseconds, "-" for a
+// time the row does not have.
+func fmtSpread(median, iqr time.Duration) string {
+	if median == 0 {
 		return "-"
 	}
-	return fmt.Sprintf("%.4fms", float64(d.Microseconds())/1000)
+	return fmt.Sprintf("%.4fms (%.4f)", ms(median), ms(iqr))
 }
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -48,8 +48,10 @@ func Recipients(def *wfdef.Definition, reg *pki.Registry, variable string) ([]xm
 // encrypted Field elements per the definition's policy, in sorted variable
 // order for deterministic documents. Each EncryptedData element carries a
 // Variable attribute so readers can locate their fields without trial
-// decryption (the value, not the variable name, is confidential).
-func EncryptFields(def *wfdef.Definition, reg *pki.Registry, activity string, iter int, values map[string]string) ([]*xmltree.Node, error) {
+// decryption (the value, not the variable name, is confidential). The
+// fields are sealed through the writer's sealer, scoped to the process
+// instance; a nil sealer draws a fresh content key per field.
+func EncryptFields(sealer *xmlenc.Sealer, processID string, def *wfdef.Definition, reg *pki.Registry, activity string, iter int, values map[string]string) ([]*xmltree.Node, error) {
 	vars := make([]string, 0, len(values))
 	for v := range values {
 		vars = append(vars, v)
@@ -63,7 +65,7 @@ func EncryptFields(def *wfdef.Definition, reg *pki.Registry, activity string, it
 		}
 		field := document.Field(v, values[v])
 		encID := fmt.Sprintf("encf-%s-%d-%d", activity, iter, i)
-		enc, err := xmlenc.Encrypt(field, encID, recips...)
+		enc, err := sealer.Encrypt(processID, field, encID, recips...)
 		if err != nil {
 			return nil, err
 		}

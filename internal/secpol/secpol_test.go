@@ -71,7 +71,7 @@ func TestEncryptFieldsPolicy(t *testing.T) {
 	def := wfdef.Fig4()
 	p := wfdef.Fig4Participants
 
-	fields, err := EncryptFields(def, env.Registry, "A1", 0, map[string]string{
+	fields, err := EncryptFields(nil, "", def, env.Registry, "A1", 0, map[string]string{
 		"X": "1500",
 		"Y": "confidential payload",
 	})

@@ -121,14 +121,16 @@ func (d *differential) step(doc *document.Document, activity, participant string
 	return out
 }
 
-// checkUnwraps: the server unwrapped each hop's intermediate payload,
-// and beyond that only what routing read, never a content key twice: at
-// most one unwrap per key it could read, however often it saw it.
+// checkUnwraps: the server unwrapped each participant's intermediate
+// payload key (a participant's agent seals all its payloads of the
+// instance under one key), and beyond that only what routing read, never
+// a content key twice: at most one unwrap per key it could read, however
+// often it saw it.
 func (d *differential) checkUnwraps(atMost int) {
 	d.t.Helper()
-	d.t.Logf("%d hops: the TFC unwrapped %d content keys (could read %d)", d.hops, d.unwraps, d.fresh)
-	if d.unwraps < d.hops || d.unwraps > atMost || d.unwraps > d.fresh {
-		d.t.Fatalf("TFC unwraps = %d over %d hops, want between %d and min(%d, %d)", d.unwraps, d.hops, d.hops, atMost, d.fresh)
+	d.t.Logf("%d hops by %d participants: the TFC unwrapped %d content keys (could read %d)", d.hops, len(d.agents), d.unwraps, d.fresh)
+	if d.unwraps < len(d.agents) || d.unwraps > atMost || d.unwraps > d.fresh {
+		d.t.Fatalf("TFC unwraps = %d, want between %d and min(%d, %d)", d.unwraps, len(d.agents), atMost, d.fresh)
 	}
 }
 
@@ -159,8 +161,9 @@ func TestFig9BOpenersMatchColdDecrypt(t *testing.T) {
 		}
 		doc = outD.Doc
 	}
-	// Every condition reads the fresh accept: one unwrap per hop.
-	d.checkUnwraps(d.hops)
+	// Every condition reads the fresh accept, which is in the hop's
+	// payload: one unwrap per participant.
+	d.checkUnwraps(len(d.agents))
 }
 
 // TestConcealedWfgenOpenersMatchColdDecrypt runs generated definitions with

@@ -105,6 +105,9 @@ type Server struct {
 	// intermediate result, the variables it routes on and the condition
 	// vault all go through it.
 	opener *xmlenc.Opener
+	// sealer reuses one content key per (instance, reader set) for the
+	// fields the server policy-encrypts.
+	sealer xmlenc.Sealer
 
 	mu      sync.Mutex
 	seen    map[string]bool
@@ -269,7 +272,7 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 
 	// Policy encryption of the result fields.
 	encStart := time.Now()
-	fields, err := secpol.EncryptFields(def, s.Registry, act.ID, iter, values)
+	fields, err := secpol.EncryptFields(&s.sealer, work.ProcessID(), def, s.Registry, act.ID, iter, values)
 	if err != nil {
 		return nil, err
 	}

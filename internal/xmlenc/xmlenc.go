@@ -6,9 +6,9 @@
 // mechanism: instead of encrypting a whole workflow document, each sensitive
 // element is replaced, in place, by an EncryptedData element that only the
 // intended readers can open. One element may be readable by several
-// principals — the content is encrypted once under a fresh AES-256-GCM
-// content-encryption key (CEK), and the CEK is wrapped separately to every
-// recipient with RSA-OAEP:
+// principals — the content is encrypted once under an AES-256-GCM
+// content-encryption key (CEK) with a fresh random nonce, and the CEK is
+// wrapped separately to every recipient with RSA-OAEP:
 //
 //	<EncryptedData Id="enc-X">
 //	  <EncryptionMethod Algorithm="aes-256-gcm"></EncryptionMethod>
@@ -21,6 +21,11 @@
 //	  <CipherData><CipherValue>nonce‖ciphertext</CipherValue></CipherData>
 //	</EncryptedData>
 //
+// Encrypt draws a fresh CEK for every element. A Sealer, held by one
+// writer, reuses one CEK and its wrapped copies for every element it seals
+// for the same scope (a process instance) and reader set, so the readers'
+// Openers unwrap it once; the element format is the same either way.
+//
 // The plaintext is the canonical serialization of the replaced element, so
 // decryption reconstructs the exact subtree.
 package xmlenc
@@ -32,10 +37,13 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dra4wfms/internal/pki"
 	"dra4wfms/internal/telemetry"
@@ -49,8 +57,10 @@ var (
 	mEncryptBytes = telemetry.Default().Counter("xmlenc_encrypt_bytes_total")
 	mDecryptOps   = telemetry.Default().Counter("xmlenc_decrypt_ops_total")
 	mDecryptBytes = telemetry.Default().Counter("xmlenc_decrypt_bytes_total")
+	// mWraps counts RSA-OAEP public operations (CEK wraps) performed;
 	// mUnwraps counts RSA-OAEP private operations actually performed;
 	// mUnwrapHits counts CEKs an Opener reused instead.
+	mWraps      = telemetry.Default().Counter("xmlenc_wraps_total")
 	mUnwraps    = telemetry.Default().Counter("xmlenc_unwraps_total")
 	mUnwrapHits = telemetry.Default().Counter("xmlenc_unwrap_memo_hits_total")
 )
@@ -100,22 +110,68 @@ var ErrNotRecipient = errors.New("xmlenc: principal is not a recipient of this e
 // value is detected here.
 var ErrCorrupt = errors.New("xmlenc: ciphertext corrupt or tampered")
 
-// Encrypt encrypts element el for the given recipients and returns the
-// EncryptedData element. el itself is not modified or detached; use
-// EncryptInPlace to substitute within a document. The EncryptedData carries
-// the given id in its Id attribute when non-empty (so signatures can
-// reference it).
+// Encrypt encrypts element el for the given recipients under a fresh
+// CEK and returns the EncryptedData element. el itself is not modified or
+// detached; use EncryptInPlace to substitute within a document. The
+// EncryptedData carries the given id in its Id attribute when non-empty
+// (so signatures can reference it).
 func Encrypt(el *xmltree.Node, id string, recipients ...Recipient) (*xmltree.Node, error) {
+	return (*Sealer)(nil).Encrypt("", el, id, recipients...)
+}
+
+// Sealer encrypts for one writer and reuses content keys. For each scope
+// (the process instance) and reader set — the sorted recipient IDs with
+// their OAEP labels and public keys — it keeps one CEK and the
+// EncryptedKey values that wrap it, so every element it seals for the same
+// readers in the same instance carries the same wrapped bytes and each
+// reader's Opener unwraps the CEK once. A different scope, a different
+// reader set or a re-registered key gets a fresh CEK. Every element still
+// gets its own random GCM nonce; a CEK is replaced after sealReuseCap
+// elements. The memo holds at most two generations of memoGeneration
+// entries. A Sealer is safe for concurrent use, and its zero value is
+// ready.
+type Sealer struct {
+	memo twoGen[*sealedKey]
+}
+
+// sealReuseCap is the number of elements sealed under one memoized CEK
+// before the Sealer draws a new one: far below the 2^32 random 96-bit
+// nonces after which AES-GCM's nonce-collision bound no longer holds.
+var sealReuseCap int64 = 1 << 20
+
+// sealedKey is one CEK and its wrapped copies, base64-encoded, in sorted
+// recipient order; uses counts the elements sealed under it.
+type sealedKey struct {
+	cek     [32]byte
+	wrapped []string
+	uses    atomic.Int64
+}
+
+// Encrypt is xmlenc.Encrypt reusing the CEK this sealer holds for scope
+// and the recipients. A nil Sealer is the cold path: a fresh CEK per call.
+func (s *Sealer) Encrypt(scope string, el *xmltree.Node, id string, recipients ...Recipient) (*xmltree.Node, error) {
 	if len(recipients) == 0 {
 		return nil, errors.New("xmlenc: at least one recipient required")
 	}
-	plaintext := el.Canonical()
-
-	cek := make([]byte, 32)
-	if _, err := rand.Read(cek); err != nil {
-		return nil, fmt.Errorf("xmlenc: generating CEK: %w", err)
+	// Deterministic recipient order keeps document bytes reproducible.
+	sorted := make([]Recipient, 0, len(recipients))
+	for _, r := range recipients {
+		if !slices.ContainsFunc(sorted, func(q Recipient) bool { return q.ID == r.ID }) {
+			sorted = append(sorted, r)
+		}
 	}
-	block, err := aes.NewCipher(cek)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	for _, r := range sorted {
+		if r.Key == nil {
+			return nil, fmt.Errorf("xmlenc: recipient %q has no public key", r.ID)
+		}
+	}
+	key, err := s.key(scope, sorted)
+	if err != nil {
+		return nil, err
+	}
+	plaintext := el.Canonical()
+	block, err := aes.NewCipher(key.cek[:])
 	if err != nil {
 		return nil, fmt.Errorf("xmlenc: %w", err)
 	}
@@ -127,52 +183,89 @@ func Encrypt(el *xmltree.Node, id string, recipients ...Recipient) (*xmltree.Nod
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("xmlenc: generating nonce: %w", err)
 	}
-	sealed := gcm.Seal(nil, nonce, plaintext, nil)
-	cipherValue := append(nonce, sealed...)
+	cipherValue := gcm.Seal(nonce, nonce, plaintext, nil)
+	if s == nil {
+		// The cold path keeps no copy of its CEK. This clears only the
+		// bytes held here, not the cipher's expanded key schedule, which
+		// the garbage collector frees without clearing.
+		key.cek = [32]byte{}
+	}
 
 	enc := xmltree.NewElement(EncryptedDataElem)
 	if id != "" {
 		enc.SetAttr("Id", id)
 	}
 	enc.Elem(encMethodElem, "").SetAttr("Algorithm", DataAlg)
-
 	keyInfo := xmltree.NewElement(keyInfoElem)
-	// Deterministic recipient order keeps document bytes reproducible.
-	sorted := make([]Recipient, len(recipients))
-	copy(sorted, recipients)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	seen := make(map[string]bool, len(sorted))
-	for _, r := range sorted {
-		if seen[r.ID] {
-			continue
-		}
-		seen[r.ID] = true
-		if r.Key == nil {
-			return nil, fmt.Errorf("xmlenc: recipient %q has no public key", r.ID)
-		}
-		wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, r.Key, cek, r.label())
-		if err != nil {
-			return nil, fmt.Errorf("xmlenc: wrapping CEK for %s: %w", r.ID, err)
-		}
+	for i, r := range sorted {
 		ek := xmltree.NewElement(encryptedKeyElem)
 		ek.SetAttr("Recipient", r.ID)
 		ek.Elem(encMethodElem, "").SetAttr("Algorithm", KeyAlg)
-		ek.Elem(cipherValueElem, base64.StdEncoding.EncodeToString(wrapped))
+		ek.Elem(cipherValueElem, key.wrapped[i])
 		keyInfo.AppendChild(ek)
 	}
 	enc.AppendChild(keyInfo)
-
 	cd := xmltree.NewElement(cipherDataElem)
 	cd.Elem(cipherValueElem, base64.StdEncoding.EncodeToString(cipherValue))
 	enc.AppendChild(cd)
 
-	// Zero the CEK copy we hold; recipients recover it via RSA only.
-	for i := range cek {
-		cek[i] = 0
-	}
 	mEncryptOps.Inc()
 	mEncryptBytes.Add(int64(len(plaintext)))
 	return enc, nil
+}
+
+// key returns the CEK to seal under for scope and the sorted, distinct
+// recipients: the remembered one while it is under its reuse cap,
+// otherwise a fresh CEK wrapped to every recipient (and, with a non-nil
+// s, remembered).
+func (s *Sealer) key(scope string, sorted []Recipient) (*sealedKey, error) {
+	var memoKey [sha256.Size]byte
+	if s != nil {
+		memoKey = sealScope(scope, sorted)
+		if k, ok := s.memo.get(memoKey); ok && k.uses.Add(1) <= sealReuseCap {
+			return k, nil
+		}
+	}
+	k := &sealedKey{wrapped: make([]string, len(sorted))}
+	if _, err := rand.Read(k.cek[:]); err != nil {
+		return nil, fmt.Errorf("xmlenc: generating CEK: %w", err)
+	}
+	for i, r := range sorted {
+		wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, r.Key, k.cek[:], r.label())
+		if err != nil {
+			return nil, fmt.Errorf("xmlenc: wrapping CEK for %s: %w", r.ID, err)
+		}
+		mWraps.Inc()
+		k.wrapped[i] = base64.StdEncoding.EncodeToString(wrapped)
+	}
+	if s != nil {
+		k.uses.Store(1)
+		s.memo.put(memoKey, k)
+	}
+	return k, nil
+}
+
+// sealScope is the Sealer's memo key: SHA-256 over the scope and, for each
+// recipient in order, its ID, OAEP label and RSA public key, every field
+// length-prefixed so no two inputs share an encoding. Hashing the key
+// itself, like pki's RSA fingerprint hashes the registered key, makes a
+// re-registered key a different reader set.
+func sealScope(scope string, sorted []Recipient) [sha256.Size]byte {
+	h := sha256.New()
+	field := func(b []byte) {
+		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(b))))
+		h.Write(b)
+	}
+	field([]byte(scope))
+	for _, r := range sorted {
+		field([]byte(r.ID))
+		field(r.label())
+		field(r.Key.N.Bytes())
+		field(binary.BigEndian.AppendUint64(nil, uint64(r.Key.E)))
+	}
+	var out [sha256.Size]byte
+	h.Sum(out[:0])
+	return out
 }
 
 // EncryptInPlace replaces child el of parent with its encrypted form and
@@ -263,7 +356,9 @@ func decrypt(enc *xmltree.Node, key *pki.KeyPair, memo *cekMemo) (*xmltree.Node,
 	var cek []byte
 	if memo != nil {
 		memoKey = sha256.Sum256(wrapped)
-		cek = memo.lookup(memoKey)
+		if v, ok := memo.get(memoKey); ok {
+			cek = v[:]
+		}
 	}
 	hit := cek != nil
 	if hit {
@@ -304,8 +399,10 @@ func decrypt(enc *xmltree.Node, key *pki.KeyPair, memo *cekMemo) (*xmltree.Node,
 	if err != nil {
 		return nil, fmt.Errorf("xmlenc: decrypted payload is not well-formed XML: %w", err)
 	}
-	if memo != nil && !hit {
-		memo.remember(memoKey, cek)
+	// Only AES-256 keys (the one data algorithm Encrypt writes) are
+	// remembered; anything else is simply unwrapped again next time.
+	if memo != nil && !hit && len(cek) == 32 {
+		memo.put(memoKey, [32]byte(cek))
 	}
 	mDecryptOps.Inc()
 	mDecryptBytes.Add(int64(len(plaintext)))
@@ -393,51 +490,48 @@ func (o *Opener) Owner() string { return o.key.Owner }
 
 // memoGeneration is the capacity of one memo generation: when the current
 // generation is full it replaces the previous one, so at most twice this
-// many CEKs are held and the most recently used survive.
+// many entries are held and the most recently used survive.
 const memoGeneration = 4096
 
-// cekMemo maps SHA-256 of a wrapped key to the CEK it unwrapped to.
-type cekMemo struct {
+// twoGen is the bounded map behind the Opener's and the Sealer's memos,
+// keyed by a SHA-256 digest.
+type twoGen[V any] struct {
 	mu       sync.Mutex
-	cur, old map[[sha256.Size]byte][32]byte
+	cur, old map[[sha256.Size]byte]V
 }
 
-// lookup returns a copy of the CEK remembered under k, or nil. A hit in
-// the previous generation is promoted to the current one.
-func (m *cekMemo) lookup(k [sha256.Size]byte) []byte {
+// get returns the value remembered under k. A hit in the previous
+// generation is promoted to the current one.
+func (m *twoGen[V]) get(k [sha256.Size]byte) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v, ok := m.cur[k]
 	if !ok {
-		if v, ok = m.old[k]; !ok {
-			return nil
+		if v, ok = m.old[k]; ok {
+			m.putLocked(k, v)
 		}
-		m.putLocked(k, v)
 	}
-	return v[:]
+	return v, ok
 }
 
-// remember stores a copy of cek under k. Only AES-256 keys (the one data
-// algorithm Encrypt writes) are kept; anything else is simply unwrapped
-// again next time.
-func (m *cekMemo) remember(k [sha256.Size]byte, cek []byte) {
-	if len(cek) != 32 {
-		return
-	}
+func (m *twoGen[V]) put(k [sha256.Size]byte, v V) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.putLocked(k, [32]byte(cek))
+	m.putLocked(k, v)
 }
 
-func (m *cekMemo) putLocked(k [sha256.Size]byte, v [32]byte) {
+func (m *twoGen[V]) putLocked(k [sha256.Size]byte, v V) {
 	if len(m.cur) >= memoGeneration {
 		m.old, m.cur = m.cur, nil
 	}
 	if m.cur == nil {
-		m.cur = make(map[[sha256.Size]byte][32]byte)
+		m.cur = make(map[[sha256.Size]byte]V)
 	}
 	m.cur[k] = v
 }
+
+// cekMemo maps SHA-256 of a wrapped key to the CEK it unwrapped to.
+type cekMemo struct{ twoGen[[32]byte] }
 
 func algorithmOf(parent *xmltree.Node) string {
 	if c := parent.Child(encMethodElem); c != nil {

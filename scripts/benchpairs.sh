@@ -6,14 +6,18 @@
 #
 #   scripts/benchpairs.sh <base-rev> <workload> [pairs=10]
 #
-# The base revision is checked out as a detached git worktree under
-# .bench_build/ (removed again on exit); the change is the working tree.
-# Each pair runs `bash benchmarks/run.sh -workload W -seed S` once on
-# either side with a seed no other pair uses, the side that goes first
-# alternating, and the one-line JSON ending each run is parsed. The table
-# printed at the end gives, per end-to-end metric, both medians, both
-# quartile pairs and how many pairs the change won. Nothing under
-# benchmarks/ is written by this script.
+# The base revision is extracted with `git archive` under .bench_build/
+# (removed again on exit); the change is the working tree. Both sides run
+# with the change's trust bundle (.bench_build/trust-*, made by one quick
+# run of the change if it has none), so key material does not differ
+# between them. Each pair runs `bash benchmarks/run.sh -workload W -seed S`
+# once on either side with a seed no other pair uses, the side that goes
+# first alternating, and the one-line JSON ending each run is parsed; a
+# run that is not clean (non-zero exit, incorrect, or a failed operation)
+# has its failure lines printed from its kept log. The table printed at
+# the end gives, per end-to-end metric, both medians, both quartile pairs
+# and how many pairs the change won, then the unclean runs per side.
+# Nothing under benchmarks/ is written by this script.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -28,23 +32,31 @@ pairs="${3:-10}"
 
 base_dir="$root/.bench_build/base-${base_sha:0:12}"
 out_dir="$root/.bench_build/pairs-$workload-$(date +%Y%m%dT%H%M%S)"
-mkdir -p "$out_dir"
-git worktree add --quiet --detach "$base_dir" "$base_sha"
-trap 'git -C "$root" worktree remove --force "$base_dir"' EXIT
+mkdir -p "$out_dir" "$base_dir/.bench_build"
+trap 'rm -rf "$base_dir"' EXIT
+git archive "$base_sha" | tar -x -C "$base_dir"
+if ! compgen -G "$root/.bench_build/trust-*" >/dev/null; then
+	echo "making the change's trust bundle (one quick run)" >&2
+	bash "$root/benchmarks/run.sh" -workload "$workload" -quick >"$out_dir/trust.log" 2>&1
+fi
+cp -r "$root"/.bench_build/trust-* "$base_dir/.bench_build/"
+declare -A unclean=([base]=0 [change]=0)
 
 # run <side> <dir> <pair> <seed>: one benchmark run; appends
 # "<pair> <metric> <value>" lines to the side's sample file.
 run() {
 	local side="$1" dir="$2" pair="$3" seed="$4"
-	local log="$out_dir/$side-$pair.log"
-	if ! bash "$dir/benchmarks/run.sh" -workload "$workload" -seed "$seed" >"$log" 2>&1; then
-		echo "  $side run failed (pair $pair, seed $seed); see $log" >&2
-	fi
+	local log="$out_dir/$side-$pair.log" status=0
+	bash "$dir/benchmarks/run.sh" -workload "$workload" -seed "$seed" >"$log" 2>&1 || status=$?
 	local json
 	json="$(tail -n 1 "$log")"
-	case "$json" in
-	*'"correct":true'*'"failed":0,'*) ;;
-	*) echo "  $side pair $pair: run not clean: ${json:0:120}" >&2 ;;
+	case "$status $json" in
+	'0 '*'"correct":true'*'"failed":0,'*) ;;
+	*)
+		unclean[$side]=$((unclean[$side] + 1))
+		echo "  $side pair $pair (seed $seed): run not clean, exit $status; failure lines of $log:" >&2
+		grep -E 'FAILED|correct false|panic|[Ee]rror|exit status' "$log" | head -n 20 | sed 's/^/    /' >&2 || true
+		;;
 	esac
 	grep -oE '"[a-z0-9_]+":\{"value":[-+0-9.eE]+' <<<"$json" |
 		sed -E 's/^"([a-z0-9_]+)":\{"value":(.*)$/'"$pair"' \1 \2/' >>"$out_dir/$side.samples"
@@ -95,4 +107,5 @@ END {
 	}
 }' bench="$root/BENCHMARK.json" basef="$out_dir/base.samples" \
 	"$root/BENCHMARK.json" "$out_dir/base.samples" "$out_dir/change.samples"
+echo "unclean runs: base ${unclean[base]}/$pairs, change ${unclean[change]}/$pairs"
 echo "logs and samples: $out_dir" >&2
