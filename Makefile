@@ -91,14 +91,18 @@ benchsmoke:
 # deliveries dropped/duplicated, 10% un-acked, judged by internal/chaos)
 # in process, on webhook deliveries over HTTP and on the Fig. 9 document
 # hops, whose duplicates are signed afresh so they reach the store
-# handlers (the delta route included), crash recovery from the
-# outbox journal (torn tail, flipped byte, mid-file damage, compaction
-# that loses its handle), a journaled webhook delivered when the portal
-# boots and a callback registration kept across a restart, all under the
-# race detector. The race target covers these
-# too; the split keeps the gate visible and fast to re-run.
+# handlers (the delta route included) and the TFC (Fig. 9B on seeds
+# 1–30, a lost TFC response answered from the notarization's row),
+# crash recovery from the outbox journal (torn tail, flipped byte,
+# mid-file damage, compaction that loses its handle), a journaled
+# webhook delivered when the portal boots, a callback registration kept
+# across a restart, and the TFC's notarization rows (a resubmission
+# answered, a concurrent duplicate notarized once, another intermediate
+# refused, a failed write retried, rows kept across a restart and
+# legacy rows rekeyed), all under the race detector. The race target
+# covers these too; the split keeps the gate visible and fast to re-run.
 faults:
-	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestWebhookOutboxReplaysAtBoot|TestWebhookRegistrationSurvivesRestart|TestOutbox' ./internal/relay/ ./internal/httpapi/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestFaultInjection|TestCrashRecovery|TestWebhookOutboxReplaysAtBoot|TestWebhookRegistrationSurvivesRestart|TestOutbox|TestLostResponseAnsweredFromRow|TestConcurrentIdenticalSubmissions|TestDifferentIntermediateRefused|TestMutateFailureFailsProcess|TestJournal' ./internal/relay/ ./internal/httpapi/ ./internal/wal/ ./internal/tfc/
 
 # fuzzsmoke runs the log-format fuzz target, the pool's record-payload
 # target, the XML parser's differential target (against encoding/xml),

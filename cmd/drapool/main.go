@@ -10,9 +10,9 @@
 //
 // The node's table declares the union of the families every coordinator
 // uses — the portal's documents families (doc, meta, idx) plus the TFC's
-// forwarding-log family (rec). Portal rows ("proc-…", "tpl#…") and TFC
-// rows ("rec|…") share the clustered key space with disjoint prefixes,
-// so one drapool fleet can back both tiers.
+// notarization family (rec). Portal rows ("proc-…", "tpl#…") and TFC
+// rows ("tfc|…", one per notarization) share the clustered key space
+// with disjoint prefixes, so one drapool fleet can back both tiers.
 //
 // The /v1/cluster/* endpoints are unauthenticated by design (see
 // internal/httpapi): deploy drapool on the private cluster network only.

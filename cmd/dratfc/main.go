@@ -9,12 +9,14 @@
 //	       [-grace 15s]
 //	       [-cluster-nodes n1=http://…,n2=http://…] [-replicas 2] [-cluster-wal FILE]
 //
-// With -data-dir the forwarding log — and with it the replay guard — is
-// persisted through the crash-safe pool store: every ForwardRecord is
-// journaled before the process response is acknowledged, and on boot the
-// log is restored so already-notarized intermediates stay rejected across
-// restarts. GET /v1/readyz reports 200 only after restore completes; on
-// SIGINT/SIGTERM the server drains, writes a final checkpoint, and exits 0.
+// Every notarization is one pool row — the forwarding record, the digest
+// of the intermediate CER and the final CER — written before the process
+// response. With -data-dir (or -cluster-nodes) the rows outlive the
+// process, so a TFC hop is safe to retry across restarts: the same
+// intermediate gets the first answer again, a different one for the same
+// step is refused as a replay. GET /v1/readyz reports 200 only after the
+// pool has recovered; on SIGINT/SIGTERM the server drains, writes a final
+// checkpoint, and exits 0.
 //
 // Flags shared with the other daemons, boot order and shutdown order live
 // in internal/daemon (README "Daemon flags"); -h lists every flag.

@@ -93,8 +93,11 @@ func main() {
 		}
 
 		// Every final CER carries the TFC's timestamp (the notary role).
-		fmt.Printf("  TFC forwarded %d documents for this instance\n",
-			len(sys.TFC("tfc@cloud").RecordsFor(final.ProcessID())))
+		recs, err := sys.TFC("tfc@cloud").RecordsFor(final.ProcessID())
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  TFC forwarded %d documents for this instance\n", len(recs))
 	}
 	run("1500") // Func(X)=True  -> John
 	run("800")  // Func(X)=False -> Mary

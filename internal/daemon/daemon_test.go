@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -293,9 +294,10 @@ func TestCleanupSurvivesFailedDrain(t *testing.T) {
 }
 
 // TestRolesBootInProcess boots all three roles from the code path their
-// binaries use — two pool nodes behind a clustered portal, and a TFC with
-// a durable forwarding log — drives a notarized hop through them, and
-// restarts the TFC to see the replay guard come back from its data dir.
+// binaries use — two pool nodes behind a clustered portal, and a TFC
+// keeping its notarizations in a data dir — drives a notarized hop
+// through them, and restarts the TFC: from its data dir it answers the
+// same intermediate as before and refuses a different one.
 func TestRolesBootInProcess(t *testing.T) {
 	d := deploy(t)
 	n1, _ := run(t, PoolNode, "-node-id", "n1", "-data-dir", d.path("n1"), "-fsync=false")
@@ -322,7 +324,8 @@ func TestRolesBootInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.client(notary.addr, alice).ProcessViaTFC(interm); err != nil {
+	first, firstDoc, err := d.client(notary.addr, alice).ProcessViaTFC(interm)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -331,8 +334,19 @@ func TestRolesBootInProcess(t *testing.T) {
 		t.Fatalf("TFC stop: %v", err)
 	}
 	notary, _ = run(t, TFC, tfcArgs...)
-	if _, _, err := d.client(notary.addr, alice).ProcessViaTFC(interm); err == nil || !strings.Contains(err.Error(), "replay") {
-		t.Fatalf("same intermediate after a TFC restart = %v, want the replay guard", err)
+	again, againDoc, err := d.client(notary.addr, alice).ProcessViaTFC(interm)
+	if err != nil {
+		t.Fatalf("same intermediate after a TFC restart: %v", err)
+	}
+	if !again.Timestamp.Equal(first.Timestamp) || !bytes.Equal(againDoc.Bytes(), firstDoc.Bytes()) {
+		t.Fatalf("same intermediate after a TFC restart got another answer: %v, want the first one's %v", again.Timestamp, first.Timestamp)
+	}
+	other, err := aea.New(d.KeyOf(alice), d.Registry).ExecuteToTFC(got, "A", aea.Inputs{"request": "r"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.client(notary.addr, alice).ProcessViaTFC(other); err == nil || !strings.Contains(err.Error(), "replay") || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("a different intermediate after a TFC restart = %v, want a 409 replay refusal", err)
 	}
 
 	stopPortal()

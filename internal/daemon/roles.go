@@ -54,26 +54,24 @@ func wirePortal(fs *flag.FlagSet) builder {
 	}
 }
 
-// TFC is cmd/dratfc: the advanced model's notary. Given somewhere durable
-// to keep it (-data-dir or -cluster-nodes), the forwarding log is
-// journaled before each response and restored — replay guard included —
-// on boot.
+// TFC is cmd/dratfc: the advanced model's notary. Each notarization is one
+// pool row written before the response; given somewhere durable to keep
+// them (-data-dir or -cluster-nodes), a restarted TFC answers a retried
+// hop from its row and still refuses a different intermediate for it.
 var TFC = Role{name: "dratfc", listen: ":8081", coordinator: true, required: "key", wire: wireTFC}
 
 func wireTFC(*flag.FlagSet) builder {
 	return func(e *env) (http.Handler, error) {
 		server := tfc.New(e.keys, e.registry, time.Now)
-		if e.dataDir != "" || e.clusterNodes != "" {
-			tab, err := e.openTable(tfc.JournalTable, tfc.JournalFamily)
-			if err != nil {
-				return nil, err
-			}
-			n, err := tfc.Journal(server, tab)
-			if err != nil {
-				return nil, err
-			}
-			log.Printf("restored %d forwarding records (replay guard re-armed)", n)
+		tab, err := e.openTable(tfc.JournalTable, tfc.JournalFamily)
+		if err != nil {
+			return nil, err
 		}
+		n, err := tfc.Journal(server, tab)
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("notarizations kept in the pool (%d legacy forwarding records rekeyed)", n)
 		srv := httpapi.NewTFCServer(server, httpapi.NewAuthenticator(e.registry, time.Now))
 		srv.EnablePprof, srv.Probes = e.pprof, e.probes
 		// The TFC's work is verify-bound: admission sheds notarizations
@@ -86,7 +84,7 @@ func wireTFC(*flag.FlagSet) builder {
 
 // PoolNode is cmd/drapool: one node of a clustered pool. Its table
 // declares the union of the families every coordinator uses — the
-// portal's documents families plus the TFC's forwarding-log family — so
+// portal's documents families plus the TFC's notarization family — so
 // a fleet can back either tier.
 var PoolNode = Role{name: "drapool", listen: ":9201", required: "node-id", wire: wirePoolNode}
 

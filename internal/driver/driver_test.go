@@ -103,8 +103,8 @@ func TestRunAdvancedModel(t *testing.T) {
 			t.Fatalf("final CER %s lacks a TFC timestamp", c.ID())
 		}
 	}
-	if got := len(d.TFC("tfc@cloud").RecordsFor(pid)); got != 5 {
-		t.Fatalf("TFC records = %d", got)
+	if recs, err := d.TFC("tfc@cloud").RecordsFor(pid); err != nil || len(recs) != 5 {
+		t.Fatalf("TFC records = %d, %v", len(recs), err)
 	}
 	// Monitoring computes activity durations from the timestamps.
 	if durs, err := d.Monitor.ActivityDurations(pid); err != nil || len(durs) != 5 {

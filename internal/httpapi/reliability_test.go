@@ -142,6 +142,9 @@ type faultyHops struct {
 	dups    atomic.Int64
 	mu      sync.Mutex
 	handled []string
+	// processed counts the TFC's 200 answers: past one per forwarding,
+	// each is a resubmission answered from the notarization's row.
+	processed atomic.Int64
 }
 
 // dupHeader marks a duplicate, so the servers' wrapper can count it.
@@ -154,13 +157,12 @@ func newFaultyHops(t *testing.T, seed int64) *faultyHops {
 	fh := &faultyHops{net: net}
 	fh.w = newWorldWith(t, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Header.Get(dupHeader) == "" {
-				h.ServeHTTP(w, r)
-				return
-			}
 			rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 			h.ServeHTTP(rec, r)
-			if rec.status != http.StatusUnauthorized {
+			if r.URL.Path == "/v1/process" && rec.status == http.StatusOK {
+				fh.processed.Add(1)
+			}
+			if r.Header.Get(dupHeader) != "" && rec.status != http.StatusUnauthorized {
 				fh.mu.Lock()
 				fh.handled = append(fh.handled, fmt.Sprintf("%s %s: %d", r.Method, r.URL.Path, rec.status))
 				fh.mu.Unlock()
@@ -258,8 +260,7 @@ var fig9Steps = []struct {
 
 // verify asserts the exactly-once outcome: the workflow completed with
 // one CER per activity (wantSigs signatures in all: 6 for Fig. 9A, 11
-// for Fig. 9B where each step also carries the TFC's notarization), and
-// faults actually fired.
+// for Fig. 9B where each step also carries the TFC's notarization).
 func (fh *faultyHops) verify(t *testing.T, pid string, wantSigs int) {
 	t.Helper()
 	designer := fh.w.clientFor(t, "designer@acme")
@@ -277,15 +278,25 @@ func (fh *faultyHops) verify(t *testing.T, pid string, wantSigs int) {
 	if n, err := final.VerifyAll(fh.w.env.Registry); err != nil || n != wantSigs {
 		t.Fatalf("VerifyAll = %d, %v — want %d (exactly one CER per activity)", n, err, wantSigs)
 	}
-	if fh.retries == 0 {
+}
+
+// faultsFired asserts that, over runs, faults forced retries and
+// duplicates reached a handler: otherwise the runs proved nothing.
+func faultsFired(t *testing.T, runs ...*faultyHops) {
+	t.Helper()
+	retries, dups, handled := 0, int64(0), 0
+	for _, fh := range runs {
+		fh.mu.Lock()
+		retries, dups, handled = retries+fh.retries, dups+fh.dups.Load(), handled+len(fh.handled)
+		fh.mu.Unlock()
+	}
+	if retries == 0 {
 		t.Fatal("no hop was ever retried: no fault fired; the run proved nothing")
 	}
-	fh.mu.Lock()
-	defer fh.mu.Unlock()
-	if len(fh.handled) == 0 {
-		t.Fatalf("none of %d duplicates reached a handler: the duplication proved nothing", fh.dups.Load())
+	if handled == 0 {
+		t.Fatalf("none of %d duplicates reached a handler: the duplication proved nothing", dups)
 	}
-	t.Logf("faults forced %d retries; %d of %d duplicates reached a handler: %v", fh.retries, len(fh.handled), fh.dups.Load(), fh.handled)
+	t.Logf("faults forced %d retries; %d of %d duplicates reached a handler", retries, handled, dups)
 }
 
 // TestFaultInjectionBasicModel drives the Fig. 9A workflow with every
@@ -312,22 +323,42 @@ func TestFaultInjectionBasicModel(t *testing.T) {
 		fh.store(t, participant, out.Doc)
 	}
 	fh.verify(t, pid, 6)
+	faultsFired(t, fh)
 }
 
 // TestFaultInjectionAdvancedModel drives Fig. 9B, every AEA→TFC
 // forwarding hop and portal store sent over a faulty link and retried
 // until answered, and proves exactly-once completion with notarized
-// timestamps.
+// timestamps, on seeds 1–30. The TFC link loses responses like every
+// other: a retried forwarding is answered from the notarization's row.
 func TestFaultInjectionAdvancedModel(t *testing.T) {
-	fh := newFaultyHops(t, 23)
+	var runs []*faultyHops
+	answered := int64(0)
+	for seed := int64(1); seed <= 30; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			fh := newFaultyHops(t, seed)
+			faultInjectionAdvancedModel(t, fh)
+			runs = append(runs, fh)
+			answered += fh.processed.Load() - int64(len(fig9Steps))
+		})
+	}
+	if t.Failed() {
+		return
+	}
+	// A seed on which no fault fired proves nothing on its own; the
+	// seeds together must have retried, duplicated and resubmitted.
+	faultsFired(t, runs...)
+	if answered == 0 {
+		t.Fatal("no TFC forwarding was answered twice: no resubmission reached a notarization's row")
+	}
+	t.Logf("%d resubmitted forwardings answered from the notarization's row", answered)
+}
+
+func faultInjectionAdvancedModel(t *testing.T, fh *faultyHops) {
 	doc, err := document.New(wfdef.Fig9B(), fh.w.env.KeyOf("designer@acme"), testenv.ProcessID(), now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The TFC link drops and duplicates but keeps its responses: the TFC
-	// notarizes a forwarding once and refuses a re-forward as a replay,
-	// so a forwarding whose response is lost cannot be recovered.
-	fh.net.SetLink(chaos.Wildcard, "tfc", chaos.LinkFaults{Drop: 0.2, Dup: 0.2})
 	pid := doc.ProcessID()
 	fh.storeInitial(t, doc)
 	for _, s := range fig9Steps {

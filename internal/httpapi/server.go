@@ -84,11 +84,7 @@ func NewPortalServer(p *portal.Portal, m *monitor.Monitor, auth *Authenticator) 
 // — or requeued from the dead-letter queue since — go out on boot. An
 // outbox that cannot be opened is an error.
 func (s *PortalServer) EnableWebhooks(keys *pki.KeyPair, walPath string) (*WebhookDispatcher, error) {
-	clock := s.Portal.Clock
-	if clock == nil {
-		clock = time.Now
-	}
-	d, err := newWebhookDispatcher(keys, clock, s.Portal.Table, walPath, http.DefaultClient, webhookRelay)
+	d, err := newWebhookDispatcher(keys, s.Portal.Clock, s.Portal.Table, walPath, http.DefaultClient, webhookRelay)
 	if err != nil {
 		return nil, err
 	}
@@ -470,12 +466,10 @@ func (s *TFCServer) handleProcess(w http.ResponseWriter, r *http.Request, princi
 }
 
 func (s *TFCServer) handleRecords(w http.ResponseWriter, r *http.Request, principal string, _ []byte) {
-	pid := r.URL.Query().Get("process")
-	var recs []tfc.ForwardRecord
-	if pid == "" {
-		recs = s.Server.Records()
-	} else {
-		recs = s.Server.RecordsFor(pid)
+	recs, err := s.Server.RecordsFor(r.URL.Query().Get("process"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	writeJSON(w, recs)
 }

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"sort"
 	"strings"
@@ -137,6 +138,19 @@ func (r *row) live(out []KeyValue) []KeyValue {
 		}
 	}
 	return out
+}
+
+// RowLocks is a striped lock keyed by row, for callers that read a row
+// and write it back: writers of one row exclude each other, writers of
+// different rows mostly do not. Rows hashing to the same stripe share
+// it, which costs concurrency, never correctness.
+type RowLocks [64]sync.Mutex
+
+// For returns the mutex of row's stripe.
+func (l *RowLocks) For(row string) *sync.Mutex {
+	h := fnv.New32a()
+	h.Write([]byte(row))
+	return &l[h.Sum32()%uint32(len(l))]
 }
 
 // --- table -------------------------------------------------------------------

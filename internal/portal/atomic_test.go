@@ -208,11 +208,11 @@ func TestStoreReportsEveryFailedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := hopRow(ref.table.GetRow(pid))
-	// doc:content, five meta cells, A's stale idx cell deleted, B1's and
+	// doc:content, four meta cells, A's stale idx cell deleted, B1's and
 	// B2's written.
 	cells := tab.cells
-	if cells != 9 {
-		t.Fatalf("an unfailed hop handed over %d cells, want 9", cells)
+	if cells != 8 {
+		t.Fatalf("an unfailed hop handed over %d cells, want 8", cells)
 	}
 	for _, want := range []string{"idx:" + wfdef.Fig9Participants["B1"] + `="` + wfdef.Fig9A().Name + `\x00B1"`, `meta:cers="1"`} {
 		if !strings.Contains(next, want) || strings.Contains(prev, want) {
@@ -305,7 +305,7 @@ func TestStoresOfDifferentInstancesDoNotWait(t *testing.T) {
 		doc := c.initial(t)
 		distinct := true
 		for _, d := range docs {
-			if c.portal.lockFor(d.ProcessID()) == c.portal.lockFor(doc.ProcessID()) {
+			if c.portal.stripes.For(d.ProcessID()) == c.portal.stripes.For(doc.ProcessID()) {
 				distinct = false
 			}
 		}

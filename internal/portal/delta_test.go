@@ -324,9 +324,8 @@ func TestDeltaRefusesHeldId(t *testing.T) {
 
 // sameRows stores each document of hops through the full path on one
 // portal and through the delta path on another, and checks after every
-// store that both rows hold the same cells (meta:updated aside), that the
-// content is the parent's row, Merge(previous row, document), and that it
-// verifies.
+// store that both rows hold the same cells, that the content is the
+// parent's row, Merge(previous row, document), and that it verifies.
 func sameRows(t *testing.T, env *testenv.Env, initial *document.Document, hops []*document.Document) {
 	t.Helper()
 	portals := map[string]*Portal{}
@@ -360,8 +359,7 @@ func sameRows(t *testing.T, env *testenv.Env, initial *document.Document, hops [
 		}
 		for j := range full {
 			f, d := full[j], delta[j]
-			if f.Family != d.Family || f.Qualifier != d.Qualifier ||
-				(f.Qualifier != "updated" && !bytes.Equal(f.Value, d.Value)) {
+			if f.Family != d.Family || f.Qualifier != d.Qualifier || !bytes.Equal(f.Value, d.Value) {
 				t.Fatalf("hop %d: full row cell %s:%s=%q, delta row %s:%s=%q", i, f.Family, f.Qualifier, f.Value, d.Family, d.Qualifier, d.Value)
 			}
 			if f.Family == "doc" && f.Qualifier == "content" {

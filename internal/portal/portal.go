@@ -14,7 +14,6 @@
 //	meta:state         = "running" | "completed"
 //	meta:cers          = number of final CERs (decimal)
 //	meta:bytes         = len(doc:content) (decimal)
-//	meta:updated       = time of the store (RFC 3339, nanoseconds)
 //	idx:<assignee>     = <definition> NUL <enabled activities, comma-
 //	                     separated> for a participant or "role:<role>"
 //	                     (worklist index; cells written before the
@@ -33,11 +32,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dra4wfms/internal/document"
@@ -107,7 +104,8 @@ type Portal struct {
 	// or a clustered poolcluster.Session — the portal cannot tell them
 	// apart.
 	Table pool.DocTable
-	// Clock supplies meta timestamps (defaults to time.Now).
+	// Clock is the portal's time (defaults to time.Now); the HTTP
+	// server's webhook dispatcher signs its deliveries with it.
 	Clock func() time.Time
 	// OnNotify, when set, receives every notification produced by Store
 	// and StoreInitial (after the document is durably persisted) — the
@@ -118,17 +116,8 @@ type Portal struct {
 	OnNotify func(context.Context, Notification)
 
 	// stripes serialize the read-merge-write cycles of one process
-	// instance; see lockFor.
-	stripes [64]sync.Mutex
-}
-
-// lockFor returns the mutex that stores of processID exclude each other
-// with. Instances hashing to the same stripe share it, which costs
-// concurrency, never correctness.
-func (p *Portal) lockFor(processID string) *sync.Mutex {
-	h := fnv.New32a()
-	h.Write([]byte(processID))
-	return &p.stripes[h.Sum32()%uint32(len(p.stripes))]
+	// instance, keyed by process ID.
+	stripes pool.RowLocks
 }
 
 // New creates a portal server.
@@ -209,7 +198,7 @@ func (p *Portal) extend(ctx context.Context, processID string, whole *document.D
 	defer span.End()
 	span.SetAttr("process", processID)
 	notes, err := func() ([]Notification, error) {
-		mu := p.lockFor(processID)
+		mu := p.stripes.For(processID)
 		mu.Lock()
 		defer mu.Unlock()
 		stored := p.Table.GetRow(processID)
@@ -312,7 +301,6 @@ func (p *Portal) rowCells(doc *document.Document, stored []pool.KeyValue) ([]poo
 		{Family: "meta", Qualifier: "state", Value: []byte(state)},
 		{Family: "meta", Qualifier: "cers", Value: []byte(strconv.Itoa(len(doc.FinalCERs())))},
 		{Family: "meta", Qualifier: "bytes", Value: []byte(strconv.Itoa(len(content)))},
-		{Family: "meta", Qualifier: "updated", Value: []byte(p.Clock().UTC().Format(time.RFC3339Nano))},
 	}
 
 	// Rebuild the worklist index: one idx cell per assignee with their
@@ -378,7 +366,7 @@ func (p *Portal) StoreInitialCtx(ctx context.Context, doc *document.Document) ([
 		return nil, fmt.Errorf("portal: rejecting initial document (%d signatures verified before failure): %w", nsigs, err)
 	}
 	notes, err := func() ([]Notification, error) {
-		mu := p.lockFor(doc.ProcessID())
+		mu := p.stripes.For(doc.ProcessID())
 		mu.Lock()
 		defer mu.Unlock()
 		if _, ok := p.Table.GetCtx(ctx, doc.ProcessID(), "doc", "content"); ok {

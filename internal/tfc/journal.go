@@ -1,75 +1,135 @@
 package tfc
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"strconv"
+	"slices"
+	"sort"
 	"strings"
-	"sync/atomic"
+	"time"
 
+	"dra4wfms/internal/document"
 	"dra4wfms/internal/pool"
+	"dra4wfms/internal/wfdef"
 )
 
-// The persisted forwarding log is one row per record in one column
-// family, keyed by append index so scan order is append order. A TFC with
-// a local data dir keeps it in its own JournalTable; on a clustered pool
-// it shares the drapool fleet's table with the portal's document rows,
-// apart under the "rec|" prefix.
+// A notarization is one row in one column family:
+//
+//	tfc|<process>|<activity>|<iteration, 10 digits>
+//	rec:json    = the ForwardRecord
+//	rec:digest  = SHA-256 of the intermediate CER's canonical bytes
+//	rec:final   = the final CER, as a document.Delta's wire form
+//
+// '%' and '|' in the process and activity IDs are percent-escaped, so no
+// ID ends early, no two notarizations share a key, and tfc|<process>|
+// selects one instance's rows. A TFC with a local data dir keeps them in
+// its own JournalTable; on a clustered pool it shares the drapool fleet's
+// table with the portal's document rows, apart under the prefix. The
+// earlier layout, one rec:json per append index under rec|<20 digits>,
+// is rekeyed by Journal.
 const (
-	JournalTable  = "tfcstate"
-	journalQual   = "json"
-	journalPrefix = "rec|"
+	JournalTable                      = "tfcstate"
+	rowPrefix, legacyPrefix           = "tfc|", "rec|"
+	recordQual, digestQual, finalQual = "json", "digest", "final"
 )
 
-// JournalFamily is the column family every table holding a forwarding log
+// JournalFamily is the column family every table holding notarizations
 // declares.
 var JournalFamily = pool.FamilySpec{Name: "rec"}
 
-func journalRow(n uint64) string { return fmt.Sprintf(journalPrefix+"%020d", n) }
+var keyEscaper = strings.NewReplacer("%", "%25", "|", "%7C")
 
-// Journal makes the server's forwarding log — and with it the replay
-// guard — durable in tab: it appends every persisted record to s's log and
-// re-arms the replay guard for it, so an intermediate document processed
-// before a restart is still rejected with ErrReplay afterwards, then
-// installs OnRecord so each new record is written before Process
-// acknowledges it. It returns the number of records restored. Call it
-// before the server takes traffic.
-//
-// The next row index comes from the highest restored index, not the row
-// count: a failed Put leaves a gap in the sequence, and counting rows
-// across a gap would make a later record overwrite a persisted row
-// (JournalFamily keeps one version) and silently drop its replay-guard
-// entry. An undecodable row is an error, never a skipped record.
-func Journal(s *Server, tab pool.DocTable) (int, error) {
-	var restored []ForwardRecord
-	var next atomic.Uint64
-	// The prefix matters on a clustered pool, where other rows share the table.
-	for _, kv := range tab.Scan(pool.ScanOptions{Prefix: journalPrefix, Family: JournalFamily.Name}) {
-		idx, err := strconv.ParseUint(strings.TrimPrefix(kv.Row, journalPrefix), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("tfc: persisted record key %q: %w", kv.Row, err)
-		}
+func instancePrefix(processID string) string {
+	return rowPrefix + keyEscaper.Replace(processID) + "|"
+}
+
+func rowKey(processID, activity string, iteration int) string {
+	return fmt.Sprintf("%s%s|%010d", instancePrefix(processID), keyEscaper.Replace(activity), iteration)
+}
+
+// answer answers a submission from the notarization in row, byte for byte
+// as it was first answered. It returns nil when there is no row, ErrReplay
+// when the row was written for another intermediate CER or holds no final
+// CER (a rekeyed legacy row), and an error when the row does not decode.
+func (s *Server) answer(row string, digest []byte, work *document.Document, nsigs int, verifyStart time.Time) (*Outcome, error) {
+	cells := map[string][]byte{}
+	for _, kv := range s.table.GetRow(row) {
+		cells[kv.Qualifier] = kv.Value
+	}
+	if len(cells) == 0 {
+		return nil, nil
+	}
+	var rec ForwardRecord
+	if err := json.Unmarshal(cells[recordQual], &rec); err != nil {
+		return nil, fmt.Errorf("tfc: decoding the record of %s: %w", row, err)
+	}
+	if _, ok := cells[finalQual]; !ok || subtle.ConstantTimeCompare(cells[digestQual], digest) != 1 {
+		mReplayRejections.Inc()
+		return nil, fmt.Errorf("%w: %s %s iteration %d", ErrReplay, rec.ProcessID, rec.Activity, rec.Iteration)
+	}
+	// ParseDelta parses in place, and the cell is the table's.
+	final, err := document.ParseDelta(bytes.Clone(cells[finalQual]))
+	if err != nil || len(final.CERs) != 1 {
+		return nil, fmt.Errorf("tfc: decoding the final CER of %s (%d CERs): %v", row, len(final.CERs), err)
+	}
+	return &Outcome{Doc: work.With(final.CERs), CER: final.CERs[0], Next: rec.Next,
+		Completed: slices.Contains(rec.Next, wfdef.EndID), VerifiedSignatures: nsigs,
+		Timestamp: rec.Timestamp, VerifyDuration: time.Since(verifyStart)}, nil
+}
+
+// RecordsFor returns the forwarding log entries of one process instance,
+// or the whole log when processID is empty, in timestamp order: the data
+// source for workflow monitoring in the advanced model.
+func (s *Server) RecordsFor(processID string) ([]ForwardRecord, error) {
+	prefix := rowPrefix
+	if processID != "" {
+		prefix = instancePrefix(processID)
+	}
+	var out []ForwardRecord
+	for _, kv := range s.table.Scan(pool.ScanOptions{Prefix: prefix, Family: JournalFamily.Name,
+		Filter: func(kv pool.KeyValue) bool { return kv.Qualifier == recordQual }}) {
 		var rec ForwardRecord
 		if err := json.Unmarshal(kv.Value, &rec); err != nil {
-			return 0, fmt.Errorf("tfc: decoding persisted record %s: %w", kv.Row, err)
+			return nil, fmt.Errorf("tfc: decoding the record of %s: %w", kv.Row, err)
 		}
-		restored = append(restored, rec)
-		if idx >= next.Load() {
-			next.Store(idx + 1)
+		out = append(out, rec)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Timestamp.Before(out[j].Timestamp) })
+	return out, nil
+}
+
+// Journal points s at tab, a table declaring JournalFamily, so that its
+// notarizations outlive the process: a restarted server answers or
+// refuses a resubmission from the row as the first one did. Call it
+// before the server takes traffic.
+//
+// Rows of the earlier layout are rekeyed first: each becomes its
+// notarization's row holding the record alone, which refuses a
+// resubmission but cannot answer it, and is then deleted. A crash between
+// the two steps leaves both rows, and the next call writes the same
+// keyed row again. A damaged legacy row is an error, and s keeps its
+// table. It returns the number of rows rekeyed.
+func Journal(s *Server, tab pool.DocTable) (int, error) {
+	legacy := tab.Scan(pool.ScanOptions{Prefix: legacyPrefix, Family: JournalFamily.Name})
+	for _, kv := range legacy {
+		var rec ForwardRecord
+		err := json.Unmarshal(kv.Value, &rec)
+		if idx := strings.TrimPrefix(kv.Row, legacyPrefix); len(idx) != 20 || strings.Trim(idx, "0123456789") != "" {
+			err = errors.New("the key is not rec|<20 digits>")
 		}
-	}
-	s.mu.Lock()
-	s.records = append(s.records, restored...)
-	for _, rec := range restored {
-		s.seen[fmt.Sprintf("%s|%s|%d", rec.ProcessID, rec.Activity, rec.Iteration)] = true
-	}
-	s.mu.Unlock()
-	s.OnRecord = func(rec ForwardRecord) error {
-		raw, err := json.Marshal(rec)
 		if err != nil {
-			return fmt.Errorf("encoding forwarding record: %w", err)
+			return 0, fmt.Errorf("tfc: damaged legacy record %s: %w", kv.Row, err)
 		}
-		return tab.Put(journalRow(next.Add(1)-1), JournalFamily.Name, journalQual, raw)
+		if err := tab.Put(rowKey(rec.ProcessID, rec.Activity, rec.Iteration), JournalFamily.Name, recordQual, kv.Value); err != nil {
+			return 0, fmt.Errorf("tfc: rekeying legacy record %s: %w", kv.Row, err)
+		}
+		if err := tab.Delete(kv.Row, kv.Family, kv.Qualifier); err != nil {
+			return 0, fmt.Errorf("tfc: deleting rekeyed legacy record %s: %w", kv.Row, err)
+		}
 	}
-	return len(restored), nil
+	s.table = tab
+	return len(legacy), nil
 }

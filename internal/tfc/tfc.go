@@ -18,6 +18,11 @@
 //  6. forwards the document to the next participant(s) and records the
 //     forwarding for workflow monitoring.
 //
+// The server keeps one pool row per notarization (journal.go): the
+// forwarding record, the digest of the intermediate CER it answered and
+// the final CER it signed. That row is the replay guard, the forwarding
+// log and the answer to a resubmission whose first response was lost.
+//
 // Because the TFC never opens an interactive session with participants its
 // per-document work is bounded, which is why the paper finds it is not the
 // system bottleneck; BenchmarkTFCThroughput reproduces that claim.
@@ -25,16 +30,17 @@ package tfc
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
-	"sync"
 	"time"
 
 	"dra4wfms/internal/document"
 	"dra4wfms/internal/dsig"
 	"dra4wfms/internal/pki"
+	"dra4wfms/internal/pool"
 	"dra4wfms/internal/secpol"
 	"dra4wfms/internal/telemetry"
 	"dra4wfms/internal/wfdef"
@@ -59,8 +65,8 @@ var (
 	// ErrNoPending: the document holds no intermediate CER awaiting
 	// processing.
 	ErrNoPending = errors.New("tfc: no pending intermediate CER")
-	// ErrReplay: this server already processed this (process, activity,
-	// iteration).
+	// ErrReplay: this server already notarized another intermediate CER
+	// for this (process, activity, iteration).
 	ErrReplay = errors.New("tfc: duplicate intermediate document (replay)")
 )
 
@@ -91,15 +97,6 @@ type Server struct {
 	// Clock supplies timestamps; it defaults to time.Now and is injectable
 	// for deterministic tests.
 	Clock func() time.Time
-	// OnRecord, when non-nil, is called once for every ForwardRecord,
-	// outside the server's lock and before the record is appended or the
-	// outcome returned — the hook Journal installs to persist the
-	// forwarding log (and the replay guard it implies) across restarts. A
-	// non-nil error fails the whole Process call: the caller
-	// never sees an acknowledged outcome whose record is not durable, and
-	// the replay guard for the intermediate is disarmed so the client can
-	// retry once persistence recovers.
-	OnRecord func(ForwardRecord) error
 
 	// opener unwraps each content key the server can read once: the
 	// intermediate result, the variables it routes on and the condition
@@ -109,9 +106,11 @@ type Server struct {
 	// fields the server policy-encrypts.
 	sealer xmlenc.Sealer
 
-	mu      sync.Mutex
-	seen    map[string]bool
-	records []ForwardRecord
+	// table holds one row per notarization: in memory from New, durable
+	// once Journal points it elsewhere.
+	table pool.DocTable
+	// stripes serialize the read-notarize-write cycle of one row.
+	stripes pool.RowLocks
 }
 
 // New creates a TFC server. clock may be nil (defaults to time.Now).
@@ -119,7 +118,9 @@ func New(keys *pki.KeyPair, reg *pki.Registry, clock func() time.Time) *Server {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Server{Keys: keys, Registry: reg, Clock: clock, opener: xmlenc.NewOpener(keys), seen: make(map[string]bool)}
+	// A named table with one family cannot fail to be created.
+	tab, _ := pool.NewTable(JournalTable, JournalFamily)
+	return &Server{Keys: keys, Registry: reg, Clock: clock, opener: xmlenc.NewOpener(keys), table: tab}
 }
 
 // Outcome is the result of processing one intermediate document.
@@ -217,27 +218,19 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 			return nil, fmt.Errorf("tfc: executor %q of %s lacks role %q", pending.Participant(), act.ID, act.Role)
 		}
 	}
+	// One notarization per (process, activity, iteration): under the
+	// row's stripe, a row answers the intermediate it was written for and
+	// refuses any other; without one, the intermediate is notarized and
+	// the row written before the answer.
 	iter := pending.Iteration()
-	key := fmt.Sprintf("%s|%s|%d", work.ProcessID(), act.ID, iter)
-	s.mu.Lock()
-	if s.seen[key] {
-		s.mu.Unlock()
-		mReplayRejections.Inc()
-		return nil, fmt.Errorf("%w: %s", ErrReplay, key)
+	row := rowKey(work.ProcessID(), act.ID, iter)
+	digest := sha256.Sum256(pending.El.Canonical())
+	mu := s.stripes.For(row)
+	mu.Lock()
+	defer mu.Unlock()
+	if out, err := s.answer(row, digest[:], work, nsigs, verifyStart); out != nil || err != nil {
+		return out, err
 	}
-	s.seen[key] = true
-	s.mu.Unlock()
-	// Any refusal from here on disarms the guard again: the intermediate
-	// was not notarized, so the participant's corrected or retried
-	// submission for the same iteration must go through.
-	notarized := false
-	defer func() {
-		if !notarized {
-			s.mu.Lock()
-			delete(s.seen, key)
-			s.mu.Unlock()
-		}
-	}()
 
 	// Unwrap the raw result the AEA encrypted to this server.
 	res := pending.Result()
@@ -295,68 +288,25 @@ func (s *Server) ProcessCtx(ctx context.Context, doc *document.Document) (*Outco
 	}
 
 	encryptSignDur := time.Since(encStart)
+
+	rec, err := json.Marshal(ForwardRecord{ProcessID: work.ProcessID(), Activity: act.ID, Iteration: iter,
+		Participant: pending.Participant(), Timestamp: now, Next: next, Size: work.Size()})
+	if err != nil {
+		return nil, fmt.Errorf("tfc: encoding forwarding record: %w", err)
+	}
+	// The row is written before the answer, in one mutation: a failure
+	// leaves nothing behind, so a retry is notarized afresh.
+	fam := JournalFamily.Name
+	if err := s.table.Mutate(ctx, row, []pool.CellMutation{{Family: fam, Qualifier: recordQual, Value: rec},
+		{Family: fam, Qualifier: digestQual, Value: digest[:]},
+		{Family: fam, Qualifier: finalQual, Value: document.Delta{CERs: []document.CER{cer}}.Bytes()}}); err != nil {
+		return nil, fmt.Errorf("tfc: persisting the notarization of %s %s iteration %d: %w", work.ProcessID(), act.ID, iter, err)
+	}
 	tel.Histogram("tfc_verify_seconds", telemetry.LatencyBuckets).ObserveDuration(verifyDur)
 	tel.Histogram("tfc_encrypt_sign_seconds", telemetry.LatencyBuckets).ObserveDuration(encryptSignDur)
 	mTimestamps.Inc()
-
-	out := &Outcome{
-		Doc: work, CER: cer, Next: next,
-		Completed:           slices.Contains(next, wfdef.EndID),
-		VerifiedSignatures:  nsigs,
-		Timestamp:           now,
-		VerifyDuration:      verifyDur,
-		EncryptSignDuration: encryptSignDur,
-	}
-
-	// The record outlives the request: Participant is cloned so it does
-	// not keep the parsed document alive (the other strings are copies
-	// already; see wfdef.FromXML).
-	rec := ForwardRecord{
-		ProcessID:   work.ProcessID(),
-		Activity:    act.ID,
-		Iteration:   iter,
-		Participant: strings.Clone(pending.Participant()),
-		Timestamp:   now,
-		Next:        next,
-		Size:        work.Size(),
-	}
-	// Journal before the in-memory append: the record must be durable (per
-	// the hook's policy) before the process response is acknowledged. On
-	// failure the replay guard is disarmed like on any other refusal —
-	// after a restart the unpersisted record would not re-arm it anyway,
-	// so keeping it armed in memory would only block a legitimate retry
-	// until then.
-	if s.OnRecord != nil {
-		if err := s.OnRecord(rec); err != nil {
-			return nil, fmt.Errorf("tfc: persisting forwarding record for %s: %w", key, err)
-		}
-	}
-	s.mu.Lock()
-	s.records = append(s.records, rec)
-	s.mu.Unlock()
-	notarized = true
-	return out, nil
-}
-
-// Records returns a copy of the forwarding log, the data source for
-// workflow monitoring in the advanced model.
-func (s *Server) Records() []ForwardRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ForwardRecord, len(s.records))
-	copy(out, s.records)
-	return out
-}
-
-// RecordsFor returns the forwarding log entries of one process instance.
-func (s *Server) RecordsFor(processID string) []ForwardRecord {
-	var out []ForwardRecord
-	for _, r := range s.Records() {
-		if r.ProcessID == processID {
-			out = append(out, r)
-		}
-	}
-	return out
+	return &Outcome{Doc: work, CER: cer, Next: next, Completed: slices.Contains(next, wfdef.EndID),
+		VerifiedSignatures: nsigs, Timestamp: now, VerifyDuration: verifyDur, EncryptSignDuration: encryptSignDur}, nil
 }
 
 // pendingIntermediate finds the unique intermediate CER without a matching

@@ -127,9 +127,9 @@ func TestForwardRecords(t *testing.T) {
 	if !outD.Completed {
 		t.Fatal("should complete")
 	}
-	recs := f.server.RecordsFor(f.doc.ProcessID())
-	if len(recs) != 5 {
-		t.Fatalf("records = %d, want 5", len(recs))
+	recs, err := f.server.RecordsFor(f.doc.ProcessID())
+	if err != nil || len(recs) != 5 {
+		t.Fatalf("records = %d, %v; want 5", len(recs), err)
 	}
 	if recs[0].Activity != "A" || recs[4].Activity != "D" {
 		t.Fatalf("record order: %v", recs)
@@ -142,49 +142,44 @@ func TestForwardRecords(t *testing.T) {
 			t.Fatalf("incomplete record %+v", r)
 		}
 	}
-	if got := f.server.RecordsFor("nope"); len(got) != 0 {
-		t.Fatal("records for unknown process")
+	if got, err := f.server.RecordsFor("nope"); err != nil || len(got) != 0 {
+		t.Fatalf("records for unknown process: %v, %v", got, err)
 	}
 }
 
-// TestOnRecordFailureFailsProcess: a forwarding-record persistence
-// failure must fail the whole Process call — the contract is "journaled
-// before the process response is acknowledged" — and disarm the replay
-// guard so the client can retry once persistence recovers.
-func TestOnRecordFailureFailsProcess(t *testing.T) {
+// TestMutateFailureFailsProcess: the row is written before the answer,
+// so a failed write fails the whole Process call and leaves nothing
+// behind; the retry once the table recovers is notarized, and from then
+// on the row answers the same intermediate and refuses another.
+func TestMutateFailureFailsProcess(t *testing.T) {
 	f := newFig9B(t)
-	persistErr := errors.New("journal unavailable")
-	f.server.OnRecord = func(ForwardRecord) error { return persistErr }
+	tab := &failingMutates{DocTable: journalTable(t), fail: true}
+	f.restart(t, tab)
 
-	interm, err := f.agents["A"].ExecuteToTFC(f.doc, "A", aea.Inputs{"request": "req"})
+	interm := f.intermediate(t, f.doc, "A", aea.Inputs{"request": "req"})
+	stamps := mTimestamps.Value()
+	if _, err := f.server.Process(interm); !errors.Is(err, errMutate) {
+		t.Fatalf("Process with a failing table = %v, want wrapped errMutate", err)
+	}
+	if got := mTimestamps.Value() - stamps; got != 0 {
+		t.Fatalf("a notarization that was not written counted %d timestamps", got)
+	}
+	if got, err := f.server.RecordsFor(""); err != nil || len(got) != 0 || len(tab.GetRow(rowKey(f.doc.ProcessID(), "A", 0))) != 0 {
+		t.Fatalf("a failed write left records %v, %v", got, err)
+	}
+
+	tab.fail = false
+	first, err := f.server.Process(interm)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("retry after the table recovered: %v", err)
 	}
-	if _, err := f.server.Process(interm); !errors.Is(err, persistErr) {
-		t.Fatalf("Process with failing journal = %v, want wrapped persistErr", err)
+	if got, err := f.server.RecordsFor(""); err != nil || len(got) != 1 || got[0].Activity != "A" {
+		t.Fatalf("records = %+v, %v; want exactly the retried A record", got, err)
 	}
-	if got := f.server.Records(); len(got) != 0 {
-		t.Fatalf("unjournaled record appended to the in-memory log: %v", got)
-	}
-
-	// Persistence recovers: the same intermediate must be retryable (the
-	// failed attempt must not have armed the replay guard) and journaled
-	// exactly once.
-	var journaled []ForwardRecord
-	f.server.OnRecord = func(r ForwardRecord) error { journaled = append(journaled, r); return nil }
-	if _, err := f.server.Process(interm); err != nil {
-		t.Fatalf("retry after journal recovery: %v", err)
-	}
-	if len(journaled) != 1 || journaled[0].Activity != "A" {
-		t.Fatalf("journaled records = %+v, want exactly the retried A record", journaled)
-	}
-	if len(f.server.Records()) != 1 {
-		t.Fatalf("in-memory log holds %d records, want 1", len(f.server.Records()))
-	}
-
-	// And the successful retry must arm the guard.
-	if _, err := f.server.Process(interm); !errors.Is(err, ErrReplay) {
-		t.Fatalf("second retry = %v, want ErrReplay", err)
+	sameAnswer(t, first, f.resubmit(t, interm))
+	other := f.reexecute(t, f.doc, "A", aea.Inputs{"request": "req"})
+	if _, err := f.server.Process(other); !errors.Is(err, ErrReplay) {
+		t.Fatalf("a different intermediate for a notarized step = %v, want ErrReplay", err)
 	}
 }
 
@@ -291,11 +286,14 @@ func TestProcessErrors(t *testing.T) {
 		t.Fatal("tampered intermediate accepted")
 	}
 
-	// Success, then replay.
-	if _, err := f.server.Process(interm); err != nil {
+	// Success; a resubmission gets the first answer, a different
+	// intermediate for the step is a replay.
+	first, err := f.server.Process(interm)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.server.Process(interm); !errors.Is(err, ErrReplay) {
+	sameAnswer(t, first, f.resubmit(t, interm))
+	if _, err := f.server.Process(f.reexecute(t, f.doc, "A", aea.Inputs{"request": "r"})); !errors.Is(err, ErrReplay) {
 		t.Fatalf("replay: %v", err)
 	}
 }
@@ -376,21 +374,22 @@ func TestUndeclaredIntermediateRefused(t *testing.T) {
 
 // TestRefusalDisarmsReplayGuard: a refused intermediate was not
 // notarized, so A's honest submission for the same iteration is; a
-// replay of the notarized one is still refused.
+// resubmission of the notarized one gets its answer, and the refused one
+// is now a replay.
 func TestRefusalDisarmsReplayGuard(t *testing.T) {
 	f := newFig9B(t)
-	if _, err := f.server.Process(undeclaredIntermediate(t, f)); !errors.Is(err, document.ErrUndeclaredVariable) {
+	refused := undeclaredIntermediate(t, f)
+	if _, err := f.server.Process(refused); !errors.Is(err, document.ErrUndeclaredVariable) {
 		t.Fatalf("err = %v, want ErrUndeclaredVariable", err)
 	}
-	interm, err := f.agents["A"].ExecuteToTFC(f.doc, "A", aea.Inputs{"request": "req"})
+	interm := f.intermediate(t, f.doc, "A", aea.Inputs{"request": "req"})
+	first, err := f.server.Process(interm)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.server.Process(interm); err != nil {
 		t.Fatalf("honest submission after a refusal: %v", err)
 	}
-	if _, err := f.server.Process(interm); !errors.Is(err, ErrReplay) {
-		t.Fatalf("replay of a notarized intermediate: err = %v, want ErrReplay", err)
+	sameAnswer(t, first, f.resubmit(t, interm))
+	if _, err := f.server.Process(refused); !errors.Is(err, ErrReplay) {
+		t.Fatalf("the refused intermediate after a notarization: err = %v, want ErrReplay", err)
 	}
 }
 
